@@ -2,8 +2,8 @@
 //!
 //! Runs the supervised parallel learner through a scenario matrix — one
 //! scenario per fault class (NaN gradients, exploding norms, NaN
-//! parameters, worker panics, stalls) plus a seed-scheduled mix — at 1 and
-//! 8 threads, and verifies the tentpole contract dynamically:
+//! parameters, worker panics) plus a fixed and a seed-scheduled mix — at
+//! 1 and 8 threads, and verifies the resilience contract dynamically:
 //!
 //! - **1 thread**: recovery is asserted as *bit identity* — the per-cycle
 //!   outcomes and training history of every faulted run must equal the
@@ -20,7 +20,6 @@ use rlnoc_core::parallel::explore_parallel_supervised;
 use rlnoc_core::{ChaosInjector, ChaosPlan, ExplorerConfig, RouterlessEnv, SupervisionConfig};
 use rlnoc_telemetry::TelemetrySink;
 use rlnoc_topology::Grid;
-use std::time::Duration;
 
 const SEED: u64 = 11;
 
@@ -29,8 +28,7 @@ fn env3() -> RouterlessEnv {
 }
 
 /// One named fault scenario: the plan to inject and the policy tweaks it
-/// needs (the exploding-norm scenario arms the EWMA sentinel early; the
-/// stall scenario tightens the watchdog so CI never waits out a window).
+/// needs (the exploding-norm scenarios arm the EWMA sentinel early).
 struct Scenario {
     name: &'static str,
     plan: fn(usize) -> ChaosPlan,
@@ -52,16 +50,6 @@ fn arm_sentinel(c: &mut ExplorerConfig) {
     // injection.
     c.resilience.anomaly.ewma_warmup = 0;
     c.resilience.anomaly.ewma_mult = 1e3;
-}
-
-fn tight_watchdog(c: &mut ExplorerConfig) {
-    c.resilience.watchdog.deadline = Duration::from_millis(200);
-    c.resilience.watchdog.poll = Duration::from_millis(25);
-}
-
-fn arm_and_tighten(c: &mut ExplorerConfig) {
-    arm_sentinel(c);
-    tight_watchdog(c);
 }
 
 fn scenarios() -> Vec<Scenario> {
@@ -107,41 +95,24 @@ fn scenarios() -> Vec<Scenario> {
             bit_exact: true,
         },
         Scenario {
-            name: "stall",
-            plan: |_| {
-                let mut p = ChaosPlan::none();
-                p.stall_cycles = vec![1];
-                p.stall_window = Duration::from_secs(10);
-                p
-            },
-            tweak: tight_watchdog,
-            bit_exact: true,
-        },
-        Scenario {
             // Every fault class in one run, on a fixed schedule.
             name: "mixed",
             plan: |_| {
                 let mut p = ChaosPlan::none();
                 p.panic_cycles = vec![1];
                 p.nan_grad_cycles = vec![1];
-                p.stall_cycles = vec![2];
                 p.explode_grad_cycles = vec![2];
                 p.nan_param_cycles = vec![3];
-                p.stall_window = Duration::from_secs(10);
                 p
             },
-            tweak: arm_and_tighten,
+            tweak: arm_sentinel,
             bit_exact: true,
         },
         Scenario {
             // The seed-scheduled round-robin of the chaos suite.
             name: "seeded",
-            plan: |cycles| {
-                let mut p = ChaosPlan::seeded(23, cycles, 4);
-                p.stall_window = Duration::from_secs(10);
-                p
-            },
-            tweak: tight_watchdog,
+            plan: |cycles| ChaosPlan::seeded(23, cycles, 4),
+            tweak: no_tweak,
             bit_exact: false,
         },
     ]
@@ -208,7 +179,7 @@ fn main() {
                 "{} at {threads} threads: every requested cycle must finish",
                 sc.name
             );
-            let fired = s_.anomalies + s_.panics + s_.stalls_detected + s_.stalls_recovered;
+            let fired = s_.anomalies + s_.panics;
             assert!(
                 fired > 0,
                 "{} at {threads} threads: the injected fault never fired",
@@ -231,7 +202,6 @@ fn main() {
                 s(s_.rollbacks),
                 s(s_.panics),
                 s(s_.respawns),
-                s(s_.stalls_detected + s_.stalls_recovered),
                 s(s_.quarantined),
                 s(identical),
             ]);
@@ -248,7 +218,6 @@ fn main() {
             "rollbacks",
             "panics",
             "respawns",
-            "stalls",
             "quarantined",
             "bit_identical",
         ],
@@ -262,13 +231,11 @@ fn main() {
     );
     println!(
         "resilience counters: {} anomalies ({} rollbacks), {} panics ({} respawned), \
-         {} stalls detected ({} recovered), {} quarantined, {} workers lost",
+         {} quarantined, {} workers lost",
         health.anomalies,
         health.rollbacks,
         health.panics,
         health.respawns,
-        health.stalls_detected,
-        health.stalls_recovered,
         health.quarantined,
         health.workers_lost
     );

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the resilience layer.
 //!
 //! A [`ChaosInjector`] carries a [`ChaosPlan`] — which global cycles get a
-//! NaN gradient, a scaled (exploding) gradient, a poisoned parameter, a
-//! worker panic, or a stall window — and fires each scheduled fault exactly
-//! once, on the *first* attempt of its cycle. Because faults are keyed on
-//! the cycle index (not the worker or wall clock), a chaos run is
+//! NaN gradient, a scaled (exploding) gradient, a poisoned parameter, or a
+//! worker panic — and fires each scheduled fault exactly once, on the
+//! *first* attempt of its cycle. Because faults are keyed on the cycle
+//! index (not the worker or wall clock), a chaos run is
 //! reproducible at any thread count, and a recovered retry of the same
 //! cycle observes a clean world: with the retry machinery restoring the
 //! worker RNG, the recovered run is bit-identical to the never-faulted run
@@ -17,9 +17,8 @@
 
 use rlnoc_nn::Tensor;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Which faults fire at which global cycle indices.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -42,12 +41,6 @@ pub struct ChaosPlan {
     /// Cycles whose first attempt panics at cycle start (exercises the
     /// catch_unwind/respawn path).
     pub panic_cycles: Vec<usize>,
-    /// Cycles whose first attempt stalls at cycle start for
-    /// [`ChaosPlan::stall_window`] unless the watchdog interrupts sooner.
-    pub stall_cycles: Vec<usize>,
-    /// How long a stalled worker sleeps if nothing interrupts it. Keep this
-    /// finite: it is the harness's own upper bound on damage.
-    pub stall_window: Duration,
 }
 
 impl ChaosPlan {
@@ -55,7 +48,6 @@ impl ChaosPlan {
     pub fn none() -> Self {
         ChaosPlan {
             explode_factor: 1e12,
-            stall_window: Duration::from_secs(60),
             ..ChaosPlan::default()
         }
     }
@@ -63,7 +55,7 @@ impl ChaosPlan {
     /// A seed-scheduled plan over `total_cycles`: `faults` cycles are drawn
     /// without replacement via SplitMix64 and dealt round-robin across the
     /// recoverable fault classes (NaN grad, exploding grad, NaN param,
-    /// panic, stall). Deterministic in `(seed, total_cycles, faults)`.
+    /// panic). Deterministic in `(seed, total_cycles, faults)`.
     pub fn seeded(seed: u64, total_cycles: usize, faults: usize) -> Self {
         let mut plan = ChaosPlan::none();
         if total_cycles == 0 {
@@ -83,12 +75,11 @@ impl ChaosPlan {
             chosen.insert((next() % total_cycles as u64) as usize);
         }
         for (i, cycle) in chosen.into_iter().enumerate() {
-            match i % 5 {
+            match i % 4 {
                 0 => plan.nan_grad_cycles.push(cycle),
                 1 => plan.explode_grad_cycles.push(cycle),
                 2 => plan.nan_param_cycles.push(cycle),
-                3 => plan.panic_cycles.push(cycle),
-                _ => plan.stall_cycles.push(cycle),
+                _ => plan.panic_cycles.push(cycle),
             }
         }
         plan
@@ -102,7 +93,6 @@ enum FaultClass {
     ExplodeGrad,
     NanParam,
     Panic,
-    Stall,
 }
 
 #[derive(Debug)]
@@ -117,19 +107,6 @@ struct InjectorState {
 /// A cloneable handle to one shared fault schedule.
 #[derive(Debug, Clone)]
 pub struct ChaosInjector(Arc<InjectorState>);
-
-/// What [`ChaosInjector::on_cycle_start`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StartOutcome {
-    /// No fault scheduled here (or it already fired).
-    Clean,
-    /// The worker stalled; `interrupted` is true when the watchdog's
-    /// interrupt flag cut the window short.
-    Stalled {
-        /// Whether the stall ended by interrupt rather than timeout.
-        interrupted: bool,
-    },
-}
 
 impl ChaosInjector {
     /// Wraps a plan for sharing across workers.
@@ -164,24 +141,12 @@ impl ChaosInjector {
         true
     }
 
-    /// Cycle-start hook: may panic (panic injection) or stall. A stall
-    /// parks in short slices, re-checking `interrupt` each slice so a
-    /// watchdog can cancel it; the flag is consumed when honored.
-    pub fn on_cycle_start(&self, cycle: usize, interrupt: &AtomicBool) -> StartOutcome {
+    /// Cycle-start hook: panics if `cycle` is a scheduled panic cycle
+    /// (first attempt only).
+    pub fn on_cycle_start(&self, cycle: usize) {
         if self.claim(FaultClass::Panic, cycle, &self.0.plan.panic_cycles) {
             panic!("chaos: injected worker panic at cycle {cycle}");
         }
-        if self.claim(FaultClass::Stall, cycle, &self.0.plan.stall_cycles) {
-            let end = Instant::now() + self.0.plan.stall_window;
-            while Instant::now() < end {
-                if interrupt.swap(false, Ordering::AcqRel) {
-                    return StartOutcome::Stalled { interrupted: true };
-                }
-                std::thread::park_timeout(Duration::from_millis(2));
-            }
-            return StartOutcome::Stalled { interrupted: false };
-        }
-        StartOutcome::Clean
     }
 
     /// Gradient hook: corrupts `grads` when cycle is scheduled. Returns
@@ -279,38 +244,7 @@ mod tests {
         let mut plan = ChaosPlan::none();
         plan.panic_cycles = vec![0];
         let inj = ChaosInjector::new(plan);
-        let flag = AtomicBool::new(false);
-        inj.on_cycle_start(0, &flag);
-    }
-
-    #[test]
-    fn stall_honors_interrupt_flag() {
-        let mut plan = ChaosPlan::none();
-        plan.stall_cycles = vec![0];
-        plan.stall_window = Duration::from_secs(30);
-        let inj = ChaosInjector::new(plan);
-        let flag = AtomicBool::new(true); // pre-raised: cancels immediately
-        let start = Instant::now();
-        let outcome = inj.on_cycle_start(0, &flag);
-        assert_eq!(outcome, StartOutcome::Stalled { interrupted: true });
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "must not sit out the window"
-        );
-        assert!(!flag.load(Ordering::Relaxed), "flag consumed");
-        // Retry is clean.
-        assert_eq!(inj.on_cycle_start(0, &flag), StartOutcome::Clean);
-    }
-
-    #[test]
-    fn stall_times_out_without_interrupt() {
-        let mut plan = ChaosPlan::none();
-        plan.stall_cycles = vec![0];
-        plan.stall_window = Duration::from_millis(20);
-        let inj = ChaosInjector::new(plan);
-        let flag = AtomicBool::new(false);
-        let outcome = inj.on_cycle_start(0, &flag);
-        assert_eq!(outcome, StartOutcome::Stalled { interrupted: false });
+        inj.on_cycle_start(0);
     }
 
     #[test]
@@ -326,7 +260,6 @@ mod tests {
             .chain(&a.explode_grad_cycles)
             .chain(&a.nan_param_cycles)
             .chain(&a.panic_cycles)
-            .chain(&a.stall_cycles)
             .copied()
             .collect();
         assert_eq!(all.len(), 10);

@@ -1,10 +1,10 @@
 //! Checkpoint/resume for long exploration runs.
 //!
 //! A checkpoint captures the *learned* state of a run — the parent
-//! network's parameters and generation, the number of cycles completed, and
-//! the best design found so far. The search tree and evaluation cache are
-//! deliberately not captured: both are derived state the restored network
-//! re-learns, and the cache is invalidated by any parameter change anyway.
+//! network's parameters and generation, the optimizer and norm-sentinel
+//! state, the number of cycles completed, and the best design found so far.
+//! The search tree and evaluation cache are not captured: every
+//! checkpointed batch starts with fresh ones, so a resume needs neither.
 //!
 //! # On-disk format (v2)
 //!
@@ -24,10 +24,9 @@
 //! [`ExploreCheckpoint::load_with_recovery`] falls back to `.prev` when
 //! the primary is torn. Plain-JSON v1 checkpoints (pre-CRC) still load.
 //!
-//! Consumers: [`crate::Explorer::run_checkpointed`] for the
-//! single-threaded driver and
-//! [`crate::parallel::explore_parallel_checkpointed`] for the supervised
-//! parallel learner.
+//! Consumer: [`crate::parallel::explore_parallel_checkpointed`], whose
+//! resume replays the uninterrupted run exactly (use one thread for a
+//! bit-identical replay).
 
 use crate::explorer::DesignResult;
 use crate::policy::PolicyAgent;

@@ -2,7 +2,6 @@
 //! design cycles with actor-critic learning after each cycle.
 
 use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
-use crate::checkpoint::{CheckpointConfig, CheckpointError, ExploreCheckpoint};
 use crate::env::Environment;
 use crate::mcts::{Mcts, MctsConfig};
 use crate::policy::{Episode, Evaluation, PolicyAgent, Step, TrainConfig, TrainStats};
@@ -55,8 +54,8 @@ pub struct ExplorerConfig {
     /// disabled sink compiles the probes down to a branch — exploration
     /// results are bit-identical either way.
     pub telemetry: TelemetrySink,
-    /// Training-run resilience policy (anomaly detection/rollback and
-    /// stalled-worker supervision), honored by the supervised parallel
+    /// Training-run resilience policy (anomaly detection/rollback, plus the
+    /// chaos injector for tests), honored by the [`crate::parallel`]
     /// drivers. Detection is read-only, so zero-anomaly runs are
     /// bit-identical with the layer on or off.
     pub resilience: ResilienceConfig,
@@ -362,6 +361,19 @@ pub fn run_episode<E: Environment>(
     (episode, path)
 }
 
+/// The agent `config` asks for: its explicit [`ExplorerConfig::net`], or
+/// the small default network sized for `env`.
+pub(crate) fn new_agent<E: Environment>(
+    env: &E,
+    config: &ExplorerConfig,
+    seed: u64,
+) -> PolicyAgent {
+    match &config.net {
+        Some(net_cfg) => PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed),
+        None => PolicyAgent::for_env(env, config.train.clone(), seed),
+    }
+}
+
 /// The single-threaded exploration driver: repeats exploration cycles,
 /// updating the tree and training the DNN after each (Figure 4).
 #[derive(Debug)]
@@ -372,7 +384,6 @@ pub struct Explorer<E: Environment> {
     cache: EvalCache,
     config: ExplorerConfig,
     rng: StdRng,
-    seed: u64,
     recorder: Recorder,
     last_cache: CacheStats,
 }
@@ -380,10 +391,7 @@ pub struct Explorer<E: Environment> {
 impl<E: Environment> Explorer<E> {
     /// Creates an explorer over `env` with deterministic seeding.
     pub fn new(env: E, config: ExplorerConfig, seed: u64) -> Self {
-        let agent = match &config.net {
-            Some(net_cfg) => PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed),
-            None => PolicyAgent::for_env(&env, config.train.clone(), seed),
-        };
+        let agent = new_agent(&env, &config, seed);
         let mcts = Mcts::new(config.mcts);
         let cache = EvalCache::new(config.eval_cache_capacity);
         let recorder = config.telemetry.recorder("explorer");
@@ -394,7 +402,6 @@ impl<E: Environment> Explorer<E> {
             cache,
             config,
             rng: StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
-            seed,
             recorder,
             last_cache: CacheStats::default(),
         }
@@ -516,113 +523,6 @@ impl<E: Environment> Explorer<E> {
         );
         rec.flush();
     }
-
-    /// Re-derives the exploration RNG stream for the batch beginning at
-    /// global cycle `cycles_done`, so [`Explorer::run_checkpointed`] is
-    /// deterministic whether or not a run was interrupted between batches.
-    fn reseed_at(&mut self, cycles_done: usize) {
-        self.rng = StdRng::seed_from_u64(
-            self.seed
-                .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((cycles_done as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)),
-        );
-    }
-}
-
-/// The outcome of [`Explorer::run_checkpointed`].
-#[derive(Debug, Clone)]
-pub struct CheckpointedRun<E> {
-    /// Report over the cycles run by *this* call (a resumed run only
-    /// reports the cycles it actually executed).
-    pub report: ExploreReport<E>,
-    /// Cycles that were already complete in the loaded checkpoint
-    /// (0 for a fresh run).
-    pub resumed_from: usize,
-    /// Best successful design across all runs, restored ones included.
-    pub best: Option<DesignResult<E>>,
-}
-
-impl<E> Explorer<E>
-where
-    E: Environment + Serialize + Deserialize,
-{
-    /// Runs up to `total_cycles` cycles with periodic checkpointing: if
-    /// [`CheckpointConfig::path`] exists the run resumes from it (network
-    /// parameters and best design restored, only the remaining cycles
-    /// executed), falling back to the rotated `.prev` generation if the
-    /// primary is torn; every [`CheckpointConfig::every`] cycles, and at
-    /// completion, the state is saved atomically and durably.
-    ///
-    /// The RNG stream is re-derived at each batch boundary from the seed
-    /// and the global cycle index, so resuming from a given checkpoint is
-    /// fully deterministic: two resumptions of the same file take identical
-    /// cycles. A resumed run is a *continuation*, not a bit-identical
-    /// replay of the uninterrupted one — the search tree, evaluation cache,
-    /// and optimizer moments are derived state that is rebuilt rather than
-    /// checkpointed (see [`crate::checkpoint`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] if the checkpoint cannot be read or
-    /// written; exploration state already in memory is unaffected.
-    pub fn run_checkpointed(
-        &mut self,
-        total_cycles: usize,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointedRun<E>, CheckpointError> {
-        let mut done = 0usize;
-        let mut best: Option<DesignResult<E>> = None;
-        if let Some((cp, _source)) = ExploreCheckpoint::<E>::try_resume(&ckpt.path)? {
-            self.agent.net_mut().load_params(&cp.params);
-            self.agent.set_param_generation(cp.param_generation);
-            if let Some(learner) = &cp.learner {
-                learner.restore_into(&mut self.agent);
-            }
-            done = cp.cycles_done;
-            best = cp.best;
-        }
-        let resumed_from = done;
-        let every = ckpt.every.max(1);
-        let mut designs = Vec::new();
-        let mut train_history = Vec::new();
-        while done < total_cycles {
-            let batch = every.min(total_cycles - done);
-            self.reseed_at(done);
-            let mut r = self.run_cycles(batch);
-            for d in &mut r.designs {
-                d.cycle += done; // local batch indices → global cycle indices
-                let better = d.successful
-                    && best
-                        .as_ref()
-                        .is_none_or(|b| d.final_return > b.final_return);
-                if better {
-                    best = Some(d.clone());
-                }
-            }
-            designs.append(&mut r.designs);
-            train_history.append(&mut r.train_history);
-            done += batch;
-            ExploreCheckpoint {
-                cycles_done: done,
-                seed: self.seed,
-                param_generation: self.agent.param_generation(),
-                params: self.agent.net_mut().param_snapshot(),
-                learner: Some(crate::checkpoint::LearnerState::capture(&self.agent)),
-                best: best.clone(),
-            }
-            .save(&ckpt.path)?;
-        }
-        Ok(CheckpointedRun {
-            report: ExploreReport {
-                cycles_run: designs.len(),
-                designs,
-                train_history,
-                cache_stats: self.cache.stats(),
-            },
-            resumed_from,
-            best,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -718,70 +618,6 @@ mod tests {
         without.complete_designs = false;
         let report = Explorer::new(env, without, 9).run();
         assert_eq!(report.successful_count(), 0);
-    }
-
-    #[test]
-    fn checkpointed_run_resumes_deterministically() {
-        use crate::checkpoint::CheckpointConfig;
-        let path =
-            std::env::temp_dir().join(format!("rlnoc_explorer_ckpt_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let ckpt = CheckpointConfig::new(&path, 2);
-        let key = |r: &ExploreReport<RouterlessEnv>| {
-            r.designs
-                .iter()
-                .map(|d| (d.cycle, d.steps, d.successful, d.final_return))
-                .collect::<Vec<_>>()
-        };
-
-        // "Killed" run: one process completes 2 of 4 cycles.
-        let first = Explorer::new(env.clone(), quick_config(2), 11)
-            .run_checkpointed(2, &ckpt)
-            .unwrap();
-        assert_eq!(first.resumed_from, 0);
-        assert_eq!(first.report.cycles_run, 2);
-        let first_best = first.best.as_ref().map(|d| d.final_return);
-
-        // Two fresh processes resuming from the *same* checkpoint must
-        // take identical cycles (resume is deterministic).
-        let snapshot = std::fs::read(&path).unwrap();
-        let second = Explorer::new(env.clone(), quick_config(4), 11)
-            .run_checkpointed(4, &ckpt)
-            .unwrap();
-        std::fs::write(&path, &snapshot).unwrap();
-        let replay = Explorer::new(env.clone(), quick_config(4), 11)
-            .run_checkpointed(4, &ckpt)
-            .unwrap();
-        assert_eq!(second.resumed_from, 2);
-        assert_eq!(second.report.cycles_run, 2, "only the remaining cycles run");
-        assert_eq!(
-            second
-                .report
-                .designs
-                .iter()
-                .map(|d| d.cycle)
-                .collect::<Vec<_>>(),
-            vec![2, 3],
-            "resumed cycles carry global indices"
-        );
-        assert_eq!(key(&second.report), key(&replay.report));
-        // Best-so-far survives the restart (it can only improve).
-        if let Some(fb) = first_best {
-            let sb = second
-                .best
-                .expect("restored best must persist")
-                .final_return;
-            assert!(sb >= fb, "best degraded across resume: {sb} < {fb}");
-        }
-
-        // A finished checkpoint leaves nothing to do.
-        let third = Explorer::new(env, quick_config(4), 11)
-            .run_checkpointed(4, &ckpt)
-            .unwrap();
-        assert_eq!(third.resumed_from, 4);
-        assert_eq!(third.report.cycles_run, 0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

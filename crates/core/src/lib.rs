@@ -56,12 +56,12 @@ pub use cache::{CacheStats, EvalCache, EvalCacheHandle, NoCache};
 pub use chaos::{ChaosInjector, ChaosPlan};
 pub use checkpoint::{CheckpointConfig, CheckpointError, ExploreCheckpoint};
 pub use env::Environment;
-pub use explorer::{CheckpointedRun, DesignResult, ExploreReport, Explorer, ExplorerConfig};
+pub use explorer::{DesignResult, ExploreReport, Explorer, ExplorerConfig};
 pub use mcts::{Mcts, MctsConfig};
 pub use parallel::{
     explore_parallel, explore_parallel_checkpointed, explore_parallel_supervised, ExploreError,
-    JoinError, SupervisedReport, SupervisionConfig, SupervisionReport,
+    SupervisedReport, SupervisionConfig, SupervisionReport,
 };
 pub use policy::{Episode, PolicyAgent, Step, TrainConfig};
-pub use resilience::{AnomalyKind, AnomalyPolicy, AnomalyReport, ResilienceConfig, WatchdogConfig};
+pub use resilience::{AnomalyKind, AnomalyPolicy, AnomalyReport, ResilienceConfig};
 pub use routerless::{DesignConstraints, LoopAction, RouterlessEnv};

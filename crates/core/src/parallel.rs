@@ -12,22 +12,21 @@
 //!
 //! # Fault tolerance
 //!
-//! [`explore_parallel_supervised`] hardens the learner for long runs: each
-//! worker cycle executes under [`std::panic::catch_unwind`], a panicking
-//! worker is respawned in place with fresh state (up to
-//! [`SupervisionConfig::max_respawns_per_worker`] times), the cycle it was
-//! running is requeued, and shutdown never unwraps shared state with a bare
-//! `expect` — leaked handles surface as a typed [`JoinError`] and exhausted
-//! workers as [`ExploreError::WorkersExhausted`] carrying the partial
-//! results. [`explore_parallel_checkpointed`] additionally snapshots the
-//! parent network and best design to disk so a killed run restarts where it
+//! Every driver runs the same supervised worker loop: each worker cycle
+//! executes under [`std::panic::catch_unwind`], a panicking worker is
+//! respawned in place (up to [`SupervisionConfig::max_respawns_per_worker`]
+//! times), the cycle it was running is requeued, and exhausted workers
+//! surface as [`ExploreError::WorkersExhausted`] carrying the partial
+//! results. [`explore_parallel`] is the panicking convenience wrapper;
+//! [`explore_parallel_checkpointed`] additionally snapshots the parent
+//! network and best design to disk so a killed run replays exactly where it
 //! left off.
 
 use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
-use crate::chaos::{ChaosInjector, StartOutcome};
+use crate::chaos::ChaosInjector;
 use crate::checkpoint::{CheckpointConfig, CheckpointError, CheckpointSource, ExploreCheckpoint};
 use crate::env::Environment;
-use crate::explorer::{DesignResult, ExploreReport, ExplorerConfig, TreeHandle};
+use crate::explorer::{new_agent, DesignResult, ExploreReport, ExplorerConfig, TreeHandle};
 use crate::mcts::Mcts;
 use crate::policy::{Evaluation, PolicyAgent, TrainStats};
 use crate::resilience::{first_non_finite, AnomalyKind, AnomalyPolicy, AnomalyReport};
@@ -38,41 +37,8 @@ use rlnoc_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Error returned when a shared resource cannot be reclaimed at shutdown
-/// because handles to it are still alive (a worker leaked its clone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinError {
-    /// Human-readable name of the shared resource.
-    pub resource: &'static str,
-    /// Number of other handles still holding the resource.
-    pub outstanding: usize,
-}
-
-impl std::fmt::Display for JoinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot reclaim shared {}: {} handle(s) still outstanding",
-            self.resource, self.outstanding
-        )
-    }
-}
-
-impl std::error::Error for JoinError {}
-
-/// Reclaims a shared value after the owning scope has joined. Never
-/// panics: if a handle somehow survived, the value is moved out from
-/// behind the lock instead.
-fn drain_shared<T: Default>(arc: Arc<Mutex<T>>) -> T {
-    match Arc::try_unwrap(arc) {
-        Ok(m) => m.into_inner(),
-        Err(arc) => std::mem::take(&mut *arc.lock()),
-    }
-}
 
 /// A [`TreeHandle`] that serializes access to a tree shared across child
 /// threads (the parent's "query queue" in Figure 8).
@@ -105,36 +71,6 @@ impl<A: Copy + Eq + std::hash::Hash + std::fmt::Debug> SharedTree<A> {
     /// Visit counts of every stored edge (see [`Mcts::edge_visit_counts`]).
     pub fn edge_visit_counts(&self) -> Vec<u32> {
         self.0.lock().edge_visit_counts()
-    }
-
-    /// Extracts the tree once all other handles are dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JoinError`] naming the outstanding handle count if other
-    /// clones are still alive (the tree stays owned by them; this handle is
-    /// consumed either way).
-    pub fn try_into_inner(self) -> Result<Mcts<A>, JoinError> {
-        let outstanding = Arc::strong_count(&self.0) - 1;
-        Arc::try_unwrap(self.0)
-            .map(Mutex::into_inner)
-            .map_err(|_| JoinError {
-                resource: "search tree",
-                outstanding,
-            })
-    }
-
-    /// Extracts the tree once all handles are done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if other handles still exist; prefer
-    /// [`SharedTree::try_into_inner`].
-    pub fn into_inner(self) -> Mcts<A> {
-        match self.try_into_inner() {
-            Ok(tree) => tree,
-            Err(e) => panic!("{e}"),
-        }
     }
 }
 
@@ -177,35 +113,6 @@ impl SharedEvalCache {
     pub fn stats(&self) -> CacheStats {
         self.0.lock().stats()
     }
-
-    /// Extracts the cache once all other handles are dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JoinError`] naming the outstanding handle count if other
-    /// clones are still alive.
-    pub fn try_into_inner(self) -> Result<EvalCache, JoinError> {
-        let outstanding = Arc::strong_count(&self.0) - 1;
-        Arc::try_unwrap(self.0)
-            .map(Mutex::into_inner)
-            .map_err(|_| JoinError {
-                resource: "evaluation cache",
-                outstanding,
-            })
-    }
-
-    /// Extracts the cache once all handles are done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if other handles still exist; prefer
-    /// [`SharedEvalCache::try_into_inner`].
-    pub fn into_inner(self) -> EvalCache {
-        match self.try_into_inner() {
-            Ok(cache) => cache,
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
 
 impl EvalCacheHandle for SharedEvalCache {
@@ -221,8 +128,8 @@ impl EvalCacheHandle for SharedEvalCache {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// How many times a panicked worker is restarted in place (with a fresh
-    /// environment, local network replica, and a respawn-salted RNG) before
-    /// it is written off. The cycle a panicking worker had claimed is always
+    /// environment and local network replica, resuming its escrowed RNG
+    /// stream) before it is written off. The cycle a panicking worker had claimed is always
     /// requeued for any surviving worker to pick up.
     pub max_respawns_per_worker: usize,
 }
@@ -255,10 +162,6 @@ pub struct SupervisionReport {
     /// [`crate::resilience::AnomalyPolicy::max_retries`] consecutive
     /// anomalies.
     pub quarantined: usize,
-    /// Stalls flagged by the watchdog (heartbeat older than the deadline).
-    pub stalls_detected: u64,
-    /// Watchdog interrupts honored by a worker that then resumed normally.
-    pub stalls_recovered: u64,
 }
 
 /// A supervised exploration outcome: the merged report plus what the
@@ -289,8 +192,6 @@ pub enum ExploreError<E> {
         /// The cycle count originally requested.
         requested: usize,
     },
-    /// A shared resource could not be reclaimed at shutdown.
-    Join(JoinError),
     /// Saving or loading a checkpoint failed
     /// (only from [`explore_parallel_checkpointed`]).
     Checkpoint(CheckpointError),
@@ -318,7 +219,6 @@ impl<E> std::fmt::Display for ExploreError<E> {
                  ({} panics)",
                 partial.report.cycles_run, requested, partial.supervision.panics
             ),
-            ExploreError::Join(e) => write!(f, "{e}"),
             ExploreError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
             ExploreError::Numerical {
                 report,
@@ -339,21 +239,15 @@ impl<E> std::fmt::Display for ExploreError<E> {
 
 impl<E: std::fmt::Debug> std::error::Error for ExploreError<E> {}
 
-impl<E> From<JoinError> for ExploreError<E> {
-    fn from(e: JoinError) -> Self {
-        ExploreError::Join(e)
-    }
-}
-
 impl<E> From<CheckpointError> for ExploreError<E> {
     fn from(e: CheckpointError) -> Self {
         ExploreError::Checkpoint(e)
     }
 }
 
-/// The worker RNG for incarnation `respawns` of worker `t` — incarnation 0
-/// matches the historical [`explore_parallel`] stream, so a panic-free
-/// supervised run explores identically to the unsupervised one.
+/// The worker RNG for incarnation `respawns` of worker `t`. Only
+/// incarnation 0 is used in practice: a respawn resumes the escrowed stream
+/// of the incarnation it replaces.
 fn worker_rng(seed: u64, t: usize, threads: usize, respawns: usize) -> StdRng {
     StdRng::seed_from_u64(
         seed.wrapping_add(1 + t as u64 + (threads as u64) * (respawns as u64))
@@ -374,22 +268,21 @@ fn worker_recorder(config: &ExplorerConfig, t: usize) -> Recorder {
 }
 
 /// Publishes the parent-side end-of-run summary (cache totals, tree size,
-/// edge-visit distribution, parameter generation, and — when supervised —
-/// panic/respawn accounting). No-op with telemetry disabled.
+/// edge-visit distribution, parameter generation, and panic/respawn/anomaly
+/// accounting). No-op with telemetry disabled.
 fn publish_run_summary<A>(
     config: &ExplorerConfig,
-    source: &str,
     tree: &SharedTree<A>,
     cache_stats: CacheStats,
     param_generation: u64,
-    supervision: Option<&SupervisionReport>,
+    s: &SupervisionReport,
 ) where
     A: Copy + Eq + std::hash::Hash + std::fmt::Debug,
 {
     if !config.telemetry.is_enabled() {
         return;
     }
-    let mut rec = config.telemetry.recorder(source);
+    let mut rec = config.telemetry.recorder("supervisor");
     rec.incr("cache.hits", cache_stats.hits);
     rec.incr("cache.misses", cache_stats.misses);
     rec.gauge("mcts.nodes", tree.len() as f64);
@@ -397,21 +290,16 @@ fn publish_run_summary<A>(
         rec.record("mcts.edge_visits", u64::from(v));
     }
     rec.gauge("train.param_generation", param_generation as f64);
-    if let Some(s) = supervision {
-        rec.incr("worker.panics", s.panics);
-        rec.incr("worker.respawns", s.respawns);
-        rec.incr("worker.lost", s.workers_lost as u64);
-        rec.incr("anomaly.total", s.anomalies);
-        rec.incr("anomaly.rollbacks", s.rollbacks);
-        rec.incr("worker.quarantined", s.quarantined as u64);
-        rec.incr("watchdog.stalls_detected", s.stalls_detected);
-        rec.incr("watchdog.stalls_recovered", s.stalls_recovered);
-    }
+    rec.incr("worker.panics", s.panics);
+    rec.incr("worker.respawns", s.respawns);
+    rec.incr("worker.lost", s.workers_lost as u64);
+    rec.incr("anomaly.total", s.anomalies);
+    rec.incr("anomaly.rollbacks", s.rollbacks);
+    rec.incr("worker.quarantined", s.quarantined as u64);
 }
 
 /// One complete worker cycle: pull parameters, run an episode against the
-/// shared tree, push gradients, warm the cache, record the result. Shared
-/// by the supervised and unsupervised drivers.
+/// shared tree, push gradients, warm the cache, record the result.
 ///
 /// The cycle is *transactional* with respect to numerical anomalies: the
 /// episode runs, its gradients are validated, and the parent optimizer
@@ -536,17 +424,19 @@ fn run_worker_cycle<E: Environment>(
 
 /// Runs `total_cycles` exploration cycles split across `threads` child
 /// agents with a shared tree and parent parameter server, returning the
-/// merged report (designs tagged with global cycle indices, in completion
-/// order).
+/// merged report (designs tagged with global cycle indices, sorted by
+/// cycle).
 ///
-/// With `threads == 1` this is behaviourally equivalent to
-/// [`crate::Explorer`] modulo scheduling. A panicking worker propagates at
-/// scope join; long or untrusted runs should prefer
-/// [`explore_parallel_supervised`].
+/// This is [`explore_parallel_supervised`] with the default
+/// [`SupervisionConfig`]: a panicking worker is respawned and its cycle
+/// requeued. Its worker RNG streams and parent/child parameter split differ
+/// from [`crate::Explorer`]'s, so even at one thread the two drivers explore
+/// different trajectories.
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero.
+/// Panics with the [`ExploreError`]'s message if `threads` is zero or the
+/// run fails (every worker exhausted its respawn budget or was quarantined).
 pub fn explore_parallel<E>(
     env: &E,
     config: &ExplorerConfig,
@@ -558,86 +448,17 @@ where
     E: Environment + Send + Sync,
     E::Action: Send + Sync,
 {
-    assert!(threads > 0, "need at least one thread");
-    // Parent: the canonical network and optimizer (thread 0 of Figure 8).
-    let parent = Arc::new(Mutex::new(match &config.net {
-        Some(net_cfg) => PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed),
-        None => PolicyAgent::for_env(env, config.train.clone(), seed),
-    }));
-    let tree = SharedTree::new(Mcts::new(config.mcts));
-    let cache = SharedEvalCache::new(EvalCache::new(config.eval_cache_capacity));
-    let results: Arc<Mutex<Vec<DesignResult<E>>>> = Arc::new(Mutex::new(Vec::new()));
-    let stats_log = Arc::new(Mutex::new(Vec::new()));
-    let cycle_counter = Arc::new(Mutex::new(0usize));
-
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let parent = Arc::clone(&parent);
-            let mut tree = tree.clone();
-            let mut cache = cache.clone();
-            let results = Arc::clone(&results);
-            let stats_log = Arc::clone(&stats_log);
-            let cycle_counter = Arc::clone(&cycle_counter);
-            let mut env = env.clone();
-            let config = config.clone();
-            scope.spawn(move || {
-                // Child DNN replica with its own buffers.
-                let mut local = match &config.net {
-                    Some(net_cfg) => PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed),
-                    None => PolicyAgent::for_env(&env, config.train.clone(), seed),
-                };
-                let mut rng = worker_rng(seed, t, threads, 0);
-                let mut rec = worker_recorder(&config, t);
-                loop {
-                    // Claim a cycle index, or finish.
-                    let cycle = {
-                        let mut c = cycle_counter.lock();
-                        if *c >= total_cycles {
-                            break;
-                        }
-                        let mine = *c;
-                        *c += 1;
-                        mine
-                    };
-                    let disabled = AnomalyPolicy {
-                        enabled: false,
-                        ..AnomalyPolicy::default()
-                    };
-                    run_worker_cycle(
-                        &mut env, &mut local, &mut tree, &mut cache, &parent, &config, &mut rng,
-                        cycle, &results, &stats_log, &mut rec, &disabled, None,
-                    )
-                    .expect("a disabled guard never rejects a cycle");
-                }
-                drop(rlnoc_nn::instrument::take());
-            });
-        }
-    });
-
-    let mut designs = drain_shared(results);
-    designs.sort_by_key(|d| d.cycle);
-    let train_history = drain_shared(stats_log);
-    let cache_stats = cache.stats();
-    publish_run_summary(
-        config,
-        "parallel",
-        &tree,
-        cache_stats,
-        parent.lock().param_generation(),
-        None,
-    );
-    ExploreReport {
-        cycles_run: designs.len(),
-        designs,
-        train_history,
-        cache_stats,
+    let supervision = SupervisionConfig::default();
+    match explore_parallel_supervised(env, config, threads, total_cycles, seed, supervision) {
+        Ok(out) => out.report,
+        Err(e) => panic!("{e}"),
     }
 }
 
-/// [`explore_parallel`] hardened for long runs: every worker cycle executes
-/// under `catch_unwind`, panicked workers are respawned in place (bounded
-/// by [`SupervisionConfig::max_respawns_per_worker`]) with the lost cycle
-/// requeued, and shutdown returns typed errors instead of panicking.
+/// Multi-threaded exploration hardened for long runs: every worker cycle
+/// executes under `catch_unwind`, panicked workers are respawned in place
+/// (bounded by [`SupervisionConfig::max_respawns_per_worker`]) with the lost
+/// cycle requeued, and failures are returned as typed errors.
 ///
 /// On success the [`SupervisedReport`] carries the merged exploration
 /// report plus panic/respawn accounting. If every worker dies permanently
@@ -663,10 +484,7 @@ where
     E: Environment + Send + Sync,
     E::Action: Send + Sync,
 {
-    let parent = Mutex::new(match &config.net {
-        Some(net_cfg) => PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed),
-        None => PolicyAgent::for_env(env, config.train.clone(), seed),
-    });
+    let parent = Mutex::new(new_agent(env, config, seed));
     explore_supervised_inner(
         env,
         config,
@@ -727,10 +545,7 @@ where
             None => (0, None, None, None),
         };
     let every = ckpt.every.max(1);
-    let mut parent_agent = match &config.net {
-        Some(net_cfg) => PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed),
-        None => PolicyAgent::for_env(env, config.train.clone(), seed),
-    };
+    let mut parent_agent = new_agent(env, config, seed);
     if let Some((params, generation)) = &restored_params {
         parent_agent.net_mut().load_params(params);
         parent_agent.set_param_generation(*generation);
@@ -744,11 +559,17 @@ where
 
     let mut done = resumed_from;
     let mut best = restored_best;
-    let mut designs: Vec<DesignResult<E>> = Vec::new();
-    let mut train_history = Vec::new();
-    let mut anomaly_log: Vec<AnomalyReport> = Vec::new();
-    let mut sup_total = SupervisionReport::default();
-    let mut cache_total = CacheStats::default();
+    let mut run = SupervisedReport {
+        report: ExploreReport {
+            designs: Vec::new(),
+            train_history: Vec::new(),
+            cycles_run: 0,
+            cache_stats: CacheStats::default(),
+        },
+        supervision: SupervisionReport::default(),
+        resumed_from,
+        anomaly_log: Vec::new(),
+    };
     while done < total_cycles {
         let batch = every.min(total_cycles - done);
         // Batch RNG stream: plain `seed` for the first batch (so an
@@ -769,76 +590,35 @@ where
             done,
             &parent,
         );
-        match r {
-            Ok(r) => {
-                merge_supervision(&mut sup_total, &r.supervision);
-                cache_total.merge(r.report.cache_stats);
-                for d in &r.report.designs {
-                    let better = d.successful
-                        && best
-                            .as_ref()
-                            .is_none_or(|b| d.final_return > b.final_return);
-                    if better {
-                        best = Some(d.clone());
-                    }
+        let mut r = match r {
+            Ok(r) => r,
+            Err(mut e) => {
+                // Partial-result errors: fold the failed batch into the
+                // cumulative report so the caller sees the whole run so
+                // far, not just the final batch.
+                if let ExploreError::WorkersExhausted { partial, requested }
+                | ExploreError::Numerical {
+                    partial, requested, ..
+                } = &mut e
+                {
+                    run.absorb(partial);
+                    **partial = run;
+                    *requested = total_cycles;
                 }
-                designs.extend(r.report.designs);
-                train_history.extend(r.report.train_history);
-                anomaly_log.extend(r.anomaly_log);
-                done += batch;
+                return Err(e);
             }
-            // Partial-result errors: fold the failed batch into the
-            // cumulative report so the caller sees the whole run so far,
-            // not just the final batch.
-            Err(ExploreError::WorkersExhausted { partial, .. }) => {
-                merge_supervision(&mut sup_total, &partial.supervision);
-                cache_total.merge(partial.report.cache_stats);
-                designs.extend(partial.report.designs);
-                train_history.extend(partial.report.train_history);
-                anomaly_log.extend(partial.anomaly_log);
-                designs.sort_by_key(|d| d.cycle);
-                return Err(ExploreError::WorkersExhausted {
-                    partial: Box::new(SupervisedReport {
-                        report: ExploreReport {
-                            cycles_run: designs.len(),
-                            designs,
-                            train_history,
-                            cache_stats: cache_total,
-                        },
-                        supervision: sup_total,
-                        resumed_from,
-                        anomaly_log,
-                    }),
-                    requested: total_cycles,
-                });
+        };
+        for d in &r.report.designs {
+            let better = d.successful
+                && best
+                    .as_ref()
+                    .is_none_or(|b| d.final_return > b.final_return);
+            if better {
+                best = Some(d.clone());
             }
-            Err(ExploreError::Numerical {
-                report, partial, ..
-            }) => {
-                merge_supervision(&mut sup_total, &partial.supervision);
-                cache_total.merge(partial.report.cache_stats);
-                designs.extend(partial.report.designs);
-                train_history.extend(partial.report.train_history);
-                anomaly_log.extend(partial.anomaly_log);
-                designs.sort_by_key(|d| d.cycle);
-                return Err(ExploreError::Numerical {
-                    report,
-                    partial: Box::new(SupervisedReport {
-                        report: ExploreReport {
-                            cycles_run: designs.len(),
-                            designs,
-                            train_history,
-                            cache_stats: cache_total,
-                        },
-                        supervision: sup_total,
-                        resumed_from,
-                        anomaly_log,
-                    }),
-                    requested: total_cycles,
-                });
-            }
-            Err(e) => return Err(e),
         }
+        run.absorb(&mut r);
+        done += batch;
         let timer = rec.timer();
         let (params, param_generation, learner) = {
             let mut p = parent.lock();
@@ -864,33 +644,30 @@ where
             rec.flush();
         }
     }
-    Ok(SupervisedReport {
-        report: ExploreReport {
-            cycles_run: designs.len(),
-            designs,
-            train_history,
-            cache_stats: cache_total,
-        },
-        supervision: sup_total,
-        resumed_from,
-        anomaly_log,
-    })
+    Ok(run)
 }
 
-/// Adds `batch`'s supervision accounting into `total`. The per-batch
-/// anomaly logs are concatenated separately by the caller.
-fn merge_supervision(total: &mut SupervisionReport, batch: &SupervisionReport) {
-    total.panics += batch.panics;
-    total.respawns += batch.respawns;
-    total.workers_lost += batch.workers_lost;
-    total.anomalies += batch.anomalies;
-    total.rollbacks += batch.rollbacks;
-    total.quarantined += batch.quarantined;
-    total.stalls_detected += batch.stalls_detected;
-    total.stalls_recovered += batch.stalls_recovered;
+impl<E> SupervisedReport<E> {
+    /// Appends a later batch's results and accounting, draining `batch`.
+    /// Batches run in cycle order, so the designs stay sorted by cycle.
+    fn absorb(&mut self, batch: &mut SupervisedReport<E>) {
+        let report = &mut self.report;
+        report.designs.append(&mut batch.report.designs);
+        report.train_history.append(&mut batch.report.train_history);
+        report.cycles_run = report.designs.len();
+        report.cache_stats.merge(batch.report.cache_stats);
+        self.anomaly_log.append(&mut batch.anomaly_log);
+        let (total, b) = (&mut self.supervision, batch.supervision);
+        total.panics += b.panics;
+        total.respawns += b.respawns;
+        total.workers_lost += b.workers_lost;
+        total.anomalies += b.anomalies;
+        total.rollbacks += b.rollbacks;
+        total.quarantined += b.quarantined;
+    }
 }
 
-/// The shared body of the supervised drivers: one batch of `total_cycles`
+/// The worker loop behind every driver: one batch of `total_cycles`
 /// cycles against a caller-owned `parent` parameter server, with a fresh
 /// shared tree and evaluation cache. Designs are tagged with
 /// `cycle_offset + local_cycle` so multi-batch callers
@@ -907,12 +684,8 @@ fn merge_supervision(total: &mut SupervisionReport, batch: &SupervisionReport) {
 /// run ends in [`ExploreError::Numerical`] if nobody else can finish.
 /// Worker panics take the same escrow: the RNG clone survives outside
 /// `catch_unwind`, so the respawned incarnation resumes the exact stream
-/// (falling back to the historical respawn-salted stream only if the
-/// escrow is somehow empty). A watchdog thread (see
-/// [`crate::resilience::WatchdogConfig`]) flags workers whose heartbeat
-/// stops advancing and raises their interrupt flag, which cooperative
-/// wait points honor; spurious flags only tick a counter and never change
-/// results.
+/// (falling back to the respawn-salted stream only if the escrow is
+/// somehow empty).
 #[allow(clippy::too_many_arguments)]
 fn explore_supervised_inner<E>(
     env: &E,
@@ -931,7 +704,6 @@ where
     if threads == 0 {
         return Err(ExploreError::ZeroThreads);
     }
-    let watchdog = config.resilience.watchdog;
     let tree = SharedTree::new(Mcts::new(config.mcts));
     let cache = SharedEvalCache::new(EvalCache::new(config.eval_cache_capacity));
     let results: Mutex<Vec<DesignResult<E>>> = Mutex::new(Vec::new());
@@ -947,52 +719,8 @@ where
     let anomalies = AtomicU64::new(0);
     let rollbacks = AtomicU64::new(0);
     let quarantined = AtomicUsize::new(0);
-    let stalls_detected = AtomicU64::new(0);
-    let stalls_recovered = AtomicU64::new(0);
-    // Watchdog wiring: one heartbeat/interrupt/liveness slot per worker.
-    let heartbeats: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let interrupts: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
-    let alive: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(true)).collect();
-    let run_done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        let monitor = if watchdog.enabled {
-            let heartbeats = &heartbeats;
-            let interrupts = &interrupts;
-            let alive = &alive;
-            let run_done = &run_done;
-            let stalls_detected = &stalls_detected;
-            Some(scope.spawn(move || {
-                let mut last_beat: Vec<u64> = heartbeats
-                    .iter()
-                    .map(|h| h.load(Ordering::Relaxed))
-                    .collect();
-                let mut last_change = vec![Instant::now(); threads];
-                let mut flagged = vec![false; threads];
-                while !run_done.load(Ordering::Acquire) {
-                    std::thread::sleep(watchdog.poll);
-                    for t in 0..threads {
-                        if !alive[t].load(Ordering::Acquire) {
-                            continue;
-                        }
-                        let beat = heartbeats[t].load(Ordering::Relaxed);
-                        if beat != last_beat[t] {
-                            last_beat[t] = beat;
-                            last_change[t] = Instant::now();
-                            flagged[t] = false;
-                        } else if !flagged[t] && last_change[t].elapsed() >= watchdog.deadline {
-                            // Stalled: raise the interrupt and re-arm only
-                            // once the heartbeat moves again.
-                            stalls_detected.fetch_add(1, Ordering::Relaxed);
-                            interrupts[t].store(true, Ordering::Release);
-                            flagged[t] = true;
-                        }
-                    }
-                }
-            }))
-        } else {
-            None
-        };
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 let mut tree = tree.clone();
@@ -1008,10 +736,6 @@ where
                 let anomalies = &anomalies;
                 let rollbacks = &rollbacks;
                 let quarantined = &quarantined;
-                let stalls_recovered = &stalls_recovered;
-                let heartbeat = &heartbeats[t];
-                let interrupt = &interrupts[t];
-                let alive = &alive[t];
                 let proto = env.clone();
                 let config = config.clone();
                 scope.spawn(move || {
@@ -1048,12 +772,7 @@ where
                         // Fresh incarnation state: environment clone, local
                         // DNN replica, escrowed (or respawn-salted) RNG.
                         let mut env = proto.clone();
-                        let mut local = match &config.net {
-                            Some(net_cfg) => {
-                                PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed)
-                            }
-                            None => PolicyAgent::for_env(&env, config.train.clone(), seed),
-                        };
+                        let mut local = new_agent(&env, &config, seed);
                         let mut rng = match escrow.take() {
                             Some((rng, norm)) => {
                                 local.net_mut().load_norm_snapshot(&norm);
@@ -1065,22 +784,9 @@ where
                             let mut consecutive = 0usize;
                             while let Some(cycle) = claim() {
                                 in_flight.set(Some(cycle));
-                                heartbeat.fetch_add(1, Ordering::Relaxed);
-                                if interrupt.swap(false, Ordering::AcqRel) {
-                                    // Spurious (or late) watchdog flag:
-                                    // consume it and carry on — results are
-                                    // unaffected by construction.
-                                    stalls_recovered.fetch_add(1, Ordering::Relaxed);
-                                }
                                 escrow.set(Some((rng.clone(), local.net_mut().norm_snapshot())));
                                 if let Some(injector) = &chaos {
-                                    if let StartOutcome::Stalled { interrupted } =
-                                        injector.on_cycle_start(cycle_offset + cycle, interrupt)
-                                    {
-                                        if interrupted {
-                                            stalls_recovered.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
+                                    injector.on_cycle_start(cycle_offset + cycle);
                                 }
                                 loop {
                                     // Transactional attempt state: worker
@@ -1138,7 +844,6 @@ where
                                             if !backoff.is_zero() {
                                                 std::thread::sleep(backoff);
                                             }
-                                            heartbeat.fetch_add(1, Ordering::Relaxed);
                                         }
                                     }
                                 }
@@ -1172,20 +877,15 @@ where
                             }
                         }
                     }
-                    alive.store(false, Ordering::Release);
                     drop(rlnoc_nn::instrument::take());
                 })
             })
             .collect();
-        // Join workers first, then release the monitor: workers never
-        // unwind (everything runs under catch_unwind), so these joins
-        // cannot hang on a propagating panic.
+        // Workers never unwind (everything runs under catch_unwind); a
+        // stray panic outside it is swallowed here and surfaces as missing
+        // cycles, i.e. a typed error, instead of escaping the scope.
         for w in workers {
             let _ = w.join();
-        }
-        run_done.store(true, Ordering::Release);
-        if let Some(m) = monitor {
-            let _ = m.join();
         }
     });
 
@@ -1202,16 +902,13 @@ where
         anomalies: anomalies.load(Ordering::Relaxed),
         rollbacks: rollbacks.load(Ordering::Relaxed),
         quarantined: quarantined.load(Ordering::Relaxed),
-        stalls_detected: stalls_detected.load(Ordering::Relaxed),
-        stalls_recovered: stalls_recovered.load(Ordering::Relaxed),
     };
     publish_run_summary(
         config,
-        "supervisor",
         &tree,
         cache_stats,
         parent.lock().param_generation(),
-        Some(&supervision_report),
+        &supervision_report,
     );
     let last_anomaly = anomaly_log.last().copied();
     let out = SupervisedReport {
@@ -1356,40 +1053,24 @@ mod tests {
         assert_eq!(run(1), run(3));
     }
 
-    #[test]
-    fn try_into_inner_reports_outstanding_handles() {
-        let tree: SharedTree<LoopAction> = SharedTree::new(Mcts::new(Default::default()));
-        let extra = tree.clone();
-        let err = tree.try_into_inner().unwrap_err();
-        assert_eq!(err.resource, "search tree");
-        assert_eq!(err.outstanding, 1);
-        // The data survives in the remaining handle.
-        assert!(extra.try_into_inner().is_ok());
-
-        let cache = SharedEvalCache::new(EvalCache::new(16));
-        let extra = cache.clone();
-        assert!(cache.try_into_inner().is_err());
-        assert!(extra.try_into_inner().is_ok());
-    }
-
     /// An environment whose `reset` panics while the shared fuse holds
     /// charges — the deliberate fault injector for supervision tests.
     #[derive(Debug, Clone)]
-    struct FaultyEnv {
+    struct PanickyEnv {
         inner: RouterlessEnv,
         remaining_panics: Arc<AtomicUsize>,
     }
 
-    impl FaultyEnv {
+    impl PanickyEnv {
         fn new(inner: RouterlessEnv, panics: usize) -> Self {
-            FaultyEnv {
+            PanickyEnv {
                 inner,
                 remaining_panics: Arc::new(AtomicUsize::new(panics)),
             }
         }
     }
 
-    impl Environment for FaultyEnv {
+    impl Environment for PanickyEnv {
         type Action = LoopAction;
         fn reset(&mut self) {
             let fired = self
@@ -1446,7 +1127,7 @@ mod tests {
     fn supervision_recovers_from_worker_panic() {
         // One charge on the fuse: exactly one worker incarnation panics in
         // `reset`, is respawned, and the run still completes every cycle.
-        let env = FaultyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), 1);
+        let env = PanickyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), 1);
         let out = explore_parallel_supervised(
             &env,
             &quick_config(),
@@ -1470,11 +1151,23 @@ mod tests {
     }
 
     #[test]
+    fn explore_parallel_respawns_a_panicking_worker() {
+        // The convenience driver runs the supervised loop too: a worker
+        // panic is absorbed and every cycle is still returned, instead of
+        // propagating at the scope join.
+        let env = PanickyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), 1);
+        let report = explore_parallel(&env, &quick_config(), 2, 6, 9);
+        assert_eq!(report.cycles_run, 6);
+        let cycles: Vec<_> = report.designs.iter().map(|d| d.cycle).collect();
+        assert_eq!(cycles, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
     fn supervision_returns_partial_results_when_workers_exhausted() {
         // An inexhaustible fuse: every incarnation panics immediately, so
         // the single worker burns its respawn budget and the run returns a
         // typed error with (empty) partial results instead of aborting.
-        let env = FaultyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), usize::MAX);
+        let env = PanickyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), usize::MAX);
         let supervision = SupervisionConfig {
             max_respawns_per_worker: 2,
         };
@@ -1539,25 +1232,40 @@ mod tests {
             cp.best.is_some(),
             "a 3x3 run at cap 4 finds at least one successful design"
         );
+
+        // A finished checkpoint leaves nothing to do.
+        let third = explore_parallel_checkpointed(
+            &env,
+            &quick_config(),
+            2,
+            6,
+            17,
+            SupervisionConfig::default(),
+            &ckpt,
+        )
+        .unwrap();
+        assert_eq!(third.resumed_from, 6);
+        assert_eq!(third.report.cycles_run, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn supervised_without_faults_matches_unsupervised() {
-        // Incarnation 0 reuses the historical worker RNG stream, so a
-        // panic-free single-thread supervised run must explore identically.
+    fn single_thread_outcomes_are_pinned() {
+        // Golden outcomes of a 1-thread run, recorded before
+        // `explore_parallel` was folded into the supervised loop: pins the
+        // worker RNG stream and the cycle body across refactors.
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let plain = explore_parallel(&env, &quick_config(), 1, 3, 13);
-        let supervised = explore_parallel_supervised(
-            &env,
-            &quick_config(),
-            1,
-            3,
-            13,
-            SupervisionConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(outcomes(&plain), outcomes(&supervised.report));
-        assert_eq!(supervised.supervision, SupervisionReport::default());
+        let report = explore_parallel(&env, &quick_config(), 1, 3, 13);
+        let got: Vec<_> = report
+            .designs
+            .iter()
+            .map(|d| (d.cycle, d.steps, d.successful, d.final_return.to_bits()))
+            .collect();
+        let want = vec![
+            (0, 5, true, 0xbfd1_c71c_71c7_1c70), // -0.2777…
+            (1, 5, true, 0xbfda_aaaa_aaaa_aaa8), // -0.4166…
+            (2, 5, true, 0xbfdc_71c7_1c71_c720), // -0.4444…
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -1,15 +1,16 @@
-//! Training-run resilience: numerical anomaly detection, rollback policy,
-//! and watchdog supervision knobs for the multi-threaded learner.
+//! Training-run resilience: numerical anomaly detection and the rollback
+//! policy for the multi-threaded learner.
 //!
 //! Long unattended exploration runs die in predictable ways: a NaN slips
-//! out of a gradient and poisons every parameter within one step, a
-//! mis-scaled reward explodes the gradient norm, or a worker wedges and the
-//! join never returns. This module defines the *policy* side of the
-//! defenses — what counts as an anomaly, how often to retry, when to give
-//! up — while [`crate::parallel`] implements the mechanism (typed
-//! [`AnomalyReport`]s checked around every optimizer step, rollback to the
-//! last-good parameter snapshot, per-worker quarantine with exponential
-//! backoff, and heartbeat-driven stall detection).
+//! out of a gradient and poisons every parameter within one step, or a
+//! mis-scaled reward explodes the gradient norm. This module defines the
+//! *policy* side of the defenses — what counts as an anomaly, how often to
+//! retry, when to give up — while [`crate::parallel`] implements the
+//! mechanism (typed [`AnomalyReport`]s checked around every optimizer step,
+//! rollback to the last-good parameter snapshot, and per-worker quarantine
+//! with exponential backoff). Worker panics are handled by the same
+//! supervisor (catch, respawn, requeue); a worker that hangs without
+//! panicking is not detected.
 //!
 //! The contract that keeps this safe to leave enabled: detection is
 //! read-only and intervention only triggers on an actual anomaly, so a
@@ -191,49 +192,13 @@ impl AnomalyPolicy {
     }
 }
 
-/// Deadline supervision for stalled workers.
-///
-/// Workers publish a heartbeat (an atomic counter bumped at every cycle
-/// boundary, mirrored into telemetry as `watchdog.heartbeats`); a monitor
-/// thread watches for a worker whose heartbeat has not moved within
-/// [`WatchdogConfig::deadline`] and raises that worker's interrupt flag.
-/// Cooperative wait points (the chaos injector's stall windows, and the
-/// retry loop's cycle boundaries) honor the flag, which routes the worker
-/// through the same requeue-and-continue path a caught panic takes instead
-/// of hanging the scope join. A genuinely non-cooperative hang (a worker
-/// spinning inside foreign code) cannot be cancelled from safe Rust; the
-/// watchdog still detects and reports it (`watchdog.stalls_detected`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Master switch for the monitor thread.
-    pub enabled: bool,
-    /// A worker whose heartbeat is older than this is declared stalled.
-    pub deadline: Duration,
-    /// Monitor polling interval.
-    pub poll: Duration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            enabled: true,
-            // Generous: a legitimate cycle on a paper-sized net takes well
-            // under a second; spurious trips only cost a recovered-stall
-            // counter tick, never a changed result.
-            deadline: Duration::from_secs(30),
-            poll: Duration::from_millis(50),
-        }
-    }
-}
-
 /// The resilience layer's combined configuration, carried by
-/// [`crate::ExplorerConfig`].
+/// [`crate::ExplorerConfig`] and honored by the [`crate::parallel`]
+/// drivers.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceConfig {
     /// Numerical anomaly detection/rollback/retry policy.
     pub anomaly: AnomalyPolicy,
-    /// Stalled-worker supervision.
-    pub watchdog: WatchdogConfig,
     /// Deterministic fault injector for chaos testing; `None` (the
     /// default) costs one branch per hook site.
     pub chaos: Option<crate::chaos::ChaosInjector>,
@@ -247,10 +212,6 @@ impl ResilienceConfig {
             anomaly: AnomalyPolicy {
                 enabled: false,
                 ..AnomalyPolicy::default()
-            },
-            watchdog: WatchdogConfig {
-                enabled: false,
-                ..WatchdogConfig::default()
             },
             chaos: None,
         }

@@ -212,10 +212,6 @@ pub struct ResilienceSummary {
     pub quarantined: u64,
     /// `worker.lost`: workers lost past the respawn budget.
     pub workers_lost: u64,
-    /// `watchdog.stalls_detected`: deadline overruns flagged.
-    pub stalls_detected: u64,
-    /// `watchdog.stalls_recovered`: stalls cancelled cooperatively.
-    pub stalls_recovered: u64,
     /// `checkpoint.recovered_prev`: resumes served from `.prev` after a
     /// torn or corrupt primary.
     pub checkpoint_recoveries: u64,
@@ -245,8 +241,6 @@ pub fn resilience_summary(events: &[Event]) -> ResilienceSummary {
             "worker.respawns" => out.respawns += value,
             "worker.quarantined" => out.quarantined += value,
             "worker.lost" => out.workers_lost += value,
-            "watchdog.stalls_detected" => out.stalls_detected += value,
-            "watchdog.stalls_recovered" => out.stalls_recovered += value,
             "checkpoint.recovered_prev" => out.checkpoint_recoveries += value,
             _ => {}
         }
@@ -356,7 +350,6 @@ mod tests {
         a.incr("anomaly.rollbacks", 1);
         a.incr("worker.panics", 2);
         a.incr("worker.respawns", 2);
-        a.incr("watchdog.stalls_detected", 1);
         a.incr("explore.cycles", 50); // unrelated counter
         a.record("explore.steps", 5); // unrelated histogram
         drop(a);
@@ -370,8 +363,6 @@ mod tests {
         assert_eq!(summary.rollbacks, 1);
         assert_eq!(summary.panics, 2);
         assert_eq!(summary.respawns, 2);
-        assert_eq!(summary.stalls_detected, 1);
-        assert_eq!(summary.stalls_recovered, 0);
         assert_eq!(summary.quarantined, 0);
         assert_eq!(summary.workers_lost, 0);
         assert_eq!(summary.checkpoint_recoveries, 1);
