@@ -2,9 +2,10 @@
 //!
 //! Times the hot inference paths behind every experiment — blocked GEMM,
 //! im2col convolution, the full policy/value forward at the paper's grid
-//! sizes, and cached vs uncached exploration cycles — against the retained
-//! naive reference kernels, then writes everything to `BENCH_kernels.json`
-//! so perf changes across commits are diffable.
+//! sizes, the learner's own small shapes, and cached vs uncached
+//! exploration cycles — against the retained naive reference kernels, then
+//! writes everything to `BENCH_kernels.json` so perf changes across commits
+//! are diffable.
 //!
 //! All kernel timings pin the matmul to a single thread; the parallel path
 //! only adds on top and would make runs incomparable across hosts.
@@ -15,6 +16,7 @@ use rlnoc_core::explorer::ExplorerConfig;
 use rlnoc_core::parallel::explore_parallel;
 use rlnoc_core::routerless::RouterlessEnv;
 use rlnoc_nn::layers::{Conv2d, Layer, MaxPool2d};
+use rlnoc_nn::net::PolicyValueGrad;
 use rlnoc_nn::{reference, PolicyValueConfig, PolicyValueNet, Tensor};
 use rlnoc_topology::Grid;
 use std::fmt::Write as _;
@@ -149,6 +151,49 @@ fn main() {
     let forward_8x8_naive_est = forward_8x8 - conv_opt_total + conv_naive_total;
     let forward_speedup = forward_8x8_naive_est / forward_8x8;
 
+    // --- The learner's own shapes ---------------------------------------
+    // The small network's residual-conv GEMM at 4x4 (`8×72×256`) and 8x8
+    // (`8×72×4096`), and one training pass of the small network on a
+    // 45-state batch: these are the calls the learner makes hundreds of
+    // times per episode, far below the large shapes above.
+    let mut gemm_rows = String::new();
+    for (gm, gk, gn) in [(8usize, 72usize, 256usize), (8, 72, 4096)] {
+        let a = wave(gm * gk, 0.37);
+        let b = wave(gk * gn, 0.23);
+        let mut c = vec![0.0f32; gm * gn];
+        let secs = time_secs(|| {
+            rlnoc_nn::kernels::gemm(false, false, gm, gk, gn, &a, &b, black_box(&mut c));
+        });
+        let _ = write!(
+            gemm_rows,
+            "\n    \"gemm_{gm}x{gk}x{gn}_us\": {:.2},",
+            secs * 1e6
+        );
+    }
+    let mut train_rows = String::new();
+    for grid_n in [4usize, 8] {
+        let mut net = PolicyValueNet::new(PolicyValueConfig::small(grid_n), 1);
+        let side = net.config().input_side;
+        let batch = 45;
+        let states = Tensor::from_vec(wave(batch * side * side, 0.17), &[batch, 1, side, side])
+            .expect("state batch data sized batch*side*side");
+        let secs = time_secs(|| {
+            let out = net.forward(black_box(&states), true);
+            net.backward(&PolicyValueGrad {
+                coord_logits: out.coord_logits,
+                dir: out.dir,
+                value: out.value,
+            });
+            net.zero_grad();
+        });
+        let _ = write!(
+            train_rows,
+            "{}\n    \"small_{grid_n}x{grid_n}_batch{batch}_ms_per_forward_backward\": {:.3}",
+            if train_rows.is_empty() { "" } else { "," },
+            secs * 1e3
+        );
+    }
+
     // --- Cached vs uncached exploration cycles --------------------------
     rlnoc_nn::kernels::set_matmul_threads(0);
     let env = RouterlessEnv::new(Grid::square(4).expect("4x4 grid is within bounds"), 6);
@@ -183,6 +228,8 @@ fn main() {
   "net_forward": {{{net_rows},
     "paper_8x8_naive_est_ms": {:.3},
     "paper_8x8_speedup_vs_naive": {:.2}
+  }},
+  "learner_shapes": {{{gemm_rows}{train_rows}
   }},
   "explorer_cycles": {{
     "grid": "4x4",

@@ -13,6 +13,19 @@
 //!   contiguous micro-rows,
 //! - run an `MR × NR` register-tiled micro-kernel over the packed panels.
 //!
+//! The packed panels live in per-thread scratch (`PACK_SCRATCH`) that is
+//! reused across calls, so a warm call on a thread allocates nothing. A call
+//! takes the scratch out of the thread-local and puts it back when done. It
+//! grows the scratch to what its shape needs:
+//! `⌈min(MC, rows)/MR⌉·MR × min(KC, k)` for `A` and
+//! `min(KC, k) × ⌈min(NC, n)/NR⌉·NR` for `B`. The scratch is never shrunk
+//! and never re-zeroed. Stale contents from an earlier, larger call cannot
+//! reach `C`: `pack_a` and `pack_b` write every element the
+//! micro-kernel then reads, zero padding included, before it reads them.
+//! The scratch is freed when its thread exits; the band threads of the
+//! parallel path below are fresh scoped threads, so each allocates its own
+//! right-sized scratch.
+//!
 //! When `m·k·n` crosses [`PARALLEL_FLOPS`], rows of `C` are partitioned
 //! into contiguous bands, one scoped thread per band. Each output element
 //! sees exactly the same floating-point operation order regardless of the
@@ -24,6 +37,7 @@
 //! `0 × ∞` must produce `NaN`, exactly as IEEE-754 specifies. The naive
 //! oracle used by the parity tests lives in [`crate::reference`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Micro-tile rows held in registers by the micro-kernel.
@@ -49,6 +63,25 @@ const PARALLEL_FLOPS: usize = 1 << 21;
 const MAX_AUTO_THREADS: usize = 8;
 
 static MATMUL_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Packed `A` and `B` panels reused by every [`gemm_band`] on this
+    /// thread; see the module docs for their sizing and why stale contents
+    /// are never read.
+    static PACK_SCRATCH: Cell<(Vec<f32>, Vec<f32>)> = const {
+        Cell::new((Vec::new(), Vec::new()))
+    };
+}
+
+/// The first `len` elements of `buf`, growing it (zero-filled) if it is
+/// shorter. Never shrinks and never clears: callers must write every
+/// element they later read.
+pub(crate) fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
 
 /// Pins the number of threads large matmuls may use.
 ///
@@ -153,24 +186,30 @@ fn gemm_band(
     c_band: &mut [f32],
     row0: usize,
 ) {
-    let mut packed_a = vec![0.0f32; MC.div_ceil(MR) * MR * KC];
-    let mut packed_b = vec![0.0f32; KC * NC.div_ceil(NR) * NR];
+    // Taken out of the thread-local for the call and put back after it, so
+    // the loops below work on plain locals: borrowing through a `RefCell`
+    // inside `LocalKey::with` instead measured about 2x slower on a
+    // 256×512×256 GEMM.
+    let (mut buf_a, mut buf_b) = PACK_SCRATCH.take();
+    let packed_a = scratch(&mut buf_a, MC.min(rows).div_ceil(MR) * MR * KC.min(k));
+    let packed_b = scratch(&mut buf_b, KC.min(k) * NC.min(n).div_ceil(NR) * NR);
 
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(trans_b, b, k, n, pc, kc, jc, nc, &mut packed_b);
+            pack_b(trans_b, b, k, n, pc, kc, jc, nc, packed_b);
             let accumulate = pc > 0;
             for ic in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ic);
-                pack_a(trans_a, a, k, row0 + ic, mc, pc, kc, &mut packed_a);
+                pack_a(trans_a, a, k, row0 + ic, mc, pc, kc, packed_a);
                 macro_kernel(
-                    &packed_a, &packed_b, c_band, ic, mc, jc, nc, kc, n, accumulate,
+                    packed_a, packed_b, c_band, ic, mc, jc, nc, kc, n, accumulate,
                 );
             }
         }
     }
+    PACK_SCRATCH.set((buf_a, buf_b));
 }
 
 /// Packs `A[i0..i0+mc, p0..p0+kc]` into MR-tall micro-rows:
@@ -409,6 +448,63 @@ mod tests {
         for run in &runs[1..] {
             assert_eq!(&runs[0], run, "thread count changed matmul bits");
         }
+    }
+
+    /// `C = op(A) × op(B)` for fixed sin/cos data of shape `(m, k, n)`.
+    fn gemm_on_wave(trans_a: bool, trans_b: bool, (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+        let a: Vec<f32> = (0..m * k).map(|v| (v as f32 * 0.31).sin()).collect();
+        let b: Vec<f32> = (0..k * n).map(|v| (v as f32 * 0.17).cos()).collect();
+        let mut c = vec![0.0f32; m * n];
+        gemm(trans_a, trans_b, m, k, n, &a, &b, &mut c);
+        c
+    }
+
+    /// Runs `SHAPES` growing then shrinking under every transpose
+    /// combination on the current thread, asserting each result equals the
+    /// same call on a fresh thread (empty scratch) bit for bit.
+    fn assert_shapes_match_fresh_thread() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let combos = [(false, false), (true, false), (false, true), (true, true)];
+        for &shape in SHAPES.iter().chain(SHAPES.iter().rev()) {
+            for (trans_a, trans_b) in combos {
+                let warm = gemm_on_wave(trans_a, trans_b, shape);
+                let fresh = std::thread::spawn(move || gemm_on_wave(trans_a, trans_b, shape))
+                    .join()
+                    .expect("fresh-thread gemm");
+                assert_eq!(
+                    bits(&warm),
+                    bits(&fresh),
+                    "stale scratch changed {shape:?} (trans_a={trans_a}, trans_b={trans_b})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stale_scratch_never_leaks_into_results() {
+        // A thread of its own, so the scratch starts empty and really grows.
+        std::thread::spawn(|| {
+            assert_shapes_match_fresh_thread();
+
+            // Fill the scratch to its full size with NaN. Both calls stay
+            // serial without pinning the global thread setting (which a
+            // sibling test changes): the first is below PARALLEL_FLOPS, the
+            // second has a single micro-row band. Both are whole blocks, so
+            // no zero padding is packed.
+            const _: () = assert!(MC * KC * NR < PARALLEL_FLOPS);
+            for (m, k, n) in [(MC, KC, NR), (MR, KC, NC)] {
+                let (a, b) = (vec![f32::NAN; m * k], vec![f32::NAN; k * n]);
+                gemm(false, false, m, k, n, &a, &b, &mut vec![0.0; m * n]);
+            }
+            let (packed_a, packed_b) = PACK_SCRATCH.take();
+            assert_eq!(packed_a.len(), MC * KC);
+            assert_eq!(packed_b.len(), KC * NC);
+            assert!(packed_a.iter().chain(&packed_b).all(|v| v.is_nan()));
+            PACK_SCRATCH.set((packed_a, packed_b));
+            assert_shapes_match_fresh_thread();
+        })
+        .join()
+        .expect("stale scratch check");
     }
 
     #[test]

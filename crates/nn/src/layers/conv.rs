@@ -2,6 +2,26 @@ use super::{Layer, Param};
 use crate::{init, kernels, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
+
+/// Per-thread im2col/col2im buffers shared by every [`Conv2d`] pass on the
+/// thread. A pass takes them out of [`CONV_SCRATCH`] and puts them back
+/// when done; they are sized by [`kernels::scratch`] (grow-only, never
+/// cleared), and `im2col` and `gemm` overwrite every element a pass reads.
+/// This is a cell of its own, apart from the GEMM packing scratch, because
+/// `gemm` runs while a pass holds these buffers.
+#[derive(Default)]
+struct ConvScratch {
+    col: Vec<f32>,
+    gcol: Vec<f32>,
+    gw_batch: Vec<f32>,
+}
+
+thread_local! {
+    static CONV_SCRATCH: Cell<ConvScratch> = const {
+        Cell::new(ConvScratch { col: Vec::new(), gcol: Vec::new(), gw_batch: Vec::new() })
+    };
+}
 
 /// A 2-D convolution with stride 1 and "same" zero padding.
 ///
@@ -67,12 +87,13 @@ impl Layer for Conv2d {
         let wd = self.weight.value.as_slice();
         let bd = self.bias.value.as_slice();
         let od = out.as_mut_slice();
-        let mut col = vec![0.0f32; kdim * hw];
+        let mut bufs = CONV_SCRATCH.take();
+        let col = kernels::scratch(&mut bufs.col, kdim * hw);
         for b in 0..n {
-            im2col(&xd[b * c * hw..][..c * hw], c, h, w, self.k, &mut col);
+            im2col(&xd[b * c * hw..][..c * hw], c, h, w, self.k, col);
             let out_b = &mut od[b * self.out_c * hw..][..self.out_c * hw];
             // out[b] = W[out_c, kdim] × col[kdim, hw]
-            kernels::gemm(false, false, self.out_c, kdim, hw, wd, &col, out_b);
+            kernels::gemm(false, false, self.out_c, kdim, hw, wd, col, out_b);
             for oc in 0..self.out_c {
                 let bias = bd[oc];
                 for v in &mut out_b[oc * hw..(oc + 1) * hw] {
@@ -80,6 +101,7 @@ impl Layer for Conv2d {
                 }
             }
         }
+        CONV_SCRATCH.set(bufs);
         self.cache = Some(x.clone());
         crate::instrument::record_since("nn.conv_us", timer);
         out
@@ -102,9 +124,10 @@ impl Layer for Conv2d {
         let gw = self.weight.grad.as_mut_slice();
         let gb = self.bias.grad.as_mut_slice();
         let gxd = gx.as_mut_slice();
-        let mut col = vec![0.0f32; kdim * hw];
-        let mut gw_batch = vec![0.0f32; self.out_c * kdim];
-        let mut gcol = vec![0.0f32; kdim * hw];
+        let mut bufs = CONV_SCRATCH.take();
+        let col = kernels::scratch(&mut bufs.col, kdim * hw);
+        let gcol = kernels::scratch(&mut bufs.gcol, kdim * hw);
+        let gw_batch = kernels::scratch(&mut bufs.gw_batch, self.out_c * kdim);
         for b in 0..n {
             let go_b = &god[b * self.out_c * hw..][..self.out_c * hw];
             for oc in 0..self.out_c {
@@ -112,15 +135,16 @@ impl Layer for Conv2d {
             }
             // gW += grad_out[b] × col[b]ᵀ (gemm overwrites, so go through a
             // scratch buffer; parameter gradients accumulate across calls).
-            im2col(&xd[b * c * hw..][..c * hw], c, h, w, self.k, &mut col);
-            kernels::gemm(false, true, self.out_c, hw, kdim, go_b, &col, &mut gw_batch);
-            for (dst, &v) in gw.iter_mut().zip(&gw_batch) {
+            im2col(&xd[b * c * hw..][..c * hw], c, h, w, self.k, col);
+            kernels::gemm(false, true, self.out_c, hw, kdim, go_b, col, gw_batch);
+            for (dst, &v) in gw.iter_mut().zip(gw_batch.iter()) {
                 *dst += v;
             }
             // gx[b] = col2im(Wᵀ × grad_out[b])
-            kernels::gemm(true, false, kdim, self.out_c, hw, wd, go_b, &mut gcol);
-            col2im(&gcol, c, h, w, self.k, &mut gxd[b * c * hw..][..c * hw]);
+            kernels::gemm(true, false, kdim, self.out_c, hw, wd, go_b, gcol);
+            col2im(gcol, c, h, w, self.k, &mut gxd[b * c * hw..][..c * hw]);
         }
+        CONV_SCRATCH.set(bufs);
         gx
     }
 

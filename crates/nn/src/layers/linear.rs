@@ -1,5 +1,5 @@
 use super::{Layer, Param};
-use crate::{init, Tensor};
+use crate::{init, kernels, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,17 +61,25 @@ impl Layer for Linear {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cache.as_ref().expect("backward before forward");
-        // dW = xᵀ g ; db = Σ_batch g ; dx = g Wᵀ.
-        let gw = x.transpose().matmul(grad_out);
+        let batch = x.shape()[0];
+        let (in_f, out_f) = (self.in_f, self.out_f);
+        assert_eq!(grad_out.shape(), &[batch, out_f], "gradient shape mismatch");
+        // dW = xᵀ g ; db = Σ_batch g ; dx = g Wᵀ. Both transposes are
+        // logical (resolved when the GEMM packs), never materialized.
+        let (xd, g) = (x.as_slice(), grad_out.as_slice());
+        let mut gw = Tensor::zeros(&[in_f, out_f]);
+        kernels::gemm(true, false, in_f, batch, out_f, xd, g, gw.as_mut_slice());
         self.weight.grad.add_scaled(&gw, 1.0);
-        let g = grad_out.as_slice();
         let gb = self.bias.grad.as_mut_slice();
-        for row in g.chunks(self.out_f) {
+        for row in g.chunks(out_f) {
             for (b, &v) in gb.iter_mut().zip(row) {
                 *b += v;
             }
         }
-        grad_out.matmul(&self.weight.value.transpose())
+        let mut gx = Tensor::zeros(&[batch, in_f]);
+        let w = self.weight.value.as_slice();
+        kernels::gemm(false, true, batch, out_f, in_f, g, w, gx.as_mut_slice());
+        gx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
