@@ -6,6 +6,7 @@ use crate::hash::PacketIdBuildHasher;
 use crate::packet::{Flit, Packet};
 use crate::runner::{Delivery, Network};
 use rlnoc_topology::{Grid, NodeId};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Router ports, in fixed arbitration order.
@@ -20,10 +21,32 @@ const PORTS: usize = 5;
 /// modelling).
 type Buffered = (Flit, u64);
 
-#[derive(Debug, Clone)]
+/// One input FIFO: a ring of `buffer_capacity` slots in
+/// [`MeshSim::slots`]. Credits and the injection check bound every FIFO
+/// at `buffer_capacity`, so the ring never overflows.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fifo {
+    /// Ring index of the front flit.
+    head: usize,
+    /// Flits buffered.
+    len: usize,
+    /// The tick (see [`MeshSim::ticks`]) in which this FIFO last forwarded
+    /// a flit. The freed slot's credit reaches the upstream router only
+    /// on the next cycle, so the credit check still counts it.
+    popped: u64,
+    /// First cycle the front flit may leave: its arrival plus the router
+    /// delay.
+    ready_at: u64,
+    /// Output the front flit requests if it is a head flit with a live
+    /// route, else [`NO_REQUEST`].
+    request: usize,
+}
+
+/// [`Fifo::request`] of a body flit or of a head with no live route.
+const NO_REQUEST: usize = PORTS;
+
+#[derive(Debug, Clone, Default)]
 struct Router {
-    /// Input FIFO per port.
-    inputs: [VecDeque<Buffered>; PORTS],
     /// Wormhole reservation per output port:
     /// `(input port, flits left, packet id)`. The id lets fault handling
     /// release locks held by packets lost to a dead link.
@@ -82,16 +105,6 @@ impl MeshFaultState {
     }
 }
 
-impl Router {
-    fn new() -> Self {
-        Router {
-            inputs: Default::default(),
-            out_lock: [None; PORTS],
-            rr: [0; PORTS],
-        }
-    }
-}
-
 /// Cycle-accurate mesh simulator.
 ///
 /// Each hop costs one link cycle plus `router_delay` cycles in the input
@@ -99,26 +112,34 @@ impl Router {
 /// 1, and the idealized Mesh-0 uses 0). Wormhole switching holds an output
 /// port from head to tail; credits bound each input FIFO at
 /// `buffer_capacity` flits.
+///
+/// A cycle costs work in proportion to the buffered flits: routers with
+/// empty FIFOs are skipped, each head flit is routed once, when it reaches
+/// the front of its FIFO, and all input FIFOs share one flat ring-buffer
+/// array.
 #[derive(Debug, Clone)]
 pub struct MeshSim {
     grid: Grid,
     router_delay: u64,
     buffer_capacity: usize,
+    /// `(x, y)` of every node, so routing never divides.
+    coords: Vec<(usize, usize)>,
     routers: Vec<Router>,
+    /// Input FIFO `node * PORTS + port`.
+    fifos: Vec<Fifo>,
+    /// Ring storage: FIFO `f` owns `slots[f * buffer_capacity..]`, the
+    /// next `buffer_capacity` entries.
+    slots: Vec<Option<Buffered>>,
+    /// Per router, bit `port` is set while that input FIFO holds a flit.
+    nonempty: Vec<u8>,
+    /// Ticks run so far.
+    ticks: u64,
     queues: Vec<VecDeque<Packet>>,
     /// Next flit index to inject for the head packet of each node queue.
     inject_progress: Vec<usize>,
     assembly: HashMap<u64, usize, PacketIdBuildHasher>,
     deliveries: Vec<Delivery>,
     in_flight_packets: usize,
-    /// Persistent per-tick scratch (cleared, never reallocated): flits
-    /// crossing a link this cycle.
-    staged: Vec<(NodeId, usize, Flit)>,
-    /// Persistent per-tick scratch: flits reaching their local port.
-    local_deliveries: Vec<Flit>,
-    /// Persistent per-tick scratch: input-buffer occupancy including this
-    /// cycle's staged arrivals, for credit checks.
-    occupancy: Vec<[usize; PORTS]>,
     /// Fault-injection state; `None` for sims without a fault plan.
     faults: Option<Box<MeshFaultState>>,
 }
@@ -127,19 +148,22 @@ impl MeshSim {
     /// Creates a mesh with the given router pipeline depth (cycles per hop
     /// beyond the link) and per-input buffer capacity in flits.
     pub fn new(grid: Grid, router_delay: u64, buffer_capacity: usize) -> Self {
+        let buffer_capacity = buffer_capacity.max(1);
         MeshSim {
             grid,
             router_delay,
-            buffer_capacity: buffer_capacity.max(1),
-            routers: (0..grid.len()).map(|_| Router::new()).collect(),
+            buffer_capacity,
+            coords: grid.coords().collect(),
+            routers: vec![Router::default(); grid.len()],
+            fifos: vec![Fifo::default(); grid.len() * PORTS],
+            slots: vec![None; grid.len() * PORTS * buffer_capacity],
+            nonempty: vec![0; grid.len()],
+            ticks: 0,
             queues: vec![VecDeque::new(); grid.len()],
             inject_progress: vec![0; grid.len()],
             assembly: HashMap::default(),
             deliveries: Vec::new(),
             in_flight_packets: 0,
-            staged: Vec::new(),
-            local_deliveries: Vec::new(),
-            occupancy: vec![[0; PORTS]; grid.len()],
             faults: None,
         }
     }
@@ -209,71 +233,112 @@ impl MeshSim {
         MeshSim::new(grid, 0, 8)
     }
 
-    /// XY dimension-order output port at router `at` for destination `dst`.
-    fn route_port(&self, at: NodeId, dst: NodeId) -> usize {
-        let (x, y) = self.grid.coord_of(at);
-        let (dx, dy) = self.grid.coord_of(dst);
-        if x < dx {
-            EAST
-        } else if x > dx {
-            WEST
-        } else if y < dy {
-            SOUTH
-        } else if y > dy {
-            NORTH
-        } else {
-            LOCAL
-        }
-    }
-
-    /// Fault-masked XY output port: the X-productive port if its link is
-    /// alive, else the Y-productive one, else `None` (no live productive
-    /// move). With no dead links this is exactly [`MeshSim::route_port`].
-    fn masked_port(
-        grid: Grid,
-        dead_out: &[[bool; PORTS]],
+    /// XY output port at `at` for `dst`, masked by `dead_out` when links
+    /// have died: the X-productive port if its link is alive, else the
+    /// Y-productive one, else `None` (no live productive move). Without
+    /// dead links this is plain dimension-order routing and never `None`.
+    fn route(
+        coords: &[(usize, usize)],
+        dead_out: Option<&[[bool; PORTS]]>,
         at: NodeId,
         dst: NodeId,
     ) -> Option<usize> {
-        if at == dst {
+        let ((x, y), (dx, dy)) = (coords[at], coords[dst]);
+        let xport = match x.cmp(&dx) {
+            Ordering::Less => Some(EAST),
+            Ordering::Greater => Some(WEST),
+            Ordering::Equal => None,
+        };
+        let yport = match y.cmp(&dy) {
+            Ordering::Less => Some(SOUTH),
+            Ordering::Greater => Some(NORTH),
+            Ordering::Equal => None,
+        };
+        if xport.is_none() && yport.is_none() {
             return Some(LOCAL);
         }
-        let (x, y) = grid.coord_of(at);
-        let (dx, dy) = grid.coord_of(dst);
-        let xport = if x < dx {
-            Some(EAST)
-        } else if x > dx {
-            Some(WEST)
-        } else {
-            None
-        };
-        let yport = if y < dy {
-            Some(SOUTH)
-        } else if y > dy {
-            Some(NORTH)
-        } else {
-            None
-        };
-        if let Some(p) = xport {
-            if !dead_out[at][p] {
-                return Some(p);
-            }
-        }
-        if let Some(p) = yport {
-            if !dead_out[at][p] {
-                return Some(p);
-            }
-        }
-        None
+        let alive = |&p: &usize| dead_out.is_none_or(|dead| !dead[at][p]);
+        xport.filter(alive).or(yport.filter(alive))
     }
 
-    /// Routing decision honouring any dead links; `Some(port)` on healthy
-    /// fabrics for every pair (XY always routes a full mesh).
-    fn route_out(&self, at: NodeId, dst: NodeId) -> Option<usize> {
-        match self.faults.as_deref() {
-            Some(fs) if fs.any_dead => Self::masked_port(self.grid, &fs.dead_out, at, dst),
-            _ => Some(self.route_port(at, dst)),
+    /// The front flit of FIFO `f` (which must be non-empty).
+    fn front(&self, f: usize) -> Buffered {
+        self.slots[f * self.buffer_capacity + self.fifos[f].head].expect("non-empty FIFO")
+    }
+
+    /// Caches when the front flit of non-empty FIFO `f` may leave and, for
+    /// a head, where it goes: a flit is routed once, when it reaches the
+    /// front. Its route depends only on the router, its destination and
+    /// the dead links, and `purge_faulted` refreshes every front whenever
+    /// faults are active.
+    fn refresh_front(&mut self, f: usize) {
+        let (flit, entered) = self.front(f);
+        let request = if flit.is_head() {
+            let dead = self.faults.as_deref().filter(|fs| fs.any_dead);
+            Self::route(
+                &self.coords,
+                dead.map(|fs| &fs.dead_out[..]),
+                f / PORTS,
+                flit.packet.dst,
+            )
+            .unwrap_or(NO_REQUEST)
+        } else {
+            NO_REQUEST
+        };
+        let fifo = &mut self.fifos[f];
+        fifo.ready_at = entered + self.router_delay;
+        fifo.request = request;
+    }
+
+    fn push(&mut self, f: usize, entry: Buffered) {
+        let cap = self.buffer_capacity;
+        let fifo = &mut self.fifos[f];
+        let mut tail = fifo.head + fifo.len;
+        if tail >= cap {
+            tail -= cap;
         }
+        fifo.len += 1;
+        self.slots[f * cap + tail] = Some(entry);
+        if fifo.len == 1 {
+            self.nonempty[f / PORTS] |= 1 << (f % PORTS);
+            self.refresh_front(f);
+        }
+    }
+
+    fn pop(&mut self, f: usize) {
+        let fifo = &mut self.fifos[f];
+        fifo.head += 1;
+        if fifo.head == self.buffer_capacity {
+            fifo.head = 0;
+        }
+        fifo.len -= 1;
+        fifo.popped = self.ticks;
+        if fifo.len == 0 {
+            self.nonempty[f / PORTS] &= !(1 << (f % PORTS));
+        } else {
+            self.refresh_front(f);
+        }
+    }
+
+    /// Keeps only the flits of FIFO `f` that `keep` accepts, in order, and
+    /// returns how many were removed.
+    fn retain(&mut self, f: usize, keep: impl Fn(&Flit) -> bool) -> usize {
+        let cap = self.buffer_capacity;
+        let Fifo { head, len, .. } = self.fifos[f];
+        let ring = &mut self.slots[f * cap..(f + 1) * cap];
+        let mut kept = 0;
+        for i in 0..len {
+            let entry = ring[(head + i) % cap];
+            if entry.is_some_and(|(flit, _)| keep(&flit)) {
+                ring[(head + kept) % cap] = entry;
+                kept += 1;
+            }
+        }
+        self.fifos[f].len = kept;
+        if kept == 0 {
+            self.nonempty[f / PORTS] &= !(1 << (f % PORTS));
+        }
+        len - kept
     }
 
     /// Applies every scheduled fault whose activation cycle has arrived.
@@ -299,8 +364,8 @@ impl MeshSim {
                 // Routerless-only and pre-extracted events: nothing to do.
                 continue;
             };
-            let (x, y) = self.grid.coord_of(from);
-            let (tx, ty) = self.grid.coord_of(to);
+            let (x, y) = self.coords[from];
+            let (tx, ty) = self.coords[to];
             let port = match (tx as i64 - x as i64, ty as i64 - y as i64) {
                 (1, 0) => EAST,
                 (-1, 0) => WEST,
@@ -331,73 +396,62 @@ impl MeshSim {
         let Some(mut fs) = self.faults.take() else {
             return;
         };
-        if fs.any_dead || !fs.condemned.is_empty() {
-            // Drop condemned flits wherever they sit.
-            if !fs.condemned.is_empty() {
-                for router in &mut self.routers {
-                    for q in &mut router.inputs {
-                        let before = q.len();
-                        q.retain(|&(f, _)| !fs.condemned.contains(&f.packet.id));
-                        fs.dropped_flits += (before - q.len()) as u64;
-                    }
-                }
+        // Drop condemned flits wherever they sit.
+        if !fs.condemned.is_empty() {
+            for f in 0..self.fifos.len() {
+                let removed = self.retain(f, |flit| !fs.condemned.contains(&flit.packet.id));
+                fs.dropped_flits += removed as u64;
             }
-            // Heads stuck with no live productive port block their whole
-            // input queue: condemn and drop them.
-            if fs.any_dead {
-                for r in 0..self.routers.len() {
-                    for p in 0..PORTS {
-                        while let Some(&(flit, _)) = self.routers[r].inputs[p].front() {
-                            if fs.condemned.contains(&flit.packet.id) {
-                                self.routers[r].inputs[p].pop_front();
-                                fs.dropped_flits += 1;
-                                continue;
-                            }
-                            if flit.is_head()
-                                && Self::masked_port(self.grid, &fs.dead_out, r, flit.packet.dst)
-                                    .is_none()
-                            {
-                                self.routers[r].inputs[p].pop_front();
-                                fs.dropped_flits += 1;
-                                fs.condemn(
-                                    &mut self.assembly,
-                                    &mut self.in_flight_packets,
-                                    flit.packet.id,
-                                );
-                                continue;
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            // Condemned packets release their wormhole reservations.
-            if !fs.condemned.is_empty() {
-                for router in &mut self.routers {
-                    for lock in &mut router.out_lock {
-                        if lock.is_some_and(|(_, _, pid)| fs.condemned.contains(&pid)) {
-                            *lock = None;
-                        }
+        }
+        // Heads stuck with no live productive port block their whole input
+        // queue: condemn and drop them.
+        if fs.any_dead {
+            for f in 0..self.fifos.len() {
+                while self.fifos[f].len > 0 {
+                    let (flit, _) = self.front(f);
+                    let id = flit.packet.id;
+                    if fs.condemned.contains(&id) {
+                        self.pop(f);
+                        fs.dropped_flits += 1;
+                    } else if flit.is_head()
+                        && Self::route(&self.coords, Some(&fs.dead_out), f / PORTS, flit.packet.dst)
+                            .is_none()
+                    {
+                        self.pop(f);
+                        fs.dropped_flits += 1;
+                        fs.condemn(&mut self.assembly, &mut self.in_flight_packets, id);
+                    } else {
+                        break;
                     }
                 }
             }
         }
+        // Condemned packets release their wormhole reservations.
+        if !fs.condemned.is_empty() {
+            for router in &mut self.routers {
+                for lock in &mut router.out_lock {
+                    if lock.is_some_and(|(_, _, pid)| fs.condemned.contains(&pid)) {
+                        *lock = None;
+                    }
+                }
+            }
+        }
+        let active = fs.any_dead || !fs.condemned.is_empty();
         self.faults = Some(fs);
-    }
-
-    /// The neighbouring router reached through `port`.
-    fn neighbour(&self, at: NodeId, port: usize) -> NodeId {
-        let (x, y) = self.grid.coord_of(at);
-        match port {
-            NORTH => self.grid.node_at(x, y - 1),
-            EAST => self.grid.node_at(x + 1, y),
-            SOUTH => self.grid.node_at(x, y + 1),
-            WEST => self.grid.node_at(x - 1, y),
-            _ => at,
+        // The pops above routed new fronts with the fault state taken out
+        // of `self`, i.e. unmasked; re-route every front under the current
+        // dead-link mask.
+        if active {
+            for f in 0..self.fifos.len() {
+                if self.fifos[f].len > 0 {
+                    self.refresh_front(f);
+                }
+            }
         }
     }
 
-    /// The port on the neighbour that a flit sent through `port` arrives on.
+    /// The input port on the neighbour that a flit sent through `port`
+    /// arrives on.
     fn arrival_port(port: usize) -> usize {
         match port {
             NORTH => SOUTH,
@@ -406,6 +460,25 @@ impl MeshSim {
             WEST => EAST,
             other => other,
         }
+    }
+
+    /// For router `r`, the inputs whose front flit has cleared the router
+    /// pipeline, and per output the inputs whose front is such a head flit
+    /// routed there (the array has one spare entry for [`NO_REQUEST`]).
+    fn requests(&self, r: NodeId, cycle: u64) -> (u8, [u8; PORTS + 1]) {
+        let mut ready = 0u8;
+        let mut want = [0u8; PORTS + 1];
+        let mut inputs = self.nonempty[r];
+        while inputs != 0 {
+            let inp = inputs.trailing_zeros() as usize;
+            inputs &= inputs - 1;
+            let fifo = &self.fifos[r * PORTS + inp];
+            if cycle >= fifo.ready_at {
+                ready |= 1 << inp;
+                want[fifo.request] |= 1 << inp;
+            }
+        }
+        (ready, want)
     }
 
     fn deliver(&mut self, flit: Flit, cycle: u64) {
@@ -420,10 +493,11 @@ impl MeshSim {
         *count += 1;
         if *count == flit.packet.flits {
             self.assembly.remove(&flit.packet.id);
+            let ((sx, sy), (dx, dy)) = (self.coords[flit.packet.src], self.coords[flit.packet.dst]);
             self.deliveries.push(Delivery {
                 packet: flit.packet,
                 delivered: cycle,
-                hops: self.grid.manhattan(flit.packet.src, flit.packet.dst) as u64,
+                hops: (sx.abs_diff(dx) + sy.abs_diff(dy)) as u64,
             });
             self.in_flight_packets -= 1;
         }
@@ -445,103 +519,89 @@ impl Network for MeshSim {
         // (both no-ops without a plan).
         self.apply_due_faults(cycle);
         self.purge_faulted();
+        self.ticks += 1;
 
-        // Staged transfers commit after all routers arbitrate, so a flit
-        // moves at most one hop per cycle. The staging buffers are
-        // persistent scratch moved out of `self` for the duration of the
-        // tick (`mem::take` swaps in an unallocated empty vec) so the
-        // steady-state cycle cost involves no heap allocation.
-        let mut staged = std::mem::take(&mut self.staged);
-        let mut local_deliveries = std::mem::take(&mut self.local_deliveries);
-        // Occupancy including this cycle's staged arrivals, for credits.
-        let mut occupancy = std::mem::take(&mut self.occupancy);
-        for (r, router) in self.routers.iter().enumerate() {
-            for (p, q) in router.inputs.iter().enumerate() {
-                occupancy[r][p] = q.len();
-            }
-        }
-
+        // Routers arbitrate in id order. A forwarded flit lands in its
+        // neighbour's FIFO at once, stamped to become eligible no earlier
+        // than the next cycle, so it moves at most one hop per cycle; and
+        // a slot freed this cycle keeps its credit until the next (see
+        // `Fifo::popped`), so credits match a commit-at-end-of-cycle
+        // model exactly.
+        let width = self.grid.width();
         for r in 0..self.routers.len() {
-            let mut served_inputs = [false; PORTS];
-            for out in 0..PORTS {
+            if self.nonempty[r] == 0 {
+                continue;
+            }
+            let (ready, want) = self.requests(r, cycle);
+            if ready == 0 {
+                continue;
+            }
+            let mut served = 0u8;
+            for (out, &requesters) in want[..PORTS].iter().enumerate() {
                 // Which input may use this output?
-                let chosen: Option<usize> = match self.routers[r].out_lock[out] {
-                    Some((inp, _, _)) => Some(inp),
+                let inp = match self.routers[r].out_lock[out] {
+                    Some((inp, _, _)) => inp,
                     None => {
-                        let start = self.routers[r].rr[out];
-                        (0..PORTS).map(|k| (start + k) % PORTS).find(|&inp| {
-                            if served_inputs[inp] {
-                                return false;
-                            }
-                            match self.routers[r].inputs[inp].front() {
-                                Some(&(flit, entered)) => {
-                                    flit.is_head()
-                                        && cycle >= entered + self.router_delay
-                                        && self.route_out(r, flit.packet.dst) == Some(out)
-                                }
-                                None => false,
-                            }
-                        })
+                        let candidates = requesters & !served;
+                        if candidates == 0 {
+                            continue;
+                        }
+                        // First candidate at or after the round-robin
+                        // pointer, wrapping around.
+                        let from_rr =
+                            candidates >> self.routers[r].rr[out] << self.routers[r].rr[out];
+                        let pick = if from_rr != 0 { from_rr } else { candidates };
+                        pick.trailing_zeros() as usize
                     }
                 };
-                let Some(inp) = chosen else { continue };
-                if served_inputs[inp] {
+                // A locked input may be empty, already served, or still in
+                // the pipeline (the delay applies to body flits too).
+                if (served | !ready) & (1 << inp) != 0 {
                     continue;
                 }
-                // Pipeline delay also applies to locked (body) flits.
-                let Some(&(flit, entered)) = self.routers[r].inputs[inp].front() else {
-                    continue;
-                };
-                if cycle < entered + self.router_delay {
-                    continue;
-                }
-                // Credit check for non-local outputs.
-                if out != LOCAL {
-                    let nb = self.neighbour(r, out);
-                    let ap = Self::arrival_port(out);
-                    if occupancy[nb][ap] >= self.buffer_capacity {
+                let f = r * PORTS + inp;
+                let (flit, _) = self.front(f);
+                if out == LOCAL {
+                    self.pop(f);
+                    self.deliver(flit, cycle);
+                } else {
+                    // Credit check against the neighbour's input FIFO.
+                    let nb = match out {
+                        NORTH => r - width,
+                        EAST => r + 1,
+                        SOUTH => r + width,
+                        _ => r - 1,
+                    };
+                    let g = nb * PORTS + Self::arrival_port(out);
+                    let downstream = self.fifos[g];
+                    let credits_used =
+                        downstream.len + usize::from(downstream.popped == self.ticks);
+                    if credits_used >= self.buffer_capacity {
                         continue;
                     }
-                    occupancy[nb][ap] += 1;
+                    self.pop(f);
+                    self.push(g, (flit, cycle + 1));
                 }
-                // Forward the flit.
-                self.routers[r].inputs[inp].pop_front();
-                served_inputs[inp] = true;
-                if out == LOCAL {
-                    local_deliveries.push(flit);
-                } else {
-                    staged.push((self.neighbour(r, out), Self::arrival_port(out), flit));
-                }
+                served |= 1 << inp;
                 // Maintain the wormhole lock.
-                match &mut self.routers[r].out_lock[out] {
+                let router = &mut self.routers[r];
+                match &mut router.out_lock[out] {
                     Some((_, left, _)) => {
                         *left -= 1;
                         if *left == 0 {
-                            self.routers[r].out_lock[out] = None;
+                            router.out_lock[out] = None;
                         }
                     }
                     None => {
-                        self.routers[r].rr[out] = (inp + 1) % PORTS;
+                        router.rr[out] = (inp + 1) % PORTS;
                         if flit.packet.flits > 1 {
-                            self.routers[r].out_lock[out] =
+                            router.out_lock[out] =
                                 Some((inp, flit.packet.flits - 1, flit.packet.id));
                         }
                     }
                 }
             }
         }
-
-        for &flit in &local_deliveries {
-            self.deliver(flit, cycle);
-        }
-        for &(router, port, flit) in &staged {
-            self.routers[router].inputs[port].push_back((flit, cycle + 1));
-        }
-        staged.clear();
-        local_deliveries.clear();
-        self.staged = staged;
-        self.local_deliveries = local_deliveries;
-        self.occupancy = occupancy;
 
         // Injection: one flit per node per cycle into the local input, if
         // there is buffer space.
@@ -558,7 +618,7 @@ impl Network for MeshSim {
                         self.inject_progress[node] = 0;
                     } else if self.inject_progress[node] == 0
                         && fs.any_dead
-                        && Self::masked_port(self.grid, &fs.dead_out, p.src, p.dst).is_none()
+                        && Self::route(&self.coords, Some(&fs.dead_out), p.src, p.dst).is_none()
                     {
                         self.queues[node].pop_front();
                         fs.condemn(&mut self.assembly, &mut self.in_flight_packets, p.id);
@@ -570,11 +630,12 @@ impl Network for MeshSim {
             let Some(&packet) = self.queues[node].front() else {
                 continue;
             };
-            if self.routers[node].inputs[LOCAL].len() >= self.buffer_capacity {
+            let f = node * PORTS + LOCAL;
+            if self.fifos[f].len >= self.buffer_capacity {
                 continue;
             }
             let idx = self.inject_progress[node];
-            self.routers[node].inputs[LOCAL].push_back((Flit { packet, index: idx }, cycle + 1));
+            self.push(f, (Flit { packet, index: idx }, cycle + 1));
             if idx + 1 == packet.flits {
                 self.queues[node].pop_front();
                 self.inject_progress[node] = 0;

@@ -537,15 +537,44 @@ mod tests {
 
     #[test]
     fn mesh_matches_reference_metrics() {
-        let g = Grid::square(8).unwrap();
-        for (rate, delay) in [(0.05, 2), (0.25, 2), (0.15, 1), (0.15, 0)] {
-            let mut fast = MeshSim::new(g, delay, 8);
-            let mut slow = ReferenceMeshSim::new(g, delay, 8);
-            let m_fast = run_synthetic(&mut fast, Pattern::UniformRandom, rate, &cfg(3), 7);
-            let m_slow = run_synthetic(&mut slow, Pattern::UniformRandom, rate, &cfg(3), 7);
+        let (g8, g10, g6x4) = (
+            Grid::square(8).unwrap(),
+            Grid::square(10).unwrap(),
+            Grid::new(6, 4).unwrap(),
+        );
+        // (grid, pattern, rate, router delay, buffer capacity, data flits).
+        // Covers square and rectangular grids, every router delay, credit
+        // limits from one flit up, single- and multi-flit data packets,
+        // and (last row) a rate well past 8x8 Mesh-2 saturation.
+        let cases = [
+            (g8, Pattern::UniformRandom, 0.05, 2, 8, 3),
+            (g8, Pattern::UniformRandom, 0.25, 2, 8, 3),
+            (g8, Pattern::UniformRandom, 0.15, 1, 8, 3),
+            (g8, Pattern::UniformRandom, 0.15, 0, 8, 3),
+            (g6x4, Pattern::UniformRandom, 0.20, 1, 2, 5),
+            (g6x4, Pattern::UniformRandom, 0.30, 0, 1, 1),
+            (g6x4, Pattern::UniformRandom, 0.10, 2, 1, 5),
+            (g10, Pattern::Tornado, 0.10, 2, 8, 3),
+            (g10, Pattern::BitComplement, 0.08, 1, 2, 5),
+            (g10, Pattern::Transpose, 0.12, 0, 1, 1),
+            (g8, Pattern::Transpose, 0.15, 2, 2, 3),
+            (g8, Pattern::Tornado, 0.20, 1, 1, 3),
+            (g8, Pattern::BitComplement, 0.10, 0, 8, 1),
+            (g8, Pattern::UniformRandom, 0.60, 2, 8, 3),
+        ];
+        for (g, pattern, rate, delay, cap, flits) in cases {
+            let mut fast = MeshSim::new(g, delay, cap);
+            let mut slow = ReferenceMeshSim::new(g, delay, cap);
+            let m_fast = run_synthetic(&mut fast, pattern, rate, &cfg(flits), 7);
+            let m_slow = run_synthetic(&mut slow, pattern, rate, &cfg(flits), 7);
+            assert!(m_slow.packets > 0);
             assert_eq!(
-                m_fast, m_slow,
-                "optimized mesh diverged from seed at rate {rate}, delay {delay}"
+                m_fast,
+                m_slow,
+                "optimized mesh diverged from seed on {}x{} {pattern:?} at rate {rate}, \
+                 delay {delay}, capacity {cap}, {flits}-flit data",
+                g.width(),
+                g.height()
             );
         }
     }
