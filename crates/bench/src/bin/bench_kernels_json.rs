@@ -1,14 +1,16 @@
 //! Machine-readable kernel throughput snapshot.
 //!
 //! Times the hot inference paths behind every experiment — blocked GEMM,
-//! im2col convolution, the full policy/value forward at the paper's grid
+//! convolution, the full policy/value forward at the paper's grid
 //! sizes, the learner's own small shapes, and cached vs uncached
 //! exploration cycles — against the retained naive reference kernels, then
 //! writes everything to `BENCH_kernels.json` so perf changes across commits
 //! are diffable.
 //!
 //! All kernel timings pin the matmul to a single thread; the parallel path
-//! only adds on top and would make runs incomparable across hosts.
+//! only adds on top and would make runs incomparable across hosts. The one
+//! exception is a row at the two matmul threads the `learn-8x8` benchmark
+//! workload uses, so a regression of the threaded path shows up here too.
 //!
 //! Usage: `bench_kernels_json [out_path]` (default `BENCH_kernels.json`).
 
@@ -82,11 +84,11 @@ fn main() {
         black_box(reference::matmul_naive(black_box(&a), black_box(&b)));
     });
 
-    // --- im2col conv vs naive at the paper-8x8 stage-2 shape ------------
+    // --- Conv forward vs naive at the paper-8x8 stage-2 shape ------------
     let x = Tensor::from_vec(wave(16 * 32 * 32, 0.11), &[1, 16, 32, 32])
         .expect("conv input data sized 16*32*32");
     let mut conv = Conv2d::new(16, 32, 3, 0);
-    let conv_im2col = time_secs(|| {
+    let conv_direct = time_secs(|| {
         black_box(conv.forward(black_box(&x), false));
     });
     let w = Tensor::from_vec(wave(32 * 16 * 9, 0.19), &[32, 16, 3, 3])
@@ -170,8 +172,35 @@ fn main() {
             secs * 1e6
         );
     }
+    // Each conv pass on its own at the 8x8 learner's residual (`8→8`) and
+    // head (`8→2`) shapes: a 45-state batch of 64×64 inputs.
+    let mut conv_rows = String::new();
+    for out_c in [8usize, 2] {
+        let batch = 45;
+        let x = Tensor::from_vec(wave(batch * 8 * 64 * 64, 0.13), &[batch, 8, 64, 64])
+            .expect("conv input data sized batch*8*64*64");
+        let grad = Tensor::from_vec(wave(batch * out_c * 64 * 64, 0.07), &[batch, out_c, 64, 64])
+            .expect("conv gradient data sized batch*out_c*64*64");
+        let mut conv = Conv2d::new(8, out_c, 3, 0);
+        let forward = time_secs(|| {
+            black_box(conv.forward(black_box(&x), true));
+        });
+        let backward = time_secs(|| {
+            black_box(conv.backward(black_box(&grad)));
+        });
+        for (pass, secs) in [("forward", forward), ("backward", backward)] {
+            let _ = write!(
+                conv_rows,
+                "\n    \"conv_8to{out_c}_64x64_batch{batch}_{pass}_ms\": {:.3},",
+                secs * 1e3
+            );
+        }
+    }
+    // One training pass of the small network on a 45-state batch, serial;
+    // at 8x8 also at the two matmul threads the `learn-8x8` benchmark uses.
     let mut train_rows = String::new();
-    for grid_n in [4usize, 8] {
+    for (grid_n, threads) in [(4usize, 1usize), (8, 1), (8, 2)] {
+        rlnoc_nn::kernels::set_matmul_threads(threads);
         let mut net = PolicyValueNet::new(PolicyValueConfig::small(grid_n), 1);
         let side = net.config().input_side;
         let batch = 45;
@@ -186,9 +215,14 @@ fn main() {
             });
             net.zero_grad();
         });
+        let suffix = if threads == 1 {
+            String::new()
+        } else {
+            format!("_matmul{threads}")
+        };
         let _ = write!(
             train_rows,
-            "{}\n    \"small_{grid_n}x{grid_n}_batch{batch}_ms_per_forward_backward\": {:.3}",
+            "{}\n    \"small_{grid_n}x{grid_n}_batch{batch}_ms_per_forward_backward{suffix}\": {:.3}",
             if train_rows.is_empty() { "" } else { "," },
             secs * 1e3
         );
@@ -221,7 +255,7 @@ fn main() {
   }},
   "conv_forward": {{
     "shape": "1x16x32x32 -> 32c, k3",
-    "im2col_ops_per_sec": {:.2},
+    "direct_ops_per_sec": {:.2},
     "naive_ops_per_sec": {:.2},
     "speedup": {:.2}
   }},
@@ -229,7 +263,7 @@ fn main() {
     "paper_8x8_naive_est_ms": {:.3},
     "paper_8x8_speedup_vs_naive": {:.2}
   }},
-  "learner_shapes": {{{gemm_rows}{train_rows}
+  "learner_shapes": {{{gemm_rows}{conv_rows}{train_rows}
   }},
   "explorer_cycles": {{
     "grid": "4x4",
@@ -245,9 +279,9 @@ fn main() {
         1.0 / matmul_blocked,
         1.0 / matmul_naive,
         matmul_naive / matmul_blocked,
-        1.0 / conv_im2col,
+        1.0 / conv_direct,
         1.0 / conv_naive,
-        conv_naive / conv_im2col,
+        conv_naive / conv_direct,
         forward_8x8_naive_est * 1e3,
         forward_speedup,
         cycles as f64 / cached_secs,

@@ -1035,10 +1035,11 @@ mod tests {
 
     #[test]
     fn results_invariant_to_matmul_thread_count() {
-        // An 8x8 NoC (64x64 state matrix) pushes the residual-block GEMMs
-        // past the parallel threshold, so this exercises the row-banded
-        // multi-threaded matmul end to end: the search outcome must be
-        // bit-identical regardless of the kernel's thread budget.
+        // An 8x8 NoC (64x64 state matrix) pushes the training passes'
+        // convolutions past the parallel threshold, so this exercises the
+        // batch-split conv passes (and the row-banded matmul of the larger
+        // `Linear` GEMMs) end to end: the search outcome and the final
+        // parameters must be bit-identical whatever the thread budget.
         let env = RouterlessEnv::new(Grid::square(8).unwrap(), 14);
         let mut cfg = quick_config();
         cfg.max_steps = 4;
@@ -1046,11 +1047,27 @@ mod tests {
         let run = |mm_threads: usize| {
             let previous = rlnoc_nn::kernels::matmul_threads();
             rlnoc_nn::kernels::set_matmul_threads(mm_threads);
-            let report = explore_parallel(&env, &cfg, 1, 2, 21);
+            let parent = Mutex::new(new_agent(&env, &cfg, 21));
+            let supervision = SupervisionConfig::default();
+            let out = explore_supervised_inner(&env, &cfg, 1, 2, 21, supervision, 0, &parent)
+                .expect("clean run");
             rlnoc_nn::kernels::set_matmul_threads(previous);
-            outcomes(&report)
+            let params: Vec<Vec<u32>> = parent
+                .into_inner()
+                .net_mut()
+                .param_snapshot()
+                .iter()
+                .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (outcomes(&out.report), params)
         };
-        assert_eq!(run(1), run(3));
+        let serial = run(1);
+        for mm_threads in [2, 3] {
+            assert!(
+                run(mm_threads) == serial,
+                "matmul threads {mm_threads} changed the search or the parameters"
+            );
+        }
     }
 
     /// An environment whose `reset` panics while the shared fuse holds

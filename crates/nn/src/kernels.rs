@@ -1,7 +1,7 @@
-//! Cache-blocked GEMM kernels behind [`crate::Tensor::matmul`] and the
-//! im2col convolution path.
+//! Cache-blocked GEMM kernels behind [`crate::Tensor::matmul`], and the
+//! direct same-padding convolution kernel behind [`crate::layers::Conv2d`].
 //!
-//! The single entry point is [`gemm`]: `C = op(A) × op(B)` over row-major
+//! The GEMM entry point is [`gemm`]: `C = op(A) × op(B)` over row-major
 //! `f32` slices, with optional logical transposition of either operand (so
 //! callers never materialize a transposed copy). The implementation follows
 //! the classic BLIS/GotoBLAS structure:
@@ -22,20 +22,28 @@
 //! and never re-zeroed. Stale contents from an earlier, larger call cannot
 //! reach `C`: `pack_a` and `pack_b` write every element the
 //! micro-kernel then reads, zero padding included, before it reads them.
-//! The scratch is freed when its thread exits; the band threads of the
-//! parallel path below are fresh scoped threads, so each allocates its own
-//! right-sized scratch.
+//! The scratch is freed when its thread exits.
 //!
 //! When `m·k·n` crosses [`PARALLEL_FLOPS`], rows of `C` are partitioned
 //! into contiguous bands, one scoped thread per band. Each output element
 //! sees exactly the same floating-point operation order regardless of the
 //! band split, so **results are bit-identical for any thread count** — the
 //! determinism tests rely on this. The thread budget can be pinned with
-//! [`set_matmul_threads`] (`0` restores the automatic choice).
+//! [`set_matmul_threads`] (`0` restores the automatic choice). Band threads
+//! are fresh scoped threads whose scratch starts empty, and each packs the
+//! whole `B` panel, so the split only pays for tall `A`: convolution
+//! therefore never band-splits. Its passes split the *batch* over the same
+//! budget ([`threads_for`]) and run their GEMMs on one thread inside
+//! ([`gemm_with_threads`]).
+//!
+//! [`conv_same_direct`] is the convolution forward without an im2col
+//! matrix: it reads the micro-kernel's `B` rows in place from a
+//! zero-padded copy of the input, in the GEMM's exact per-element
+//! operation order, so it is bit-identical to im2col followed by [`gemm`].
 //!
 //! There is no `a == 0.0` fast path anywhere in this module: `0 × NaN` and
 //! `0 × ∞` must produce `NaN`, exactly as IEEE-754 specifies. The naive
-//! oracle used by the parity tests lives in [`crate::reference`].
+//! and im2col oracles used by the parity tests live in [`crate::reference`].
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,8 +105,11 @@ pub fn matmul_threads() -> usize {
     MATMUL_THREADS.load(Ordering::Relaxed)
 }
 
-fn effective_threads(m: usize, k: usize, n: usize) -> usize {
-    let work = m.saturating_mul(k).saturating_mul(n);
+/// Threads a kernel with `work` multiply-adds should use when it can be
+/// split into at most `parts` independent pieces: `1` below
+/// [`PARALLEL_FLOPS`], else the [`set_matmul_threads`] budget capped at
+/// `parts`.
+pub(crate) fn threads_for(work: usize, parts: usize) -> usize {
     if work < PARALLEL_FLOPS {
         return 1;
     }
@@ -109,8 +120,7 @@ fn effective_threads(m: usize, k: usize, n: usize) -> usize {
             .min(MAX_AUTO_THREADS),
         pinned => pinned,
     };
-    // A thread should own at least one full micro-row band.
-    budget.max(1).min(m.div_ceil(MR))
+    budget.max(1).min(parts)
 }
 
 /// General matrix multiply over row-major slices:
@@ -132,6 +142,26 @@ pub fn gemm(
     b: &[f32],
     c: &mut [f32],
 ) {
+    // A thread should own at least one full micro-row band.
+    let threads = threads_for(m.saturating_mul(k).saturating_mul(n), m.div_ceil(MR));
+    gemm_with_threads(threads, trans_a, trans_b, m, k, n, a, b, c);
+}
+
+/// [`gemm`] on at most `threads` threads, whatever the thread budget:
+/// `1` keeps it on the calling thread, for callers that already split
+/// their work across threads.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_with_threads(
+    threads: usize,
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     assert_eq!(a.len(), m * k, "gemm: lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm: rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm: out length mismatch");
@@ -144,7 +174,6 @@ pub fn gemm(
     }
     let timer = crate::instrument::start();
 
-    let threads = effective_threads(m, k, n);
     if threads <= 1 {
         gemm_band(trans_a, trans_b, m, k, n, a, b, c, 0);
         crate::instrument::record_since("nn.gemm_us", timer);
@@ -228,22 +257,30 @@ fn pack_a(
     packed: &mut [f32],
 ) {
     let lda = if trans_a { a.len() / k } else { k };
-    let mut dst = 0;
-    for ir in (0..mc).step_by(MR) {
+    for (tile, ir) in packed.chunks_exact_mut(kc * MR).zip((0..mc).step_by(MR)) {
         let tile_rows = MR.min(mc - ir);
-        for p in 0..kc {
-            for i in 0..MR {
-                packed[dst] = if i < tile_rows {
-                    let (row, col) = (i0 + ir + i, p0 + p);
-                    if trans_a {
-                        a[col * lda + row]
-                    } else {
-                        a[row * lda + col]
-                    }
-                } else {
-                    0.0
-                };
-                dst += 1;
+        if tile_rows < MR {
+            tile.fill(0.0);
+        }
+        let micro_rows = tile.as_chunks_mut::<MR>().0.iter_mut().enumerate();
+        if trans_a {
+            // Stored `[k, m]`: each packed group of MR is a contiguous run.
+            for (p, dst) in micro_rows {
+                let src = &a[(p0 + p) * lda + i0 + ir..];
+                match src.first_chunk::<MR>() {
+                    Some(src) if tile_rows == MR => *dst = *src,
+                    _ => dst[..tile_rows].copy_from_slice(&src[..tile_rows]),
+                }
+            }
+        } else {
+            // Rows past a ragged tile's end alias its last row; they are
+            // never read.
+            let rows: [&[f32]; MR] =
+                std::array::from_fn(|i| &a[(i0 + ir + i.min(tile_rows - 1)) * lda + p0..][..kc]);
+            for (p, dst) in micro_rows {
+                for i in 0..tile_rows {
+                    dst[i] = rows[i][p];
+                }
             }
         }
     }
@@ -265,22 +302,31 @@ fn pack_b(
     packed: &mut [f32],
 ) {
     let ldb = if trans_b { k } else { n };
-    let mut dst = 0;
-    for jr in (0..nc).step_by(NR) {
+    for (tile, jr) in packed.chunks_exact_mut(kc * NR).zip((0..nc).step_by(NR)) {
         let tile_cols = NR.min(nc - jr);
-        for p in 0..kc {
-            for j in 0..NR {
-                packed[dst] = if j < tile_cols {
-                    let (row, col) = (p0 + p, j0 + jr + j);
-                    if trans_b {
-                        b[col * ldb + row]
-                    } else {
-                        b[row * ldb + col]
-                    }
-                } else {
-                    0.0
-                };
-                dst += 1;
+        if tile_cols < NR {
+            tile.fill(0.0);
+        }
+        let micro_cols = tile.as_chunks_mut::<NR>().0.iter_mut().enumerate();
+        if trans_b {
+            // Stored `[n, k]`: each micro-column is a contiguous run.
+            // Columns past a ragged tile's end alias its last one; they
+            // are never read.
+            let cols: [&[f32]; NR] =
+                std::array::from_fn(|j| &b[(j0 + jr + j.min(tile_cols - 1)) * ldb + p0..][..kc]);
+            for (p, dst) in micro_cols {
+                for j in 0..tile_cols {
+                    dst[j] = cols[j][p];
+                }
+            }
+        } else {
+            // Stored `[k, n]`: each packed group of NR is a contiguous run.
+            for (p, dst) in micro_cols {
+                let src = &b[(p0 + p) * ldb + j0 + jr..];
+                match src.first_chunk::<NR>() {
+                    Some(src) if tile_cols == NR => *dst = *src,
+                    _ => dst[..tile_cols].copy_from_slice(&src[..tile_cols]),
+                }
             }
         }
     }
@@ -307,7 +353,7 @@ fn macro_kernel(
         for ir in (0..mc).step_by(MR) {
             let tile_rows = MR.min(mc - ir);
             let a_tile = &packed_a[(ir / MR) * (kc * MR)..][..kc * MR];
-            let acc = micro_kernel(a_tile, b_tile, kc);
+            let acc = micro_kernel(a_tile, b_tile.as_chunks::<NR>().0.iter());
             for i in 0..tile_rows {
                 let row = &mut c_band[(ic + ir + i) * n + jc + jr..][..tile_cols];
                 if accumulate {
@@ -323,15 +369,18 @@ fn macro_kernel(
 }
 
 /// The register-tiled inner kernel: an MR×NR rank-`kc` outer-product
-/// accumulation over packed micro-panels. The fixed-size accumulator array
-/// keeps everything in registers and lets the compiler vectorize the `j`
-/// loop.
+/// accumulation of the packed micro-rows in `a_tile` (`kc·MR` values)
+/// against `kc` rows of `B`, summed from `0.0` in `p` order. The
+/// fixed-size accumulator array keeps everything in registers and lets the
+/// compiler vectorize the `j` loop. `B` rows come from a packed panel in
+/// [`gemm`] and straight from the padded input in [`conv_same_direct`].
 #[inline(always)]
-fn micro_kernel(a_tile: &[f32], b_tile: &[f32], kc: usize) -> [[f32; NR]; MR] {
+fn micro_kernel<'b>(
+    a_tile: &[f32],
+    b_rows: impl Iterator<Item = &'b [f32; NR]>,
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let a_col: &[f32] = &a_tile[p * MR..p * MR + MR];
-        let b_row: &[f32] = &b_tile[p * NR..p * NR + NR];
+    for (a_col, b_row) in a_tile.as_chunks::<MR>().0.iter().zip(b_rows) {
         for i in 0..MR {
             let ai = a_col[i];
             for j in 0..NR {
@@ -340,6 +389,213 @@ fn micro_kernel(a_tile: &[f32], b_tile: &[f32], kc: usize) -> [[f32; NR]; MR] {
         }
     }
     acc
+}
+
+/// Packs a convolution's weight matrix `w` (`[out_c, kdim]`) for
+/// [`conv_same_direct`] into the first `⌈out_c/MR⌉·MR × kdim` elements of
+/// `packed`: its `KC`-deep blocks one after another, each in `pack_a`'s
+/// micro-row layout. Done once per pass and shared by every batch item.
+pub(crate) fn pack_conv_weights<'p>(
+    w: &[f32],
+    out_c: usize,
+    kdim: usize,
+    packed: &'p mut Vec<f32>,
+) -> &'p [f32] {
+    debug_assert_eq!(w.len(), out_c * kdim);
+    let rows = out_c.div_ceil(MR) * MR;
+    let packed = scratch(packed, rows * kdim);
+    for pc in (0..kdim).step_by(KC) {
+        let kc = KC.min(kdim - pc);
+        pack_a(
+            false,
+            w,
+            kdim,
+            0,
+            out_c,
+            pc,
+            kc,
+            &mut packed[rows * pc..][..rows * kc],
+        );
+    }
+    packed
+}
+
+/// Slack [`conv_same_direct`] needs after the padded input: a ragged tile
+/// reads a full `NR`-wide row (the lanes past the image are discarded).
+pub(crate) const CONV_SLACK: usize = NR;
+
+/// Stride-1 same-padding convolution of one batch item, without an im2col
+/// matrix:
+/// `out[oc, oy·w + ox] = Σ_p W[oc, p] · xp[offs[p] + oy·wp + ox] + bias[oc]`.
+///
+/// `packed_w` comes from [`pack_conv_weights`]. `xp` is the item's
+/// zero-padded input (`[c, h + 2·pad, wp]` followed by [`CONV_SLACK`]
+/// elements) and `offs[p]` is where tap `p = (ic, ky, kx)` starts in it,
+/// so `B` row `p` of an output tile is read in place. Each output element
+/// sees exactly the operations of `im2col` then
+/// [`gemm`]`(false, false, out_c, kdim, h·w, …)` then the bias: `KC` blocks
+/// of `p`, each summed from `0.0` in `p` order, combined as `c = acc` then
+/// `c += acc`, and the bias added last. The two are bit-identical.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_same_direct(
+    out_c: usize,
+    packed_w: &[f32],
+    bias: &[f32],
+    xp: &[f32],
+    offs: &[usize],
+    h: usize,
+    w: usize,
+    wp: usize,
+    out: &mut [f32],
+) {
+    let kdim = offs.len();
+    let rows = out_c.div_ceil(MR) * MR;
+    let hw = h * w;
+    debug_assert_eq!(packed_w.len(), rows * kdim);
+    debug_assert_eq!(out.len(), out_c * hw);
+    for oy in 0..h {
+        for ox0 in (0..w).step_by(NR) {
+            let tile_cols = NR.min(w - ox0);
+            let base = oy * wp + ox0;
+            for ir in (0..out_c).step_by(MR) {
+                let mut tile = [[0.0f32; NR]; MR];
+                for pc in (0..kdim).step_by(KC) {
+                    let kc = KC.min(kdim - pc);
+                    let a_tile = &packed_w[rows * pc + (ir / MR) * (kc * MR)..][..kc * MR];
+                    let b_rows = offs[pc..pc + kc].iter().map(|&o| {
+                        xp[o + base..]
+                            .first_chunk::<NR>()
+                            .expect("padded input has CONV_SLACK")
+                    });
+                    let acc = micro_kernel(a_tile, b_rows);
+                    if pc == 0 {
+                        tile = acc;
+                    } else {
+                        for (t, a) in tile.iter_mut().zip(&acc) {
+                            for (t, &a) in t.iter_mut().zip(a) {
+                                *t += a;
+                            }
+                        }
+                    }
+                }
+                for (i, t) in tile.iter().enumerate().take(MR.min(out_c - ir)) {
+                    let b = bias[ir + i];
+                    let dst = &mut out[(ir + i) * hw + oy * w + ox0..][..tile_cols];
+                    for (d, &v) in dst.iter_mut().zip(&t[..tile_cols]) {
+                        *d = v + b;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adds columns `j0..j0 + dst.len()` of row `p` of `Aᵀ × B` (`A` stored
+/// `[k, m]`, `B` stored `[k, n]`) onto `dst`. Each sum is formed exactly as
+/// [`gemm`]`(true, false, m, k, n, a, b, …)` forms that element — every
+/// `KC`-deep block of the reduction summed from `0.0` in order, blocks
+/// combined as `c = acc` then `c += acc` — and only then added to `dst`,
+/// so this is bit-identical to scattering that GEMM's output.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tn_row_add(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    p: usize,
+    j0: usize,
+    dst: &mut [f32],
+) {
+    debug_assert_eq!(a.len(), k * m);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert!(j0 + dst.len() <= n);
+    match dst.len() {
+        len if len >= 4 * NR => add_tn_sums::<{ 4 * NR }>(m, k, n, a, b, p, j0, dst),
+        len if len >= NR => add_tn_sums::<NR>(m, k, n, a, b, p, j0, dst),
+        _ => add_tn_sums::<1>(m, k, n, a, b, p, j0, dst),
+    }
+}
+
+/// [`gemm_tn_row_add`] in `L`-wide chunks whose sums stay in registers
+/// (`dst.len() >= L`). The last chunk is shifted back to end at
+/// `dst.len()` and adds only the columns not added yet.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn add_tn_sums<const L: usize>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    p: usize,
+    j0: usize,
+    dst: &mut [f32],
+) {
+    let len = dst.len();
+    let mut done = 0;
+    while done < len {
+        let start = done.min(len - L);
+        let j = j0 + start;
+        let mut sum = [0.0f32; L];
+        for pc in (0..k).step_by(KC) {
+            let mut acc = [0.0f32; L];
+            for l in pc..k.min(pc + KC) {
+                let av = a[l * m + p];
+                let b_row = b[l * n + j..].first_chunk::<L>().expect("j0 + len <= n");
+                for (x, &bv) in acc.iter_mut().zip(b_row) {
+                    *x += av * bv;
+                }
+            }
+            if pc == 0 {
+                sum = acc;
+            } else {
+                for (s, &v) in sum.iter_mut().zip(&acc) {
+                    *s += v;
+                }
+            }
+        }
+        for (d, &s) in dst[done..start + L].iter_mut().zip(&sum[done - start..]) {
+            *d += s;
+        }
+        done = start + L;
+    }
+}
+
+/// Expands one NCHW batch item (`x` is `[c, h, w]` flattened) into the
+/// im2col matrix `col[(ic·k + ky)·k + kx, oy·w + ox] = x[ic, oy+ky-pad,
+/// ox+kx-pad]`, with zero padding outside the image. For each
+/// `(ic, ky, kx, oy)` the valid `ox` range is one contiguous run, so rows
+/// are filled with slice copies rather than per-pixel bounds checks.
+pub(crate) fn im2col(x: &[f32], c: usize, h: usize, w: usize, k: usize, col: &mut [f32]) {
+    let pad = k / 2;
+    let hw = h * w;
+    debug_assert_eq!(x.len(), c * hw);
+    debug_assert_eq!(col.len(), c * k * k * hw);
+    for ic in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = &mut col[((ic * k + ky) * k + kx) * hw..][..hw];
+                // Valid output xs: 0 <= ox + kx - pad < w.
+                let ox_lo = pad.saturating_sub(kx);
+                let ox_hi = (w + pad).saturating_sub(kx).min(w);
+                for oy in 0..h {
+                    let dst = &mut row[oy * w..(oy + 1) * w];
+                    let iy = oy + ky;
+                    if iy < pad || iy - pad >= h || ox_lo >= ox_hi {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let iy = iy - pad;
+                    dst[..ox_lo].fill(0.0);
+                    dst[ox_hi..].fill(0.0);
+                    let ix_lo = ox_lo + kx - pad;
+                    let src = &x[ic * hw + iy * w..][ix_lo..ix_lo + (ox_hi - ox_lo)];
+                    dst[ox_lo..ox_hi].copy_from_slice(src);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

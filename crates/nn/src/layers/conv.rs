@@ -4,22 +4,46 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
 
-/// Per-thread im2col/col2im buffers shared by every [`Conv2d`] pass on the
-/// thread. A pass takes them out of [`CONV_SCRATCH`] and puts them back
-/// when done; they are sized by [`kernels::scratch`] (grow-only, never
-/// cleared), and `im2col` and `gemm` overwrite every element a pass reads.
-/// This is a cell of its own, apart from the GEMM packing scratch, because
-/// `gemm` runs while a pass holds these buffers.
+/// Buffers one thread needs to run a [`Conv2d`] pass over its share of
+/// the batch items. All are grow-only ([`kernels::scratch`]), never
+/// shrunk: every element a pass reads was written earlier in that pass.
+#[derive(Default)]
+struct ItemScratch {
+    /// One item's input, zero-padded, plus [`kernels::CONV_SLACK`].
+    xp: Vec<f32>,
+    /// One item's im2col matrix (weight gradient only).
+    col: Vec<f32>,
+}
+
+/// Per-thread buffers of the thread that calls a [`Conv2d`] pass. A pass
+/// takes them out of [`CONV_SCRATCH`] and puts them back when done. This
+/// is a cell of its own, apart from the GEMM packing scratch, because
+/// `gemm` runs while a pass holds these buffers. Helper threads of a
+/// batch-split pass are fresh scoped threads and bring empty
+/// [`ItemScratch`].
 #[derive(Default)]
 struct ConvScratch {
-    col: Vec<f32>,
-    gcol: Vec<f32>,
-    gw_batch: Vec<f32>,
+    /// Tap offsets `p = (ic, ky, kx) → (ic·hp + ky)·wp + kx` into the
+    /// padded input.
+    offs: Vec<usize>,
+    /// The weight matrix packed for [`kernels::conv_same_direct`].
+    packed_w: Vec<f32>,
+    /// Per-item weight-gradient partials, `[n, out_c·kdim]`.
+    gw_items: Vec<f32>,
+    /// Per-item bias-gradient partials, `[n, out_c]`.
+    gb_items: Vec<f32>,
+    item: ItemScratch,
 }
 
 thread_local! {
     static CONV_SCRATCH: Cell<ConvScratch> = const {
-        Cell::new(ConvScratch { col: Vec::new(), gcol: Vec::new(), gw_batch: Vec::new() })
+        Cell::new(ConvScratch {
+            offs: Vec::new(),
+            packed_w: Vec::new(),
+            gw_items: Vec::new(),
+            gb_items: Vec::new(),
+            item: ItemScratch { xp: Vec::new(), col: Vec::new() },
+        })
     };
 }
 
@@ -29,14 +53,19 @@ thread_local! {
 /// `[out_channels, in_channels, k, k]`; padding is `k / 2`, so odd kernel
 /// sizes preserve spatial dimensions exactly.
 ///
-/// Both passes lower onto the blocked GEMM in [`crate::kernels`]: the
-/// forward pass im2col-expands each batch item into a
-/// `[in_c·k·k, h·w]` column matrix and multiplies by the weight matrix
-/// viewed as `[out_c, in_c·k·k]`; the backward pass recomputes the column
-/// matrix (cheaper than caching it for large batches), forms the weight
-/// gradient as `grad_out × colᵀ` and scatters `Wᵀ × grad_out` back through
-/// col2im for the input gradient. The naive loop nest these must agree
-/// with lives in [`crate::reference::conv2d_naive`].
+/// No pass builds an im2col matrix it does not need. The forward pass
+/// copies each batch item into a zero-padded scratch and runs
+/// [`kernels::conv_same_direct`], which reads the GEMM micro-kernel's `B`
+/// rows in place. The backward pass im2col-expands each item once for the
+/// weight gradient `grad_out × colᵀ`, and forms the input gradient one
+/// `(ic, ky, kx)` row of `Wᵀ × grad_out` at a time, scatter-added into the
+/// image at once. Both passes split the batch items over the
+/// [`kernels::set_matmul_threads`] budget and run their GEMMs serially;
+/// per-item weight and bias gradient partials are summed in batch order.
+/// Every result is bit-identical, at any thread count, to the im2col
+/// passes kept in [`crate::reference::conv2d_im2col`] and
+/// [`crate::reference::conv2d_im2col_backward`]; the naive loop nest
+/// lives in [`crate::reference::conv2d_naive`].
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -80,28 +109,37 @@ impl Layer for Conv2d {
         let timer = crate::instrument::start();
         let [n, c, h, w] = shape4(x);
         assert_eq!(c, self.in_c, "input channel mismatch");
-        let hw = h * w;
-        let kdim = self.in_c * self.k * self.k;
-        let mut out = Tensor::zeros(&[n, self.out_c, h, w]);
-        let xd = x.as_slice();
-        let wd = self.weight.value.as_slice();
-        let bd = self.bias.value.as_slice();
-        let od = out.as_mut_slice();
-        let mut bufs = CONV_SCRATCH.take();
-        let col = kernels::scratch(&mut bufs.col, kdim * hw);
-        for b in 0..n {
-            im2col(&xd[b * c * hw..][..c * hw], c, h, w, self.k, col);
-            let out_b = &mut od[b * self.out_c * hw..][..self.out_c * hw];
-            // out[b] = W[out_c, kdim] × col[kdim, hw]
-            kernels::gemm(false, false, self.out_c, kdim, hw, wd, col, out_b);
-            for oc in 0..self.out_c {
-                let bias = bd[oc];
-                for v in &mut out_b[oc * hw..(oc + 1) * hw] {
-                    *v += bias;
+        let (out_c, k) = (self.out_c, self.k);
+        let (hw, kdim) = (h * w, c * k * k);
+        let mut out = Tensor::zeros(&[n, out_c, h, w]);
+        if n > 0 && hw > 0 {
+            let mut bufs = CONV_SCRATCH.take();
+            let wp = tap_offsets(c, h, w, k, &mut bufs.offs);
+            let offs = &bufs.offs[..];
+            let packed_w = kernels::pack_conv_weights(
+                self.weight.value.as_slice(),
+                out_c,
+                kdim,
+                &mut bufs.packed_w,
+            );
+            let bias = self.bias.value.as_slice();
+            let threads = kernels::threads_for(n * out_c * kdim * hw, n);
+            let per = n.div_ceil(threads);
+            let chunks = x
+                .as_slice()
+                .chunks(per * c * hw)
+                .zip(out.as_mut_slice().chunks_mut(per * out_c * hw));
+            run_chunks(threads, chunks, &mut bufs.item, |(xs, outs), item| {
+                for (x_b, out_b) in xs
+                    .chunks_exact(c * hw)
+                    .zip(outs.chunks_exact_mut(out_c * hw))
+                {
+                    let xp = pad_into(x_b, c, h, w, k, &mut item.xp);
+                    kernels::conv_same_direct(out_c, packed_w, bias, xp, offs, h, w, wp, out_b);
                 }
-            }
+            });
+            CONV_SCRATCH.set(bufs);
         }
-        CONV_SCRATCH.set(bufs);
         self.cache = Some(x.clone());
         crate::instrument::record_since("nn.conv_us", timer);
         out
@@ -110,39 +148,67 @@ impl Layer for Conv2d {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cache.as_ref().expect("backward before forward");
         let [n, c, h, w] = shape4(x);
+        let (out_c, k) = (self.out_c, self.k);
         assert_eq!(
             grad_out.shape(),
-            &[n, self.out_c, h, w],
+            &[n, out_c, h, w],
             "gradient shape mismatch"
         );
-        let hw = h * w;
-        let kdim = self.in_c * self.k * self.k;
+        let (hw, kdim) = (h * w, c * k * k);
         let mut gx = Tensor::zeros(&[n, c, h, w]);
-        let xd = x.as_slice();
+        if n == 0 || hw == 0 {
+            return gx;
+        }
         let wd = self.weight.value.as_slice();
-        let god = grad_out.as_slice();
+        let mut bufs = CONV_SCRATCH.take();
+        let gw_items = kernels::scratch(&mut bufs.gw_items, n * out_c * kdim);
+        let gb_items = kernels::scratch(&mut bufs.gb_items, n * out_c);
+        let threads = kernels::threads_for(n * out_c * kdim * hw, n);
+        let per = n.div_ceil(threads);
+        let chunks = x
+            .as_slice()
+            .chunks(per * c * hw)
+            .zip(grad_out.as_slice().chunks(per * out_c * hw))
+            .zip(gx.as_mut_slice().chunks_mut(per * c * hw))
+            .zip(gw_items.chunks_mut(per * out_c * kdim))
+            .zip(gb_items.chunks_mut(per * out_c));
+        run_chunks(
+            threads,
+            chunks,
+            &mut bufs.item,
+            |((((xs, gos), gxs), gws), gbs), item| {
+                let items = xs
+                    .chunks_exact(c * hw)
+                    .zip(gos.chunks_exact(out_c * hw))
+                    .zip(gxs.chunks_exact_mut(c * hw))
+                    .zip(gws.chunks_exact_mut(out_c * kdim))
+                    .zip(gbs.chunks_exact_mut(out_c));
+                for ((((x_b, go_b), gx_b), gw_b), gb_b) in items {
+                    for (s, go) in gb_b.iter_mut().zip(go_b.chunks_exact(hw)) {
+                        *s = go.iter().sum::<f32>();
+                    }
+                    // gW_b = grad_out[b] × col[b]ᵀ
+                    let col = kernels::scratch(&mut item.col, kdim * hw);
+                    kernels::im2col(x_b, c, h, w, k, col);
+                    kernels::gemm_with_threads(1, false, true, out_c, hw, kdim, go_b, col, gw_b);
+                    input_grad(wd, go_b, out_c, c, h, w, k, gx_b);
+                }
+            },
+        );
+        // Parameter gradients accumulate across calls, item by item in
+        // batch order whatever the thread split.
         let gw = self.weight.grad.as_mut_slice();
         let gb = self.bias.grad.as_mut_slice();
-        let gxd = gx.as_mut_slice();
-        let mut bufs = CONV_SCRATCH.take();
-        let col = kernels::scratch(&mut bufs.col, kdim * hw);
-        let gcol = kernels::scratch(&mut bufs.gcol, kdim * hw);
-        let gw_batch = kernels::scratch(&mut bufs.gw_batch, self.out_c * kdim);
-        for b in 0..n {
-            let go_b = &god[b * self.out_c * hw..][..self.out_c * hw];
-            for oc in 0..self.out_c {
-                gb[oc] += go_b[oc * hw..(oc + 1) * hw].iter().sum::<f32>();
-            }
-            // gW += grad_out[b] × col[b]ᵀ (gemm overwrites, so go through a
-            // scratch buffer; parameter gradients accumulate across calls).
-            im2col(&xd[b * c * hw..][..c * hw], c, h, w, self.k, col);
-            kernels::gemm(false, true, self.out_c, hw, kdim, go_b, col, gw_batch);
-            for (dst, &v) in gw.iter_mut().zip(gw_batch.iter()) {
+        for (gw_b, gb_b) in gw_items
+            .chunks_exact(out_c * kdim)
+            .zip(gb_items.chunks_exact(out_c))
+        {
+            for (dst, &v) in gb.iter_mut().zip(gb_b) {
                 *dst += v;
             }
-            // gx[b] = col2im(Wᵀ × grad_out[b])
-            kernels::gemm(true, false, kdim, self.out_c, hw, wd, go_b, gcol);
-            col2im(gcol, c, h, w, self.k, &mut gxd[b * c * hw..][..c * hw]);
+            for (dst, &v) in gw.iter_mut().zip(gw_b) {
+                *dst += v;
+            }
         }
         CONV_SCRATCH.set(bufs);
         gx
@@ -153,60 +219,97 @@ impl Layer for Conv2d {
     }
 }
 
-/// Expands one NCHW batch item (`x` is `[c, h, w]` flattened) into the
-/// im2col matrix `col[(ic·k + ky)·k + kx, oy·w + ox] = x[ic, oy+ky-pad,
-/// ox+kx-pad]`, with zero padding outside the image. For each
-/// `(ic, ky, kx, oy)` the valid `ox` range is one contiguous run, so rows
-/// are filled with slice copies rather than per-pixel bounds checks.
-fn im2col(x: &[f32], c: usize, h: usize, w: usize, k: usize, col: &mut [f32]) {
-    let pad = k / 2;
-    let hw = h * w;
-    debug_assert_eq!(x.len(), c * hw);
-    debug_assert_eq!(col.len(), c * k * k * hw);
-    for ic in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = &mut col[((ic * k + ky) * k + kx) * hw..][..hw];
-                // Valid output xs: 0 <= ox + kx - pad < w.
-                let ox_lo = pad.saturating_sub(kx);
-                let ox_hi = (w + pad).saturating_sub(kx).min(w);
-                for oy in 0..h {
-                    let dst = &mut row[oy * w..(oy + 1) * w];
-                    let iy = oy + ky;
-                    if iy < pad || iy - pad >= h || ox_lo >= ox_hi {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let iy = iy - pad;
-                    dst[..ox_lo].fill(0.0);
-                    dst[ox_hi..].fill(0.0);
-                    let ix_lo = ox_lo + kx - pad;
-                    let src = &x[ic * hw + iy * w..][ix_lo..ix_lo + (ox_hi - ox_lo)];
-                    dst[ox_lo..ox_hi].copy_from_slice(src);
-                }
-            }
-        }
+/// Runs `work` on every chunk of batch items: the first on the calling
+/// thread with its warm `local` scratch, each other one on a scoped thread
+/// of its own with fresh scratch. `threads` is the number of chunks; at
+/// `1` no thread is spawned (and nothing is allocated).
+fn run_chunks<C: Send>(
+    threads: usize,
+    chunks: impl Iterator<Item = C>,
+    local: &mut ItemScratch,
+    work: impl Fn(C, &mut ItemScratch) + Sync,
+) {
+    let mut chunks = chunks;
+    if threads <= 1 {
+        chunks.for_each(|chunk| work(chunk, local));
+        return;
     }
+    let first = chunks.next();
+    std::thread::scope(|scope| {
+        let work = &work;
+        for chunk in chunks {
+            scope.spawn(move || work(chunk, &mut ItemScratch::default()));
+        }
+        if let Some(first) = first {
+            work(first, local);
+        }
+    });
 }
 
-/// Inverse of [`im2col`] for gradients: scatter-adds the column-matrix
-/// gradient back onto the image gradient (`gx` is `[c, h, w]` flattened,
-/// accumulated into). Overlapping kernel windows sum, matching the direct
-/// convolution's input gradient.
-fn col2im(gcol: &[f32], c: usize, h: usize, w: usize, k: usize, gx: &mut [f32]) {
+/// Fills `offs` with where each tap `p = (ic, ky, kx)` starts in the
+/// zero-padded `[c, h + 2·pad, w + 2·pad]` input, and returns the padded
+/// row length `wp`.
+fn tap_offsets(c: usize, h: usize, w: usize, k: usize, offs: &mut Vec<usize>) -> usize {
+    let (hp, wp) = (h + k - 1, w + k - 1);
+    offs.clear();
+    for ic in 0..c {
+        for ky in 0..k {
+            offs.extend((0..k).map(|kx| (ic * hp + ky) * wp + kx));
+        }
+    }
+    wp
+}
+
+/// Copies one `[c, h, w]` item into `xp` as `[c, h + 2·pad, w + 2·pad]`
+/// with zero borders, followed by [`kernels::CONV_SLACK`] zeros.
+fn pad_into<'a>(
+    x: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    xp: &'a mut Vec<f32>,
+) -> &'a [f32] {
     let pad = k / 2;
-    let hw = h * w;
-    debug_assert_eq!(gx.len(), c * hw);
-    debug_assert_eq!(gcol.len(), c * k * k * hw);
+    let (hp, wp) = (h + k - 1, w + k - 1);
+    let xp = kernels::scratch(xp, c * hp * wp + kernels::CONV_SLACK);
+    xp.fill(0.0);
+    for (ic, x_c) in x.chunks_exact(h * w).enumerate() {
+        for (y, x_row) in x_c.chunks_exact(w).enumerate() {
+            xp[(ic * hp + y + pad) * wp + pad..][..w].copy_from_slice(x_row);
+        }
+    }
+    xp
+}
+
+/// `gx_b += col2im(Wᵀ × grad_out[b])` without the `[kdim, h·w]` matrix:
+/// each `(ic, ky, kx)` row of `Wᵀ × grad_out[b]` is formed, one valid
+/// output-row segment at a time, by [`kernels::gemm_tn_row_add`] and added
+/// into the image at once. Rows go in ascending `(ic, ky, kx)` order, so
+/// every input-gradient element sums its kernel taps in col2im's order,
+/// starting from `gx_b`'s zeros.
+#[allow(clippy::too_many_arguments)]
+fn input_grad(
+    wd: &[f32],
+    go_b: &[f32],
+    out_c: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    gx_b: &mut [f32],
+) {
+    let (pad, hw, kdim) = (k / 2, h * w, c * k * k);
     for ic in 0..c {
         for ky in 0..k {
             for kx in 0..k {
-                let row = &gcol[((ic * k + ky) * k + kx) * hw..][..hw];
+                // Valid output xs: 0 <= ox + kx - pad < w.
                 let ox_lo = pad.saturating_sub(kx);
                 let ox_hi = (w + pad).saturating_sub(kx).min(w);
                 if ox_lo >= ox_hi {
                     continue;
                 }
+                let p = (ic * k + ky) * k + kx;
                 for oy in 0..h {
                     let iy = oy + ky;
                     if iy < pad || iy - pad >= h {
@@ -214,11 +317,8 @@ fn col2im(gcol: &[f32], c: usize, h: usize, w: usize, k: usize, gx: &mut [f32]) 
                     }
                     let iy = iy - pad;
                     let ix_lo = ox_lo + kx - pad;
-                    let dst = &mut gx[ic * hw + iy * w..][ix_lo..ix_lo + (ox_hi - ox_lo)];
-                    let src = &row[oy * w + ox_lo..oy * w + ox_hi];
-                    for (d, &g) in dst.iter_mut().zip(src) {
-                        *d += g;
-                    }
+                    let dst = &mut gx_b[ic * hw + iy * w..][ix_lo..ix_lo + (ox_hi - ox_lo)];
+                    kernels::gemm_tn_row_add(kdim, out_c, hw, wd, go_b, p, oy * w + ox_lo, dst);
                 }
             }
         }
@@ -284,11 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn im2col_forward_matches_naive_reference() {
+    fn forward_matches_naive_reference() {
         use rand::Rng;
         // Random shapes, including batch > 1, non-square spatial dims, and
-        // k = 5 (larger padding) — the im2col path must agree with the
-        // direct loop nest everywhere.
+        // k = 5 (larger padding) — the direct kernel must agree with the
+        // naive loop nest everywhere.
         let shapes: &[(usize, usize, usize, usize, usize)] = &[
             (1, 1, 4, 4, 3),
             (2, 3, 6, 7, 3),

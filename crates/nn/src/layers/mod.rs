@@ -40,9 +40,10 @@ impl Param {
         Param { value, grad }
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to zero, in place.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.shape());
+        debug_assert_eq!(self.grad.shape(), self.value.shape());
+        self.grad.as_mut_slice().fill(0.0);
     }
 }
 
