@@ -17,9 +17,10 @@
 use rlnoc_core::explorer::ExplorerConfig;
 use rlnoc_core::parallel::explore_parallel;
 use rlnoc_core::routerless::RouterlessEnv;
-use rlnoc_nn::layers::{Conv2d, Layer, MaxPool2d};
+use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer, MaxPool2d};
 use rlnoc_nn::net::PolicyValueGrad;
 use rlnoc_nn::{reference, PolicyValueConfig, PolicyValueNet, Tensor};
+use rlnoc_telemetry::TelemetrySink;
 use rlnoc_topology::Grid;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -40,13 +41,28 @@ fn time_secs(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / f64::from(reps)
 }
 
+/// [`time_secs`] of a conv backward, plus the mean seconds per call its
+/// `nn.conv_wgrad_us` and `nn.conv_igrad_us` probes recorded.
+fn probed(f: impl FnMut()) -> (f64, [f64; 2]) {
+    let sink = TelemetrySink::enabled();
+    let secs = {
+        let _probes = rlnoc_nn::instrument::install_scoped(sink.recorder("bench"));
+        time_secs(f)
+    };
+    let mean = |name| {
+        sink.hist_total(name)
+            .map_or(f64::NAN, |h| h.sum() as f64 / h.count() as f64 * 1e-6)
+    };
+    (secs, [mean("nn.conv_wgrad_us"), mean("nn.conv_igrad_us")])
+}
+
 fn wave(len: usize, step: f32) -> Vec<f32> {
     (0..len).map(|v| (v as f32 * step).sin()).collect()
 }
 
 /// Every convolution shape `(in_c, out_c, k, side)` in the paper network,
-/// derived from its config: stem + residual pair per stage, three head
-/// convs at the final side.
+/// derived from its config: stem + residual pair per stage, and the three
+/// head convs at the final side, which run as one stacked pass.
 fn conv_shapes(cfg: &PolicyValueConfig) -> Vec<(usize, usize, usize, usize)> {
     let mut shapes = Vec::new();
     let mut side = cfg.input_side;
@@ -61,9 +77,7 @@ fn conv_shapes(cfg: &PolicyValueConfig) -> Vec<(usize, usize, usize, usize)> {
         }
         prev = c;
     }
-    for _ in 0..3 {
-        shapes.push((prev, 2, 3, side)); // coord / dir / value heads
-    }
+    shapes.push((prev, 6, 3, side)); // coord / dir / value heads
     shapes
 }
 
@@ -173,22 +187,46 @@ fn main() {
         );
     }
     // Each conv pass on its own at the 8x8 learner's residual (`8→8`) and
-    // head (`8→2`) shapes: a 45-state batch of 64×64 inputs.
+    // single-head (`8→2`) shapes, and the three heads' stacked pass
+    // (`8→6`): a 45-state batch of 64×64 inputs. The backward's weight-
+    // and input-gradient halves are read from its telemetry probes.
     let mut conv_rows = String::new();
-    for out_c in [8usize, 2] {
-        let batch = 45;
-        let x = Tensor::from_vec(wave(batch * 8 * 64 * 64, 0.13), &[batch, 8, 64, 64])
-            .expect("conv input data sized batch*8*64*64");
-        let grad = Tensor::from_vec(wave(batch * out_c * 64 * 64, 0.07), &[batch, out_c, 64, 64])
-            .expect("conv gradient data sized batch*out_c*64*64");
-        let mut conv = Conv2d::new(8, out_c, 3, 0);
-        let forward = time_secs(|| {
-            black_box(conv.forward(black_box(&x), true));
-        });
-        let backward = time_secs(|| {
-            black_box(conv.backward(black_box(&grad)));
-        });
-        for (pass, secs) in [("forward", forward), ("backward", backward)] {
+    let batch = 45;
+    let x = Tensor::from_vec(wave(batch * 8 * 64 * 64, 0.13), &[batch, 8, 64, 64])
+        .expect("conv input data sized batch*8*64*64");
+    let grad_of = |out_c: usize| {
+        Tensor::from_vec(wave(batch * out_c * 64 * 64, 0.07), &[batch, out_c, 64, 64])
+            .expect("conv gradient data sized batch*out_c*64*64")
+    };
+    for out_c in [8usize, 2, 6] {
+        let (forward, backward, halves) = if out_c == 6 {
+            let mut heads = ConvHeads::new((0..3).map(|g| Conv2d::new(8, 2, 3, g)).collect());
+            let grads = [grad_of(2), grad_of(2), grad_of(2)];
+            let forward = time_secs(|| {
+                black_box(heads.forward(black_box(&x)));
+            });
+            let (backward, halves) = probed(|| {
+                black_box(heads.backward(black_box(&grads)));
+            });
+            (forward, backward, halves)
+        } else {
+            let mut conv = Conv2d::new(8, out_c, 3, 0);
+            let grad = grad_of(out_c);
+            let forward = time_secs(|| {
+                black_box(conv.forward(black_box(&x), true));
+            });
+            let (backward, halves) = probed(|| {
+                black_box(conv.backward(black_box(&grad)));
+            });
+            (forward, backward, halves)
+        };
+        let [wgrad, igrad] = halves;
+        for (pass, secs) in [
+            ("forward", forward),
+            ("backward", backward),
+            ("wgrad", wgrad),
+            ("igrad", igrad),
+        ] {
             let _ = write!(
                 conv_rows,
                 "\n    \"conv_8to{out_c}_64x64_batch{batch}_{pass}_ms\": {:.3},",

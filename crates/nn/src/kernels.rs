@@ -1,5 +1,5 @@
 //! Cache-blocked GEMM kernels behind [`crate::Tensor::matmul`], and the
-//! direct same-padding convolution kernel behind [`crate::layers::Conv2d`].
+//! direct same-padding convolution kernels behind [`crate::layers::Conv2d`].
 //!
 //! The GEMM entry point is [`gemm`]: `C = op(A) × op(B)` over row-major
 //! `f32` slices, with optional logical transposition of either operand (so
@@ -24,22 +24,24 @@
 //! micro-kernel then reads, zero padding included, before it reads them.
 //! The scratch is freed when its thread exits.
 //!
-//! When `m·k·n` crosses [`PARALLEL_FLOPS`], rows of `C` are partitioned
+//! When `m·k·n` crosses `PARALLEL_FLOPS`, rows of `C` are partitioned
 //! into contiguous bands, one scoped thread per band. Each output element
 //! sees exactly the same floating-point operation order regardless of the
 //! band split, so **results are bit-identical for any thread count** — the
 //! determinism tests rely on this. The thread budget can be pinned with
 //! [`set_matmul_threads`] (`0` restores the automatic choice). Band threads
 //! are fresh scoped threads whose scratch starts empty, and each packs the
-//! whole `B` panel, so the split only pays for tall `A`: convolution
-//! therefore never band-splits. Its passes split the *batch* over the same
-//! budget ([`threads_for`]) and run their GEMMs on one thread inside
-//! ([`gemm_with_threads`]).
+//! whole `B` panel, so the split only pays for tall `A`. The convolution
+//! kernels below run on one thread each; their passes split the *batch*
+//! over the same budget (`threads_for`).
 //!
-//! [`conv_same_direct`] is the convolution forward without an im2col
-//! matrix: it reads the micro-kernel's `B` rows in place from a
-//! zero-padded copy of the input, in the GEMM's exact per-element
-//! operation order, so it is bit-identical to im2col followed by [`gemm`].
+//! The convolution kernels build no im2col matrix. `conv_same_direct`
+//! (forward) and `conv_wgrad_direct` (weight gradient) read each tap's
+//! pixels in place from a zero-padded copy of one batch item;
+//! `conv_igrad_gather` (input gradient) gathers each input pixel's taps
+//! from a row-padded copy of its output gradient. Each keeps, element by
+//! element, the operation order of the im2col-plus-[`gemm`] pass it
+//! replaces, so each is bit-identical to it.
 //!
 //! There is no `a == 0.0` fast path anywhere in this module: `0 × NaN` and
 //! `0 × ∞` must produce `NaN`, exactly as IEEE-754 specifies. The naive
@@ -142,26 +144,6 @@ pub fn gemm(
     b: &[f32],
     c: &mut [f32],
 ) {
-    // A thread should own at least one full micro-row band.
-    let threads = threads_for(m.saturating_mul(k).saturating_mul(n), m.div_ceil(MR));
-    gemm_with_threads(threads, trans_a, trans_b, m, k, n, a, b, c);
-}
-
-/// [`gemm`] on at most `threads` threads, whatever the thread budget:
-/// `1` keeps it on the calling thread, for callers that already split
-/// their work across threads.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_with_threads(
-    threads: usize,
-    trans_a: bool,
-    trans_b: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
     assert_eq!(a.len(), m * k, "gemm: lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm: rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm: out length mismatch");
@@ -174,6 +156,8 @@ pub(crate) fn gemm_with_threads(
     }
     let timer = crate::instrument::start();
 
+    // A thread should own at least one full micro-row band.
+    let threads = threads_for(m.saturating_mul(k).saturating_mul(n), m.div_ceil(MR));
     if threads <= 1 {
         gemm_band(trans_a, trans_b, m, k, n, a, b, c, 0);
         crate::instrument::record_since("nn.gemm_us", timer);
@@ -391,6 +375,20 @@ fn micro_kernel<'b>(
     acc
 }
 
+/// Folds one block's sums into `sums` the way [`gemm`] combines its `KC`
+/// blocks: the first block is copied (`c = acc`), every later one added
+/// (`c += acc`).
+#[inline(always)]
+fn fold_block(sums: &mut [f32], block: &[f32], first: bool) {
+    if first {
+        sums.copy_from_slice(block);
+    } else {
+        for (s, &b) in sums.iter_mut().zip(block) {
+            *s += b;
+        }
+    }
+}
+
 /// Packs a convolution's weight matrix `w` (`[out_c, kdim]`) for
 /// [`conv_same_direct`] into the first `⌈out_c/MR⌉·MR × kdim` elements of
 /// `packed`: its `KC`-deep blocks one after another, each in `pack_a`'s
@@ -468,15 +466,7 @@ pub(crate) fn conv_same_direct(
                             .expect("padded input has CONV_SLACK")
                     });
                     let acc = micro_kernel(a_tile, b_rows);
-                    if pc == 0 {
-                        tile = acc;
-                    } else {
-                        for (t, a) in tile.iter_mut().zip(&acc) {
-                            for (t, &a) in t.iter_mut().zip(a) {
-                                *t += a;
-                            }
-                        }
-                    }
+                    fold_block(tile.as_flattened_mut(), acc.as_flattened(), pc == 0);
                 }
                 for (i, t) in tile.iter().enumerate().take(MR.min(out_c - ir)) {
                     let b = bias[ir + i];
@@ -490,112 +480,256 @@ pub(crate) fn conv_same_direct(
     }
 }
 
-/// Adds columns `j0..j0 + dst.len()` of row `p` of `Aᵀ × B` (`A` stored
-/// `[k, m]`, `B` stored `[k, n]`) onto `dst`. Each sum is formed exactly as
-/// [`gemm`]`(true, false, m, k, n, a, b, …)` forms that element — every
-/// `KC`-deep block of the reduction summed from `0.0` in order, blocks
-/// combined as `c = acc` then `c += acc` — and only then added to `dst`,
-/// so this is bit-identical to scattering that GEMM's output.
+/// Taps per register tile of [`conv_wgrad_direct`]: `WT × NR`
+/// accumulators, one `NR`-wide vector per tap.
+const WT: usize = 8;
+
+/// Transposes one item's `grad_out` (`[out_c, hw]`) into the `NR`-wide
+/// rows [`conv_wgrad_direct`] reads: for each chunk of `NR` output
+/// channels, `hw` rows of `NR` values, `gt[(chunk·hw + q)·NR + j] =
+/// grad_out[chunk·NR + j, q]`. Lanes past `out_c` are zero.
+pub(crate) fn pack_conv_grad<'g>(
+    go: &[f32],
+    out_c: usize,
+    hw: usize,
+    gt: &'g mut Vec<f32>,
+) -> &'g [f32] {
+    debug_assert_eq!(go.len(), out_c * hw);
+    let gt = scratch(gt, out_c.div_ceil(NR) * hw * NR);
+    for (chunk, dst) in gt.chunks_exact_mut(hw * NR).enumerate() {
+        let oc0 = chunk * NR;
+        let cols = NR.min(out_c - oc0);
+        let rows: [&[f32]; NR] = std::array::from_fn(|j| &go[(oc0 + j.min(cols - 1)) * hw..][..hw]);
+        for (q, dst) in dst.as_chunks_mut::<NR>().0.iter_mut().enumerate() {
+            for (j, d) in dst.iter_mut().enumerate() {
+                *d = if j < cols { rows[j][q] } else { 0.0 };
+            }
+        }
+    }
+    gt
+}
+
+/// The weight gradient of one batch item of a stride-1 same-padding
+/// convolution, without an im2col matrix:
+/// `gw[oc, p] = Σ_q grad_out[oc, q] · xp[offs[p] + oy·wp + ox]` over the
+/// output pixels `q = oy·w + ox`, overwriting `gw` (`[out_c, kdim]`).
+///
+/// `gt` comes from [`pack_conv_grad`]; `xp` and `offs` are the padded
+/// input and tap offsets [`conv_same_direct`] reads, so tap `p`'s pixels
+/// are read in place. Each element sees exactly the operations of
+/// [`gemm`]`(false, true, out_c, hw, kdim, grad_out, col, …)` on the
+/// im2col matrix `col`: `KC` blocks of pixels, each summed from `0.0` in
+/// pixel order as `go × x`, combined as `c = acc` then `c += acc`. The
+/// register tile is `WT` taps by `NR` output channels.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_tn_row_add(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    p: usize,
-    j0: usize,
-    dst: &mut [f32],
+pub(crate) fn conv_wgrad_direct(
+    out_c: usize,
+    gt: &[f32],
+    xp: &[f32],
+    offs: &[usize],
+    h: usize,
+    w: usize,
+    wp: usize,
+    gw: &mut [f32],
 ) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert!(j0 + dst.len() <= n);
-    match dst.len() {
-        len if len >= 4 * NR => add_tn_sums::<{ 4 * NR }>(m, k, n, a, b, p, j0, dst),
-        len if len >= NR => add_tn_sums::<NR>(m, k, n, a, b, p, j0, dst),
-        _ => add_tn_sums::<1>(m, k, n, a, b, p, j0, dst),
+    let kdim = offs.len();
+    let hw = h * w;
+    debug_assert_eq!(gt.len(), out_c.div_ceil(NR) * hw * NR);
+    debug_assert_eq!(gw.len(), out_c * kdim);
+    for (chunk, gt) in gt.chunks_exact(hw * NR).enumerate() {
+        let oc0 = chunk * NR;
+        let cols = NR.min(out_c - oc0);
+        let gt = gt.as_chunks::<NR>().0;
+        for t0 in (0..kdim).step_by(WT) {
+            let taps = WT.min(kdim - t0);
+            // Taps past a ragged tile's end alias its last tap; their sums
+            // are never written.
+            let tap_offs: [usize; WT] = std::array::from_fn(|i| offs[t0 + i.min(taps - 1)]);
+            let mut tile = [[0.0f32; NR]; WT];
+            for pc in (0..hw).step_by(KC) {
+                let end = hw.min(pc + KC);
+                let mut acc = [[0.0f32; NR]; WT];
+                // The block's pixels, one output-row segment at a time.
+                let mut q = pc;
+                while q < end {
+                    let (oy, ox) = (q / w, q % w);
+                    let len = (w - ox).min(end - q);
+                    let base = oy * wp + ox;
+                    let xs: [&[f32]; WT] =
+                        std::array::from_fn(|i| &xp[tap_offs[i] + base..][..len]);
+                    acc = wgrad_segment(acc, &gt[q..q + len], xs);
+                    q += len;
+                }
+                fold_block(tile.as_flattened_mut(), acc.as_flattened(), pc == 0);
+            }
+            for (i, t) in tile.iter().enumerate().take(taps) {
+                for (j, &v) in t.iter().enumerate().take(cols) {
+                    gw[(oc0 + j) * kdim + t0 + i] = v;
+                }
+            }
+        }
     }
 }
 
-/// [`gemm_tn_row_add`] in `L`-wide chunks whose sums stay in registers
-/// (`dst.len() >= L`). The last chunk is shifted back to end at
-/// `dst.len()` and adds only the columns not added yet.
+/// Adds one output-row segment of pixels onto the `WT × NR` weight
+/// gradient tile `acc`: `acc[i][j] += go[idx][j] · xs[i][idx]` in pixel
+/// order.
+#[inline(always)]
+fn wgrad_segment(mut acc: [[f32; NR]; WT], go: &[[f32; NR]], xs: [&[f32]; WT]) -> [[f32; NR]; WT] {
+    for (idx, g) in go.iter().enumerate() {
+        for i in 0..WT {
+            let xv = xs[i][idx];
+            for j in 0..NR {
+                acc[i][j] += g[j] * xv;
+            }
+        }
+    }
+    acc
+}
+
+/// The input gradient of one batch item of a stride-1 same-padding
+/// convolution, gathered per input pixel instead of scattered per tap:
+/// `gx[ic, iy, ix] = Σ_(ky, kx) Σ_oc W[oc, p] · grad_out[oc, oy, ox]` with
+/// `p = (ic, ky, kx)`, `oy = iy + pad − ky` and `ox = ix + pad − kx`,
+/// overwriting `gx` (`[c, h, w]`).
+///
+/// `gop` is the item's `grad_out` padded horizontally to rows of
+/// `wq = w + 2·pad` (`[out_c, h, wq]`, `pad` zeros on each side). The
+/// output channels form `groups` equal groups, one per convolution the
+/// pass stands for. Each group's sum starts from `0.0` and takes the taps
+/// in ascending `(ky, kx)` order, adding a tap's
+/// `t = Σ_oc W[oc, p] · grad_out[…]` (over the group's channels in `KC`
+/// blocks, as [`gemm`]`(true, false, kdim, out_c, hw, …)` forms it) only
+/// where the tap's source pixel lies in the image: exactly what col2im of
+/// that GEMM's output adds, in its order. The groups' sums are then
+/// combined left to right, `(g₀ + g₁) + g₂ …`, as separate input
+/// gradients added with [`crate::Tensor::add`] would be.
+///
+/// Pixels go in chunks of `L` lanes along `x` (64, 32, 16, 8 or 1, the
+/// widest that fits `w`). A tap whose source row lies outside the image is
+/// skipped for the whole chunk; lanes whose source column does are kept
+/// out by a select, never by adding a product of the padding, so a
+/// non-finite weight cannot turn a skipped zero into `NaN`. A last chunk
+/// that overlaps the one before recomputes the same values.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_igrad_gather(
+    wd: &[f32],
+    out_c: usize,
+    groups: usize,
+    gop: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    gx: &mut [f32],
+) {
+    match w {
+        w if w >= 64 => gather_lanes::<64>(wd, out_c, groups, gop, c, h, w, k, gx),
+        w if w >= 32 => gather_lanes::<32>(wd, out_c, groups, gop, c, h, w, k, gx),
+        w if w >= 16 => gather_lanes::<16>(wd, out_c, groups, gop, c, h, w, k, gx),
+        w if w >= NR => gather_lanes::<NR>(wd, out_c, groups, gop, c, h, w, k, gx),
+        _ => gather_lanes::<1>(wd, out_c, groups, gop, c, h, w, k, gx),
+    }
+}
+
+/// [`conv_igrad_gather`] in `L`-lane chunks (`w >= L`).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn add_tn_sums<const L: usize>(
-    m: usize,
+fn gather_lanes<const L: usize>(
+    wd: &[f32],
+    out_c: usize,
+    groups: usize,
+    gop: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
     k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    p: usize,
-    j0: usize,
-    dst: &mut [f32],
+    gx: &mut [f32],
 ) {
-    let len = dst.len();
-    let mut done = 0;
-    while done < len {
-        let start = done.min(len - L);
-        let j = j0 + start;
-        let mut sum = [0.0f32; L];
-        for pc in (0..k).step_by(KC) {
-            let mut acc = [0.0f32; L];
-            for l in pc..k.min(pc + KC) {
-                let av = a[l * m + p];
-                let b_row = b[l * n + j..].first_chunk::<L>().expect("j0 + len <= n");
-                for (x, &bv) in acc.iter_mut().zip(b_row) {
-                    *x += av * bv;
+    let pad = k / 2;
+    let (wq, hw, kdim) = (w + 2 * pad, h * w, c * k * k);
+    let per_group = out_c / groups;
+    debug_assert_eq!(per_group * groups, out_c);
+    debug_assert_eq!(wd.len(), out_c * kdim);
+    debug_assert_eq!(gop.len(), out_c * h * wq);
+    debug_assert_eq!(gx.len(), c * hw);
+    for ic in 0..c {
+        for iy in 0..h {
+            let mut done = 0;
+            while done < w {
+                let ix0 = done.min(w - L);
+                let mut total = [0.0f32; L];
+                for g in 0..groups {
+                    let group = g * per_group..(g + 1) * per_group;
+                    let mut acc = [0.0f32; L];
+                    for ky in 0..k {
+                        // Source row oy = iy + pad - ky must lie in the image.
+                        let Some(oy) = (iy + pad).checked_sub(ky).filter(|&oy| oy < h) else {
+                            continue;
+                        };
+                        for kx in 0..k {
+                            let p = (ic * k + ky) * k + kx;
+                            // Lane l reads source column ix0 + l + pad - kx,
+                            // in the image for l in lo..hi.
+                            let lo = kx.saturating_sub(ix0 + pad);
+                            let hi = (w + kx).saturating_sub(ix0 + pad).min(L);
+                            let col = (oy * wq + ix0 + 2 * pad - kx, p);
+                            let mut t = [0.0f32; L];
+                            for oc0 in group.clone().step_by(KC) {
+                                let ocs = oc0..group.end.min(oc0 + KC);
+                                let s = tap_dot::<L>(wd, kdim, gop, h * wq, col, ocs);
+                                fold_block(&mut t, &s, oc0 == group.start);
+                            }
+                            if lo == 0 && hi == L {
+                                for (a, &t) in acc.iter_mut().zip(&t) {
+                                    *a += t;
+                                }
+                            } else {
+                                // One unsigned compare per lane: l - lo < hi - lo.
+                                let (lo, span) = (lo as u32, hi.saturating_sub(lo) as u32);
+                                for (l, (a, &t)) in acc.iter_mut().zip(&t).enumerate() {
+                                    let sum = *a + t;
+                                    *a = if (l as u32).wrapping_sub(lo) < span {
+                                        sum
+                                    } else {
+                                        *a
+                                    };
+                                }
+                            }
+                        }
+                    }
+                    fold_block(&mut total, &acc, g == 0);
                 }
-            }
-            if pc == 0 {
-                sum = acc;
-            } else {
-                for (s, &v) in sum.iter_mut().zip(&acc) {
-                    *s += v;
-                }
+                gx[ic * hw + iy * w + ix0..][..L].copy_from_slice(&total);
+                done = ix0 + L;
             }
         }
-        for (d, &s) in dst[done..start + L].iter_mut().zip(&sum[done - start..]) {
-            *d += s;
-        }
-        done = start + L;
     }
 }
 
-/// Expands one NCHW batch item (`x` is `[c, h, w]` flattened) into the
-/// im2col matrix `col[(ic·k + ky)·k + kx, oy·w + ox] = x[ic, oy+ky-pad,
-/// ox+kx-pad]`, with zero padding outside the image. For each
-/// `(ic, ky, kx, oy)` the valid `ox` range is one contiguous run, so rows
-/// are filled with slice copies rather than per-pixel bounds checks.
-pub(crate) fn im2col(x: &[f32], c: usize, h: usize, w: usize, k: usize, col: &mut [f32]) {
-    let pad = k / 2;
-    let hw = h * w;
-    debug_assert_eq!(x.len(), c * hw);
-    debug_assert_eq!(col.len(), c * k * k * hw);
-    for ic in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = &mut col[((ic * k + ky) * k + kx) * hw..][..hw];
-                // Valid output xs: 0 <= ox + kx - pad < w.
-                let ox_lo = pad.saturating_sub(kx);
-                let ox_hi = (w + pad).saturating_sub(kx).min(w);
-                for oy in 0..h {
-                    let dst = &mut row[oy * w..(oy + 1) * w];
-                    let iy = oy + ky;
-                    if iy < pad || iy - pad >= h || ox_lo >= ox_hi {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let iy = iy - pad;
-                    dst[..ox_lo].fill(0.0);
-                    dst[ox_hi..].fill(0.0);
-                    let ix_lo = ox_lo + kx - pad;
-                    let src = &x[ic * hw + iy * w..][ix_lo..ix_lo + (ox_hi - ox_lo)];
-                    dst[ox_lo..ox_hi].copy_from_slice(src);
-                }
-            }
+/// One tap's sum over output channels `ocs` for `L` lanes, from `0.0` in
+/// channel order: `Σ_oc wd[oc·kdim + p] · gop[oc·plane + at + l]`, where
+/// `(at, p) = col`.
+#[inline(always)]
+fn tap_dot<const L: usize>(
+    wd: &[f32],
+    kdim: usize,
+    gop: &[f32],
+    plane: usize,
+    (at, p): (usize, usize),
+    ocs: std::ops::Range<usize>,
+) -> [f32; L] {
+    let mut s = [0.0f32; L];
+    for oc in ocs {
+        let wv = wd[oc * kdim + p];
+        let row = gop[oc * plane + at..]
+            .first_chunk::<L>()
+            .expect("padded rows hold every lane");
+        for (s, &gv) in s.iter_mut().zip(row) {
+            *s += wv * gv;
         }
     }
+    s
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ mod sequential;
 
 pub use activation::{Relu, Tanh};
 pub use batchnorm::BatchNorm2d;
-pub use conv::Conv2d;
+pub use conv::{Conv2d, ConvHeads};
 pub use linear::{Flatten, Linear};
 pub use pool::MaxPool2d;
 pub use residual::ResidualBlock;
@@ -66,6 +66,15 @@ pub trait Layer: std::fmt::Debug + Send {
     ///
     /// Implementations panic if called before `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Like [`Layer::backward`], for a layer whose input needs no
+    /// gradient (the first layer of a network): accumulates the parameter
+    /// gradients and returns nothing. The default runs `backward` and
+    /// drops its result; layers that can skip forming the input gradient
+    /// override it.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
 
     /// The layer's trainable parameters, if any.
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -50,11 +50,17 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        backward_through(&mut self.layers, grad_out).unwrap_or_else(|| grad_out.clone())
+    }
+
+    /// Runs [`Layer::backward`] down to the second layer and
+    /// [`Layer::backward_params`] on the first.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let g = backward_through(rest, grad_out);
+        first.backward_params(g.as_ref().unwrap_or(grad_out));
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -77,6 +83,16 @@ impl Layer for Sequential {
         }
         used
     }
+}
+
+/// Backpropagates `grad_out` through `layers` in reverse, returning the
+/// last input gradient (`None` when `layers` is empty).
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Option<Tensor> {
+    let mut g: Option<Tensor> = None;
+    for layer in layers.iter_mut().rev() {
+        g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
+    }
+    g
 }
 
 #[cfg(test)]

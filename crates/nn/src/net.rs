@@ -1,8 +1,8 @@
 //! The paper's two-headed policy/value network (Figure 6c).
 
 use crate::layers::{
-    BatchNorm2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, Param, Relu, ResidualBlock, Sequential,
-    Tanh,
+    BatchNorm2d, Conv2d, ConvHeads, Flatten, Layer, Linear, MaxPool2d, Param, Relu, ResidualBlock,
+    Sequential, Tanh,
 };
 use crate::Tensor;
 
@@ -105,6 +105,8 @@ pub struct PolicyValueGrad {
 pub struct PolicyValueNet {
     config: PolicyValueConfig,
     trunk: Sequential,
+    /// The first layer of each head, in head order, run as one pass.
+    head_convs: ConvHeads,
     coord_head: Sequential,
     dir_head: Sequential,
     value_head: Sequential,
@@ -142,19 +144,19 @@ impl PolicyValueNet {
         let side = config.final_side();
         let flat = 2 * side * side;
 
+        let coord_conv = Conv2d::new(prev, 2, 3, next_seed());
         let coord_head = Sequential::new()
-            .with(Conv2d::new(prev, 2, 3, next_seed()))
             .with(Relu::new())
             .with(Flatten::new())
             .with(Linear::new(flat, 4 * config.n, next_seed()));
+        let dir_conv = Conv2d::new(prev, 2, 3, next_seed());
         let dir_head = Sequential::new()
-            .with(Conv2d::new(prev, 2, 3, next_seed()))
             .with(Relu::new())
             .with(Flatten::new())
             .with(Linear::new(flat, 1, next_seed()))
             .with(Tanh::new());
+        let value_conv = Conv2d::new(prev, 2, 3, next_seed());
         let value_head = Sequential::new()
-            .with(Conv2d::new(prev, 2, 3, next_seed()))
             .with(Relu::new())
             .with(Flatten::new())
             .with(Linear::new(flat, config.value_hidden, next_seed()))
@@ -164,6 +166,7 @@ impl PolicyValueNet {
         PolicyValueNet {
             config,
             trunk,
+            head_convs: ConvHeads::new(vec![coord_conv, dir_conv, value_conv]),
             coord_head,
             dir_head,
             value_head,
@@ -191,9 +194,11 @@ impl PolicyValueNet {
         let batch = x.shape()[0];
         crate::instrument::record_value("nn.forward_batch", batch as u64);
         let features = self.trunk.forward(x, train);
-        let coord = self.coord_head.forward(&features, train);
-        let dir = self.dir_head.forward(&features, train);
-        let value = self.value_head.forward(&features, train);
+        let [coord, dir, value] =
+            <[Tensor; 3]>::try_from(self.head_convs.forward(&features)).expect("three heads");
+        let coord = self.coord_head.forward(&coord, train);
+        let dir = self.dir_head.forward(&dir, train);
+        let value = self.value_head.forward(&value, train);
         crate::instrument::record_since("nn.forward_us", timer);
         PolicyValueOutput {
             coord_logits: coord
@@ -211,24 +216,36 @@ impl PolicyValueNet {
     ///
     /// Panics if called before `forward` or with mismatched shapes.
     pub fn backward(&mut self, grad: &PolicyValueGrad) {
+        let timer = crate::instrument::start();
         let batch = grad.coord_logits.shape()[0];
         let flat = grad
             .coord_logits
             .reshape(&[batch, 4 * self.config.n])
             .expect("same element count");
-        let g1 = self.coord_head.backward(&flat);
-        let g2 = self.dir_head.backward(&grad.dir);
-        let g3 = self.value_head.backward(&grad.value);
-        let total = g1.add(&g2).add(&g3);
-        let _ = self.trunk.backward(&total);
+        let heads = [
+            self.coord_head.backward(&flat),
+            self.dir_head.backward(&grad.dir),
+            self.value_head.backward(&grad.value),
+        ];
+        let features = self.head_convs.backward(&heads);
+        // The network's input needs no gradient.
+        self.trunk.backward_params(&features);
+        crate::instrument::record_since("nn.backward_us", timer);
     }
 
-    /// All trainable parameters, in a stable order.
+    /// All trainable parameters, in a stable order: the trunk's, then each
+    /// head's (its convolution first).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut out = self.trunk.params_mut();
-        out.extend(self.coord_head.params_mut());
-        out.extend(self.dir_head.params_mut());
-        out.extend(self.value_head.params_mut());
+        let heads = [
+            &mut self.coord_head,
+            &mut self.dir_head,
+            &mut self.value_head,
+        ];
+        for (conv, head) in self.head_convs.heads_mut().iter_mut().zip(heads) {
+            out.extend(conv.params_mut());
+            out.extend(head.params_mut());
+        }
         out
     }
 
@@ -394,6 +411,29 @@ mod tests {
         b.load_checkpoint(&dir).unwrap();
         assert_eq!(a.forward(&x, false), b.forward(&x, false));
         let _ = std::fs::remove_file(dir);
+    }
+
+    #[test]
+    fn probes_attribute_a_training_pass() {
+        let sink = rlnoc_telemetry::TelemetrySink::enabled();
+        {
+            let _probes = crate::instrument::install_scoped(sink.recorder("test"));
+            let mut net = PolicyValueNet::new(PolicyValueConfig::small(2), 3);
+            let out = net.forward(&Tensor::zeros(&[2, 1, 4, 4]), true);
+            net.backward(&PolicyValueGrad {
+                coord_logits: out.coord_logits,
+                dir: out.dir,
+                value: out.value,
+            });
+        }
+        let calls = |name| sink.hist_total(name).map_or(0, |h| h.count());
+        // The stem, the residual pair and one pass for the three heads; the
+        // stem forms no input gradient.
+        assert_eq!(calls("nn.conv_us"), 4, "conv forwards");
+        assert_eq!(calls("nn.conv_wgrad_us"), 4, "conv weight gradients");
+        assert_eq!(calls("nn.conv_igrad_us"), 3, "conv input gradients");
+        assert_eq!(calls("nn.forward_us"), 1);
+        assert_eq!(calls("nn.backward_us"), 1);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! the convolution against them within floating-point tolerance across
 //! random shapes. [`conv2d_im2col`] and [`conv2d_im2col_backward`] are the
 //! im2col-plus-GEMM convolution passes `Conv2d` ran before its direct
-//! kernel, kept verbatim: the convolution must match them **bit for bit**
+//! kernels, kept verbatim, and the only place an im2col matrix is still
+//! built: the convolution must match them **bit for bit**
 //! (`crates/nn/tests/conv_oracle.rs`). Everything here is compiled into the
 //! library (not just test builds) so benchmarks can report
 //! optimized-vs-reference ratios.
@@ -112,7 +113,7 @@ pub fn conv2d_im2col(x: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
     let od = out.as_mut_slice();
     let mut col = vec![0.0f32; kdim * hw];
     for b in 0..n {
-        kernels::im2col(&xd[b * c * hw..][..c * hw], c, h, w, k, &mut col);
+        im2col(&xd[b * c * hw..][..c * hw], c, h, w, k, &mut col);
         let out_b = &mut od[b * out_c * hw..][..out_c * hw];
         // out[b] = W[out_c, kdim] × col[kdim, hw]
         kernels::gemm(false, false, out_c, kdim, hw, wd, &col, out_b);
@@ -169,7 +170,7 @@ pub fn conv2d_im2col_backward(
         }
         // gW += grad_out[b] × col[b]ᵀ (gemm overwrites, so go through a
         // scratch buffer; parameter gradients accumulate across calls).
-        kernels::im2col(&xd[b * c * hw..][..c * hw], c, h, w, k, &mut col);
+        im2col(&xd[b * c * hw..][..c * hw], c, h, w, k, &mut col);
         kernels::gemm(false, true, out_c, hw, kdim, go_b, &col, &mut gw_batch);
         for (dst, &v) in gw.iter_mut().zip(gw_batch.iter()) {
             *dst += v;
@@ -179,6 +180,42 @@ pub fn conv2d_im2col_backward(
         col2im(&gcol, c, h, w, k, &mut gxd[b * c * hw..][..c * hw]);
     }
     gx
+}
+
+/// Expands one NCHW batch item (`x` is `[c, h, w]` flattened) into the
+/// im2col matrix `col[(ic·k + ky)·k + kx, oy·w + ox] = x[ic, oy+ky-pad,
+/// ox+kx-pad]`, with zero padding outside the image. For each
+/// `(ic, ky, kx, oy)` the valid `ox` range is one contiguous run, so rows
+/// are filled with slice copies rather than per-pixel bounds checks.
+fn im2col(x: &[f32], c: usize, h: usize, w: usize, k: usize, col: &mut [f32]) {
+    let pad = k / 2;
+    let hw = h * w;
+    debug_assert_eq!(x.len(), c * hw);
+    debug_assert_eq!(col.len(), c * k * k * hw);
+    for ic in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = &mut col[((ic * k + ky) * k + kx) * hw..][..hw];
+                // Valid output xs: 0 <= ox + kx - pad < w.
+                let ox_lo = pad.saturating_sub(kx);
+                let ox_hi = (w + pad).saturating_sub(kx).min(w);
+                for oy in 0..h {
+                    let dst = &mut row[oy * w..(oy + 1) * w];
+                    let iy = oy + ky;
+                    if iy < pad || iy - pad >= h || ox_lo >= ox_hi {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let iy = iy - pad;
+                    dst[..ox_lo].fill(0.0);
+                    dst[ox_hi..].fill(0.0);
+                    let ix_lo = ox_lo + kx - pad;
+                    let src = &x[ic * hw + iy * w..][ix_lo..ix_lo + (ox_hi - ox_lo)];
+                    dst[ox_lo..ox_hi].copy_from_slice(src);
+                }
+            }
+        }
+    }
 }
 
 /// Inverse of im2col for gradients: scatter-adds the column-matrix

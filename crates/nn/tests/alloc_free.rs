@@ -2,18 +2,20 @@
 //!
 //! Once a thread has run a call of a given shape, repeating it on that
 //! thread performs **zero** heap allocations inside the kernels: the GEMM's
-//! packed panels and `Conv2d`'s padded-input, im2col and gradient-partial
-//! buffers live in reusable per-thread scratch (see `rlnoc_nn::kernels`), so
-//! a warm call only reads and writes memory it already owns. A warm
-//! `Conv2d` pass allocates exactly its returned tensor and, in the forward,
-//! the cached copy of its input. The shapes are the ones the learner's
-//! small network issues on every forward/backward pass.
+//! packed panels and the convolutions' padded-input, padded and transposed
+//! gradient, and gradient-partial buffers live in reusable per-thread
+//! scratch (see `rlnoc_nn::kernels`), so a warm call only reads and writes
+//! memory it already owns. A warm `Conv2d` or `ConvHeads` pass allocates
+//! exactly its returned tensors and, in the forward, the cached copy of
+//! its input; a warm parameters-only backward allocates nothing. The
+//! shapes are the ones the learner's small network issues on every
+//! forward/backward pass.
 //!
 //! The counter is thread-local, so the harness and any sibling threads
 //! cannot pollute the measurement. Every test here pins the matmul to one
 //! thread (the serial path); none sets anything else.
 
-use rlnoc_nn::layers::{Conv2d, Layer, Param};
+use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer, Param};
 use rlnoc_nn::{kernels, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -82,8 +84,14 @@ fn warm_serial_gemm_allocates_nothing() {
 }
 
 /// `(in_c, out_c, k)` of the small network's convolutions: the stem, the
-/// residual pair and the three heads.
+/// residual pair and one head.
 const LEARNER_CONVS: &[(usize, usize, usize)] = &[(1, 8, 3), (8, 8, 3), (8, 2, 3)];
+
+/// The batches the conv audits run: `(side, batch)`. The learner trains on
+/// an episode's states, up to 45 of them. At 8x8 a smaller batch keeps
+/// unoptimised test builds quick; the scratch a pass needs grows with the
+/// batch, so the warm-up call still has to size it.
+const LEARNER_BATCHES: &[(usize, usize)] = &[(16, 45), (64, 4)];
 
 fn wave(shape: &[usize], step: f32) -> Tensor {
     let len = shape.iter().product();
@@ -95,11 +103,7 @@ fn warm_serial_conv_allocates_only_its_tensors() {
     ALLOC_COUNT.with(|c| c.get());
     kernels::set_matmul_threads(1);
 
-    // The learner trains on an episode's states: up to 45 of them. At 8x8
-    // a smaller batch keeps unoptimised test builds quick; the scratch a
-    // pass needs grows with the batch, so the warm-up call still has to
-    // size it.
-    for (side, batch) in [(16usize, 45usize), (64, 4)] {
+    for &(side, batch) in LEARNER_BATCHES {
         for &(in_c, out_c, k) in LEARNER_CONVS {
             let x = wave(&[batch, in_c, side, side], 0.19);
             let grad = wave(&[batch, out_c, side, side], 0.07);
@@ -115,10 +119,44 @@ fn warm_serial_conv_allocates_only_its_tensors() {
             conv.backward(&grad);
             let forward = allocations_during(|| drop(conv.forward(&x, true)));
             let backward = allocations_during(|| drop(conv.backward(&grad)));
+            let params_only = allocations_during(|| conv.backward_params(&grad));
             let what = format!("{in_c}->{out_c} k{k} at {side}x{side}, batch {batch}");
             assert_eq!(forward, output + cache, "warm forward {what}");
             assert_eq!(backward, input_grad, "warm backward {what}");
+            assert_eq!(params_only, 0, "warm parameters-only backward {what}");
         }
+    }
+}
+
+#[test]
+fn warm_serial_head_pass_allocates_only_its_tensors() {
+    ALLOC_COUNT.with(|c| c.get());
+    kernels::set_matmul_threads(1);
+
+    for &(side, batch) in LEARNER_BATCHES {
+        let x = wave(&[batch, 8, side, side], 0.19);
+        let head_shape = [batch, 2, side, side];
+        let grads: Vec<Tensor> = (0..3).map(|g| wave(&head_shape, 0.07 + g as f32)).collect();
+        // What the pass must allocate: the three head outputs and the
+        // `Vec` holding them, the cached input, and the input gradient.
+        let outputs = allocations_during(|| {
+            drop(
+                (0..3)
+                    .map(|_| Tensor::zeros(&head_shape))
+                    .collect::<Vec<_>>(),
+            )
+        });
+        let cache = allocations_during(|| drop(x.clone()));
+        let input_grad = allocations_during(|| drop(Tensor::zeros(x.shape())));
+
+        let mut heads = ConvHeads::new((0..3).map(|g| Conv2d::new(8, 2, 3, g)).collect());
+        heads.forward(&x);
+        heads.backward(&grads);
+        let forward = allocations_during(|| drop(heads.forward(&x)));
+        let backward = allocations_during(|| drop(heads.backward(&grads)));
+        let what = format!("8->3x2 k3 at {side}x{side}, batch {batch}");
+        assert_eq!(forward, outputs + cache, "warm forward {what}");
+        assert_eq!(backward, input_grad, "warm backward {what}");
     }
 }
 

@@ -1,15 +1,23 @@
-//! Bit-identity of `Conv2d` against the im2col oracle.
+//! Bit-identity of `Conv2d` against the im2col oracle, and of `ConvHeads`
+//! against separate `Conv2d`s.
 //!
-//! `Conv2d` runs a direct same-padding forward kernel and an im2col-free
-//! input gradient, with batch items split across the matmul thread budget.
-//! `rlnoc_nn::reference::conv2d_im2col{,_backward}` keep the im2col-plus-GEMM
-//! passes it replaced. Outputs, input gradients and the accumulated weight
-//! and bias gradients must equal theirs bit for bit, for every shape and
-//! thread count, including non-finite values.
+//! `Conv2d` runs direct same-padding kernels for the forward, the weight
+//! gradient and the input gradient, with batch items split across the
+//! matmul thread budget. `rlnoc_nn::reference::conv2d_im2col{,_backward}`
+//! keep the im2col-plus-GEMM passes they replaced. Outputs, input
+//! gradients and the accumulated weight and bias gradients must equal
+//! theirs bit for bit, for every shape and thread count, including
+//! non-finite values. `ConvHeads` stacks several convolutions of one input
+//! into one pass and must equal running them one by one.
 
 use rand::prelude::*;
-use rlnoc_nn::layers::{Conv2d, Layer};
+use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer};
 use rlnoc_nn::{kernels, reference, Tensor};
+use std::sync::Mutex;
+
+/// Held by every test that pins the global matmul thread setting, so no
+/// two of them race it.
+static THREADS: Mutex<()> = Mutex::new(());
 
 fn random(rng: &mut StdRng, shape: &[usize]) -> Tensor {
     let len = shape.iter().product();
@@ -105,10 +113,9 @@ const CASES: &[(usize, usize, usize, usize, usize, usize)] = &[
     (2, 3, 4, 5, 2, 1),
 ];
 
-/// One test function on purpose: it pins the global matmul thread
-/// setting, so no sibling test in this binary may race it.
 #[test]
 fn conv_matches_im2col_oracle_bit_for_bit() {
+    let _pin = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let previous = kernels::matmul_threads();
     let mut rng = StdRng::seed_from_u64(2020);
     for threads in [1, 2, 3] {
@@ -133,6 +140,86 @@ fn conv_matches_im2col_oracle_bit_for_bit() {
                     "batch {n}, {in_c}->{out_c}, k{k}, {h}x{w}, {threads} threads, round {round}"
                 );
                 assert_same_bits(&got, &want, &what);
+            }
+        }
+    }
+    kernels::set_matmul_threads(previous);
+}
+
+/// `(batch, in_c, k, h, w)` of three `in_c → 2` heads: the 4x4 and 8x8
+/// learners' heads (at batch 45 and, to keep unoptimised test builds
+/// quick, 5), a ragged `w`, a reduction deeper than `KC` in the weight
+/// gradient's `kdim`, and an image narrower than the kernel. All but the
+/// last split the batch at 2 and 3 threads.
+const HEAD_CASES: &[(usize, usize, usize, usize, usize)] = &[
+    (45, 8, 3, 16, 16),
+    (5, 8, 3, 64, 64),
+    (3, 4, 5, 7, 9),
+    (2, 32, 3, 10, 10),
+    (2, 3, 5, 2, 1),
+];
+
+/// `ConvHeads` against three separate `Conv2d`s with the same parameters:
+/// every head's output and parameter gradients, and the input gradient
+/// against `(g₀ + g₁) + g₂` of the separate input gradients. One head
+/// weight is NaN, so the order of that sum shows in the NaN lanes too.
+#[test]
+fn heads_match_separate_convs_bit_for_bit() {
+    let _pin = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let previous = kernels::matmul_threads();
+    let mut rng = StdRng::seed_from_u64(2021);
+    for threads in [1, 2, 3] {
+        kernels::set_matmul_threads(threads);
+        for &(n, in_c, k, h, w) in HEAD_CASES {
+            let mut separate: Vec<Conv2d> = (0..3)
+                .map(|g| {
+                    let mut conv = Conv2d::new(in_c, 2, k, 40 + g);
+                    let mut params = conv.params_mut();
+                    params[1].value = random(&mut rng, &[2]);
+                    params[0].grad = random(&mut rng, &[2, in_c, k, k]);
+                    params[1].grad = random(&mut rng, &[2]);
+                    conv
+                })
+                .collect();
+            separate[1].params_mut()[0].value.as_mut_slice()[k * k / 2] = f32::NAN;
+            let mut heads = ConvHeads::new(separate.clone());
+            let x = random(&mut rng, &[n, in_c, h, w]);
+            let grads: Vec<Tensor> = (0..3).map(|_| random(&mut rng, &[n, 2, h, w])).collect();
+            let what = format!("batch {n}, {in_c}->3x2, k{k}, {h}x{w}, {threads} threads");
+            for round in 0..2 {
+                let ys = heads.forward(&x);
+                let gx = heads.backward(&grads);
+                let mut want_gx: Option<Tensor> = None;
+                for (g, conv) in separate.iter_mut().enumerate() {
+                    let y = conv.forward(&x, true);
+                    assert!(
+                        bits(&ys[g]) == bits(&y),
+                        "{what}, round {round}: head {g} output"
+                    );
+                    let gx_g = conv.backward(&grads[g]);
+                    want_gx = Some(match want_gx {
+                        None => gx_g,
+                        Some(sum) => sum.add(&gx_g),
+                    });
+                }
+                let want_gx = want_gx.expect("three heads");
+                assert!(
+                    bits(&gx) == bits(&want_gx),
+                    "{what}, round {round}: input gradient"
+                );
+                assert!(
+                    gx.as_slice().iter().any(|v| v.is_nan()),
+                    "{what}: NaN reaches gx"
+                );
+                for (g, conv) in separate.iter_mut().enumerate() {
+                    let fused = heads.heads_mut()[g].params_mut();
+                    for (p, (a, b)) in fused.iter().zip(conv.params_mut()).enumerate() {
+                        assert!(
+                            bits(&a.grad) == bits(&b.grad),
+                            "{what}, round {round}: head {g} param {p} gradient"
+                        );
+                    }
+                }
             }
         }
     }
@@ -190,6 +277,23 @@ fn non_finite_values_times_zero_are_nan_backward() {
             }
         }
     }
+    // An image narrower than the kernel: every tap but the centre column
+    // reads only padding, and its NaN weight must be skipped there, not
+    // multiplied by a padded zero.
+    let mut conv = Conv2d::new(1, 1, 5, 0);
+    let weight = (0..25)
+        .map(|tap| if tap % 5 == 2 { 1.0 } else { f32::NAN })
+        .collect();
+    conv.params_mut()[0].value = Tensor::from_vec(weight, &[1, 1, 5, 5]).unwrap();
+    let x = Tensor::from_vec(vec![1.0; 3], &[1, 1, 3, 1]).unwrap();
+    let go = Tensor::from_vec(vec![1.0; 3], &[1, 1, 3, 1]).unwrap();
+    let (got, want) = both_passes(&mut conv, &x, &go);
+    assert_same_bits(&got, &want, "image narrower than the kernel");
+    assert!(
+        got.gx.as_slice().iter().all(|g| g.is_finite()),
+        "gx {:?}",
+        got.gx
+    );
     // An infinite upstream gradient times zero padding is NaN in the
     // weight gradient: every tap but the centre reads padding somewhere.
     let mut conv = Conv2d::new(1, 1, 3, 0);

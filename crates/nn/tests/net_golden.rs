@@ -1,0 +1,105 @@
+//! Net-level golden pin for `PolicyValueNet` training passes.
+//!
+//! `conv_oracle.rs` pins one `Conv2d` at a time; this pins what the whole
+//! network computes. Two training rounds (forward, backward, one Adam
+//! step) are folded into an FNV-1a digest of every output, every
+//! accumulated parameter gradient (`grad_snapshot`) and the batch-norm
+//! running statistics (`norm_snapshot`). The digests were recorded from
+//! the network whose convolutions formed the weight gradient through an
+//! im2col matrix and ran the three head convolutions as three separate
+//! layers; any rewrite of the network or its kernels must reproduce them
+//! bit for bit, at every matmul thread count.
+
+use rlnoc_nn::net::PolicyValueGrad;
+use rlnoc_nn::optim::Adam;
+use rlnoc_nn::{kernels, PolicyValueConfig, PolicyValueNet, Tensor};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fold(hash: u64, values: &[f32]) -> u64 {
+    values.iter().fold(hash, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    })
+}
+
+fn wave(shape: &[usize], step: f32, phase: f32) -> Tensor {
+    let len = shape.iter().product();
+    Tensor::from_vec(
+        (0..len).map(|v| (v as f32 * step + phase).sin()).collect(),
+        shape,
+    )
+    .unwrap()
+}
+
+/// Digest of two training rounds of a freshly seeded network on `batch`
+/// states.
+fn training_digest(config: PolicyValueConfig, batch: usize) -> u64 {
+    let (n, side) = (config.n, config.input_side);
+    let mut net = PolicyValueNet::new(config, 17);
+    let mut opt = Adam::new(1e-3);
+    let mut hash = FNV_OFFSET;
+    for round in 0..2 {
+        let phase = round as f32;
+        let x = wave(&[batch, 1, side, side], 0.37, phase);
+        let out = net.forward(&x, true);
+        hash = fold(hash, out.coord_logits.as_slice());
+        hash = fold(hash, out.dir.as_slice());
+        hash = fold(hash, out.value.as_slice());
+        net.backward(&PolicyValueGrad {
+            coord_logits: wave(&[batch, 4, n], 0.11, phase),
+            dir: wave(&[batch, 1], 0.7, phase),
+            value: wave(&[batch, 1], 0.3, phase),
+        });
+        for g in net.grad_snapshot() {
+            hash = fold(hash, g.as_slice());
+        }
+        hash = fold(hash, &net.norm_snapshot());
+        opt.step(&mut net.params_mut());
+    }
+    hash
+}
+
+/// `(network, n, batch, digest)`. Batch 45 is the longest episode the
+/// learner trains on at once; paper(4) covers the four-stage trunk with
+/// poolings and `in_c` up to 128.
+const CASES: &[(&str, usize, usize, u64)] = &[
+    ("small", 4, 1, 0x40a0_4746_5afc_85bc),
+    ("small", 4, 45, 0xf992_b209_14df_b78c),
+    ("small", 8, 1, 0x734e_c3f7_4a91_ec89),
+    ("small", 8, 45, 0x444d_cc38_ce46_e065),
+    ("paper", 4, 1, 0x7212_c313_1999_a237),
+    ("paper", 4, 45, 0xa271_9800_e80b_65fd),
+];
+
+/// One test function on purpose: it pins the global matmul thread
+/// setting, so no sibling test in this binary may race it.
+#[test]
+fn training_rounds_match_golden_digests() {
+    let previous = kernels::matmul_threads();
+    let mut failures = Vec::new();
+    for threads in [1, 2, 3] {
+        kernels::set_matmul_threads(threads);
+        for &(name, n, batch, want) in CASES {
+            let config = match name {
+                "small" => PolicyValueConfig::small(n),
+                _ => PolicyValueConfig::paper(n),
+            };
+            let got = training_digest(config, batch);
+            if got != want {
+                failures.push(format!(
+                    "{name}({n}), batch {batch}, {threads} threads: {got:#018x} (want {want:#018x})"
+                ));
+            }
+        }
+    }
+    kernels::set_matmul_threads(previous);
+    assert!(
+        failures.is_empty(),
+        "digests differ:\n{}",
+        failures.join("\n")
+    );
+}
