@@ -1,8 +1,8 @@
 //! Checkpoint/resume for long exploration runs.
 //!
 //! A checkpoint captures the *learned* state of a run — the parent
-//! network's parameters and generation, the optimizer and norm-sentinel
-//! state, the number of cycles completed, and the best design found so far.
+//! network's parameters and generation, the optimizer state, the number of
+//! cycles completed, and the best design found so far.
 //! The search tree and evaluation cache are not captured: every
 //! checkpointed batch starts with fresh ones, so a resume needs neither.
 //!
@@ -22,7 +22,8 @@
 //! into place, and best-effort-syncs the parent directory — so at every
 //! instant there is at least one intact generation on disk, and
 //! [`ExploreCheckpoint::load_with_recovery`] falls back to `.prev` when
-//! the primary is torn. Plain-JSON v1 checkpoints (pre-CRC) still load.
+//! the primary is torn. A file without the header is
+//! [`CheckpointError::Corrupt`].
 //!
 //! Consumer: [`crate::parallel::explore_parallel_checkpointed`], whose
 //! resume replays the uninterrupted run exactly (use one thread for a
@@ -30,7 +31,6 @@
 
 use crate::explorer::DesignResult;
 use crate::policy::PolicyAgent;
-use crate::resilience::NormSentinel;
 use rlnoc_nn::Tensor;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::io::Write;
@@ -49,7 +49,7 @@ const FOOTER_LEN: usize = 16;
 pub enum CheckpointError {
     /// Filesystem failure reading or writing the checkpoint file.
     Io(std::io::Error),
-    /// The payload (or a legacy v1 file) does not parse as a checkpoint.
+    /// The payload does not parse as a checkpoint.
     Format(serde_json::Error),
     /// The file ends before the length declared in its header: a torn
     /// write. `.prev` recovery applies.
@@ -59,8 +59,8 @@ pub enum CheckpointError {
         /// Bytes actually present.
         found: usize,
     },
-    /// The file is complete but its bytes fail validation (CRC mismatch,
-    /// mangled header/footer, non-UTF-8 payload). `.prev` recovery
+    /// The file is complete but its bytes fail validation (no header, CRC
+    /// mismatch, mangled header/footer, non-UTF-8 payload). `.prev` recovery
     /// applies. The detail names what failed, including both CRC values on
     /// a checksum mismatch.
     Corrupt {
@@ -180,15 +180,16 @@ impl CheckpointConfig {
     }
 }
 
-/// Optimizer and anomaly-sentinel state saved alongside the parameters.
+/// Optimizer state saved alongside the parameters.
 ///
 /// Adam's moment estimates are not parameters, so a checkpoint holding
 /// only [`ExploreCheckpoint::params`] restores the *weights* but restarts
 /// bias correction from step zero — every post-resume update then differs
 /// from the uninterrupted run's. Capturing this state is what makes
 /// resume-after-crash bit-identical to never crashing (asserted by
-/// `tests/chaos.rs`). Absent from a checkpoint (legacy v1 files and early
-/// v2 saves), resume falls back to the old fresh-optimizer behavior.
+/// `tests/chaos.rs`). Absent from a checkpoint (early v2 saves), resume
+/// falls back to the old fresh-optimizer behavior. Fields that older saves
+/// carried beyond these (the retired gradient-norm EWMA) are ignored.
 #[derive(Debug, Clone)]
 pub struct LearnerState {
     /// Adam step count.
@@ -197,33 +198,22 @@ pub struct LearnerState {
     pub adam_m: Vec<Tensor>,
     /// Adam second-moment estimates, one per parameter tensor.
     pub adam_v: Vec<Tensor>,
-    /// Gradient-norm sentinel EWMA (see [`NormSentinel`]).
-    pub sentinel_ewma: f64,
-    /// Accepted steps the sentinel has observed.
-    pub sentinel_observed: u64,
 }
 
 impl LearnerState {
-    /// Captures the agent's optimizer and sentinel state for saving.
+    /// Captures the agent's optimizer state for saving.
     pub fn capture(agent: &PolicyAgent) -> Self {
-        let (adam_t, adam_m, adam_v, sentinel) = agent.optimizer_snapshot();
+        let (adam_t, adam_m, adam_v) = agent.optimizer_snapshot();
         LearnerState {
             adam_t,
             adam_m,
             adam_v,
-            sentinel_ewma: sentinel.ewma(),
-            sentinel_observed: sentinel.observed(),
         }
     }
 
     /// Restores the captured state into a resumed agent.
     pub fn restore_into(&self, agent: &mut PolicyAgent) {
-        agent.restore_optimizer(
-            self.adam_t,
-            self.adam_m.clone(),
-            self.adam_v.clone(),
-            NormSentinel::from_parts(self.sentinel_ewma, self.sentinel_observed),
-        );
+        agent.restore_optimizer(self.adam_t, self.adam_m.clone(), self.adam_v.clone());
     }
 }
 
@@ -233,14 +223,6 @@ impl Serialize for LearnerState {
             (String::from("adam_t"), self.adam_t.serialize()),
             (String::from("adam_m"), self.adam_m.serialize()),
             (String::from("adam_v"), self.adam_v.serialize()),
-            (
-                String::from("sentinel_ewma"),
-                self.sentinel_ewma.serialize(),
-            ),
-            (
-                String::from("sentinel_observed"),
-                self.sentinel_observed.serialize(),
-            ),
         ])
     }
 }
@@ -256,8 +238,6 @@ impl Deserialize for LearnerState {
             adam_t: u64::deserialize(field("adam_t")?)?,
             adam_m: Vec::deserialize(field("adam_m")?)?,
             adam_v: Vec::deserialize(field("adam_v")?)?,
-            sentinel_ewma: f64::deserialize(field("sentinel_ewma")?)?,
-            sentinel_observed: u64::deserialize(field("sentinel_observed")?)?,
         })
     }
 }
@@ -273,7 +253,7 @@ pub struct ExploreCheckpoint<E> {
     pub param_generation: u64,
     /// Snapshot of the (parent) network parameters.
     pub params: Vec<rlnoc_nn::Tensor>,
-    /// Optimizer + sentinel state matching [`ExploreCheckpoint::params`].
+    /// Optimizer state matching [`ExploreCheckpoint::params`].
     /// `None` in legacy checkpoints, where resume restarts the optimizer.
     pub learner: Option<LearnerState>,
     /// Best successful design found so far, across all runs.
@@ -360,8 +340,7 @@ impl<E: Serialize + Deserialize> ExploreCheckpoint<E> {
     /// Reads and validates a checkpoint, distinguishing
     /// [`CheckpointError::Truncated`] (file shorter than its header
     /// declares), [`CheckpointError::Corrupt`] (CRC or framing damage),
-    /// and [`CheckpointError::VersionMismatch`]. Files without the v2
-    /// magic are tried as legacy plain-JSON v1 checkpoints.
+    /// and [`CheckpointError::VersionMismatch`].
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let bytes = std::fs::read(path)?;
         Self::decode(&bytes)
@@ -372,11 +351,9 @@ impl<E: Serialize + Deserialize> ExploreCheckpoint<E> {
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let magic_prefix = format!("{MAGIC} ");
         if !bytes.starts_with(magic_prefix.as_bytes()) {
-            // Legacy v1: the whole file is bare JSON.
-            let text = std::str::from_utf8(bytes).map_err(|_| CheckpointError::Corrupt {
-                detail: "file is neither a framed checkpoint nor UTF-8 JSON".into(),
-            })?;
-            return Ok(serde_json::from_str(text)?);
+            return Err(CheckpointError::Corrupt {
+                detail: format!("missing `{MAGIC}` header"),
+            });
         }
         let header_end =
             bytes
@@ -489,8 +466,6 @@ mod tests {
                 adam_t: cycles_done as u64,
                 adam_m: vec![Tensor::full(&[2, 3], 0.125)],
                 adam_v: vec![Tensor::full(&[2, 3], 0.25)],
-                sentinel_ewma: 1.5,
-                sentinel_observed: cycles_done as u64,
             }),
             best: Some(DesignResult {
                 env,
@@ -522,8 +497,6 @@ mod tests {
         assert_eq!(learner.adam_t, 7);
         assert_eq!(learner.adam_m, cp.learner.as_ref().unwrap().adam_m);
         assert_eq!(learner.adam_v, cp.learner.as_ref().unwrap().adam_v);
-        assert_eq!(learner.sentinel_ewma, 1.5);
-        assert_eq!(learner.sentinel_observed, 7);
         let best = back.best.unwrap();
         assert_eq!(best.final_return, -1.25);
         assert_eq!(best.cycle, 3);
@@ -544,14 +517,17 @@ mod tests {
         let path = scratch("garbage");
         std::fs::write(&path, b"not json {").unwrap();
         let err = ExploreCheckpoint::<RouterlessEnv>::load(&path).unwrap_err();
-        assert!(matches!(err, CheckpointError::Format(_)));
+        assert!(
+            matches!(err, CheckpointError::Corrupt { .. }),
+            "got {err:?}"
+        );
         cleanup(&path);
     }
 
     #[test]
     fn missing_learner_field_deserializes_as_none() {
-        // Legacy payloads (v1 files and early v2 saves) predate the
-        // learner field; they must load with `learner: None`, not error.
+        // Early v2 payloads predate the learner field; they must load with
+        // `learner: None`, not error.
         let stripped = match sample(5).serialize() {
             Value::Object(fields) => {
                 Value::Object(fields.into_iter().filter(|(k, _)| k != "learner").collect())
@@ -564,15 +540,31 @@ mod tests {
             back.learner.is_none(),
             "absent field resumes optimizer-fresh"
         );
+
+        // Later payloads carried the retired gradient-norm EWMA in the
+        // learner state; the extra fields are ignored.
+        let mut learner = sample(5).learner.unwrap().serialize();
+        if let Value::Object(fields) = &mut learner {
+            fields.push(("sentinel_ewma".into(), 1.5f64.serialize()));
+            fields.push(("sentinel_observed".into(), 5u64.serialize()));
+        }
+        let back = LearnerState::deserialize(&learner).unwrap();
+        assert_eq!(back.adam_t, 5);
+        assert_eq!(back.adam_m, vec![Tensor::full(&[2, 3], 0.125)]);
     }
 
     #[test]
-    fn legacy_plain_json_still_loads() {
+    fn legacy_plain_json_is_corrupt() {
+        // Bare-JSON v1 files predate the framed format and are no longer
+        // read: they fail as corrupt, so `.prev` recovery applies.
         let path = scratch("legacy");
         let json = serde_json::to_string(&sample(5)).unwrap();
         std::fs::write(&path, json).unwrap();
-        let back = ExploreCheckpoint::<RouterlessEnv>::load(&path).unwrap();
-        assert_eq!(back.cycles_done, 5);
+        let err = ExploreCheckpoint::<RouterlessEnv>::load(&path).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Corrupt { .. }),
+            "got {err:?}"
+        );
         cleanup(&path);
     }
 

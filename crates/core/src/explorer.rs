@@ -5,7 +5,6 @@ use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
 use crate::env::Environment;
 use crate::mcts::{Mcts, MctsConfig};
 use crate::policy::{Episode, Evaluation, PolicyAgent, Step, TrainConfig, TrainStats};
-use crate::resilience::ResilienceConfig;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rlnoc_nn::PolicyValueConfig;
@@ -54,11 +53,10 @@ pub struct ExplorerConfig {
     /// disabled sink compiles the probes down to a branch — exploration
     /// results are bit-identical either way.
     pub telemetry: TelemetrySink,
-    /// Training-run resilience policy (anomaly detection/rollback, plus the
-    /// chaos injector for tests), honored by the [`crate::parallel`]
-    /// drivers. Detection is read-only, so zero-anomaly runs are
-    /// bit-identical with the layer on or off.
-    pub resilience: ResilienceConfig,
+    /// Deterministic fault injector for chaos tests, honored by the
+    /// [`crate::parallel`] drivers; `None` (the default) costs one branch
+    /// per hook site.
+    pub chaos: Option<crate::chaos::ChaosInjector>,
 }
 
 impl ExplorerConfig {
@@ -76,7 +74,7 @@ impl ExplorerConfig {
             net: None,
             eval_cache_capacity: 4096,
             telemetry: TelemetrySink::disabled(),
-            resilience: ResilienceConfig::default(),
+            chaos: None,
         }
     }
 }

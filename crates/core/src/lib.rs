@@ -48,7 +48,6 @@ pub mod mcts;
 pub mod parallel;
 pub mod policy;
 pub mod replay;
-pub mod resilience;
 pub mod rollout;
 pub mod routerless;
 
@@ -59,9 +58,8 @@ pub use env::Environment;
 pub use explorer::{DesignResult, ExploreReport, Explorer, ExplorerConfig};
 pub use mcts::{Mcts, MctsConfig};
 pub use parallel::{
-    explore_parallel, explore_parallel_checkpointed, explore_parallel_supervised, ExploreError,
-    SupervisedReport, SupervisionConfig, SupervisionReport,
+    explore_parallel, explore_parallel_checkpointed, explore_parallel_supervised, AnomalyKind,
+    AnomalyReport, ExploreError, SupervisedReport, SupervisionConfig, SupervisionReport,
 };
 pub use policy::{Episode, PolicyAgent, Step, TrainConfig};
-pub use resilience::{AnomalyKind, AnomalyPolicy, AnomalyReport, ResilienceConfig};
 pub use routerless::{DesignConstraints, LoopAction, RouterlessEnv};

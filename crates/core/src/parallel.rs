@@ -17,10 +17,13 @@
 //! respawned in place (up to [`SupervisionConfig::max_respawns_per_worker`]
 //! times), the cycle it was running is requeued, and exhausted workers
 //! surface as [`ExploreError::WorkersExhausted`] carrying the partial
-//! results. [`explore_parallel`] is the panicking convenience wrapper;
-//! [`explore_parallel_checkpointed`] additionally snapshots the parent
-//! network and best design to disk so a killed run replays exactly where it
-//! left off.
+//! results. A non-finite loss, gradient or gradient norm is caught before
+//! the parent step commits anything; the first one stops the run with
+//! [`ExploreError::Numerical`] (a retry would replay the same inputs and
+//! meet the same fault). [`explore_parallel`] is the panicking convenience
+//! wrapper; [`explore_parallel_checkpointed`] additionally snapshots the
+//! parent network and best design to disk so a killed run replays exactly
+//! where it left off.
 
 use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
 use crate::chaos::ChaosInjector;
@@ -29,7 +32,6 @@ use crate::env::Environment;
 use crate::explorer::{new_agent, DesignResult, ExploreReport, ExplorerConfig, TreeHandle};
 use crate::mcts::Mcts;
 use crate::policy::{Evaluation, PolicyAgent, TrainStats};
-use crate::resilience::{first_non_finite, AnomalyKind, AnomalyPolicy, AnomalyReport};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,17 +153,6 @@ pub struct SupervisionReport {
     pub respawns: u64,
     /// Workers that exhausted their respawn budget and were written off.
     pub workers_lost: usize,
-    /// Numerical anomalies detected (each one is a discarded update and a
-    /// retried cycle; per-kind breakdown in [`SupervisedReport`]'s log and
-    /// the `anomaly.*` telemetry counters).
-    pub anomalies: u64,
-    /// Anomalies whose handling rolled the parent parameters back to the
-    /// pre-step snapshot (post-step NaN/Inf detections).
-    pub rollbacks: u64,
-    /// Workers quarantined after exceeding
-    /// [`crate::resilience::AnomalyPolicy::max_retries`] consecutive
-    /// anomalies.
-    pub quarantined: usize,
 }
 
 /// A supervised exploration outcome: the merged report plus what the
@@ -170,13 +161,86 @@ pub struct SupervisionReport {
 pub struct SupervisedReport<E> {
     /// The merged exploration report (cycles run in *this* process).
     pub report: ExploreReport<E>,
-    /// Panic/respawn/anomaly accounting.
+    /// Panic/respawn accounting.
     pub supervision: SupervisionReport,
     /// Cycles already completed by a previous run when resuming from a
     /// checkpoint (0 unless [`explore_parallel_checkpointed`] resumed).
     pub resumed_from: usize,
-    /// Every numerical anomaly detected and survived, in detection order.
-    pub anomaly_log: Vec<AnomalyReport>,
+}
+
+/// A non-finite value caught in a worker's update before the parent step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AnomalyKind {
+    /// The episode's policy or value loss came back NaN/Inf.
+    NonFiniteLoss {
+        /// Mean policy loss of the poisoned episode.
+        policy_loss: f32,
+        /// Mean value loss of the poisoned episode.
+        value_loss: f32,
+    },
+    /// A gradient tensor contained a NaN/Inf.
+    NonFiniteGrad {
+        /// Index of the first offending tensor in the parameter list.
+        tensor: usize,
+    },
+    /// The global gradient norm was NaN/Inf (the sum of squares overflowed
+    /// though no single element was non-finite).
+    NonFiniteGradNorm {
+        /// The computed pre-clip norm.
+        norm: f32,
+    },
+}
+
+impl AnomalyKind {
+    /// The telemetry counter this anomaly increments.
+    pub fn counter(&self) -> &'static str {
+        match self {
+            AnomalyKind::NonFiniteLoss { .. } => "anomaly.nonfinite_loss",
+            AnomalyKind::NonFiniteGrad { .. } => "anomaly.nonfinite_grad",
+            AnomalyKind::NonFiniteGradNorm { .. } => "anomaly.nonfinite_grad_norm",
+        }
+    }
+}
+
+impl std::fmt::Display for AnomalyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AnomalyKind::NonFiniteLoss {
+                policy_loss,
+                value_loss,
+            } => write!(
+                f,
+                "non-finite loss (policy {policy_loss}, value {value_loss})"
+            ),
+            AnomalyKind::NonFiniteGrad { tensor } => {
+                write!(f, "non-finite gradient in tensor {tensor}")
+            }
+            AnomalyKind::NonFiniteGradNorm { norm } => {
+                write!(f, "non-finite global gradient norm ({norm})")
+            }
+        }
+    }
+}
+
+/// The anomaly that stopped a run, located in it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AnomalyReport {
+    /// What was detected.
+    pub kind: AnomalyKind,
+    /// The worker whose update tripped the check.
+    pub worker: usize,
+    /// The global cycle index whose update was discarded.
+    pub cycle: usize,
+}
+
+impl std::fmt::Display for AnomalyReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "worker {} cycle {}: {}",
+            self.worker, self.cycle, self.kind
+        )
+    }
 }
 
 /// Typed failure modes of the supervised exploration drivers.
@@ -195,14 +259,13 @@ pub enum ExploreError<E> {
     /// Saving or loading a checkpoint failed
     /// (only from [`explore_parallel_checkpointed`]).
     Checkpoint(CheckpointError),
-    /// A persistent numerical anomaly survived every rollback/retry and
-    /// quarantined enough workers that the run could not finish. The
-    /// partial results (all of them produced by *accepted* updates) are
-    /// preserved.
+    /// A worker's update held a non-finite value. It was caught before the
+    /// parent step, the pool stopped claiming cycles, and the partial
+    /// results (all of them produced by clean updates) are preserved.
     Numerical {
-        /// The anomaly that quarantined the last worker.
+        /// The first anomaly detected.
         report: AnomalyReport,
-        /// Everything that completed before the pool was quarantined.
+        /// Everything that completed before the pool stopped.
         partial: Box<SupervisedReport<E>>,
         /// The cycle count originally requested.
         requested: usize,
@@ -226,12 +289,8 @@ impl<E> std::fmt::Display for ExploreError<E> {
                 requested,
             } => write!(
                 f,
-                "persistent numerical anomaly after {} of {} cycles ({} anomalies, \
-                 {} workers quarantined): {report}",
-                partial.report.cycles_run,
-                requested,
-                partial.supervision.anomalies,
-                partial.supervision.quarantined
+                "numerical anomaly after {} of {} cycles: {report}",
+                partial.report.cycles_run, requested
             ),
         }
     }
@@ -268,7 +327,7 @@ fn worker_recorder(config: &ExplorerConfig, t: usize) -> Recorder {
 }
 
 /// Publishes the parent-side end-of-run summary (cache totals, tree size,
-/// edge-visit distribution, parameter generation, and panic/respawn/anomaly
+/// edge-visit distribution, parameter generation, and panic/respawn
 /// accounting). No-op with telemetry disabled.
 fn publish_run_summary<A>(
     config: &ExplorerConfig,
@@ -293,23 +352,14 @@ fn publish_run_summary<A>(
     rec.incr("worker.panics", s.panics);
     rec.incr("worker.respawns", s.respawns);
     rec.incr("worker.lost", s.workers_lost as u64);
-    rec.incr("anomaly.total", s.anomalies);
-    rec.incr("anomaly.rollbacks", s.rollbacks);
-    rec.incr("worker.quarantined", s.quarantined as u64);
 }
 
 /// One complete worker cycle: pull parameters, run an episode against the
 /// shared tree, push gradients, warm the cache, record the result.
 ///
-/// The cycle is *transactional* with respect to numerical anomalies: the
-/// episode runs, its gradients are validated, and the parent optimizer
-/// step is guarded — all **before** the tree backup and result push. On
-/// `Err` nothing observable has committed except tree expansions and
-/// cache stores (both re-derived bit-identically by a retry under the same
-/// parameters) and the local replica's batch-norm running statistics; a
-/// caller that restores its RNG *and* the local net's norm snapshot and
-/// retries reproduces the clean run exactly. With `policy.enabled` false
-/// and no injector this is the historical unguarded cycle.
+/// The loss, the gradients and the global gradient norm are checked for
+/// NaN/Inf before the parent step, so on `Err` the parent is untouched and
+/// neither the tree backup nor the result push has happened.
 #[allow(clippy::too_many_arguments)]
 fn run_worker_cycle<E: Environment>(
     env: &mut E,
@@ -323,7 +373,6 @@ fn run_worker_cycle<E: Environment>(
     results: &Mutex<Vec<DesignResult<E>>>,
     stats_log: &Mutex<Vec<TrainStats>>,
     rec: &mut Recorder,
-    policy: &AnomalyPolicy,
     chaos: Option<&ChaosInjector>,
 ) -> Result<(), AnomalyKind> {
     let timer = rec.timer();
@@ -346,37 +395,21 @@ fn run_worker_cycle<E: Environment>(
     if let Some(injector) = chaos {
         injector.corrupt_grads(cycle, &mut grads);
     }
-    if policy.enabled {
-        if !stats.policy_loss.is_finite() || !stats.value_loss.is_finite() {
-            return Err(AnomalyKind::NonFiniteLoss {
-                policy_loss: stats.policy_loss,
-                value_loss: stats.value_loss,
-            });
-        }
-        if let Some(tensor) = first_non_finite(&grads) {
-            return Err(AnomalyKind::NonFiniteGrad { tensor });
-        }
+    if !stats.policy_loss.is_finite() || !stats.value_loss.is_finite() {
+        return Err(AnomalyKind::NonFiniteLoss {
+            policy_loss: stats.policy_loss,
+            value_loss: stats.value_loss,
+        });
+    }
+    if let Some(tensor) = grads.iter().position(|g| !g.all_finite()) {
+        return Err(AnomalyKind::NonFiniteGrad { tensor });
     }
     let stepped = {
         let mut p = parent.lock();
-        let pre_step = if policy.enabled {
-            Some(p.capture_step_state())
-        } else {
-            None
-        };
         p.net_mut().accumulate_grads(&grads);
-        stats.grad_norm = p.step_optimizer_guarded(policy)?;
-        if let Some(injector) = chaos {
-            if injector.take_param_corruption(cycle) {
-                p.net_mut().params_mut()[0].value.as_mut_slice()[0] = f32::NAN;
-            }
-        }
-        if let Some(pre_step) = &pre_step {
-            if let Some(tensor) = p.first_non_finite_param() {
-                p.restore_step_state(pre_step);
-                return Err(AnomalyKind::NonFiniteParam { tensor });
-            }
-        }
+        stats.grad_norm = p
+            .try_step_optimizer()
+            .map_err(|norm| AnomalyKind::NonFiniteGradNorm { norm })?;
         if config.eval_cache_capacity > 0 {
             Some((p.net_mut().param_snapshot(), p.param_generation()))
         } else {
@@ -384,10 +417,10 @@ fn run_worker_cycle<E: Environment>(
         }
     };
     // Commit point: the parent accepted the update, so the episode's tree
-    // statistics become visible. (Backup after the step keeps aborted
-    // cycles free of observable side effects; at one thread the ordering
-    // relative to the step is indistinguishable, and across threads the
-    // interleaving was never deterministic.)
+    // statistics become visible. (Backup after the step keeps a stopped
+    // cycle out of the tree; at one thread the ordering relative to the
+    // step is indistinguishable, and across threads the interleaving was
+    // never deterministic.)
     tree.backup(&path, &returns);
     // Warm the shared cache under the new parameters: one batched forward
     // over this episode's visited states, so the next cycle's root
@@ -436,7 +469,8 @@ fn run_worker_cycle<E: Environment>(
 /// # Panics
 ///
 /// Panics with the [`ExploreError`]'s message if `threads` is zero or the
-/// run fails (every worker exhausted its respawn budget or was quarantined).
+/// run fails: every worker exhausted its respawn budget, or an update held
+/// a non-finite loss, gradient or gradient norm.
 pub fn explore_parallel<E>(
     env: &E,
     config: &ExplorerConfig,
@@ -463,7 +497,8 @@ where
 /// On success the [`SupervisedReport`] carries the merged exploration
 /// report plus panic/respawn accounting. If every worker dies permanently
 /// before the requested cycles complete, the partial results are returned
-/// inside [`ExploreError::WorkersExhausted`].
+/// inside [`ExploreError::WorkersExhausted`]; if an update holds a NaN/Inf,
+/// inside [`ExploreError::Numerical`].
 ///
 /// # Caveats
 ///
@@ -568,7 +603,6 @@ where
         },
         supervision: SupervisionReport::default(),
         resumed_from,
-        anomaly_log: Vec::new(),
     };
     while done < total_cycles {
         let batch = every.min(total_cycles - done);
@@ -656,14 +690,10 @@ impl<E> SupervisedReport<E> {
         report.train_history.append(&mut batch.report.train_history);
         report.cycles_run = report.designs.len();
         report.cache_stats.merge(batch.report.cache_stats);
-        self.anomaly_log.append(&mut batch.anomaly_log);
         let (total, b) = (&mut self.supervision, batch.supervision);
         total.panics += b.panics;
         total.respawns += b.respawns;
         total.workers_lost += b.workers_lost;
-        total.anomalies += b.anomalies;
-        total.rollbacks += b.rollbacks;
-        total.quarantined += b.quarantined;
     }
 }
 
@@ -673,19 +703,15 @@ impl<E> SupervisedReport<E> {
 /// `cycle_offset + local_cycle` so multi-batch callers
 /// ([`explore_parallel_checkpointed`]) report global indices.
 ///
-/// # Resilience mechanics
+/// # Supervision mechanics
 ///
-/// Per worker and cycle: the worker's RNG is cloned before each attempt;
-/// a rejected update (see [`run_worker_cycle`]) restores the clone, backs
-/// off exponentially, and retries — so a transient anomaly's recovery is
-/// bit-identical to the never-faulted run. A worker whose *consecutive*
-/// anomaly count exceeds [`crate::resilience::AnomalyPolicy::max_retries`]
-/// is quarantined: its cycle is requeued for surviving workers and the
-/// run ends in [`ExploreError::Numerical`] if nobody else can finish.
-/// Worker panics take the same escrow: the RNG clone survives outside
-/// `catch_unwind`, so the respawned incarnation resumes the exact stream
-/// (falling back to the respawn-salted stream only if the escrow is
-/// somehow empty).
+/// A worker panic is caught, the cycle it had claimed is requeued, and the
+/// worker is respawned in place. Its RNG and batch-norm statistics are
+/// escrowed outside `catch_unwind` at every cycle boundary, so the
+/// respawned incarnation resumes the exact stream (falling back to the
+/// respawn-salted stream only if the escrow is somehow empty). The first
+/// numerical anomaly (see [`run_worker_cycle`]) is recorded, no worker
+/// claims another cycle, and the batch ends in [`ExploreError::Numerical`].
 #[allow(clippy::too_many_arguments)]
 fn explore_supervised_inner<E>(
     env: &E,
@@ -709,16 +735,13 @@ where
     let results: Mutex<Vec<DesignResult<E>>> = Mutex::new(Vec::new());
     let stats_log: Mutex<Vec<TrainStats>> = Mutex::new(Vec::new());
     let cycle_counter = Mutex::new(0usize);
-    // Cycles reclaimed from panicked or quarantined workers, served before
-    // fresh ones.
+    // Cycles reclaimed from panicked workers, served before fresh ones.
     let lost: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let anomaly_log: Mutex<Vec<AnomalyReport>> = Mutex::new(Vec::new());
+    // The first numerical anomaly; once set, no worker claims a cycle.
+    let fatal: Mutex<Option<AnomalyReport>> = Mutex::new(None);
     let panics = AtomicU64::new(0);
     let respawns = AtomicU64::new(0);
     let workers_lost = AtomicUsize::new(0);
-    let anomalies = AtomicU64::new(0);
-    let rollbacks = AtomicU64::new(0);
-    let quarantined = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
@@ -729,17 +752,17 @@ where
                 let stats_log = &stats_log;
                 let cycle_counter = &cycle_counter;
                 let lost = &lost;
-                let anomaly_log = &anomaly_log;
+                let fatal = &fatal;
                 let panics = &panics;
                 let respawns = &respawns;
                 let workers_lost = &workers_lost;
-                let anomalies = &anomalies;
-                let rollbacks = &rollbacks;
-                let quarantined = &quarantined;
                 let proto = env.clone();
                 let config = config.clone();
                 scope.spawn(move || {
                     let claim = || -> Option<usize> {
+                        if fatal.lock().is_some() {
+                            return None;
+                        }
                         if let Some(c) = lost.lock().pop() {
                             return Some(c);
                         }
@@ -752,8 +775,7 @@ where
                         Some(mine)
                     };
                     // In-flight cycle of the current incarnation, visible
-                    // to the supervisor below so a panic or quarantine can
-                    // requeue it.
+                    // to the supervisor below so a panic can requeue it.
                     let in_flight: Cell<Option<usize>> = Cell::new(None);
                     // Escrow: the worker RNG plus the local replica's
                     // batch-norm running statistics, updated at every cycle
@@ -764,8 +786,7 @@ where
                     // without the escrow a respawned replica would evaluate
                     // states slightly differently.)
                     let escrow: Cell<Option<(StdRng, Vec<f32>)>> = Cell::new(None);
-                    let policy = config.resilience.anomaly;
-                    let chaos = config.resilience.chaos.clone();
+                    let chaos = config.chaos.clone();
                     let mut incarnation = 0usize;
                     let mut rec = worker_recorder(&config, t);
                     loop {
@@ -780,102 +801,54 @@ where
                             }
                             None => worker_rng(seed, t, threads, incarnation),
                         };
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> bool {
-                            let mut consecutive = 0usize;
+                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                             while let Some(cycle) = claim() {
                                 in_flight.set(Some(cycle));
                                 escrow.set(Some((rng.clone(), local.net_mut().norm_snapshot())));
                                 if let Some(injector) = &chaos {
                                     injector.on_cycle_start(cycle_offset + cycle);
                                 }
-                                loop {
-                                    // Transactional attempt state: worker
-                                    // RNG and the local replica's batch-norm
-                                    // running statistics (which the training
-                                    // forward advances even when the update
-                                    // is later rejected).
-                                    let attempt_rng = rng.clone();
-                                    let attempt_norm =
-                                        policy.enabled.then(|| local.net_mut().norm_snapshot());
-                                    let attempt = run_worker_cycle(
-                                        &mut env,
-                                        &mut local,
-                                        &mut tree,
-                                        &mut cache,
-                                        parent,
-                                        &config,
-                                        &mut rng,
-                                        cycle_offset + cycle,
-                                        results,
-                                        stats_log,
-                                        &mut rec,
-                                        &policy,
-                                        chaos.as_ref(),
-                                    );
-                                    match attempt {
-                                        Ok(()) => {
-                                            consecutive = 0;
-                                            break;
-                                        }
-                                        Err(kind) => {
-                                            // Rewind the stream and forward
-                                            // state so the retry replays the
-                                            // clean cycle bit-identically.
-                                            rng = attempt_rng;
-                                            if let Some(norm) = &attempt_norm {
-                                                local.net_mut().load_norm_snapshot(norm);
-                                            }
-                                            consecutive += 1;
-                                            anomalies.fetch_add(1, Ordering::Relaxed);
-                                            if kind.rolled_back() {
-                                                rollbacks.fetch_add(1, Ordering::Relaxed);
-                                            }
-                                            rec.incr(kind.counter(), 1);
-                                            anomaly_log.lock().push(AnomalyReport {
-                                                kind,
-                                                worker: t,
-                                                cycle: cycle_offset + cycle,
-                                                consecutive,
-                                            });
-                                            if consecutive > policy.max_retries {
-                                                return false; // quarantine
-                                            }
-                                            let backoff = policy.backoff(consecutive);
-                                            if !backoff.is_zero() {
-                                                std::thread::sleep(backoff);
-                                            }
-                                        }
-                                    }
+                                let attempt = run_worker_cycle(
+                                    &mut env,
+                                    &mut local,
+                                    &mut tree,
+                                    &mut cache,
+                                    parent,
+                                    &config,
+                                    &mut rng,
+                                    cycle_offset + cycle,
+                                    results,
+                                    stats_log,
+                                    &mut rec,
+                                    chaos.as_ref(),
+                                );
+                                if let Err(kind) = attempt {
+                                    rec.incr(kind.counter(), 1);
+                                    rec.incr("anomaly.total", 1);
+                                    fatal.lock().get_or_insert(AnomalyReport {
+                                        kind,
+                                        worker: t,
+                                        cycle: cycle_offset + cycle,
+                                    });
+                                    return;
                                 }
                                 in_flight.set(None);
                                 escrow.set(Some((rng.clone(), local.net_mut().norm_snapshot())));
                             }
-                            true
                         }));
-                        match outcome {
-                            Ok(true) => break,
-                            Ok(false) => {
-                                // Quarantined: hand the cycle back and stop
-                                // claiming work.
-                                quarantined.fetch_add(1, Ordering::Relaxed);
-                                if let Some(cycle) = in_flight.take() {
-                                    lost.lock().push(cycle);
-                                }
-                                break;
-                            }
-                            Err(_) => {
-                                panics.fetch_add(1, Ordering::Relaxed);
-                                if let Some(cycle) = in_flight.take() {
-                                    lost.lock().push(cycle);
-                                }
-                                incarnation += 1;
-                                if incarnation > supervision.max_respawns_per_worker {
-                                    workers_lost.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                                respawns.fetch_add(1, Ordering::Relaxed);
-                            }
+                        if outcome.is_ok() {
+                            break;
                         }
+                        panics.fetch_add(1, Ordering::Relaxed);
+                        if let Some(cycle) = in_flight.take() {
+                            lost.lock().push(cycle);
+                        }
+                        incarnation += 1;
+                        if incarnation > supervision.max_respawns_per_worker {
+                            workers_lost.fetch_add(1, Ordering::Relaxed);
+                            break;
+                        }
+                        respawns.fetch_add(1, Ordering::Relaxed);
                     }
                     drop(rlnoc_nn::instrument::take());
                 })
@@ -892,16 +865,12 @@ where
     let mut designs = std::mem::take(&mut *results.lock());
     designs.sort_by_key(|d| d.cycle);
     let train_history = std::mem::take(&mut *stats_log.lock());
-    let anomaly_log = std::mem::take(&mut *anomaly_log.lock());
     let cache_stats = cache.stats();
     let completed = designs.len();
     let supervision_report = SupervisionReport {
         panics: panics.load(Ordering::Relaxed),
         respawns: respawns.load(Ordering::Relaxed),
         workers_lost: workers_lost.load(Ordering::Relaxed),
-        anomalies: anomalies.load(Ordering::Relaxed),
-        rollbacks: rollbacks.load(Ordering::Relaxed),
-        quarantined: quarantined.load(Ordering::Relaxed),
     };
     publish_run_summary(
         config,
@@ -910,7 +879,6 @@ where
         parent.lock().param_generation(),
         &supervision_report,
     );
-    let last_anomaly = anomaly_log.last().copied();
     let out = SupervisedReport {
         report: ExploreReport {
             cycles_run: completed,
@@ -920,20 +888,19 @@ where
         },
         supervision: supervision_report,
         resumed_from: cycle_offset,
-        anomaly_log,
     };
+    let requested = cycle_offset + total_cycles;
+    if let Some(report) = fatal.into_inner() {
+        return Err(ExploreError::Numerical {
+            report,
+            partial: Box::new(out),
+            requested,
+        });
+    }
     if completed < total_cycles {
-        if supervision_report.quarantined > 0 {
-            let report = last_anomaly.expect("quarantine implies a recorded anomaly");
-            return Err(ExploreError::Numerical {
-                report,
-                partial: Box::new(out),
-                requested: cycle_offset + total_cycles,
-            });
-        }
         return Err(ExploreError::WorkersExhausted {
             partial: Box::new(out),
-            requested: cycle_offset + total_cycles,
+            requested,
         });
     }
     Ok(out)
@@ -1284,5 +1251,91 @@ mod tests {
             (2, 5, true, 0xbfdc_71c7_1c71_c720), // -0.4444…
         ];
         assert_eq!(got, want);
+
+        // A longer 4x4 run, pinned down to the parent's final parameters
+        // and Adam state: every optimizer step of the worker loop lands in
+        // the digest, so any change to what a cycle commits shows here.
+        let env = RouterlessEnv::new(Grid::square(4).unwrap(), 6);
+        let cfg = quick_config();
+        let parent = Mutex::new(new_agent(&env, &cfg, 5));
+        let out = explore_supervised_inner(
+            &env,
+            &cfg,
+            1,
+            20,
+            5,
+            SupervisionConfig::default(),
+            0,
+            &parent,
+        )
+        .expect("clean run");
+        let got: Vec<_> = out
+            .report
+            .designs
+            .iter()
+            .map(|d| (d.steps, d.successful, d.final_return.to_bits()))
+            .collect();
+        let history = out.report.train_history.iter().fold(FNV_OFFSET, |h, s| {
+            fnv(h, &[s.policy_loss, s.value_loss, s.grad_norm])
+        });
+        let mut parent = parent.into_inner();
+        let learner = crate::checkpoint::LearnerState::capture(&parent);
+        let mut state = fnv_u64(FNV_OFFSET, learner.adam_t);
+        for t in parent
+            .net_mut()
+            .param_snapshot()
+            .iter()
+            .chain(&learner.adam_m)
+            .chain(&learner.adam_v)
+        {
+            state = fnv(state, t.as_slice());
+        }
+        let want = vec![
+            (17, false, 0xc024_3333_3333_3334),
+            (16, false, 0xc023_0888_8888_8889),
+            (11, false, 0xc01d_bbbb_bbbb_bbbc),
+            (16, false, 0xc00a_eeee_eeee_eeef),
+            (12, false, 0xc002_1111_1111_1111),
+            (11, false, 0xbffb_3333_3333_3332),
+            (12, false, 0xc00f_4444_4444_4445),
+            (11, false, 0xc011_1111_1111_1112),
+            (11, false, 0xc00e_eeee_eeee_eeef),
+            (10, false, 0xc009_1111_1111_1111),
+            (13, false, 0xc01a_6666_6666_6668),
+            (11, false, 0xc007_cccc_cccc_cccd),
+            (12, false, 0xc008_1111_1111_1111),
+            (11, false, 0xc008_9999_9999_9999),
+            (14, false, 0xbffa_aaaa_aaaa_aaaa),
+            (13, false, 0xbff8_8888_8888_888a),
+            (12, false, 0xbfff_dddd_dddd_ddde),
+            (12, false, 0xc008_1111_1111_1111),
+            (11, false, 0xc009_4444_4444_4445),
+            (12, false, 0xc006_aaaa_aaaa_aaab),
+        ];
+        assert_eq!(got, want, "per-cycle outcomes");
+        assert_eq!(history, 0xb8b3_79ac_7ea8_cfdd, "train_history digest");
+        assert_eq!(
+            state, 0x9f3f_ebbe_671c_1943,
+            "parent params + Adam state digest"
+        );
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv_bytes(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn fnv_u64(hash: u64, word: u64) -> u64 {
+        fnv_bytes(hash, &word.to_le_bytes())
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv(hash: u64, values: &[f32]) -> u64 {
+        values
+            .iter()
+            .fold(hash, |h, v| fnv_bytes(h, &v.to_bits().to_le_bytes()))
     }
 }

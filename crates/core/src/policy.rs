@@ -2,7 +2,6 @@
 //! update of the paper's Equations 15–20.
 
 use crate::env::Environment;
-use crate::resilience::{AnomalyKind, AnomalyPolicy, NormSentinel};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rlnoc_nn::loss;
@@ -104,21 +103,6 @@ pub struct PolicyAgent {
     /// Bumped on every optimizer step; evaluation caches key on
     /// `(state_key, generation)` so stale entries are never served.
     generation: u64,
-    /// EWMA tracker over accepted pre-clip gradient norms, feeding the
-    /// exploding-norm check of [`PolicyAgent::step_optimizer_guarded`].
-    sentinel: NormSentinel,
-}
-
-/// Everything [`PolicyAgent::step_optimizer_guarded`] can mutate, captured
-/// before the step so a post-step anomaly can be rolled back exactly:
-/// parameters, Adam moments, the generation counter, and the norm
-/// sentinel.
-#[derive(Debug, Clone)]
-pub struct StepSnapshot {
-    params: Vec<Tensor>,
-    optim: Adam,
-    generation: u64,
-    sentinel: NormSentinel,
 }
 
 /// A policy evaluation at one state: per-head probability tables, the
@@ -160,7 +144,6 @@ impl PolicyAgent {
             optim: Adam::new(lr),
             config: train_config,
             generation: 0,
-            sentinel: NormSentinel::default(),
         }
     }
 
@@ -387,97 +370,35 @@ impl PolicyAgent {
         norm
     }
 
-    /// The gradient-norm sentinel (read-only; stepped by
-    /// [`PolicyAgent::step_optimizer_guarded`]).
-    pub fn sentinel(&self) -> &NormSentinel {
-        &self.sentinel
-    }
-
-    /// Adam's step count and moment estimates plus the norm sentinel, for
-    /// checkpointing. Parameters are snapshotted separately; without the
-    /// moments a resumed run restarts bias correction and every subsequent
-    /// step diverges from the uninterrupted run.
-    pub fn optimizer_snapshot(&self) -> (u64, Vec<Tensor>, Vec<Tensor>, NormSentinel) {
-        let (t, m, v) = self.optim.state();
-        (t, m.to_vec(), v.to_vec(), self.sentinel)
-    }
-
-    /// Restores state captured by [`PolicyAgent::optimizer_snapshot`].
-    pub fn restore_optimizer(
-        &mut self,
-        t: u64,
-        m: Vec<Tensor>,
-        v: Vec<Tensor>,
-        sentinel: NormSentinel,
-    ) {
-        self.optim.restore_state(t, m, v);
-        self.sentinel = sentinel;
-    }
-
-    /// Captures everything a following optimizer step can mutate, for
-    /// anomaly rollback via [`PolicyAgent::restore_step_state`].
-    pub fn capture_step_state(&mut self) -> StepSnapshot {
-        StepSnapshot {
-            params: self.net.param_snapshot(),
-            optim: self.optim.clone(),
-            generation: self.generation,
-            sentinel: self.sentinel,
-        }
-    }
-
-    /// Rolls the agent back to a [`StepSnapshot`], discarding the effects
-    /// of any step applied since it was captured. Accumulated gradients are
-    /// zeroed: the update that produced them is being abandoned.
-    pub fn restore_step_state(&mut self, snapshot: &StepSnapshot) {
-        self.net.load_params(&snapshot.params);
-        self.net.zero_grad();
-        self.optim = snapshot.optim.clone();
-        self.generation = snapshot.generation;
-        self.sentinel = snapshot.sentinel;
-    }
-
-    /// Index of the first parameter tensor holding a NaN/Inf, if any — the
-    /// post-step verification of the resilience layer.
-    pub fn first_non_finite_param(&mut self) -> Option<usize> {
-        self.net
-            .params_mut()
-            .iter()
-            .position(|p| !p.value.all_finite())
-    }
-
-    /// [`PolicyAgent::step_optimizer`] with the resilience layer's
-    /// pre-step checks: a non-finite global gradient norm or a norm beyond
-    /// the sentinel's EWMA threshold rejects the update — gradients are
-    /// zeroed, parameters/optimizer/generation stay untouched — and the
-    /// anomaly is returned as `Err`. Accepted steps feed the sentinel and
-    /// behave exactly like the unguarded step. With `policy.enabled` false
-    /// this *is* the unguarded step (the sentinel is not even fed), so a
-    /// disabled guard is bit-identical to pre-resilience behavior.
-    pub fn step_optimizer_guarded(&mut self, policy: &AnomalyPolicy) -> Result<f32, AnomalyKind> {
-        if !policy.enabled {
-            return Ok(self.step_optimizer());
-        }
+    /// [`PolicyAgent::step_optimizer`] that refuses a non-finite pre-clip
+    /// norm (the sum of squares can overflow though every gradient is
+    /// finite): the gradients are zeroed, parameters, optimizer and
+    /// generation stay untouched, and the norm comes back as `Err`.
+    pub fn try_step_optimizer(&mut self) -> Result<f32, f32> {
         let clip = self.config.clip_norm;
         let mut params = self.net.params_mut();
         let norm = clip_global_norm(&mut params, clip);
         if !norm.is_finite() {
             self.net.zero_grad();
-            return Err(AnomalyKind::NonFiniteGradNorm { norm });
+            return Err(norm);
         }
-        if let Some(threshold) = self.sentinel.threshold(policy) {
-            if f64::from(norm) > threshold {
-                self.net.zero_grad();
-                return Err(AnomalyKind::ExplodingGradNorm {
-                    norm,
-                    threshold: threshold as f32,
-                });
-            }
-        }
-        let mut params = self.net.params_mut();
         self.optim.step(&mut params);
         self.generation += 1;
-        self.sentinel.observe(f64::from(norm), policy);
         Ok(norm)
+    }
+
+    /// Adam's step count and moment estimates, for checkpointing.
+    /// Parameters are snapshotted separately; without the moments a resumed
+    /// run restarts bias correction and every subsequent step diverges from
+    /// the uninterrupted run.
+    pub fn optimizer_snapshot(&self) -> (u64, Vec<Tensor>, Vec<Tensor>) {
+        let (t, m, v) = self.optim.state();
+        (t, m.to_vec(), v.to_vec())
+    }
+
+    /// Restores state captured by [`PolicyAgent::optimizer_snapshot`].
+    pub fn restore_optimizer(&mut self, t: u64, m: Vec<Tensor>, v: Vec<Tensor>) {
+        self.optim.restore_state(t, m, v);
     }
 
     /// Full single-threaded update: accumulate `episode`'s gradients, clip,
@@ -724,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn guarded_step_matches_unguarded_when_disabled() {
+    fn checked_step_matches_plain_step() {
         let env = tiny_env();
         let mut a = agent_for(&env, 9);
         let mut b = agent_for(&env, 9);
@@ -737,17 +658,11 @@ mod tests {
             }],
             final_return: 0.5,
         };
-        let disabled = AnomalyPolicy {
-            enabled: false,
-            ..AnomalyPolicy::default()
-        };
         for _ in 0..3 {
             a.accumulate_episode(&env, &episode);
             let na = a.step_optimizer();
             b.accumulate_episode(&env, &episode);
-            let nb = b
-                .step_optimizer_guarded(&disabled)
-                .expect("disabled guard never rejects");
+            let nb = b.try_step_optimizer().expect("finite gradients step");
             assert_eq!(na, nb);
         }
         assert_eq!(a.net.param_snapshot(), b.net.param_snapshot());
@@ -755,23 +670,17 @@ mod tests {
     }
 
     #[test]
-    fn guarded_step_rejects_non_finite_norm_without_mutating() {
+    fn checked_step_rejects_non_finite_norm_without_mutating() {
         let env = tiny_env();
         let mut agent = agent_for(&env, 10);
-        let policy = AnomalyPolicy::default();
         let before = agent.net.param_snapshot();
         let generation = agent.param_generation();
         // Poison one gradient directly.
         agent.net.params_mut()[0].grad.as_mut_slice()[0] = f32::NAN;
-        let err = agent.step_optimizer_guarded(&policy).unwrap_err();
-        assert!(matches!(err, AnomalyKind::NonFiniteGradNorm { norm } if norm.is_nan()));
+        let norm = agent.try_step_optimizer().unwrap_err();
+        assert!(norm.is_nan());
         assert_eq!(agent.net.param_snapshot(), before, "params untouched");
         assert_eq!(agent.param_generation(), generation, "generation untouched");
-        assert_eq!(
-            agent.sentinel().observed(),
-            0,
-            "rejected step must not feed the sentinel"
-        );
         assert!(
             agent
                 .net
@@ -780,95 +689,6 @@ mod tests {
                 .all(|p| p.grad.as_slice().iter().all(|&g| g == 0.0)),
             "poisoned gradients zeroed"
         );
-    }
-
-    #[test]
-    fn guarded_step_rejects_exploding_norm_after_warmup() {
-        let env = tiny_env();
-        let mut agent = agent_for(&env, 11);
-        let policy = AnomalyPolicy {
-            ewma_warmup: 1,
-            ewma_mult: 2.0,
-            ewma_floor: 0.0,
-            ..AnomalyPolicy::default()
-        };
-        let action = LoopAction::new(0, 0, 1, 1, Direction::Clockwise);
-        let episode = Episode {
-            steps: vec![Step {
-                state: env.state_tensor(),
-                action,
-                reward: 1.0,
-            }],
-            final_return: 0.5,
-        };
-        agent.accumulate_episode(&env, &episode);
-        agent
-            .step_optimizer_guarded(&policy)
-            .expect("warmup step accepted");
-        // A gradient scaled far past the observed baseline must trip.
-        agent.accumulate_episode(&env, &episode);
-        for p in agent.net.params_mut() {
-            p.grad = p.grad.scale(1e6);
-        }
-        let before = agent.net.param_snapshot();
-        let err = agent.step_optimizer_guarded(&policy).unwrap_err();
-        assert!(
-            matches!(err, AnomalyKind::ExplodingGradNorm { norm, threshold } if norm > threshold)
-        );
-        assert_eq!(
-            agent.net.param_snapshot(),
-            before,
-            "rejected step mutates nothing"
-        );
-    }
-
-    #[test]
-    fn step_snapshot_roundtrip_restores_exactly() {
-        let env = tiny_env();
-        let mut agent = agent_for(&env, 12);
-        let action = LoopAction::new(0, 0, 1, 1, Direction::Clockwise);
-        let episode = Episode {
-            steps: vec![Step {
-                state: env.state_tensor(),
-                action,
-                reward: 1.0,
-            }],
-            final_return: 0.5,
-        };
-        // Take a couple of steps so Adam moments are warm.
-        for _ in 0..2 {
-            agent.train_episode(&env, &episode);
-        }
-        let snapshot = agent.capture_step_state();
-        let params_at_snapshot = agent.net.param_snapshot();
-        agent.train_episode(&env, &episode);
-        assert_ne!(agent.net.param_snapshot(), params_at_snapshot);
-        assert_eq!(agent.first_non_finite_param(), None);
-        agent.restore_step_state(&snapshot);
-        assert_eq!(agent.net.param_snapshot(), params_at_snapshot);
-        assert_eq!(agent.param_generation(), 2);
-        // A replayed step lands on the same parameters as the rolled-back
-        // one (same grads + same Adam moments).
-        let replay_a = {
-            agent.train_episode(&env, &episode);
-            agent.net.param_snapshot()
-        };
-        agent.restore_step_state(&snapshot);
-        agent.train_episode(&env, &episode);
-        assert_eq!(
-            agent.net.param_snapshot(),
-            replay_a,
-            "rollback+replay is deterministic"
-        );
-    }
-
-    #[test]
-    fn first_non_finite_param_locates_poison() {
-        let env = tiny_env();
-        let mut agent = agent_for(&env, 13);
-        assert_eq!(agent.first_non_finite_param(), None);
-        agent.net.params_mut()[1].value.as_mut_slice()[0] = f32::INFINITY;
-        assert_eq!(agent.first_non_finite_param(), Some(1));
     }
 
     #[test]

@@ -11,12 +11,11 @@
 use rlnoc_core::checkpoint::prev_path;
 use rlnoc_core::parallel::{explore_parallel_checkpointed, explore_parallel_supervised};
 use rlnoc_core::{
-    AnomalyKind, ChaosInjector, ChaosPlan, CheckpointConfig, ExploreCheckpoint, ExploreError,
-    ExploreReport, ExplorerConfig, ResilienceConfig, RouterlessEnv, SupervisionConfig,
+    AnomalyKind, AnomalyReport, ChaosInjector, ChaosPlan, CheckpointConfig, ExploreCheckpoint,
+    ExploreError, ExploreReport, ExplorerConfig, RouterlessEnv, SupervisionConfig,
 };
 use rlnoc_telemetry::TelemetrySink;
 use rlnoc_topology::Grid;
-use std::time::Duration;
 
 fn env3() -> RouterlessEnv {
     RouterlessEnv::new(Grid::square(3).unwrap(), 4)
@@ -28,10 +27,10 @@ fn quick_config() -> ExplorerConfig {
     c
 }
 
-/// Config with `plan` armed (and any policy tweaks applied by `tweak`).
+/// Config with `plan` armed (and any other tweaks applied by `tweak`).
 fn chaos_config(plan: ChaosPlan, tweak: impl FnOnce(&mut ExplorerConfig)) -> ExplorerConfig {
     let mut c = quick_config();
-    c.resilience.chaos = Some(ChaosInjector::new(plan));
+    c.chaos = Some(ChaosInjector::new(plan));
     tweak(&mut c);
     c
 }
@@ -63,97 +62,15 @@ fn run(
 }
 
 #[test]
-fn clean_run_is_bit_identical_with_resilience_on_or_off() {
-    let enabled = quick_config(); // resilience on by default, no chaos
-    let mut disabled = quick_config();
-    disabled.resilience = ResilienceConfig::disabled();
-
-    let a = run(&enabled, 1, 4, 11);
-    let b = run(&disabled, 1, 4, 11);
-    assert_eq!(sig(&a.report), sig(&b.report));
-    assert_eq!(a.report.train_history, b.report.train_history);
-    assert_eq!(a.supervision.anomalies, 0);
-    assert!(a.anomaly_log.is_empty());
-}
-
-#[test]
-fn nan_grad_recovery_is_bit_identical() {
-    let clean = run(&quick_config(), 1, 4, 11);
-
-    let mut plan = ChaosPlan::none();
-    plan.nan_grad_cycles = vec![1];
-    let cfg = chaos_config(plan, |_| {});
-    let chaotic = run(&cfg, 1, 4, 11);
-
-    assert_eq!(sig(&clean.report), sig(&chaotic.report));
-    assert_eq!(clean.report.train_history, chaotic.report.train_history);
-    assert_eq!(chaotic.supervision.anomalies, 1);
-    assert_eq!(chaotic.supervision.rollbacks, 0, "grads rejected pre-step");
-    assert_eq!(chaotic.anomaly_log.len(), 1);
-    assert!(matches!(
-        chaotic.anomaly_log[0].kind,
-        AnomalyKind::NonFiniteGrad { tensor: 0 }
-    ));
-    assert_eq!(chaotic.anomaly_log[0].cycle, 1);
-}
-
-#[test]
-fn exploding_grad_recovery_is_bit_identical() {
-    // Arm the EWMA sentinel from the very first observation so a
-    // mid-run 1e12x gradient spike trips it.
-    let arm = |c: &mut ExplorerConfig| {
-        c.resilience.anomaly.ewma_warmup = 1;
-        c.resilience.anomaly.ewma_mult = 1e3;
-    };
-    let mut clean_cfg = quick_config();
-    arm(&mut clean_cfg);
-    let clean = run(&clean_cfg, 1, 4, 11);
-    assert_eq!(clean.supervision.anomalies, 0, "sane norms must not trip");
-
-    let mut plan = ChaosPlan::none();
-    plan.explode_grad_cycles = vec![2];
-    let cfg = chaos_config(plan, arm);
-    let chaotic = run(&cfg, 1, 4, 11);
-
-    assert_eq!(sig(&clean.report), sig(&chaotic.report));
-    assert_eq!(clean.report.train_history, chaotic.report.train_history);
-    assert_eq!(chaotic.supervision.anomalies, 1);
-    assert!(matches!(
-        chaotic.anomaly_log[0].kind,
-        AnomalyKind::ExplodingGradNorm { .. }
-    ));
-}
-
-#[test]
-fn nan_param_rollback_is_bit_identical() {
-    let clean = run(&quick_config(), 1, 4, 11);
-
-    let mut plan = ChaosPlan::none();
-    plan.nan_param_cycles = vec![1];
-    let cfg = chaos_config(plan, |_| {});
-    let chaotic = run(&cfg, 1, 4, 11);
-
-    assert_eq!(sig(&clean.report), sig(&chaotic.report));
-    assert_eq!(clean.report.train_history, chaotic.report.train_history);
-    assert_eq!(chaotic.supervision.anomalies, 1);
-    assert_eq!(
-        chaotic.supervision.rollbacks, 1,
-        "a poisoned parameter forces a snapshot rollback"
-    );
-    assert!(matches!(
-        chaotic.anomaly_log[0].kind,
-        AnomalyKind::NonFiniteParam { .. }
-    ));
-}
-
-#[test]
 fn worker_panic_recovery_is_bit_identical() {
     // The RNG escrow hands the respawned incarnation the exact stream the
     // panicked one was on, so even a panic recovers bit-identically.
     let clean = run(&quick_config(), 1, 4, 11);
 
-    let mut plan = ChaosPlan::none();
-    plan.panic_cycles = vec![1];
+    let plan = ChaosPlan {
+        panic_cycles: vec![1],
+        ..ChaosPlan::default()
+    };
     let cfg = chaos_config(plan, |_| {});
     let chaotic = run(&cfg, 1, 4, 11);
 
@@ -165,17 +82,18 @@ fn worker_panic_recovery_is_bit_identical() {
 }
 
 #[test]
-fn persistent_anomaly_quarantines_with_typed_error() {
-    let mut plan = ChaosPlan::none();
-    plan.persistent_nan_grad_cycles = vec![1];
+fn nan_grad_stops_with_typed_error() {
+    // At one thread the run is deterministic: a NaN gradient at cycle k
+    // stops it with exactly the clean run's cycles < k.
+    let clean = run(&quick_config(), 1, 4, 11);
     let telemetry = TelemetrySink::enabled();
-    let cfg = chaos_config(plan, |c| {
-        c.resilience.anomaly.max_retries = 2;
-        c.resilience.anomaly.backoff_base = Duration::from_millis(1);
-        c.telemetry = telemetry.clone();
-    });
+    let plan = ChaosPlan {
+        nan_grad_cycles: vec![2],
+        ..ChaosPlan::default()
+    };
+    let cfg = chaos_config(plan.clone(), |c| c.telemetry = telemetry.clone());
     let err = explore_parallel_supervised(&env3(), &cfg, 1, 4, 11, SupervisionConfig::default())
-        .expect_err("a persistent fault must end in a typed error");
+        .expect_err("a NaN gradient must stop the run");
     match err {
         ExploreError::Numerical {
             report,
@@ -183,43 +101,66 @@ fn persistent_anomaly_quarantines_with_typed_error() {
             requested,
         } => {
             assert_eq!(requested, 4);
-            assert!(matches!(report.kind, AnomalyKind::NonFiniteGrad { .. }));
-            assert_eq!(report.cycle, 1);
-            assert_eq!(report.consecutive, 3, "initial attempt + 2 retries");
-            assert_eq!(partial.supervision.quarantined, 1);
-            assert_eq!(partial.supervision.anomalies, 3);
             assert_eq!(
-                partial.report.cycles_run, 1,
-                "cycle 0 completed before the quarantine"
+                report,
+                AnomalyReport {
+                    kind: AnomalyKind::NonFiniteGrad { tensor: 0 },
+                    worker: 0,
+                    cycle: 2,
+                }
             );
-            assert_eq!(partial.anomaly_log.len(), 3);
+            assert_eq!(sig(&partial.report), sig(&clean.report)[..2]);
+            assert_eq!(
+                partial.report.train_history,
+                clean.report.train_history[..2]
+            );
         }
         other => panic!("expected Numerical, got {other:?}"),
     }
-    assert_eq!(telemetry.counter_total("anomaly.nonfinite_grad"), 3);
-    assert_eq!(telemetry.counter_total("anomaly.total"), 3);
-    assert_eq!(telemetry.counter_total("worker.quarantined"), 1);
+    assert_eq!(telemetry.counter_total("anomaly.nonfinite_grad"), 1);
+    assert_eq!(telemetry.counter_total("anomaly.total"), 1);
+
+    // At two threads the interleaving is free, but the pool still stops
+    // with the typed error instead of hanging or finishing.
+    let cfg = chaos_config(plan, |_| {});
+    let err = explore_parallel_supervised(&env3(), &cfg, 2, 6, 11, SupervisionConfig::default())
+        .expect_err("a NaN gradient must stop the run");
+    match err {
+        ExploreError::Numerical {
+            report, partial, ..
+        } => {
+            assert_eq!(report.cycle, 2);
+            assert!(partial.report.cycles_run < 6);
+            assert!(partial.report.designs.iter().all(|d| d.cycle != 2));
+        }
+        other => panic!("expected Numerical, got {other:?}"),
+    }
 }
 
 #[test]
 fn seeded_chaos_suite_completes_at_8_threads() {
-    // A mixed seeded fault schedule at full thread count: the contract
-    // here is liveness and accounting — every cycle completes exactly
-    // once, nothing hangs, and the run reports what it absorbed.
-    let injector = ChaosInjector::new(ChaosPlan::seeded(23, 12, 5));
+    // A seeded panic schedule at full thread count: the contract here is
+    // liveness and accounting — every cycle completes exactly once,
+    // nothing hangs, and the run reports what it absorbed. The respawn
+    // budget covers every scheduled panic, so no worker can be lost
+    // whichever cycles it happens to claim.
+    let plan = ChaosPlan::seeded(23, 12, 5);
+    let injector = ChaosInjector::new(plan.clone());
     let mut cfg = quick_config();
-    cfg.resilience.chaos = Some(injector.clone());
-    cfg.resilience.anomaly.ewma_warmup = 1;
-    let out = explore_parallel_supervised(&env3(), &cfg, 8, 12, 29, SupervisionConfig::default())
+    cfg.chaos = Some(injector.clone());
+    let supervision = SupervisionConfig {
+        max_respawns_per_worker: plan.panic_cycles.len(),
+    };
+    let out = explore_parallel_supervised(&env3(), &cfg, 8, 12, 29, supervision)
         .expect("a recoverable schedule must complete");
     assert_eq!(out.report.cycles_run, 12);
     let mut cycles: Vec<_> = out.report.designs.iter().map(|d| d.cycle).collect();
     cycles.sort_unstable();
     assert_eq!(cycles, (0..12).collect::<Vec<_>>());
-    assert!(injector.injected() > 0, "the schedule actually fired");
-    assert_eq!(out.supervision.panics, 1, "one panic cycle in the plan");
+    assert_eq!(injector.injected(), 5, "the whole schedule fired");
+    assert_eq!(out.supervision.panics, 5);
+    assert_eq!(out.supervision.respawns, 5);
     assert_eq!(out.supervision.workers_lost, 0);
-    assert_eq!(out.supervision.quarantined, 0);
 }
 
 #[test]

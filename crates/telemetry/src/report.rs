@@ -195,21 +195,18 @@ fn finish_row(name: String, acc: RowAcc) -> SummaryRow {
     }
 }
 
-/// Totals of the resilience layer's counters across every phase and
-/// source — the health summary an unattended run is judged by (rendered by
-/// the `exp_chaos` experiment and checked by the CI chaos-smoke job).
+/// Totals of the fault counters across every phase and source — the
+/// health summary an unattended run is judged by (rendered by the
+/// `exp_chaos` experiment and checked by the CI chaos-smoke job).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceSummary {
-    /// `anomaly.total`: numerical anomalies detected and handled.
+    /// `anomaly.total`: numerical anomalies detected (each one stops its
+    /// run).
     pub anomalies: u64,
-    /// `anomaly.rollbacks`: anomalies that required a parameter rollback.
-    pub rollbacks: u64,
     /// `worker.panics`: worker panics caught.
     pub panics: u64,
     /// `worker.respawns`: panicked workers respawned in place.
     pub respawns: u64,
-    /// `worker.quarantined`: workers retired after persistent anomalies.
-    pub quarantined: u64,
     /// `worker.lost`: workers lost past the respawn budget.
     pub workers_lost: u64,
     /// `checkpoint.recovered_prev`: resumes served from `.prev` after a
@@ -218,16 +215,14 @@ pub struct ResilienceSummary {
 }
 
 impl ResilienceSummary {
-    /// Whether the run saw no faults at all (every counter zero) — the
-    /// case the bit-identity contract guarantees matched pre-resilience
-    /// behavior exactly.
+    /// Whether the run saw no faults at all (every counter zero).
     pub fn clean(&self) -> bool {
         *self == ResilienceSummary::default()
     }
 }
 
-/// Folds the resilience layer's counters out of an event stream (any
-/// phase, any source). Unrelated events are ignored.
+/// Folds the fault counters out of an event stream (any phase, any
+/// source). Unrelated events are ignored.
 pub fn resilience_summary(events: &[Event]) -> ResilienceSummary {
     let mut out = ResilienceSummary::default();
     for event in events {
@@ -236,10 +231,8 @@ pub fn resilience_summary(events: &[Event]) -> ResilienceSummary {
         };
         match event.name.as_str() {
             "anomaly.total" => out.anomalies += value,
-            "anomaly.rollbacks" => out.rollbacks += value,
             "worker.panics" => out.panics += value,
             "worker.respawns" => out.respawns += value,
-            "worker.quarantined" => out.quarantined += value,
             "worker.lost" => out.workers_lost += value,
             "checkpoint.recovered_prev" => out.checkpoint_recoveries += value,
             _ => {}
@@ -346,8 +339,7 @@ mod tests {
     fn resilience_summary_folds_counters_and_ignores_noise() {
         let sink = TelemetrySink::enabled();
         let mut a = sink.recorder("supervisor");
-        a.incr("anomaly.total", 3);
-        a.incr("anomaly.rollbacks", 1);
+        a.incr("anomaly.total", 1);
         a.incr("worker.panics", 2);
         a.incr("worker.respawns", 2);
         a.incr("explore.cycles", 50); // unrelated counter
@@ -359,11 +351,9 @@ mod tests {
 
         let events = parse_jsonl(&sink.to_jsonl()).expect("parses");
         let summary = resilience_summary(&events);
-        assert_eq!(summary.anomalies, 3);
-        assert_eq!(summary.rollbacks, 1);
+        assert_eq!(summary.anomalies, 1);
         assert_eq!(summary.panics, 2);
         assert_eq!(summary.respawns, 2);
-        assert_eq!(summary.quarantined, 0);
         assert_eq!(summary.workers_lost, 0);
         assert_eq!(summary.checkpoint_recoveries, 1);
         assert!(!summary.clean());
