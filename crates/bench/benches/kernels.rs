@@ -26,12 +26,11 @@ fn bench_hop_matrix(c: &mut Criterion) {
 
     let mut partial = HopMatrix::new(grid);
     partial.apply_loop(&grid, &ring);
-    let candidate = RectLoop::new(1, 1, 6, 6, Direction::Counterclockwise).unwrap();
-    c.bench_function("hop_matrix/check_count_8x8", |b| {
-        b.iter(|| black_box(partial.connected_pairs_if_added(&grid, black_box(&candidate))))
-    });
-    c.bench_function("hop_matrix/improvement_8x8", |b| {
-        b.iter(|| black_box(partial.improvement_if_added(&grid, black_box(&candidate))))
+    let candidate = RectLoop::new(1, 1, 6, 6, Direction::Clockwise)
+        .unwrap()
+        .perimeter_nodes(&grid);
+    c.bench_function("hop_matrix/score_loop_8x8", |b| {
+        b.iter(|| black_box(partial.score_loop(black_box(&candidate))))
     });
 }
 

@@ -17,8 +17,8 @@
 
 use rlnoc_baselines::rec_topology;
 use rlnoc_bench::{drl_topology, f3, print_table, s, write_csv, write_telemetry, Effort};
-use rlnoc_sim::traffic::Pattern;
-use rlnoc_sim::{run_synthetic_traced, FaultPlan, RouterlessSim, SimConfig};
+use rlnoc_sim::traffic::{Pattern, TrafficGen};
+use rlnoc_sim::{run_with_source_traced, FaultPlan, RouterlessSim, SimConfig};
 use rlnoc_telemetry::TelemetrySink;
 use rlnoc_topology::{FaultSet, Grid, RoutingTable, Topology};
 
@@ -57,14 +57,8 @@ fn measure(
         // Dynamic: kill the same loops mid-warm-up and run traffic.
         let plan = FaultPlan::random_loop_kills(kill_at, k, num_loops, fs);
         let mut sim = RouterlessSim::with_faults(topo, plan);
-        let m = run_synthetic_traced(
-            &mut sim,
-            Pattern::UniformRandom,
-            0.08,
-            cfg,
-            0xFA17 + fs,
-            &mut rec,
-        );
+        let mut gen = TrafficGen::new(*topo.grid(), Pattern::UniformRandom, 0.08, 0xFA17 + fs);
+        let m = run_with_source_traced(&mut sim, &mut gen, cfg, &mut rec);
         acc.delivered += m.delivery_ratio();
         acc.latency += m.avg_packet_latency();
         acc.throughput += m.accepted_throughput();

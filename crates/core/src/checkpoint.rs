@@ -483,6 +483,24 @@ mod tests {
     }
 
     #[test]
+    fn loads_env_payload_with_retired_loop_length_field() {
+        use crate::Environment as _;
+        // Saved when the env's constraints still carried an optional
+        // `max_loop_length` (always `null` in practice); loading ignores it.
+        let bytes = include_bytes!("../tests/fixtures/checkpoint_v2_loop_length.ckpt");
+        let text = std::str::from_utf8(bytes).unwrap();
+        assert!(text.contains(r#""constraints":{"overlap_cap":4,"max_loop_length":null}"#));
+        let cp = ExploreCheckpoint::<RouterlessEnv>::decode(bytes).unwrap();
+        assert_eq!((cp.cycles_done, cp.seed, cp.param_generation), (7, 42, 7));
+        let mut env = cp.best.unwrap().env;
+        assert_eq!(env.overlap_cap(), 4);
+        assert_eq!(env.topology().loops().len(), 2);
+        // The restored design keeps working: greedy still finds a loop.
+        let a = env.greedy_action().unwrap();
+        assert_eq!(env.apply(a), 0.0);
+    }
+
+    #[test]
     fn save_load_roundtrip() {
         let cp = sample(7);
         let path = scratch("roundtrip");

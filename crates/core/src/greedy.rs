@@ -5,16 +5,95 @@
 //! `CheckCount` (how many node pairs can communicate after adding it) and
 //! tie-breaks by `Imprv` (total hop-count improvement, which also selects
 //! the loop direction).
+//!
+//! Every greedy selector in the crate — [`greedy_action`],
+//! [`completion_action`] and both phases of
+//! [`frugal_rollout`](crate::rollout::frugal_rollout) — is an argmax over
+//! one candidate scan, `for_each_candidate`, which scores each rectangle
+//! once for both directions.
 
 use crate::routerless::{LoopAction, RouterlessEnv};
-use rlnoc_topology::{Direction, RectLoop};
+use rlnoc_topology::{LoopScore, NodeId, RectLoop, Topology};
 
-/// Result of scoring one rectangle with both directions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Scored {
-    action: LoopAction,
-    count: usize,
-    imprv: u64,
+/// One in-cap rectangle offered by [`for_each_candidate`], with at least
+/// one direction not yet placed.
+pub(crate) struct Candidate<'a> {
+    /// The rectangle, clockwise.
+    ring: RectLoop,
+    /// Both directions' effect on the hop matrix.
+    pub score: LoopScore,
+    cw_free: bool,
+    ccw_free: bool,
+    /// The clockwise perimeter.
+    nodes: &'a [NodeId],
+    overlaps: &'a [u32],
+    cap: u32,
+}
+
+impl Candidate<'_> {
+    /// The direction rule every selector uses: the free direction with the
+    /// larger gain, clockwise on ties; returns that gain and loop.
+    ///
+    /// When the better direction is already placed this is its reverse,
+    /// the completion selectors' "better direction, else its reverse".
+    pub fn best_direction(&self) -> (u64, RectLoop) {
+        let s = &self.score;
+        if self.cw_free && !(self.ccw_free && s.gain_ccw > s.gain_cw) {
+            (s.gain_cw, self.ring)
+        } else {
+            (s.gain_ccw, self.ring.reversed())
+        }
+    }
+
+    /// Newly connected pairs discounted by overlap *pressure*: the mean,
+    /// over the perimeter, of each node's squared share of the cap already
+    /// used. Loops through nearly saturated nodes score lower.
+    pub fn discounted_pairs(&self) -> f64 {
+        let cap = f64::from(self.cap.max(1));
+        let pressure = self
+            .nodes
+            .iter()
+            .map(|&n| {
+                let o = f64::from(self.overlaps[n]) / cap;
+                o * o
+            })
+            .sum::<f64>()
+            / self.nodes.len() as f64;
+        self.score.new_pairs as f64 / (1.0 + pressure)
+    }
+}
+
+/// Visits, in [`RectLoop::all_clockwise`] order, every rectangle that fits
+/// under overlap cap `cap` on `topo` and is not yet placed in both
+/// directions. The clockwise perimeter is built once per rectangle, in one
+/// reused buffer, and scored once for both directions.
+pub(crate) fn for_each_candidate(topo: &Topology, cap: u32, mut f: impl FnMut(&Candidate<'_>)) {
+    let grid = topo.grid();
+    let overlaps = topo.overlaps();
+    let mut nodes = Vec::with_capacity(2 * (grid.width() + grid.height()));
+    for ring in RectLoop::all_clockwise(grid) {
+        ring.perimeter_nodes_into(grid, &mut nodes);
+        if nodes.iter().any(|&n| overlaps[n] >= cap) {
+            continue;
+        }
+        let score = topo.hop_matrix().score_loop(&nodes);
+        // A placed loop connects all its perimeter pairs, so a rectangle
+        // that still connects new pairs is free in both directions.
+        let free = |r: RectLoop| score.new_pairs > 0 || !topo.contains_loop(&r);
+        let (cw_free, ccw_free) = (free(ring), free(ring.reversed()));
+        if !(cw_free || ccw_free) {
+            continue;
+        }
+        f(&Candidate {
+            ring,
+            score,
+            cw_free,
+            ccw_free,
+            nodes: &nodes,
+            overlaps,
+            cap,
+        });
+    }
 }
 
 /// Runs Algorithm 1 on the environment's current state: returns the legal
@@ -23,61 +102,17 @@ struct Scored {
 ///
 /// Returns `None` when no legal action exists (terminal state).
 pub fn greedy_action(env: &RouterlessEnv) -> Option<LoopAction> {
-    let grid = *env.grid();
-    let topo = env.topology();
-    let hops = topo.hop_matrix();
-    let mut best: Option<Scored> = None;
-    for x1 in 0..grid.width() {
-        for x2 in x1 + 1..grid.width() {
-            for y1 in 0..grid.height() {
-                for y2 in y1 + 1..grid.height() {
-                    let cw = RectLoop::new(x1, y1, x2, y2, Direction::Clockwise)
-                        .expect("non-degenerate by construction");
-                    if !env.satisfies_constraints(&cw) {
-                        continue;
-                    }
-                    let cw_ok = !topo.contains_loop(&cw);
-                    let ccw = cw.reversed();
-                    let ccw_ok = !topo.contains_loop(&ccw);
-                    if !cw_ok && !ccw_ok {
-                        continue;
-                    }
-                    // CheckCount: direction-independent (connectivity of
-                    // on-loop pairs holds either way round).
-                    let count = hops.connected_pairs_if_added(&grid, &cw);
-                    // Imprv: evaluate each legal direction's total
-                    // hop-count gain; keep the better.
-                    let mut cand: Option<(u64, RectLoop)> = None;
-                    if cw_ok {
-                        cand = Some((hops.improvement_if_added(&grid, &cw), cw));
-                    }
-                    if ccw_ok {
-                        let g = hops.improvement_if_added(&grid, &ccw);
-                        if cand.as_ref().is_none_or(|&(bg, _)| g > bg) {
-                            cand = Some((g, ccw));
-                        }
-                    }
-                    let (imprv, ring) = cand.expect("at least one direction is legal");
-                    let scored = Scored {
-                        action: ring.into(),
-                        count,
-                        imprv,
-                    };
-                    let better = match &best {
-                        None => true,
-                        Some(b) => {
-                            scored.count > b.count
-                                || (scored.count == b.count && scored.imprv > b.imprv)
-                        }
-                    };
-                    if better {
-                        best = Some(scored);
-                    }
-                }
-            }
+    // `CheckCount` is `connected_pairs() + new_pairs`; the first term is
+    // the same for every candidate, so `new_pairs` ranks identically.
+    let mut best: Option<(usize, u64, RectLoop)> = None;
+    for_each_candidate(env.topology(), env.overlap_cap(), |c| {
+        let (imprv, ring) = c.best_direction();
+        let count = c.score.new_pairs;
+        if best.is_none_or(|(bc, bi, _)| count > bc || (count == bc && imprv > bi)) {
+            best = Some((count, imprv, ring));
         }
-    }
-    best.map(|s| s.action)
+    });
+    best.map(|(_, _, ring)| ring.into())
 }
 
 /// Connectivity-first action selection for the completion phase: maximize
@@ -91,62 +126,20 @@ pub fn greedy_action(env: &RouterlessEnv) -> Option<LoopAction> {
 /// prefix has consumed part of the budget. Falls back to [`greedy_action`]
 /// once (or if) no new pair can be connected.
 pub fn completion_action(env: &RouterlessEnv) -> Option<LoopAction> {
-    let grid = *env.grid();
-    let topo = env.topology();
-    let cap = f64::from(env.overlap_cap().max(1));
-    let hops = topo.hop_matrix();
     let mut best: Option<(f64, u64, RectLoop)> = None;
-    for x1 in 0..grid.width() {
-        for x2 in x1 + 1..grid.width() {
-            for y1 in 0..grid.height() {
-                for y2 in y1 + 1..grid.height() {
-                    let cw = RectLoop::new(x1, y1, x2, y2, Direction::Clockwise)
-                        .expect("non-degenerate by construction");
-                    if !env.satisfies_constraints(&cw) {
-                        continue;
-                    }
-                    let new_pairs = hops.newly_connected_pairs(&grid, &cw);
-                    if new_pairs == 0 {
-                        continue;
-                    }
-                    let nodes = cw.perimeter_nodes(&grid);
-                    let pressure: f64 = nodes
-                        .iter()
-                        .map(|&n| {
-                            let o = f64::from(topo.node_overlap(n)) / cap;
-                            o * o
-                        })
-                        .sum::<f64>()
-                        / nodes.len() as f64;
-                    let score = new_pairs as f64 / (1.0 + pressure);
-                    let ccw = cw.reversed();
-                    let (g, ring) = {
-                        let g_cw = hops.improvement_if_added(&grid, &cw);
-                        let g_ccw = hops.improvement_if_added(&grid, &ccw);
-                        if g_cw >= g_ccw {
-                            (g_cw, cw)
-                        } else {
-                            (g_ccw, ccw)
-                        }
-                    };
-                    let ring = if topo.contains_loop(&ring) {
-                        ring.reversed()
-                    } else {
-                        ring
-                    };
-                    if topo.contains_loop(&ring) {
-                        continue;
-                    }
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|&(bs, bg, _)| score > bs || (score == bs && g > bg));
-                    if better {
-                        best = Some((score, g, ring));
-                    }
-                }
-            }
+    for_each_candidate(env.topology(), env.overlap_cap(), |c| {
+        if c.score.new_pairs == 0 {
+            return;
         }
-    }
+        let score = c.discounted_pairs();
+        // New pairs mean neither direction is placed, so this picks the
+        // better direction and `g` is `max(gain_cw, gain_ccw)`: the
+        // tie-break never sees a reverse ring's own gain.
+        let (g, ring) = c.best_direction();
+        if best.is_none_or(|(bs, bg, _)| score > bs || (score == bs && g > bg)) {
+            best = Some((score, g, ring));
+        }
+    });
     match best {
         Some((_, _, ring)) => Some(ring.into()),
         None => greedy_action(env),
@@ -157,7 +150,7 @@ pub fn completion_action(env: &RouterlessEnv) -> Option<LoopAction> {
 mod tests {
     use super::*;
     use crate::Environment;
-    use rlnoc_topology::Grid;
+    use rlnoc_topology::{Direction, Grid};
 
     #[test]
     fn greedy_first_pick_maximizes_connectivity() {

@@ -62,4 +62,4 @@ pub use parallel::{
     AnomalyReport, ExploreError, SupervisedReport, SupervisionConfig, SupervisionReport,
 };
 pub use policy::{Episode, PolicyAgent, Step, TrainConfig};
-pub use routerless::{DesignConstraints, LoopAction, RouterlessEnv};
+pub use routerless::{LoopAction, RouterlessEnv};

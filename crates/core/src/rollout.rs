@@ -15,6 +15,7 @@
 //! 8x8 grid; the paper's fully trained DRL reaches 8 (Figure 13), which is
 //! the value a long-running [`crate::Explorer`] session targets.
 
+use crate::greedy::for_each_candidate;
 use crate::routerless::RouterlessEnv;
 use crate::Environment;
 use rand::prelude::*;
@@ -49,41 +50,10 @@ pub fn frugal_rollout(grid: Grid, cap: u32, seed: u64) -> Topology {
     // Phase 1: connect everything, spending as little budget as possible.
     loop {
         let mut cands: Vec<(f64, RectLoop)> = Vec::new();
-        for_each_rect(&grid, |cw| {
-            if topo.overlap_violation(&cw, cap).is_some() {
-                return;
+        for_each_candidate(&topo, cap, |c| {
+            if c.score.new_pairs > 0 {
+                cands.push((c.discounted_pairs(), c.best_direction().1));
             }
-            let hops = topo.hop_matrix();
-            let new_pairs = hops.newly_connected_pairs(&grid, &cw);
-            if new_pairs == 0 {
-                return;
-            }
-            let nodes = cw.perimeter_nodes(&grid);
-            let pressure: f64 = nodes
-                .iter()
-                .map(|&n| {
-                    let o = f64::from(topo.node_overlap(n)) / f64::from(cap.max(1));
-                    o * o
-                })
-                .sum::<f64>()
-                / nodes.len() as f64;
-            let ccw = cw.reversed();
-            let ring = if hops.improvement_if_added(&grid, &cw)
-                >= hops.improvement_if_added(&grid, &ccw)
-            {
-                cw
-            } else {
-                ccw
-            };
-            let ring = if topo.contains_loop(&ring) {
-                ring.reversed()
-            } else {
-                ring
-            };
-            if topo.contains_loop(&ring) {
-                return;
-            }
-            cands.push((new_pairs as f64 / (1.0 + pressure), ring));
         });
         if cands.is_empty() {
             break;
@@ -102,18 +72,10 @@ pub fn frugal_rollout(grid: Grid, cap: u32, seed: u64) -> Topology {
     if topo.is_fully_connected() {
         loop {
             let mut best: Option<(u64, RectLoop)> = None;
-            for_each_rect(&grid, |cw| {
-                if topo.overlap_violation(&cw, cap).is_some() {
-                    return;
-                }
-                for ring in [cw, cw.reversed()] {
-                    if topo.contains_loop(&ring) {
-                        continue;
-                    }
-                    let g = topo.hop_matrix().improvement_if_added(&grid, &ring);
-                    if best.as_ref().is_none_or(|&(bg, _)| g > bg) {
-                        best = Some((g, ring));
-                    }
+            for_each_candidate(&topo, cap, |c| {
+                let (g, ring) = c.best_direction();
+                if best.is_none_or(|(bg, _)| g > bg) {
+                    best = Some((g, ring));
                 }
             });
             match best {
@@ -243,20 +205,6 @@ pub fn best_connected(grid: Grid, cap: u32, attempts: usize, base_seed: u64) -> 
         }
     }
     best
-}
-
-/// Visits every clockwise rectangle on the grid.
-fn for_each_rect(grid: &Grid, mut f: impl FnMut(RectLoop)) {
-    for x1 in 0..grid.width() {
-        for x2 in x1 + 1..grid.width() {
-            for y1 in 0..grid.height() {
-                for y2 in y1 + 1..grid.height() {
-                    f(RectLoop::new(x1, y1, x2, y2, Direction::Clockwise)
-                        .expect("non-degenerate by construction"));
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -67,28 +67,14 @@ impl From<RectLoop> for LoopAction {
     }
 }
 
-/// Wiring/design constraints enforced by the environment.
-///
-/// The paper's evaluation constrains node overlapping; §6.2 points out that
-/// "other constraints, such as maximum loop length …, can also be
-/// integrated into the reward function" — this type is where they live.
+/// Design constraints enforced by the environment: the paper's evaluation
+/// caps node overlapping. Kept as a struct so the serialized environment
+/// stays `{"constraints": {"overlap_cap": …}}`, the layout saved
+/// checkpoints carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DesignConstraints {
+struct DesignConstraints {
     /// Maximum loops through any node interface (wiring budget).
-    pub overlap_cap: u32,
-    /// Optional cap on a loop's perimeter length in nodes (bounds the
-    /// worst-case on-loop latency and repeater cost).
-    pub max_loop_length: Option<usize>,
-}
-
-impl DesignConstraints {
-    /// Constraints with only the overlap cap set.
-    pub fn overlap_only(cap: u32) -> Self {
-        DesignConstraints {
-            overlap_cap: cap,
-            max_loop_length: None,
-        }
-    }
+    overlap_cap: u32,
 }
 
 /// The routerless NoC environment: a [`Topology`] under construction with a
@@ -121,16 +107,11 @@ pub struct RouterlessEnv {
 
 impl RouterlessEnv {
     /// Creates a blank environment on `grid` with node-overlapping cap
-    /// `cap` and no other constraints.
+    /// `cap`.
     pub fn new(grid: Grid, cap: u32) -> Self {
-        RouterlessEnv::with_constraints(grid, DesignConstraints::overlap_only(cap))
-    }
-
-    /// Creates a blank environment with the full constraint set.
-    pub fn with_constraints(grid: Grid, constraints: DesignConstraints) -> Self {
         RouterlessEnv {
             grid,
-            constraints,
+            constraints: DesignConstraints { overlap_cap: cap },
             topo: Topology::new(grid),
             mesh_avg: rlnoc_topology::mesh::average_hops(&grid),
             reward_accum: 0.0,
@@ -147,21 +128,11 @@ impl RouterlessEnv {
         self.constraints.overlap_cap
     }
 
-    /// All active design constraints.
-    pub fn constraints(&self) -> &DesignConstraints {
-        &self.constraints
-    }
-
-    /// Whether `ring` satisfies every constraint *other than* duplication
-    /// against the current design (overlap cap and loop-length cap).
-    pub fn satisfies_constraints(&self, ring: &RectLoop) -> bool {
-        self.constraints
-            .max_loop_length
-            .is_none_or(|cap| ring.num_nodes() <= cap)
-            && self
-                .topo
-                .overlap_violation(ring, self.constraints.overlap_cap)
-                .is_none()
+    /// Whether adding `ring` keeps every node within the overlap cap.
+    fn fits_cap(&self, ring: &RectLoop) -> bool {
+        self.topo
+            .overlap_violation(ring, self.overlap_cap())
+            .is_none()
     }
 
     /// The design built so far.
@@ -208,8 +179,8 @@ impl RouterlessEnv {
         if self.topo.contains_loop(&ring) {
             return -1.0; // repetitive
         }
-        if !self.satisfies_constraints(&ring) {
-            return self.illegal_penalty(); // illegal: violates a constraint
+        if !self.fits_cap(&ring) {
+            return self.illegal_penalty(); // illegal: exceeds the overlap cap
         }
         self.topo
             .add_loop(ring)
@@ -314,22 +285,13 @@ impl RouterlessEnv {
     /// Visits legal actions (both directions of every in-cap, non-duplicate
     /// rectangle) in scan order until `f` returns `false`.
     fn scan_legal(&self, mut f: impl FnMut(LoopAction) -> bool) {
-        let (w, h) = (self.grid.width(), self.grid.height());
-        for x1 in 0..w {
-            for x2 in x1 + 1..w {
-                for y1 in 0..h {
-                    for y2 in y1 + 1..h {
-                        let base = RectLoop::new(x1, y1, x2, y2, Direction::Clockwise)
-                            .expect("non-degenerate by construction");
-                        if !self.satisfies_constraints(&base) {
-                            continue;
-                        }
-                        for ring in [base, base.reversed()] {
-                            if !self.topo.contains_loop(&ring) && !f(ring.into()) {
-                                return;
-                            }
-                        }
-                    }
+        for base in RectLoop::all_clockwise(&self.grid) {
+            if !self.fits_cap(&base) {
+                continue;
+            }
+            for ring in [base, base.reversed()] {
+                if !self.topo.contains_loop(&ring) && !f(ring.into()) {
+                    return;
                 }
             }
         }
@@ -470,66 +432,6 @@ mod tests {
         env.reset();
         assert_eq!(env.state_key(), blank_key);
         assert!(env.topology().loops().is_empty());
-    }
-
-    #[test]
-    fn max_loop_length_constraint() {
-        use crate::env::Environment as _;
-        let constraints = DesignConstraints {
-            overlap_cap: 6,
-            max_loop_length: Some(8),
-        };
-        let mut env = RouterlessEnv::with_constraints(Grid::square(4).unwrap(), constraints);
-        // The 12-node outer ring violates the length cap: illegal, −5·N.
-        let r = env.apply(LoopAction::new(0, 0, 3, 3, Direction::Clockwise));
-        assert_eq!(r, -20.0);
-        // An 8-node loop is fine.
-        let r = env.apply(LoopAction::new(0, 0, 1, 3, Direction::Clockwise));
-        assert_eq!(r, 0.0);
-        // Legal actions and greedy respect the cap.
-        for a in env.legal_actions() {
-            let ring = a.to_loop().unwrap();
-            assert!(ring.num_nodes() <= 8, "advertised over-long loop {a:?}");
-        }
-        let g = env.greedy_action().unwrap();
-        assert!(g.to_loop().unwrap().num_nodes() <= 8);
-    }
-
-    #[test]
-    fn length_constrained_rollout() {
-        // §6.2's "maximum loop length" scenario. A loop through a grid
-        // corner is necessarily cornered there, so opposite corners can
-        // only ever share the full outer ring (4N−4 nodes): a length cap
-        // of exactly 4N−4 still permits full connectivity, while anything
-        // tighter provably cannot connect the corners.
-        use crate::env::Environment as _;
-        let run = |max_len: usize| {
-            let constraints = DesignConstraints {
-                overlap_cap: 8,
-                max_loop_length: Some(max_len),
-            };
-            let mut env = RouterlessEnv::with_constraints(Grid::square(4).unwrap(), constraints);
-            while let Some(a) = env.greedy_action() {
-                env.apply(a);
-                if env.is_fully_connected() {
-                    break;
-                }
-            }
-            env
-        };
-        let tight = run(10);
-        assert!(!tight.is_fully_connected(), "corners cannot connect");
-        let corner_a = tight.grid().node_at(0, 0);
-        let corner_b = tight.grid().node_at(3, 3);
-        assert!(!tight
-            .topology()
-            .hop_matrix()
-            .is_connected(corner_a, corner_b));
-        assert!(tight.topology().loops().iter().all(|l| l.num_nodes() <= 10));
-
-        let exact = run(12);
-        assert!(exact.is_fully_connected());
-        assert!(exact.topology().loops().iter().all(|l| l.num_nodes() <= 12));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use mesh::MeshSim;
 pub use packet::{Flit, Packet, PacketKind};
 pub use routerless::RouterlessSim;
 pub use runner::{
-    run_synthetic, run_synthetic_checked, run_synthetic_traced, run_with_source,
-    run_with_source_traced, Delivery, Network, PacketSource,
+    run_synthetic, run_synthetic_checked, run_with_source, run_with_source_traced, Delivery,
+    Network, PacketSource,
 };
 pub use stats::Metrics;

@@ -120,43 +120,13 @@ impl PacketSource for TrafficGen {
 /// Runs a traffic experiment from any [`PacketSource`]: warm-up,
 /// measurement, and drain phases, returning aggregated [`Metrics`].
 ///
-/// The per-cycle loop reuses two caller-local buffers (new packets and
-/// drained deliveries) and the sink-based trait methods, so it allocates
-/// nothing per cycle in steady state.
+/// This is [`run_with_source_traced`] with a disabled recorder.
 pub fn run_with_source<N: Network>(
     net: &mut N,
     source: &mut impl PacketSource,
     cfg: &SimConfig,
 ) -> Metrics {
-    let grid = *net.grid();
-    let mut metrics = Metrics::new(grid.len(), cfg.measure);
-    let total = cfg.warmup + cfg.measure + cfg.drain;
-    let mut fresh: Vec<Packet> = Vec::new();
-    let mut delivered: Vec<Delivery> = Vec::new();
-    for cycle in 0..total {
-        // Generation stops after the measurement window so the drain phase
-        // can empty the network.
-        if cycle < cfg.warmup + cfg.measure {
-            let measured = cycle >= cfg.warmup;
-            fresh.clear();
-            source.generate_into(cycle, cfg, measured, &mut fresh);
-            for &p in &fresh {
-                if measured {
-                    metrics.record_offered(p.flits);
-                }
-                net.offer(p);
-            }
-        }
-        net.tick(cycle);
-        delivered.clear();
-        net.drain_deliveries(&mut delivered);
-        for d in &delivered {
-            if d.packet.measured {
-                metrics.record_delivery(d.delivered - d.packet.created, d.hops, d.packet.flits);
-            }
-        }
-    }
-    metrics
+    run_with_source_traced(net, source, cfg, &mut rlnoc_telemetry::Recorder::disabled())
 }
 
 /// [`run_with_source`] plus telemetry: counts *every* injected and
@@ -165,13 +135,18 @@ pub fn run_with_source<N: Network>(
 /// end-of-run in-flight backlog, and samples fabric-specific counters via
 /// [`Network::telemetry_sample`].
 ///
-/// Telemetry is observation-only: the returned [`Metrics`] are bit-identical
-/// to [`run_with_source`] on the same inputs (asserted by the golden-trace
-/// tests), whether `rec` is live or disabled. The emitted counters satisfy
-/// the conservation identity: `sim.packets_injected` equals the sum of
-/// `sim.packets_delivered`, `sim.packets_in_flight_end`,
-/// `sim.unroutable_packets`, and `sim.dropped_by_fault_packets` (the last
-/// two from the routerless fabric's sample; faultless meshes drop nothing).
+/// The per-cycle loop reuses two caller-local buffers (new packets and
+/// drained deliveries) and the sink-based trait methods, so it allocates
+/// nothing per cycle in steady state; the counters are plain locals,
+/// published once at the end only when `rec` is live.
+///
+/// Telemetry is observation-only: the returned [`Metrics`] are the same
+/// whether `rec` is live or disabled (asserted by the golden-trace tests).
+/// The emitted counters satisfy the conservation identity:
+/// `sim.packets_injected` equals the sum of `sim.packets_delivered`,
+/// `sim.packets_in_flight_end`, `sim.unroutable_packets`, and
+/// `sim.dropped_by_fault_packets` (the last two from the routerless
+/// fabric's sample; faultless meshes drop nothing).
 pub fn run_with_source_traced<N: Network>(
     net: &mut N,
     source: &mut impl PacketSource,
@@ -189,6 +164,8 @@ pub fn run_with_source_traced<N: Network>(
     let mut delivered_packets = 0u64;
     let mut delivered_flits = 0u64;
     for cycle in 0..total {
+        // Generation stops after the measurement window so the drain phase
+        // can empty the network.
         if cycle < cfg.warmup + cfg.measure {
             let measured = cycle >= cfg.warmup;
             fresh.clear();
@@ -246,19 +223,6 @@ pub fn run_synthetic<N: Network>(
 ) -> Metrics {
     let mut gen = TrafficGen::new(*net.grid(), pattern, rate, seed);
     run_with_source(net, &mut gen, cfg)
-}
-
-/// [`run_synthetic`] with telemetry, via [`run_with_source_traced`].
-pub fn run_synthetic_traced<N: Network>(
-    net: &mut N,
-    pattern: Pattern,
-    rate: f64,
-    cfg: &SimConfig,
-    seed: u64,
-    rec: &mut rlnoc_telemetry::Recorder,
-) -> Metrics {
-    let mut gen = TrafficGen::new(*net.grid(), pattern, rate, seed);
-    run_with_source_traced(net, &mut gen, cfg, rec)
 }
 
 /// [`run_synthetic`] with inputs validated at the boundary: the rate must

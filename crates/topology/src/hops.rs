@@ -156,48 +156,42 @@ impl HopMatrix {
         improved
     }
 
-    /// Number of ordered pairs that `ring` would newly connect, without
-    /// mutating the matrix.
-    pub fn newly_connected_pairs(&self, grid: &Grid, ring: &RectLoop) -> usize {
-        let mut newly = 0;
-        let nodes = ring.perimeter_nodes(grid);
-        for &a in &nodes {
-            for &b in &nodes {
-                if a != b && !self.is_connected(a, b) {
-                    newly += 1;
-                }
-            }
-        }
-        newly
-    }
-
-    /// Number of ordered pairs that would be connected if `ring` were added,
-    /// without mutating the matrix. This is the paper's `CheckCount`
-    /// (Algorithm 1).
-    pub fn connected_pairs_if_added(&self, grid: &Grid, ring: &RectLoop) -> usize {
-        self.connected_pairs() + self.newly_connected_pairs(grid, ring)
-    }
-
-    /// Total hop-count reduction (sum over all ordered pairs) that `ring`
-    /// would deliver, without mutating the matrix. This drives the paper's
-    /// `Imprv` tie-break in Algorithm 1.
-    pub fn improvement_if_added(&self, grid: &Grid, ring: &RectLoop) -> u64 {
-        let nodes = ring.perimeter_nodes(grid);
-        let len = nodes.len();
-        let mut gain = 0u64;
-        for (pi, &a) in nodes.iter().enumerate() {
-            for (pj, &b) in nodes.iter().enumerate() {
-                if a == b {
+    /// Scores adding the loop whose clockwise perimeter is `cw_nodes`, in
+    /// both directions at once, without mutating the matrix.
+    ///
+    /// One read of each perimeter pair's entry serves both directions: the
+    /// counter-clockwise distance is `len − d` for clockwise distance `d`.
+    /// `new_pairs` is direction-independent, and `connected_pairs() +
+    /// new_pairs` is the paper's `CheckCount` (Algorithm 1); the gains drive
+    /// its `Imprv` tie-break and the direction choice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is out of range.
+    pub fn score_loop(&self, cw_nodes: &[NodeId]) -> LoopScore {
+        let len = cw_nodes.len();
+        let mut score = LoopScore::default();
+        for (pi, &a) in cw_nodes.iter().enumerate() {
+            let row = &self.data[a * self.n..(a + 1) * self.n];
+            for (pj, &b) in cw_nodes.iter().enumerate() {
+                if pi == pj {
                     continue;
                 }
-                let d = ((pj + len - pi) % len) as u32;
-                let cur = self.data[a * self.n + b];
+                let cur = row[b];
+                let d = if pj > pi { pj - pi } else { pj + len - pi } as u32;
+                let r = len as u32 - d;
+                if cur >= self.sentinel {
+                    score.new_pairs += 1;
+                }
                 if d < cur {
-                    gain += u64::from(cur - d);
+                    score.gain_cw += u64::from(cur - d);
+                }
+                if r < cur {
+                    score.gain_ccw += u64::from(cur - r);
                 }
             }
         }
-        gain
+        score
     }
 
     /// Flattens the matrix into the paper's `N² × N²` block state layout for
@@ -229,6 +223,18 @@ impl HopMatrix {
     pub fn as_slice(&self) -> &[u32] {
         &self.data
     }
+}
+
+/// What adding one rectangle would do to a [`HopMatrix`], in each
+/// direction; see [`HopMatrix::score_loop`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoopScore {
+    /// Ordered pairs the loop would newly connect (either direction).
+    pub new_pairs: usize,
+    /// Total hop-count reduction of the clockwise loop.
+    pub gain_cw: u64,
+    /// Total hop-count reduction of the counter-clockwise loop.
+    pub gain_ccw: u64,
 }
 
 /// Renders the matrix as aligned rows of hop counts; sentinel entries show
@@ -324,33 +330,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn connected_pairs_if_added_matches_apply() {
-        let g = grid(4);
-        let mut m = HopMatrix::new(g);
-        let l1 = RectLoop::new(0, 0, 2, 2, Direction::Clockwise).unwrap();
-        let l2 = RectLoop::new(1, 1, 3, 3, Direction::Clockwise).unwrap();
-        m.apply_loop(&g, &l1);
-        let predicted = m.connected_pairs_if_added(&g, &l2);
-        m.apply_loop(&g, &l2);
-        assert_eq!(m.connected_pairs(), predicted);
+    /// Applies `ring` to a copy of `m`, returning (newly connected pairs,
+    /// total hop reduction).
+    fn applied_delta(m: &HopMatrix, g: &Grid, ring: &RectLoop) -> (usize, u64) {
+        let total = |m: &HopMatrix| m.as_slice().iter().map(|&h| u64::from(h)).sum::<u64>();
+        let mut after = m.clone();
+        after.apply_loop(g, ring);
+        (
+            after.connected_pairs() - m.connected_pairs(),
+            total(m) - total(&after),
+        )
     }
 
     #[test]
-    fn improvement_if_added_matches_apply() {
+    fn score_loop_matches_apply() {
         let g = grid(4);
+        // Both directions of a loop overlapping a placed one.
         let mut m = HopMatrix::new(g);
         m.apply_loop(
             &g,
-            &RectLoop::new(0, 0, 3, 3, Direction::Clockwise).unwrap(),
+            &RectLoop::new(0, 0, 2, 2, Direction::Clockwise).unwrap(),
         );
-        let l2 = RectLoop::new(0, 0, 3, 3, Direction::Counterclockwise).unwrap();
-        let before: u64 = m.as_slice().iter().map(|&h| u64::from(h)).sum();
-        let gain = m.improvement_if_added(&g, &l2);
-        m.apply_loop(&g, &l2);
-        let after: u64 = m.as_slice().iter().map(|&h| u64::from(h)).sum();
-        assert_eq!(before - after, gain);
-        assert!(gain > 0, "reverse loop shortens the long way round");
+        let cw = RectLoop::new(1, 1, 3, 3, Direction::Clockwise).unwrap();
+        let s = m.score_loop(&cw.perimeter_nodes(&g));
+        assert_eq!(applied_delta(&m, &g, &cw), (s.new_pairs, s.gain_cw));
+        assert_eq!(
+            applied_delta(&m, &g, &cw.reversed()),
+            (s.new_pairs, s.gain_ccw)
+        );
+        assert!(s.new_pairs > 0 && s.gain_cw > 0 && s.gain_ccw > 0);
+
+        // The reverse of a placed ring connects nothing new but shortens
+        // the long way round; the ring itself changes nothing.
+        let mut m = HopMatrix::new(g);
+        let ring = RectLoop::new(0, 0, 3, 3, Direction::Clockwise).unwrap();
+        m.apply_loop(&g, &ring);
+        let s = m.score_loop(&ring.perimeter_nodes(&g));
+        assert_eq!((s.new_pairs, s.gain_cw), (0, 0));
+        assert_eq!(applied_delta(&m, &g, &ring.reversed()), (0, s.gain_ccw));
+        assert!(s.gain_ccw > 0);
     }
 
     #[test]

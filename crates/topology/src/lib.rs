@@ -63,7 +63,7 @@ pub mod render;
 pub use error::TopologyError;
 pub use fault::{FaultSet, ReachabilityReport};
 pub use grid::{Coord, Grid, NodeId};
-pub use hops::HopMatrix;
+pub use hops::{HopMatrix, LoopScore};
 pub use rect_loop::{Direction, RectLoop};
 pub use routing::{Route, RoutingPolicy, RoutingTable};
 pub use topology::Topology;

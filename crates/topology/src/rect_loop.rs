@@ -190,36 +190,46 @@ impl RectLoop {
         self.contains_coord(x, y)
     }
 
+    /// Every clockwise rectangle that fits on `grid`, ordered by `x1`, then
+    /// `x2`, then `y1`, then `y2` — the scan order of Algorithm 1 and of
+    /// the environment's legal actions.
+    pub fn all_clockwise(grid: &Grid) -> impl Iterator<Item = RectLoop> {
+        let (w, h) = (grid.width(), grid.height());
+        (0..w).flat_map(move |x1| {
+            (x1 + 1..w).flat_map(move |x2| {
+                (0..h).flat_map(move |y1| {
+                    (y1 + 1..h).map(move |y2| RectLoop {
+                        x1,
+                        y1,
+                        x2,
+                        y2,
+                        dir: Direction::Clockwise,
+                    })
+                })
+            })
+        })
+    }
+
+    /// The perimeter in clockwise order from the top-left corner; each edge
+    /// stops short of its last corner so corners are not duplicated.
+    fn clockwise_coords(&self) -> impl Iterator<Item = Coord> {
+        let RectLoop { x1, y1, x2, y2, .. } = *self;
+        (x1..x2)
+            .map(move |x| (x, y1))
+            .chain((y1..y2).map(move |y| (x2, y)))
+            .chain((x1 + 1..=x2).rev().map(move |x| (x, y2)))
+            .chain((y1 + 1..=y2).rev().map(move |y| (x1, y)))
+    }
+
     /// The perimeter coordinates in circulation order, starting from the
     /// top-left corner.
     pub fn perimeter_coords(&self) -> Vec<Coord> {
-        let mut cw = Vec::with_capacity(self.num_nodes());
-        // Top edge, left → right (excluding the last corner of each edge so
-        // corners are not duplicated).
-        for x in self.x1..self.x2 {
-            cw.push((x, self.y1));
+        let mut out: Vec<Coord> = self.clockwise_coords().collect();
+        if self.dir == Direction::Counterclockwise {
+            // Reverse traversal order but keep the same starting node.
+            out[1..].reverse();
         }
-        // Right edge, top → bottom.
-        for y in self.y1..self.y2 {
-            cw.push((self.x2, y));
-        }
-        // Bottom edge, right → left.
-        for x in (self.x1 + 1..=self.x2).rev() {
-            cw.push((x, self.y2));
-        }
-        // Left edge, bottom → top.
-        for y in (self.y1 + 1..=self.y2).rev() {
-            cw.push((self.x1, y));
-        }
-        match self.dir {
-            Direction::Clockwise => cw,
-            Direction::Counterclockwise => {
-                // Reverse traversal order but keep the same starting node.
-                let mut ccw = cw;
-                ccw[1..].reverse();
-                ccw
-            }
-        }
+        out
     }
 
     /// The perimeter node ids on `grid`, in circulation order.
@@ -229,10 +239,23 @@ impl RectLoop {
     /// Panics if the loop does not fit on `grid`; validate with
     /// [`RectLoop::check_on`] first.
     pub fn perimeter_nodes(&self, grid: &Grid) -> Vec<NodeId> {
-        self.perimeter_coords()
-            .into_iter()
-            .map(|(x, y)| grid.node_at(x, y))
-            .collect()
+        let mut out = Vec::with_capacity(self.num_nodes());
+        self.perimeter_nodes_into(grid, &mut out);
+        out
+    }
+
+    /// [`RectLoop::perimeter_nodes`] into a caller-owned buffer, which is
+    /// cleared first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the loop does not fit on `grid`.
+    pub fn perimeter_nodes_into(&self, grid: &Grid, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(self.clockwise_coords().map(|(x, y)| grid.node_at(x, y)));
+        if self.dir == Direction::Counterclockwise {
+            out[1..].reverse();
+        }
     }
 
     /// Position of `(x, y)` along the circulation order, or `None` if the
@@ -471,5 +494,20 @@ mod tests {
             "interior nodes are not on the loop"
         );
         assert!(!l.contains_coord(3, 0));
+    }
+
+    #[test]
+    fn all_clockwise_scans_x1_x2_y1_y2() {
+        let g = Grid::new(4, 3).unwrap();
+        let all: Vec<_> = RectLoop::all_clockwise(&g).map(|l| l.encode()).collect();
+        // C(4, 2) column pairs × C(3, 2) row pairs.
+        assert_eq!(all.len(), 6 * 3);
+        assert_eq!(
+            all[..3],
+            [(0, 0, 1, 1, 1), (0, 0, 1, 2, 1), (0, 1, 1, 2, 1)]
+        );
+        let mut sorted = all.clone();
+        sorted.sort_by_key(|&(x1, y1, x2, y2, _)| (x1, x2, y1, y2));
+        assert_eq!(all, sorted);
     }
 }

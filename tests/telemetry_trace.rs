@@ -11,8 +11,8 @@ use rlnoc::drl::explorer::{ExploreReport, Explorer, ExplorerConfig};
 use rlnoc::drl::parallel::explore_parallel;
 use rlnoc::drl::routerless::RouterlessEnv;
 use rlnoc::sim::sweep::{SweepEngine, SweepParams};
-use rlnoc::sim::traffic::Pattern;
-use rlnoc::sim::{run_synthetic, run_synthetic_traced, FaultPlan, RouterlessSim, SimConfig};
+use rlnoc::sim::traffic::{Pattern, TrafficGen};
+use rlnoc::sim::{run_synthetic, run_with_source_traced, FaultPlan, RouterlessSim, SimConfig};
 use rlnoc::telemetry::{Event, TelemetrySink};
 use rlnoc::topology::Grid;
 
@@ -161,7 +161,8 @@ fn traced_sim_conserves_packets_under_faults() {
     let sink = TelemetrySink::enabled();
     let mut rec = sink.recorder("sim");
     let mut sim = RouterlessSim::with_faults(&topo, plan.clone());
-    let traced = run_synthetic_traced(&mut sim, Pattern::UniformRandom, 0.08, &cfg, 21, &mut rec);
+    let mut gen = TrafficGen::new(*topo.grid(), Pattern::UniformRandom, 0.08, 21);
+    let traced = run_with_source_traced(&mut sim, &mut gen, &cfg, &mut rec);
     drop(rec);
 
     assert_schema_stable(&sink.events());
