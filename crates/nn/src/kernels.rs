@@ -43,10 +43,32 @@
 //! element, the operation order of the im2col-plus-[`gemm`] pass it
 //! replaces, so each is bit-identical to it.
 //!
+//! The forward and the input gradient run on the lane vectors of
+//! `crate::simd`, whose `Lane` is one register of the build's widest
+//! vector unit: 16 lanes with `avx512f`, 8 otherwise. Their register tiles
+//! follow it:
+//!
+//! - the forward tile is 8 output channels by 16 pixels (eight 512-bit
+//!   accumulators) with `avx512f`, and 4 channels by 8 pixels otherwise,
+//!   which fits the 16 vector registers of x86-64 without AVX-512;
+//! - the input gradient keeps eight `Lane`s of sums in flight, so each tap
+//!   runs eight independent channel sums: eight `Lane`s of one row, four
+//!   of two rows, two of four rows or one of eight rows, the widest that
+//!   fits the image.
+//!
+//! Both are one algorithm on every target: only the tile constants and the
+//! lane type change, never the order of any element's operations, so every
+//! target produces the same bits. Products and sums are always a `mul`
+//! then an `add`, never a fused multiply-add, which rounds once instead of
+//! twice and would change results. The weight gradient and [`gemm`] stay
+//! on plain arrays: the weight gradient's tile is `NR = 8` output channels
+//! wide, and the small learner net has only 8, half a 512-bit register.
+//!
 //! There is no `a == 0.0` fast path anywhere in this module: `0 × NaN` and
 //! `0 × ∞` must produce `NaN`, exactly as IEEE-754 specifies. The naive
 //! and im2col oracles used by the parity tests live in [`crate::reference`].
 
+use crate::simd::{self, Lane, Vector};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -354,10 +376,9 @@ fn macro_kernel(
 
 /// The register-tiled inner kernel: an MR×NR rank-`kc` outer-product
 /// accumulation of the packed micro-rows in `a_tile` (`kc·MR` values)
-/// against `kc` rows of `B`, summed from `0.0` in `p` order. The
+/// against `kc` packed rows of `B`, summed from `0.0` in `p` order. The
 /// fixed-size accumulator array keeps everything in registers and lets the
-/// compiler vectorize the `j` loop. `B` rows come from a packed panel in
-/// [`gemm`] and straight from the padded input in [`conv_same_direct`].
+/// compiler vectorize the `j` loop.
 #[inline(always)]
 fn micro_kernel<'b>(
     a_tile: &[f32],
@@ -389,10 +410,27 @@ fn fold_block(sums: &mut [f32], block: &[f32], first: bool) {
     }
 }
 
+/// Output channels per register tile of [`conv_same_direct`]. With
+/// `avx512f` the tile is 8 channels by one 16-lane [`Lane`]: eight of
+/// the 32 512-bit registers, the rest left for the tap's pixels and the
+/// weight broadcasts. Without it the tile is 4 by 8 lanes, which fits
+/// x86-64's 16 registers; an 8×16 tile spills there.
+const CONV_MR: usize = if cfg!(target_feature = "avx512f") {
+    8
+} else {
+    4
+};
+const _: () = assert!(
+    CONV_MR.is_multiple_of(MR),
+    "a conv tile reads whole micro-rows"
+);
+
 /// Packs a convolution's weight matrix `w` (`[out_c, kdim]`) for
-/// [`conv_same_direct`] into the first `⌈out_c/MR⌉·MR × kdim` elements of
-/// `packed`: its `KC`-deep blocks one after another, each in `pack_a`'s
-/// micro-row layout. Done once per pass and shared by every batch item.
+/// [`conv_same_direct`] into the first `⌈out_c/CONV_MR⌉·CONV_MR × kdim`
+/// elements of `packed`: its `KC`-deep blocks one after another, each in
+/// `pack_a`'s `MR`-row micro-row layout, with zero micro-rows up to a
+/// multiple of `CONV_MR` rows. Done once per pass and shared by every
+/// batch item.
 pub(crate) fn pack_conv_weights<'p>(
     w: &[f32],
     out_c: usize,
@@ -400,27 +438,21 @@ pub(crate) fn pack_conv_weights<'p>(
     packed: &'p mut Vec<f32>,
 ) -> &'p [f32] {
     debug_assert_eq!(w.len(), out_c * kdim);
-    let rows = out_c.div_ceil(MR) * MR;
+    let rows = out_c.div_ceil(CONV_MR) * CONV_MR;
     let packed = scratch(packed, rows * kdim);
     for pc in (0..kdim).step_by(KC) {
         let kc = KC.min(kdim - pc);
-        pack_a(
-            false,
-            w,
-            kdim,
-            0,
-            out_c,
-            pc,
-            kc,
-            &mut packed[rows * pc..][..rows * kc],
-        );
+        let block = &mut packed[rows * pc..][..rows * kc];
+        let (rows_in, zeros) = block.split_at_mut(out_c.div_ceil(MR) * MR * kc);
+        pack_a(false, w, kdim, 0, out_c, pc, kc, rows_in);
+        zeros.fill(0.0);
     }
     packed
 }
 
 /// Slack [`conv_same_direct`] needs after the padded input: a ragged tile
-/// reads a full `NR`-wide row (the lanes past the image are discarded).
-pub(crate) const CONV_SLACK: usize = NR;
+/// reads a full [`Lane`] (the lanes past the image are discarded).
+pub(crate) const CONV_SLACK: usize = Lane::LANES;
 
 /// Stride-1 same-padding convolution of one batch item, without an im2col
 /// matrix:
@@ -429,11 +461,14 @@ pub(crate) const CONV_SLACK: usize = NR;
 /// `packed_w` comes from [`pack_conv_weights`]. `xp` is the item's
 /// zero-padded input (`[c, h + 2·pad, wp]` followed by [`CONV_SLACK`]
 /// elements) and `offs[p]` is where tap `p = (ic, ky, kx)` starts in it,
-/// so `B` row `p` of an output tile is read in place. Each output element
-/// sees exactly the operations of `im2col` then
+/// so tap `p`'s pixels of an output tile are read in place. Each output
+/// element sees exactly the operations of `im2col` then
 /// [`gemm`]`(false, false, out_c, kdim, h·w, …)` then the bias: `KC` blocks
 /// of `p`, each summed from `0.0` in `p` order, combined as `c = acc` then
 /// `c += acc`, and the bias added last. The two are bit-identical.
+///
+/// The register tile is `CONV_MR` output channels, read from
+/// `CONV_MR / MR` micro-rows, by one [`Lane`] of pixels.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_same_direct(
     out_c: usize,
@@ -447,32 +482,47 @@ pub(crate) fn conv_same_direct(
     out: &mut [f32],
 ) {
     let kdim = offs.len();
-    let rows = out_c.div_ceil(MR) * MR;
+    let rows = out_c.div_ceil(CONV_MR) * CONV_MR;
     let hw = h * w;
     debug_assert_eq!(packed_w.len(), rows * kdim);
     debug_assert_eq!(out.len(), out_c * hw);
     for oy in 0..h {
-        for ox0 in (0..w).step_by(NR) {
-            let tile_cols = NR.min(w - ox0);
-            let base = oy * wp + ox0;
-            for ir in (0..out_c).step_by(MR) {
-                let mut tile = [[0.0f32; NR]; MR];
+        for ox0 in (0..w).step_by(Lane::LANES) {
+            let tile_cols = Lane::LANES.min(w - ox0);
+            let xs = &xp[oy * wp + ox0..];
+            for ir in (0..out_c).step_by(CONV_MR) {
+                let mut tile = [Lane::splat(0.0); CONV_MR];
                 for pc in (0..kdim).step_by(KC) {
                     let kc = KC.min(kdim - pc);
-                    let a_tile = &packed_w[rows * pc + (ir / MR) * (kc * MR)..][..kc * MR];
-                    let b_rows = offs[pc..pc + kc].iter().map(|&o| {
-                        xp[o + base..]
-                            .first_chunk::<NR>()
-                            .expect("padded input has CONV_SLACK")
+                    let micro_rows: [&[[f32; MR]]; CONV_MR / MR] = std::array::from_fn(|q| {
+                        let at = rows * pc + (ir / MR + q) * (kc * MR);
+                        packed_w[at..][..kc * MR].as_chunks::<MR>().0
                     });
-                    let acc = micro_kernel(a_tile, b_rows);
-                    fold_block(tile.as_flattened_mut(), acc.as_flattened(), pc == 0);
+                    let mut acc = [Lane::splat(0.0); CONV_MR];
+                    for (p, &o) in offs[pc..pc + kc].iter().enumerate() {
+                        let x = &xs[o..];
+                        for (acc, a) in acc.chunks_exact_mut(MR).zip(&micro_rows) {
+                            for (acc, &a) in acc.iter_mut().zip(&a[p]) {
+                                acc.add_scaled(a, x);
+                            }
+                        }
+                    }
+                    if pc == 0 {
+                        tile = acc;
+                    } else {
+                        tile.add(&acc);
+                    }
                 }
-                for (i, t) in tile.iter().enumerate().take(MR.min(out_c - ir)) {
-                    let b = bias[ir + i];
+                for (i, t) in tile.iter().enumerate().take(CONV_MR.min(out_c - ir)) {
+                    let mut sums = *t;
+                    sums.add(&Lane::splat(bias[ir + i]));
                     let dst = &mut out[(ir + i) * hw + oy * w + ox0..][..tile_cols];
-                    for (d, &v) in dst.iter_mut().zip(&t[..tile_cols]) {
-                        *d = v + b;
+                    if tile_cols == Lane::LANES {
+                        sums.store(dst);
+                    } else {
+                        let mut lanes = [0.0f32; Lane::LANES];
+                        sums.store(&mut lanes);
+                        dst.copy_from_slice(&lanes[..tile_cols]);
                     }
                 }
             }
@@ -605,12 +655,17 @@ fn wgrad_segment(mut acc: [[f32; NR]; WT], go: &[[f32; NR]], xs: [&[f32]; WT]) -
 /// combined left to right, `(g₀ + g₁) + g₂ …`, as separate input
 /// gradients added with [`crate::Tensor::add`] would be.
 ///
-/// Pixels go in chunks of `L` lanes along `x` (64, 32, 16, 8 or 1, the
-/// widest that fits `w`). A tap whose source row lies outside the image is
-/// skipped for the whole chunk; lanes whose source column does are kept
-/// out by a select, never by adding a product of the padding, so a
-/// non-finite weight cannot turn a skipped zero into `NaN`. A last chunk
-/// that overlaps the one before recomputes the same values.
+/// Pixels go in chunks along `x` and blocks of rows along `y` that keep
+/// eight [`Lane`]s of sums in flight, so each tap runs eight independent
+/// channel sums: chunks of eight `Lane`s in one row, of four in two rows,
+/// of two in four rows or of one in eight rows, the widest chunk that fits
+/// `w`; images narrower than a `Lane` take 8- or 1-lane chunks of one
+/// row. Each row of a block sums its taps on its own. A tap whose source
+/// row lies outside the image is skipped for that row; lanes whose source
+/// column does are kept out by a masked add, never by adding a product of
+/// the padding, so a non-finite weight cannot turn a skipped zero into
+/// `NaN`. A last chunk that overlaps the one before recomputes the same
+/// values.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_igrad_gather(
     wd: &[f32],
@@ -623,113 +678,167 @@ pub(crate) fn conv_igrad_gather(
     k: usize,
     gx: &mut [f32],
 ) {
+    let d = Gather {
+        wd,
+        out_c,
+        groups,
+        gop,
+        c,
+        h,
+        w,
+        k,
+    };
     match w {
-        w if w >= 64 => gather_lanes::<64>(wd, out_c, groups, gop, c, h, w, k, gx),
-        w if w >= 32 => gather_lanes::<32>(wd, out_c, groups, gop, c, h, w, k, gx),
-        w if w >= 16 => gather_lanes::<16>(wd, out_c, groups, gop, c, h, w, k, gx),
-        w if w >= NR => gather_lanes::<NR>(wd, out_c, groups, gop, c, h, w, k, gx),
-        _ => gather_lanes::<1>(wd, out_c, groups, gop, c, h, w, k, gx),
+        w if w >= 8 * Lane::LANES => d.run::<[Lane; 8], 1>(gx),
+        w if w >= 4 * Lane::LANES => d.run::<[Lane; 4], 2>(gx),
+        w if w >= 2 * Lane::LANES => d.run::<[Lane; 2], 4>(gx),
+        w if w >= Lane::LANES => d.run::<[Lane; 1], 8>(gx),
+        w if w >= 8 => d.run::<simd::Lane8, 1>(gx),
+        _ => d.run::<[f32; 1], 1>(gx),
     }
 }
 
-/// [`conv_igrad_gather`] in `L`-lane chunks (`w >= L`).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn gather_lanes<const L: usize>(
-    wd: &[f32],
+/// The operands of one [`conv_igrad_gather`].
+#[derive(Clone, Copy)]
+struct Gather<'a> {
+    wd: &'a [f32],
     out_c: usize,
     groups: usize,
-    gop: &[f32],
+    gop: &'a [f32],
     c: usize,
     h: usize,
     w: usize,
     k: usize,
-    gx: &mut [f32],
-) {
-    let pad = k / 2;
-    let (wq, hw, kdim) = (w + 2 * pad, h * w, c * k * k);
-    let per_group = out_c / groups;
-    debug_assert_eq!(per_group * groups, out_c);
-    debug_assert_eq!(wd.len(), out_c * kdim);
-    debug_assert_eq!(gop.len(), out_c * h * wq);
-    debug_assert_eq!(gx.len(), c * hw);
-    for ic in 0..c {
-        for iy in 0..h {
+}
+
+impl Gather<'_> {
+    /// The whole gather in chunks of `V` (`w ≥ V::LANES`), in blocks of
+    /// `R` rows and a remainder of single rows.
+    #[inline(always)]
+    fn run<V: Vector, const R: usize>(self, gx: &mut [f32]) {
+        let Gather { c, h, w, k, .. } = self;
+        let hw = h * w;
+        debug_assert_eq!(self.out_c % self.groups, 0);
+        debug_assert_eq!(self.wd.len(), self.out_c * c * k * k);
+        debug_assert_eq!(self.gop.len(), self.out_c * h * (w + k - 1));
+        debug_assert_eq!(gx.len(), c * hw);
+        let blocked = h - h % R;
+        for ic in 0..c {
             let mut done = 0;
             while done < w {
-                let ix0 = done.min(w - L);
-                let mut total = [0.0f32; L];
-                for g in 0..groups {
-                    let group = g * per_group..(g + 1) * per_group;
-                    let mut acc = [0.0f32; L];
-                    for ky in 0..k {
-                        // Source row oy = iy + pad - ky must lie in the image.
-                        let Some(oy) = (iy + pad).checked_sub(ky).filter(|&oy| oy < h) else {
-                            continue;
-                        };
-                        for kx in 0..k {
-                            let p = (ic * k + ky) * k + kx;
-                            // Lane l reads source column ix0 + l + pad - kx,
-                            // in the image for l in lo..hi.
-                            let lo = kx.saturating_sub(ix0 + pad);
-                            let hi = (w + kx).saturating_sub(ix0 + pad).min(L);
-                            let col = (oy * wq + ix0 + 2 * pad - kx, p);
-                            let mut t = [0.0f32; L];
-                            for oc0 in group.clone().step_by(KC) {
-                                let ocs = oc0..group.end.min(oc0 + KC);
-                                let s = tap_dot::<L>(wd, kdim, gop, h * wq, col, ocs);
-                                fold_block(&mut t, &s, oc0 == group.start);
-                            }
-                            if lo == 0 && hi == L {
-                                for (a, &t) in acc.iter_mut().zip(&t) {
-                                    *a += t;
-                                }
-                            } else {
-                                // One unsigned compare per lane: l - lo < hi - lo.
-                                let (lo, span) = (lo as u32, hi.saturating_sub(lo) as u32);
-                                for (l, (a, &t)) in acc.iter_mut().zip(&t).enumerate() {
-                                    let sum = *a + t;
-                                    *a = if (l as u32).wrapping_sub(lo) < span {
-                                        sum
-                                    } else {
-                                        *a
-                                    };
-                                }
-                            }
-                        }
+                let ix0 = done.min(w - V::LANES);
+                for iy0 in (0..blocked).step_by(R) {
+                    let sums = self.block::<V, R>(ic, iy0, ix0);
+                    for (r, sums) in sums.iter().enumerate() {
+                        sums.store(&mut gx[ic * hw + (iy0 + r) * w + ix0..]);
                     }
-                    fold_block(&mut total, &acc, g == 0);
                 }
-                gx[ic * hw + iy * w + ix0..][..L].copy_from_slice(&total);
-                done = ix0 + L;
+                for iy in blocked..h {
+                    let [sums] = self.block::<V, 1>(ic, iy, ix0);
+                    sums.store(&mut gx[ic * hw + iy * w + ix0..]);
+                }
+                done = ix0 + V::LANES;
             }
         }
     }
+
+    /// Input channel `ic`'s gradient at the `V::LANES` pixels from `ix0` of
+    /// rows `iy0..iy0 + R`, each row's groups combined left to right.
+    #[inline(always)]
+    fn block<V: Vector, const R: usize>(self, ic: usize, iy0: usize, ix0: usize) -> [V; R] {
+        let Gather {
+            wd,
+            out_c,
+            groups,
+            gop,
+            c,
+            h,
+            w,
+            k,
+        } = self;
+        let (pad, wq, kdim) = (k / 2, w + k - 1, c * k * k);
+        let per_group = out_c / groups;
+        let mut total = [V::splat(0.0); R];
+        for g in 0..groups {
+            let group = g * per_group..(g + 1) * per_group;
+            let mut acc = [V::splat(0.0); R];
+            for ky in 0..k {
+                // Row r's source row oy = iy0 + r + pad - ky must lie in the
+                // image. Rows where it does not read row 0 and drop the sums.
+                let rows: [Option<usize>; R] =
+                    std::array::from_fn(|r| (iy0 + r + pad).checked_sub(ky).filter(|&oy| oy < h));
+                if rows.iter().all(Option::is_none) {
+                    continue;
+                }
+                for kx in 0..k {
+                    let p = (ic * k + ky) * k + kx;
+                    // Lane l reads source column ix0 + l + pad - kx, in
+                    // the image for l in lo..hi.
+                    let lo = kx.saturating_sub(ix0 + pad);
+                    let hi = (w + kx).saturating_sub(ix0 + pad).min(V::LANES);
+                    let ats = rows.map(|oy| oy.unwrap_or(0) * wq + ix0 + 2 * pad - kx);
+                    let mut blocks = group.clone().step_by(KC).map(|oc0| {
+                        let ocs = oc0..group.end.min(oc0 + KC);
+                        tap_dots::<V, R>(wd, kdim, gop, h * wq, &ats, p, ocs)
+                    });
+                    let mut t = blocks.next().expect("groups are not empty");
+                    blocks.for_each(|s| t.add(&s));
+                    for ((a, t), row) in acc.iter_mut().zip(&t).zip(&rows) {
+                        if row.is_none() {
+                            continue;
+                        }
+                        if lo == 0 && hi == V::LANES {
+                            a.add(t);
+                        } else {
+                            a.add_lanes(t, lo, hi);
+                        }
+                    }
+                }
+            }
+            if g == 0 {
+                total = acc;
+            } else {
+                total.add(&acc);
+            }
+        }
+        total
+    }
 }
 
-/// One tap's sum over output channels `ocs` for `L` lanes, from `0.0` in
-/// channel order: `Σ_oc wd[oc·kdim + p] · gop[oc·plane + at + l]`, where
-/// `(at, p) = col`.
+/// One tap's sums over output channels `ocs` for `R` rows of `V::LANES`
+/// lanes, each from `0.0` in channel order:
+/// `Σ_oc wd[oc·kdim + p] · gop[oc·plane + ats[r] + l]`.
 #[inline(always)]
-fn tap_dot<const L: usize>(
+fn tap_dots<V: Vector, const R: usize>(
     wd: &[f32],
     kdim: usize,
     gop: &[f32],
     plane: usize,
-    (at, p): (usize, usize),
+    ats: &[usize; R],
+    p: usize,
     ocs: std::ops::Range<usize>,
-) -> [f32; L] {
-    let mut s = [0.0f32; L];
+) -> [V; R] {
+    let mut s = [V::splat(0.0); R];
     for oc in ocs {
         let wv = wd[oc * kdim + p];
-        let row = gop[oc * plane + at..]
-            .first_chunk::<L>()
-            .expect("padded rows hold every lane");
-        for (s, &gv) in s.iter_mut().zip(row) {
-            *s += wv * gv;
+        for (s, &at) in s.iter_mut().zip(ats) {
+            s.add_scaled(wv, &gop[oc * plane + at..]);
         }
     }
     s
+}
+
+/// Runs 16 independent chains of `x = x × m + a` on the build's widest
+/// vector ([`crate::kernels`] module docs) for `steps` steps and returns
+/// the sum of their lanes and the multiply-adds done. Enough chains hide
+/// both ops' latency, so a timed call measures the single-core `mul`+`add`
+/// peak the convolution kernels are judged against.
+///
+/// Benchmark support only (`bench_kernels_json`'s `peak_mul_add_gmacs`):
+/// nothing in the library calls it, and it is not part of the API.
+#[doc(hidden)]
+pub fn mul_add_chains(steps: usize, m: f32, a: f32) -> (f32, usize) {
+    (simd::mul_add_chains(steps, m, a), steps * 16 * Lane::LANES)
 }
 
 #[cfg(test)]

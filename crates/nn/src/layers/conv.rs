@@ -367,6 +367,7 @@ fn forward_pass(
     let Some((threads, per)) = d.split() else {
         return;
     };
+    let timer = crate::instrument::start();
     let (c, h, w, hw, out_c) = (d.c, d.h, d.w, d.hw(), d.out_c);
     let wp = tap_offsets(c, h, w, d.k, &mut bufs.offs);
     let offs = &bufs.offs[..];
@@ -381,6 +382,7 @@ fn forward_pass(
             kernels::conv_same_direct(out_c, packed_w, bias, xp, offs, h, w, wp, out_b);
         }
     });
+    crate::instrument::record_since("nn.conv_fwd_us", timer);
 }
 
 /// Fills `bufs.gw_items` and `bufs.gb_items` with every item's weight and

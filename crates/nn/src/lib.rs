@@ -33,8 +33,11 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 mod error;
+#[allow(unsafe_code)] // the lane intrinsics; see the module docs
+mod simd;
 mod tensor;
 
 pub mod init;

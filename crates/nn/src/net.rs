@@ -430,6 +430,7 @@ mod tests {
         // The stem, the residual pair and one pass for the three heads; the
         // stem forms no input gradient.
         assert_eq!(calls("nn.conv_us"), 4, "conv forwards");
+        assert_eq!(calls("nn.conv_fwd_us"), 4, "conv forward passes");
         assert_eq!(calls("nn.conv_wgrad_us"), 4, "conv weight gradients");
         assert_eq!(calls("nn.conv_igrad_us"), 3, "conv input gradients");
         assert_eq!(calls("nn.forward_us"), 1);

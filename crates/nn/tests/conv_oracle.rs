@@ -98,6 +98,12 @@ fn assert_same_bits(got: &Pass, want: &Pass, what: &str) {
 /// `k` 1/3/5, spatial 4×4, 6×7, 10×10 and 64×64 (plus the 4x4 learner's
 /// 16×16 and images smaller than the kernel), ragged `w % 8 ≠ 0` tiles,
 /// and shapes big enough to split the batch at 2 and 3 threads.
+///
+/// The last rows cover the edges of the widest tiles: a partial 8-row
+/// output-channel tile (`out_c` 5, 7, 9, 11, 13, 15), a ragged or
+/// overlapping last 16-lane chunk (`w` 17, 19, 24, 31, 33, 40, 63, 70)
+/// and the remainder of the input gradient's 2-, 4- and 8-row blocks
+/// (`h` 2, 3, 5, 6, 7, 9, 13), or an image shorter than one block.
 const CASES: &[(usize, usize, usize, usize, usize, usize)] = &[
     (1, 1, 1, 1, 4, 4),
     (2, 2, 2, 3, 6, 7),
@@ -111,6 +117,14 @@ const CASES: &[(usize, usize, usize, usize, usize, usize)] = &[
     (1, 8, 2, 3, 64, 64),
     (2, 1, 260, 3, 4, 4),
     (2, 3, 4, 5, 2, 1),
+    (2, 3, 5, 3, 3, 19),
+    (1, 1, 7, 3, 5, 17),
+    (2, 8, 13, 3, 7, 40),
+    (3, 2, 11, 5, 13, 24),
+    (1, 4, 9, 3, 2, 63),
+    (2, 8, 15, 3, 6, 31),
+    (1, 2, 3, 1, 9, 33),
+    (2, 3, 9, 3, 5, 70),
 ];
 
 #[test]
@@ -149,14 +163,18 @@ fn conv_matches_im2col_oracle_bit_for_bit() {
 /// `(batch, in_c, k, h, w)` of three `in_c → 2` heads: the 4x4 and 8x8
 /// learners' heads (at batch 45 and, to keep unoptimised test builds
 /// quick, 5), a ragged `w`, a reduction deeper than `KC` in the weight
-/// gradient's `kdim`, and an image narrower than the kernel. All but the
-/// last split the batch at 2 and 3 threads.
+/// gradient's `kdim`, and an image narrower than the kernel. The first
+/// four split the batch at 2 and 3 threads. The last three put the NaN
+/// head weight in a ragged 16-lane chunk and a partial row block.
 const HEAD_CASES: &[(usize, usize, usize, usize, usize)] = &[
     (45, 8, 3, 16, 16),
     (5, 8, 3, 64, 64),
     (3, 4, 5, 7, 9),
     (2, 32, 3, 10, 10),
     (2, 3, 5, 2, 1),
+    (2, 8, 3, 6, 24),
+    (1, 4, 3, 3, 40),
+    (2, 2, 5, 5, 19),
 ];
 
 /// `ConvHeads` against three separate `Conv2d`s with the same parameters:
@@ -306,6 +324,53 @@ fn non_finite_values_times_zero_are_nan_backward() {
             assert_eq!(*g, f32::INFINITY, "centre tap");
         } else {
             assert!(g.is_nan(), "tap {tap} should be NaN, got {g}");
+        }
+    }
+}
+
+/// Non-finite weights on edge taps of an image whose input gradient runs
+/// in row blocks with a remainder and a ragged last 16-lane chunk, in a
+/// partial 8-row output-channel tile. Bit-identical to the oracle, and
+/// the padding a skipped tap would read never turns into `NaN`.
+#[test]
+fn non_finite_edge_taps_inside_row_blocks() {
+    let (in_c, out_c, h, w) = (2, 5, 11, 19);
+    let mut rng = StdRng::seed_from_u64(2022);
+    for value in [f32::INFINITY, f32::NAN] {
+        let mut conv = Conv2d::new(in_c, out_c, 3, 7);
+        {
+            let mut params = conv.params_mut();
+            let weight = params[0].value.as_mut_slice();
+            // Output channel 3: the top-right tap of input channel 0 and
+            // the bottom-left tap of input channel 1.
+            weight[3 * in_c * 9 + 2] = value;
+            weight[(3 * in_c + 1) * 9 + 6] = value;
+        }
+        let x = random(&mut rng, &[2, in_c, h, w]);
+        for go in [
+            Tensor::zeros(&[2, out_c, h, w]),
+            random(&mut rng, &[2, out_c, h, w]),
+        ] {
+            let (got, want) = both_passes(&mut conv, &x, &go);
+            assert_same_bits(&got, &want, &format!("edge taps {value}"));
+            // Tap (0, 2) reaches input (iy, ix) from output (iy + 1, ix - 1);
+            // tap (2, 0) from output (iy - 1, ix + 1). Elsewhere it reads
+            // padding and must be skipped.
+            let gx = &got.gx.as_slice()[..in_c * h * w];
+            for iy in 0..h {
+                for ix in 0..w {
+                    let top_right = iy + 1 < h && ix >= 1;
+                    let bottom_left = iy >= 1 && ix + 1 < w;
+                    for (ic, reached) in [(0, top_right), (1, bottom_left)] {
+                        let g = gx[(ic * h + iy) * w + ix];
+                        assert_eq!(
+                            !g.is_finite(),
+                            reached,
+                            "{value}: gx[{ic}, {iy}, {ix}] = {g}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
