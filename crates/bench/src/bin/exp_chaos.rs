@@ -1,16 +1,17 @@
-//! Chaos harness experiment: the supervised learner under injected faults.
+//! Chaos harness experiment: the parallel learner under injected faults.
 //!
-//! Runs the supervised parallel learner through a scenario matrix — a
-//! worker panic, a seed-scheduled set of panics, and a NaN gradient — at
-//! 1 and 8 threads, and verifies the supervision contract dynamically:
+//! Runs the parallel learner through two fault scenarios, a worker panic
+//! and a NaN gradient, at 1 and 8 threads, and verifies the stop contract
+//! dynamically:
 //!
-//! - **Panics are absorbed**: every requested cycle finishes. At 1 thread
-//!   the per-cycle outcomes and training history must equal the clean
-//!   run's exactly; at 8 threads interleaving is nondeterministic even
-//!   without faults, so completion is what is asserted.
-//! - **A NaN gradient stops the run** with `ExploreError::Numerical`. At
-//!   1 thread the partial results must be exactly the clean run's cycles
-//!   before the faulted one.
+//! - **A worker panic stops the run** with `ExploreError::Panicked`, naming
+//!   the panicked cycle.
+//! - **A NaN gradient stops the run** with `ExploreError::Numerical`,
+//!   naming the poisoned cycle.
+//! - At 1 thread the partial results of either stop must be exactly the
+//!   clean run's cycles before the faulted one (outcomes and training
+//!   history). At 8 threads interleaving is nondeterministic even without
+//!   faults, so the typed stop is what is asserted.
 //!
 //! `--smoke` shortens the runs for CI. Anomaly and panic counters go to
 //! `results/exp_chaos.telemetry.jsonl`.
@@ -19,50 +20,43 @@ use rlnoc_bench::{print_table, s, write_telemetry};
 use rlnoc_core::parallel::explore_parallel_supervised;
 use rlnoc_core::{
     ChaosInjector, ChaosPlan, ExploreError, ExplorerConfig, RouterlessEnv, SupervisedReport,
-    SupervisionConfig,
 };
 use rlnoc_telemetry::TelemetrySink;
 use rlnoc_topology::Grid;
 
 const SEED: u64 = 11;
-/// The cycle the `nan_grad` scenario poisons.
-const NAN_CYCLE: usize = 1;
+/// The cycle every scenario faults.
+const FAULT_CYCLE: usize = 1;
 
 fn env3() -> RouterlessEnv {
     RouterlessEnv::new(Grid::square(3).expect("3x3 grid is within bounds"), 4)
 }
 
-/// One named fault scenario: the plan to inject and whether it must stop
-/// the run (rather than be recovered).
+/// One named fault scenario: the plan to inject and the stop it must end
+/// in.
 struct Scenario {
     name: &'static str,
-    plan: fn(usize) -> ChaosPlan,
-    stops: bool,
+    plan: ChaosPlan,
+    cause: &'static str,
 }
 
 fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
             name: "worker_panic",
-            plan: |_| ChaosPlan {
-                panic_cycles: vec![1],
+            plan: ChaosPlan {
+                panic_cycles: vec![FAULT_CYCLE],
                 ..ChaosPlan::default()
             },
-            stops: false,
-        },
-        Scenario {
-            // The seed-scheduled panics of the chaos suite.
-            name: "seeded",
-            plan: |cycles| ChaosPlan::seeded(23, cycles, 2),
-            stops: false,
+            cause: "panicked",
         },
         Scenario {
             name: "nan_grad",
-            plan: |_| ChaosPlan {
-                nan_grad_cycles: vec![NAN_CYCLE],
+            plan: ChaosPlan {
+                nan_grad_cycles: vec![FAULT_CYCLE],
                 ..ChaosPlan::default()
             },
-            stops: true,
+            cause: "numerical",
         },
     ]
 }
@@ -83,19 +77,17 @@ fn sig(report: &rlnoc_core::ExploreReport<RouterlessEnv>) -> Vec<(usize, usize, 
         .collect()
 }
 
-fn run(
-    config: &ExplorerConfig,
-    threads: usize,
-    cycles: usize,
-) -> Result<SupervisedReport<RouterlessEnv>, ExploreError<RouterlessEnv>> {
-    explore_parallel_supervised(
-        &env3(),
-        config,
-        threads,
-        cycles,
-        SEED,
-        SupervisionConfig::default(),
-    )
+/// The stop's cause, its cycle and its partial results.
+fn stop_of(
+    err: ExploreError<RouterlessEnv>,
+) -> (&'static str, usize, SupervisedReport<RouterlessEnv>) {
+    match err {
+        ExploreError::Panicked { cycle, partial, .. } => ("panicked", cycle, *partial),
+        ExploreError::Numerical {
+            report, partial, ..
+        } => ("numerical", report.cycle, *partial),
+        other => panic!("expected a typed stop, got: {other}"),
+    }
 }
 
 fn main() {
@@ -106,45 +98,33 @@ fn main() {
     let mut rows = Vec::new();
     for threads in [1usize, 8] {
         // The clean run every faulted run is compared with.
-        let baseline = run(&base_config(&sink), threads, cycles)
-            .unwrap_or_else(|e| panic!("the clean run at {threads} threads failed: {e}"));
+        let baseline =
+            explore_parallel_supervised(&env3(), &base_config(&sink), threads, cycles, SEED)
+                .unwrap_or_else(|e| panic!("the clean run at {threads} threads failed: {e}"));
         for sc in scenarios() {
-            let injector = ChaosInjector::new((sc.plan)(cycles));
             let mut cfg = base_config(&sink);
-            cfg.chaos = Some(injector.clone());
-            let (outcome, out) = match (sc.stops, run(&cfg, threads, cycles)) {
-                (false, Ok(out)) => {
-                    assert_eq!(
-                        out.report.cycles_run, cycles,
-                        "{} at {threads} threads: every requested cycle must finish",
-                        sc.name
-                    );
-                    ("recovered", out)
-                }
-                (
-                    true,
-                    Err(ExploreError::Numerical {
-                        report, partial, ..
-                    }),
-                ) => {
-                    assert_eq!(
-                        report.cycle, NAN_CYCLE,
-                        "{} at {threads} threads: the stop names the poisoned cycle",
-                        sc.name
-                    );
-                    ("stopped", *partial)
-                }
-                (_, Ok(_)) => panic!("{} at {threads} threads: the run must stop", sc.name),
-                (_, Err(e)) => panic!("{} at {threads} threads: unexpected error: {e}", sc.name),
-            };
-            assert!(
-                injector.injected() > 0,
-                "{} at {threads} threads: the injected fault never fired",
+            cfg.chaos = Some(ChaosInjector::new(sc.plan));
+            let err = explore_parallel_supervised(&env3(), &cfg, threads, cycles, SEED)
+                .err()
+                .unwrap_or_else(|| panic!("{} at {threads} threads: the run must stop", sc.name));
+            let (cause, cycle, partial) = stop_of(err);
+            assert_eq!(
+                (cause, cycle),
+                (sc.cause, FAULT_CYCLE),
+                "{} at {threads} threads: the stop names its cause and the faulted cycle",
                 sc.name
             );
-            let kept = if sc.stops { NAN_CYCLE } else { cycles };
-            let identical = sig(&out.report) == sig(&baseline.report)[..kept]
-                && out.report.train_history == baseline.report.train_history[..kept];
+            assert!(
+                partial
+                    .report
+                    .designs
+                    .iter()
+                    .all(|d| d.cycle != FAULT_CYCLE),
+                "{} at {threads} threads: the faulted cycle must not be reported",
+                sc.name
+            );
+            let identical = sig(&partial.report) == sig(&baseline.report)[..FAULT_CYCLE]
+                && partial.report.train_history == baseline.report.train_history[..FAULT_CYCLE];
             if threads == 1 {
                 assert!(
                     identical,
@@ -152,15 +132,13 @@ fn main() {
                     sc.name
                 );
             }
-            let sup = &out.supervision;
             rows.push(vec![
                 s(sc.name),
                 s(threads),
                 s(cycles),
-                s(outcome),
-                s(out.report.cycles_run),
-                s(sup.panics),
-                s(sup.respawns),
+                s(cause),
+                s(cycle),
+                s(partial.report.cycles_run),
                 s(identical),
             ]);
         }
@@ -172,23 +150,26 @@ fn main() {
             "scenario",
             "threads",
             "cycles",
-            "outcome",
+            "stop_cause",
+            "stop_cycle",
             "completed",
-            "panics",
-            "respawns",
-            "bit_identical",
+            "bit_identical_prefix",
         ],
         &rows,
     );
     write_telemetry("exp_chaos", &sink);
     let health = rlnoc_telemetry::report::resilience_summary(&sink.events());
-    assert!(
-        !health.clean(),
-        "the injected faults must show up in telemetry"
+    // One stop per scenario per thread count, each counted by its worker.
+    assert_eq!(
+        (health.anomalies, health.panics),
+        (2, 2),
+        "every injected fault must show up in telemetry exactly once"
     );
     println!(
-        "resilience counters: {} anomalies, {} panics ({} respawned), {} workers lost",
-        health.anomalies, health.panics, health.respawns, health.workers_lost
+        "resilience counters: {} anomalies, {} panics",
+        health.anomalies, health.panics
     );
-    println!("chaos matrix OK: panics recovered and NaN gradients stopped at 1 and 8 threads");
+    println!(
+        "chaos matrix OK: panics and NaN gradients stopped with typed errors at 1 and 8 threads"
+    );
 }

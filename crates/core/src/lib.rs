@@ -59,7 +59,7 @@ pub use explorer::{DesignResult, ExploreReport, Explorer, ExplorerConfig};
 pub use mcts::{Mcts, MctsConfig};
 pub use parallel::{
     explore_parallel, explore_parallel_checkpointed, explore_parallel_supervised, AnomalyKind,
-    AnomalyReport, ExploreError, SupervisedReport, SupervisionConfig, SupervisionReport,
+    AnomalyReport, ExploreError, SupervisedReport,
 };
 pub use policy::{Episode, PolicyAgent, Step, TrainConfig};
 pub use routerless::{LoopAction, RouterlessEnv};

@@ -10,20 +10,20 @@
 //! note that averaging "both large gradients and small gradients" steadies
 //! training.
 //!
-//! # Fault tolerance
+//! # Failure handling
 //!
-//! Every driver runs the same supervised worker loop: each worker cycle
-//! executes under [`std::panic::catch_unwind`], a panicking worker is
-//! respawned in place (up to [`SupervisionConfig::max_respawns_per_worker`]
-//! times), the cycle it was running is requeued, and exhausted workers
-//! surface as [`ExploreError::WorkersExhausted`] carrying the partial
-//! results. A non-finite loss, gradient or gradient norm is caught before
-//! the parent step commits anything; the first one stops the run with
-//! [`ExploreError::Numerical`] (a retry would replay the same inputs and
-//! meet the same fault). [`explore_parallel`] is the panicking convenience
-//! wrapper; [`explore_parallel_checkpointed`] additionally snapshots the
-//! parent network and best design to disk so a killed run replays exactly
-//! where it left off.
+//! Every driver runs the same worker loop, and a run stops at its first
+//! failure with a typed [`ExploreError`] that carries every cycle completed
+//! before it. Each worker runs under one [`std::panic::catch_unwind`], so a
+//! worker panic becomes [`ExploreError::Panicked`]. A non-finite loss,
+//! gradient or gradient norm is caught before the parent step commits
+//! anything and becomes [`ExploreError::Numerical`]. Either way, no worker
+//! claims another cycle. Nothing is retried: a retry would replay the same
+//! inputs and meet the same fault. [`explore_parallel`] is the panicking
+//! convenience wrapper; [`explore_parallel_checkpointed`] additionally
+//! snapshots the parent network and best design to disk after every batch
+//! that completes, so a killed or stopped run replays exactly where the last
+//! clean batch left off.
 
 use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
 use crate::chaos::ChaosInjector;
@@ -37,9 +37,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlnoc_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A [`TreeHandle`] that serializes access to a tree shared across child
@@ -126,43 +124,12 @@ impl EvalCacheHandle for SharedEvalCache {
     }
 }
 
-/// Supervision knobs for [`explore_parallel_supervised`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisionConfig {
-    /// How many times a panicked worker is restarted in place (with a fresh
-    /// environment and local network replica, resuming its escrowed RNG
-    /// stream) before it is written off. The cycle a panicking worker had claimed is always
-    /// requeued for any surviving worker to pick up.
-    pub max_respawns_per_worker: usize,
-}
-
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        SupervisionConfig {
-            max_respawns_per_worker: 3,
-        }
-    }
-}
-
-/// What the supervisor observed over one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisionReport {
-    /// Worker panics caught (each is also a requeued cycle).
-    pub panics: u64,
-    /// In-place worker restarts performed.
-    pub respawns: u64,
-    /// Workers that exhausted their respawn budget and were written off.
-    pub workers_lost: usize,
-}
-
-/// A supervised exploration outcome: the merged report plus what the
-/// supervisor had to do to produce it.
+/// The outcome of the typed-error drivers: the merged report plus where a
+/// resumed run picked up.
 #[derive(Debug, Clone)]
 pub struct SupervisedReport<E> {
     /// The merged exploration report (cycles run in *this* process).
     pub report: ExploreReport<E>,
-    /// Panic/respawn accounting.
-    pub supervision: SupervisionReport,
     /// Cycles already completed by a previous run when resuming from a
     /// checkpoint (0 unless [`explore_parallel_checkpointed`] resumed).
     pub resumed_from: usize,
@@ -248,14 +215,6 @@ impl std::fmt::Display for AnomalyReport {
 pub enum ExploreError<E> {
     /// `threads` was zero.
     ZeroThreads,
-    /// Every worker exhausted its respawn budget before all requested
-    /// cycles completed. The partial results are preserved.
-    WorkersExhausted {
-        /// Everything that completed before the pool died.
-        partial: Box<SupervisedReport<E>>,
-        /// The cycle count originally requested.
-        requested: usize,
-    },
     /// Saving or loading a checkpoint failed
     /// (only from [`explore_parallel_checkpointed`]).
     Checkpoint(CheckpointError),
@@ -270,18 +229,27 @@ pub enum ExploreError<E> {
         /// The cycle count originally requested.
         requested: usize,
     },
+    /// A worker panicked. The pool stopped claiming cycles, and the partial
+    /// results hold every cycle that completed; the panicked cycle is not
+    /// among them.
+    Panicked {
+        /// The worker that panicked.
+        worker: usize,
+        /// The global cycle index it was running.
+        cycle: usize,
+        /// The panic payload as text.
+        message: String,
+        /// Everything that completed before the pool stopped.
+        partial: Box<SupervisedReport<E>>,
+        /// The cycle count originally requested.
+        requested: usize,
+    },
 }
 
 impl<E> std::fmt::Display for ExploreError<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExploreError::ZeroThreads => write!(f, "need at least one thread"),
-            ExploreError::WorkersExhausted { partial, requested } => write!(
-                f,
-                "all workers exhausted their respawn budgets after {} of {} cycles \
-                 ({} panics)",
-                partial.report.cycles_run, requested, partial.supervision.panics
-            ),
             ExploreError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
             ExploreError::Numerical {
                 report,
@@ -290,6 +258,17 @@ impl<E> std::fmt::Display for ExploreError<E> {
             } => write!(
                 f,
                 "numerical anomaly after {} of {} cycles: {report}",
+                partial.report.cycles_run, requested
+            ),
+            ExploreError::Panicked {
+                worker,
+                cycle,
+                message,
+                partial,
+                requested,
+            } => write!(
+                f,
+                "worker {worker} panicked at cycle {cycle} after {} of {} cycles: {message}",
                 partial.report.cycles_run, requested
             ),
         }
@@ -304,12 +283,57 @@ impl<E> From<CheckpointError> for ExploreError<E> {
     }
 }
 
-/// The worker RNG for incarnation `respawns` of worker `t`. Only
-/// incarnation 0 is used in practice: a respawn resumes the escrowed stream
-/// of the incarnation it replaces.
-fn worker_rng(seed: u64, t: usize, threads: usize, respawns: usize) -> StdRng {
+/// The first failure of a batch, recorded by the worker that met it.
+#[derive(Debug)]
+enum Stop {
+    Numerical(AnomalyReport),
+    Panicked {
+        worker: usize,
+        cycle: usize,
+        message: String,
+    },
+}
+
+impl Stop {
+    fn into_error<E>(self, partial: SupervisedReport<E>, requested: usize) -> ExploreError<E> {
+        let partial = Box::new(partial);
+        match self {
+            Stop::Numerical(report) => ExploreError::Numerical {
+                report,
+                partial,
+                requested,
+            },
+            Stop::Panicked {
+                worker,
+                cycle,
+                message,
+            } => ExploreError::Panicked {
+                worker,
+                cycle,
+                message,
+                partial,
+                requested,
+            },
+        }
+    }
+}
+
+/// A panic payload as text (`panic!` with a message yields `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The RNG stream of worker `t`.
+fn worker_rng(seed: u64, t: usize) -> StdRng {
     StdRng::seed_from_u64(
-        seed.wrapping_add(1 + t as u64 + (threads as u64) * (respawns as u64))
+        seed.wrapping_add(1 + t as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15),
     )
 }
@@ -327,14 +351,13 @@ fn worker_recorder(config: &ExplorerConfig, t: usize) -> Recorder {
 }
 
 /// Publishes the parent-side end-of-run summary (cache totals, tree size,
-/// edge-visit distribution, parameter generation, and panic/respawn
-/// accounting). No-op with telemetry disabled.
+/// edge-visit distribution, parameter generation). No-op with telemetry
+/// disabled.
 fn publish_run_summary<A>(
     config: &ExplorerConfig,
     tree: &SharedTree<A>,
     cache_stats: CacheStats,
     param_generation: u64,
-    s: &SupervisionReport,
 ) where
     A: Copy + Eq + std::hash::Hash + std::fmt::Debug,
 {
@@ -349,9 +372,6 @@ fn publish_run_summary<A>(
         rec.record("mcts.edge_visits", u64::from(v));
     }
     rec.gauge("train.param_generation", param_generation as f64);
-    rec.incr("worker.panics", s.panics);
-    rec.incr("worker.respawns", s.respawns);
-    rec.incr("worker.lost", s.workers_lost as u64);
 }
 
 /// One complete worker cycle: pull parameters, run an episode against the
@@ -460,17 +480,16 @@ fn run_worker_cycle<E: Environment>(
 /// merged report (designs tagged with global cycle indices, sorted by
 /// cycle).
 ///
-/// This is [`explore_parallel_supervised`] with the default
-/// [`SupervisionConfig`]: a panicking worker is respawned and its cycle
-/// requeued. Its worker RNG streams and parent/child parameter split differ
+/// This is [`explore_parallel_supervised`] with its typed error turned into
+/// a panic. Its worker RNG streams and parent/child parameter split differ
 /// from [`crate::Explorer`]'s, so even at one thread the two drivers explore
 /// different trajectories.
 ///
 /// # Panics
 ///
 /// Panics with the [`ExploreError`]'s message if `threads` is zero or the
-/// run fails: every worker exhausted its respawn budget, or an update held
-/// a non-finite loss, gradient or gradient norm.
+/// run stops: a worker panicked, or an update held a non-finite loss,
+/// gradient or gradient norm.
 pub fn explore_parallel<E>(
     env: &E,
     config: &ExplorerConfig,
@@ -482,54 +501,30 @@ where
     E: Environment + Send + Sync,
     E::Action: Send + Sync,
 {
-    let supervision = SupervisionConfig::default();
-    match explore_parallel_supervised(env, config, threads, total_cycles, seed, supervision) {
+    match explore_parallel_supervised(env, config, threads, total_cycles, seed) {
         Ok(out) => out.report,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Multi-threaded exploration hardened for long runs: every worker cycle
-/// executes under `catch_unwind`, panicked workers are respawned in place
-/// (bounded by [`SupervisionConfig::max_respawns_per_worker`]) with the lost
-/// cycle requeued, and failures are returned as typed errors.
+/// Multi-threaded exploration that returns its failures as typed errors.
 ///
-/// On success the [`SupervisedReport`] carries the merged exploration
-/// report plus panic/respawn accounting. If every worker dies permanently
-/// before the requested cycles complete, the partial results are returned
-/// inside [`ExploreError::WorkersExhausted`]; if an update holds a NaN/Inf,
-/// inside [`ExploreError::Numerical`].
-///
-/// # Caveats
-///
-/// A worker that panics *while holding the parent lock mid-optimizer-step*
-/// can leave the parent parameters mid-update; `parking_lot` mutexes do not
-/// poison, so the run continues from those parameters. This trades strict
-/// transactionality for availability, which is the right call for a
-/// stochastic learner.
+/// The run stops at the first worker panic ([`ExploreError::Panicked`]) or
+/// the first update holding a NaN/Inf ([`ExploreError::Numerical`]); either
+/// error carries every cycle that completed before the stop.
 pub fn explore_parallel_supervised<E>(
     env: &E,
     config: &ExplorerConfig,
     threads: usize,
     total_cycles: usize,
     seed: u64,
-    supervision: SupervisionConfig,
 ) -> Result<SupervisedReport<E>, ExploreError<E>>
 where
     E: Environment + Send + Sync,
     E::Action: Send + Sync,
 {
     let parent = Mutex::new(new_agent(env, config, seed));
-    explore_supervised_inner(
-        env,
-        config,
-        threads,
-        total_cycles,
-        seed,
-        supervision,
-        0,
-        &parent,
-    )
+    explore_supervised_inner(env, config, threads, total_cycles, seed, 0, &parent)
 }
 
 /// [`explore_parallel_supervised`] with periodic checkpointing: the run is
@@ -547,14 +542,14 @@ where
 /// to the uninterrupted run — best design, per-cycle results, and parameter
 /// generation all match (asserted by `tests/checkpoint_resume.rs`). The
 /// checkpoint's `best` field tracks the best design across all runs,
-/// including ones before a restart.
+/// including ones before a restart. A batch that stops with an error is
+/// never saved: the checkpoint keeps the last batch that completed.
 pub fn explore_parallel_checkpointed<E>(
     env: &E,
     config: &ExplorerConfig,
     threads: usize,
     total_cycles: usize,
     seed: u64,
-    supervision: SupervisionConfig,
     ckpt: &CheckpointConfig,
 ) -> Result<SupervisedReport<E>, ExploreError<E>>
 where
@@ -601,7 +596,6 @@ where
             cycles_run: 0,
             cache_stats: CacheStats::default(),
         },
-        supervision: SupervisionReport::default(),
         resumed_from,
     };
     while done < total_cycles {
@@ -614,24 +608,17 @@ where
         } else {
             seed ^ (done as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
-        let r = explore_supervised_inner(
-            env,
-            config,
-            threads,
-            batch,
-            batch_seed,
-            supervision,
-            done,
-            &parent,
-        );
+        let r = explore_supervised_inner(env, config, threads, batch, batch_seed, done, &parent);
         let mut r = match r {
             Ok(r) => r,
             Err(mut e) => {
                 // Partial-result errors: fold the failed batch into the
                 // cumulative report so the caller sees the whole run so
                 // far, not just the final batch.
-                if let ExploreError::WorkersExhausted { partial, requested }
-                | ExploreError::Numerical {
+                if let ExploreError::Numerical {
+                    partial, requested, ..
+                }
+                | ExploreError::Panicked {
                     partial, requested, ..
                 } = &mut e
                 {
@@ -682,18 +669,14 @@ where
 }
 
 impl<E> SupervisedReport<E> {
-    /// Appends a later batch's results and accounting, draining `batch`.
-    /// Batches run in cycle order, so the designs stay sorted by cycle.
+    /// Appends a later batch's results, draining `batch`. Batches run in
+    /// cycle order, so the designs stay sorted by cycle.
     fn absorb(&mut self, batch: &mut SupervisedReport<E>) {
         let report = &mut self.report;
         report.designs.append(&mut batch.report.designs);
         report.train_history.append(&mut batch.report.train_history);
         report.cycles_run = report.designs.len();
         report.cache_stats.merge(batch.report.cache_stats);
-        let (total, b) = (&mut self.supervision, batch.supervision);
-        total.panics += b.panics;
-        total.respawns += b.respawns;
-        total.workers_lost += b.workers_lost;
     }
 }
 
@@ -703,23 +686,16 @@ impl<E> SupervisedReport<E> {
 /// `cycle_offset + local_cycle` so multi-batch callers
 /// ([`explore_parallel_checkpointed`]) report global indices.
 ///
-/// # Supervision mechanics
-///
-/// A worker panic is caught, the cycle it had claimed is requeued, and the
-/// worker is respawned in place. Its RNG and batch-norm statistics are
-/// escrowed outside `catch_unwind` at every cycle boundary, so the
-/// respawned incarnation resumes the exact stream (falling back to the
-/// respawn-salted stream only if the escrow is somehow empty). The first
-/// numerical anomaly (see [`run_worker_cycle`]) is recorded, no worker
-/// claims another cycle, and the batch ends in [`ExploreError::Numerical`].
-#[allow(clippy::too_many_arguments)]
+/// Each worker runs its whole claim loop under one `catch_unwind`. The
+/// first failure, a numerical anomaly (see [`run_worker_cycle`]) or a
+/// panic, is recorded, no worker claims another cycle, and the batch ends
+/// in the matching [`ExploreError`].
 fn explore_supervised_inner<E>(
     env: &E,
     config: &ExplorerConfig,
     threads: usize,
     total_cycles: usize,
     seed: u64,
-    supervision: SupervisionConfig,
     cycle_offset: usize,
     parent: &Mutex<PolicyAgent>,
 ) -> Result<SupervisedReport<E>, ExploreError<E>>
@@ -735,13 +711,8 @@ where
     let results: Mutex<Vec<DesignResult<E>>> = Mutex::new(Vec::new());
     let stats_log: Mutex<Vec<TrainStats>> = Mutex::new(Vec::new());
     let cycle_counter = Mutex::new(0usize);
-    // Cycles reclaimed from panicked workers, served before fresh ones.
-    let lost: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    // The first numerical anomaly; once set, no worker claims a cycle.
-    let fatal: Mutex<Option<AnomalyReport>> = Mutex::new(None);
-    let panics = AtomicU64::new(0);
-    let respawns = AtomicU64::new(0);
-    let workers_lost = AtomicUsize::new(0);
+    // The first failure; once set, no worker claims a cycle.
+    let fatal: Mutex<Option<Stop>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
@@ -751,20 +722,12 @@ where
                 let results = &results;
                 let stats_log = &stats_log;
                 let cycle_counter = &cycle_counter;
-                let lost = &lost;
                 let fatal = &fatal;
-                let panics = &panics;
-                let respawns = &respawns;
-                let workers_lost = &workers_lost;
-                let proto = env.clone();
                 let config = config.clone();
                 scope.spawn(move || {
                     let claim = || -> Option<usize> {
                         if fatal.lock().is_some() {
                             return None;
-                        }
-                        if let Some(c) = lost.lock().pop() {
-                            return Some(c);
                         }
                         let mut c = cycle_counter.lock();
                         if *c >= total_cycles {
@@ -772,93 +735,60 @@ where
                         }
                         let mine = *c;
                         *c += 1;
-                        Some(mine)
+                        Some(cycle_offset + mine)
                     };
-                    // In-flight cycle of the current incarnation, visible
-                    // to the supervisor below so a panic can requeue it.
-                    let in_flight: Cell<Option<usize>> = Cell::new(None);
-                    // Escrow: the worker RNG plus the local replica's
-                    // batch-norm running statistics, updated at every cycle
-                    // boundary and read by the next incarnation — so a
-                    // respawn resumes the exact stream *and* forward-pass
-                    // state the panicked incarnation was on. (Parameter
-                    // snapshots deliberately exclude running statistics, so
-                    // without the escrow a respawned replica would evaluate
-                    // states slightly differently.)
-                    let escrow: Cell<Option<(StdRng, Vec<f32>)>> = Cell::new(None);
-                    let chaos = config.chaos.clone();
-                    let mut incarnation = 0usize;
                     let mut rec = worker_recorder(&config, t);
-                    loop {
-                        // Fresh incarnation state: environment clone, local
-                        // DNN replica, escrowed (or respawn-salted) RNG.
-                        let mut env = proto.clone();
-                        let mut local = new_agent(&env, &config, seed);
-                        let mut rng = match escrow.take() {
-                            Some((rng, norm)) => {
-                                local.net_mut().load_norm_snapshot(&norm);
-                                rng
+                    let mut env = env.clone();
+                    let mut local = new_agent(&env, &config, seed);
+                    let mut rng = worker_rng(seed, t);
+                    let chaos = config.chaos.as_ref();
+                    // `claim` cannot panic, so a caught panic belongs to the
+                    // cycle claimed last.
+                    let mut cycle = cycle_offset;
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        while let Some(claimed) = claim() {
+                            cycle = claimed;
+                            if let Some(injector) = chaos {
+                                injector.on_cycle_start(cycle);
                             }
-                            None => worker_rng(seed, t, threads, incarnation),
-                        };
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            while let Some(cycle) = claim() {
-                                in_flight.set(Some(cycle));
-                                escrow.set(Some((rng.clone(), local.net_mut().norm_snapshot())));
-                                if let Some(injector) = &chaos {
-                                    injector.on_cycle_start(cycle_offset + cycle);
-                                }
-                                let attempt = run_worker_cycle(
-                                    &mut env,
-                                    &mut local,
-                                    &mut tree,
-                                    &mut cache,
-                                    parent,
-                                    &config,
-                                    &mut rng,
-                                    cycle_offset + cycle,
-                                    results,
-                                    stats_log,
-                                    &mut rec,
-                                    chaos.as_ref(),
-                                );
-                                if let Err(kind) = attempt {
-                                    rec.incr(kind.counter(), 1);
-                                    rec.incr("anomaly.total", 1);
-                                    fatal.lock().get_or_insert(AnomalyReport {
-                                        kind,
-                                        worker: t,
-                                        cycle: cycle_offset + cycle,
-                                    });
-                                    return;
-                                }
-                                in_flight.set(None);
-                                escrow.set(Some((rng.clone(), local.net_mut().norm_snapshot())));
+                            let attempt = run_worker_cycle(
+                                &mut env, &mut local, &mut tree, &mut cache, parent, &config,
+                                &mut rng, cycle, results, stats_log, &mut rec, chaos,
+                            );
+                            if let Err(kind) = attempt {
+                                rec.incr(kind.counter(), 1);
+                                rec.incr("anomaly.total", 1);
+                                let report = AnomalyReport {
+                                    kind,
+                                    worker: t,
+                                    cycle,
+                                };
+                                fatal.lock().get_or_insert(Stop::Numerical(report));
+                                return;
                             }
-                        }));
-                        if outcome.is_ok() {
-                            break;
                         }
-                        panics.fetch_add(1, Ordering::Relaxed);
-                        if let Some(cycle) = in_flight.take() {
-                            lost.lock().push(cycle);
-                        }
-                        incarnation += 1;
-                        if incarnation > supervision.max_respawns_per_worker {
-                            workers_lost.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        respawns.fetch_add(1, Ordering::Relaxed);
+                    }));
+                    if let Err(payload) = outcome {
+                        rec.incr("worker.panics", 1);
+                        fatal.lock().get_or_insert(Stop::Panicked {
+                            worker: t,
+                            cycle,
+                            message: panic_message(payload.as_ref()),
+                        });
                     }
                     drop(rlnoc_nn::instrument::take());
                 })
             })
             .collect();
-        // Workers never unwind (everything runs under catch_unwind); a
-        // stray panic outside it is swallowed here and surfaces as missing
-        // cycles, i.e. a typed error, instead of escaping the scope.
+        // Join explicitly: the scope alone waits only for the closures, so
+        // threads still tearing down would make the next batch's workers
+        // open fresh allocator arenas (peak RSS grows over repeated short
+        // batches). A panic outside `catch_unwind` is a bug in this loop,
+        // not a worker stop, and propagates.
         for w in workers {
-            let _ = w.join();
+            if let Err(payload) = w.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 
@@ -866,52 +796,27 @@ where
     designs.sort_by_key(|d| d.cycle);
     let train_history = std::mem::take(&mut *stats_log.lock());
     let cache_stats = cache.stats();
-    let completed = designs.len();
-    let supervision_report = SupervisionReport {
-        panics: panics.load(Ordering::Relaxed),
-        respawns: respawns.load(Ordering::Relaxed),
-        workers_lost: workers_lost.load(Ordering::Relaxed),
-    };
-    publish_run_summary(
-        config,
-        &tree,
-        cache_stats,
-        parent.lock().param_generation(),
-        &supervision_report,
-    );
+    publish_run_summary(config, &tree, cache_stats, parent.lock().param_generation());
     let out = SupervisedReport {
         report: ExploreReport {
-            cycles_run: completed,
+            cycles_run: designs.len(),
             designs,
             train_history,
             cache_stats,
         },
-        supervision: supervision_report,
         resumed_from: cycle_offset,
     };
-    let requested = cycle_offset + total_cycles;
-    if let Some(report) = fatal.into_inner() {
-        return Err(ExploreError::Numerical {
-            report,
-            partial: Box::new(out),
-            requested,
-        });
+    match fatal.into_inner() {
+        Some(stop) => Err(stop.into_error(out, cycle_offset + total_cycles)),
+        None => Ok(out),
     }
-    if completed < total_cycles {
-        return Err(ExploreError::WorkersExhausted {
-            partial: Box::new(out),
-            requested,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routerless::{LoopAction, RouterlessEnv};
+    use crate::routerless::RouterlessEnv;
     use rlnoc_topology::Grid;
-    use std::sync::atomic::AtomicUsize;
 
     fn quick_config() -> ExplorerConfig {
         let mut c = ExplorerConfig::fast();
@@ -958,15 +863,7 @@ mod tests {
     #[test]
     fn supervised_zero_threads_is_typed_error() {
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let err = explore_parallel_supervised(
-            &env,
-            &quick_config(),
-            0,
-            1,
-            0,
-            SupervisionConfig::default(),
-        )
-        .unwrap_err();
+        let err = explore_parallel_supervised(&env, &quick_config(), 0, 1, 0).unwrap_err();
         assert!(matches!(err, ExploreError::ZeroThreads));
     }
 
@@ -1015,9 +912,8 @@ mod tests {
             let previous = rlnoc_nn::kernels::matmul_threads();
             rlnoc_nn::kernels::set_matmul_threads(mm_threads);
             let parent = Mutex::new(new_agent(&env, &cfg, 21));
-            let supervision = SupervisionConfig::default();
-            let out = explore_supervised_inner(&env, &cfg, 1, 2, 21, supervision, 0, &parent)
-                .expect("clean run");
+            let out =
+                explore_supervised_inner(&env, &cfg, 1, 2, 21, 0, &parent).expect("clean run");
             rlnoc_nn::kernels::set_matmul_threads(previous);
             let params: Vec<Vec<u32>> = parent
                 .into_inner()
@@ -1037,137 +933,6 @@ mod tests {
         }
     }
 
-    /// An environment whose `reset` panics while the shared fuse holds
-    /// charges — the deliberate fault injector for supervision tests.
-    #[derive(Debug, Clone)]
-    struct PanickyEnv {
-        inner: RouterlessEnv,
-        remaining_panics: Arc<AtomicUsize>,
-    }
-
-    impl PanickyEnv {
-        fn new(inner: RouterlessEnv, panics: usize) -> Self {
-            PanickyEnv {
-                inner,
-                remaining_panics: Arc::new(AtomicUsize::new(panics)),
-            }
-        }
-    }
-
-    impl Environment for PanickyEnv {
-        type Action = LoopAction;
-        fn reset(&mut self) {
-            let fired = self
-                .remaining_panics
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                .is_ok();
-            if fired {
-                panic!("injected worker fault");
-            }
-            self.inner.reset();
-        }
-        fn state_key(&self) -> u64 {
-            self.inner.state_key()
-        }
-        fn state_tensor(&self) -> rlnoc_nn::Tensor {
-            self.inner.state_tensor()
-        }
-        fn state_side(&self) -> usize {
-            self.inner.state_side()
-        }
-        fn apply(&mut self, action: LoopAction) -> f64 {
-            self.inner.apply(action)
-        }
-        fn is_terminal(&self) -> bool {
-            self.inner.is_terminal()
-        }
-        fn final_return(&self) -> f64 {
-            self.inner.final_return()
-        }
-        fn legal_actions(&self) -> Vec<LoopAction> {
-            self.inner.legal_actions()
-        }
-        fn head_cardinality(&self) -> usize {
-            self.inner.head_cardinality()
-        }
-        fn encode_action(&self, action: LoopAction) -> ([usize; 4], bool) {
-            self.inner.encode_action(action)
-        }
-        fn decode_action(&self, coords: [usize; 4], flag: bool) -> LoopAction {
-            self.inner.decode_action(coords, flag)
-        }
-        fn is_successful(&self) -> bool {
-            self.inner.is_successful()
-        }
-        fn greedy_action(&self) -> Option<LoopAction> {
-            self.inner.greedy_action()
-        }
-        fn completion_action(&self) -> Option<LoopAction> {
-            self.inner.completion_action()
-        }
-    }
-
-    #[test]
-    fn supervision_recovers_from_worker_panic() {
-        // One charge on the fuse: exactly one worker incarnation panics in
-        // `reset`, is respawned, and the run still completes every cycle.
-        let env = PanickyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), 1);
-        let out = explore_parallel_supervised(
-            &env,
-            &quick_config(),
-            2,
-            6,
-            9,
-            SupervisionConfig::default(),
-        )
-        .expect("supervision must absorb a single panic");
-        assert_eq!(out.report.cycles_run, 6);
-        let mut cycles: Vec<_> = out.report.designs.iter().map(|d| d.cycle).collect();
-        cycles.sort_unstable();
-        assert_eq!(
-            cycles,
-            vec![0, 1, 2, 3, 4, 5],
-            "lost cycle must be requeued"
-        );
-        assert_eq!(out.supervision.panics, 1);
-        assert_eq!(out.supervision.respawns, 1);
-        assert_eq!(out.supervision.workers_lost, 0);
-    }
-
-    #[test]
-    fn explore_parallel_respawns_a_panicking_worker() {
-        // The convenience driver runs the supervised loop too: a worker
-        // panic is absorbed and every cycle is still returned, instead of
-        // propagating at the scope join.
-        let env = PanickyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), 1);
-        let report = explore_parallel(&env, &quick_config(), 2, 6, 9);
-        assert_eq!(report.cycles_run, 6);
-        let cycles: Vec<_> = report.designs.iter().map(|d| d.cycle).collect();
-        assert_eq!(cycles, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn supervision_returns_partial_results_when_workers_exhausted() {
-        // An inexhaustible fuse: every incarnation panics immediately, so
-        // the single worker burns its respawn budget and the run returns a
-        // typed error with (empty) partial results instead of aborting.
-        let env = PanickyEnv::new(RouterlessEnv::new(Grid::square(3).unwrap(), 4), usize::MAX);
-        let supervision = SupervisionConfig {
-            max_respawns_per_worker: 2,
-        };
-        let err =
-            explore_parallel_supervised(&env, &quick_config(), 1, 4, 9, supervision).unwrap_err();
-        match err {
-            ExploreError::WorkersExhausted { partial, requested } => {
-                assert_eq!(requested, 4);
-                assert_eq!(partial.report.cycles_run, 0);
-                assert_eq!(partial.supervision.panics, 3, "initial run + 2 respawns");
-                assert_eq!(partial.supervision.workers_lost, 1);
-            }
-            other => panic!("expected WorkersExhausted, got {other:?}"),
-        }
-    }
-
     #[test]
     fn parallel_checkpointed_resumes_and_completes() {
         let path =
@@ -1177,32 +942,14 @@ mod tests {
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
 
         // First "process" runs 3 of 6 cycles, then dies (we just ask for 3).
-        let first = explore_parallel_checkpointed(
-            &env,
-            &quick_config(),
-            2,
-            3,
-            17,
-            SupervisionConfig::default(),
-            &ckpt,
-        )
-        .unwrap();
+        let first = explore_parallel_checkpointed(&env, &quick_config(), 2, 3, 17, &ckpt).unwrap();
         assert_eq!(first.resumed_from, 0);
         assert_eq!(first.report.cycles_run, 3);
         let cp = ExploreCheckpoint::<RouterlessEnv>::load(&path).unwrap();
         assert_eq!(cp.cycles_done, 3, "final save reflects exact completion");
 
         // Second process resumes and finishes the remaining cycles.
-        let second = explore_parallel_checkpointed(
-            &env,
-            &quick_config(),
-            2,
-            6,
-            17,
-            SupervisionConfig::default(),
-            &ckpt,
-        )
-        .unwrap();
+        let second = explore_parallel_checkpointed(&env, &quick_config(), 2, 6, 17, &ckpt).unwrap();
         assert_eq!(second.resumed_from, 3);
         assert_eq!(second.report.cycles_run, 3);
         let cycles: Vec<_> = second.report.designs.iter().map(|d| d.cycle).collect();
@@ -1218,16 +965,7 @@ mod tests {
         );
 
         // A finished checkpoint leaves nothing to do.
-        let third = explore_parallel_checkpointed(
-            &env,
-            &quick_config(),
-            2,
-            6,
-            17,
-            SupervisionConfig::default(),
-            &ckpt,
-        )
-        .unwrap();
+        let third = explore_parallel_checkpointed(&env, &quick_config(), 2, 6, 17, &ckpt).unwrap();
         assert_eq!(third.resumed_from, 6);
         assert_eq!(third.report.cycles_run, 0);
         std::fs::remove_file(&path).unwrap();
@@ -1258,17 +996,7 @@ mod tests {
         let env = RouterlessEnv::new(Grid::square(4).unwrap(), 6);
         let cfg = quick_config();
         let parent = Mutex::new(new_agent(&env, &cfg, 5));
-        let out = explore_supervised_inner(
-            &env,
-            &cfg,
-            1,
-            20,
-            5,
-            SupervisionConfig::default(),
-            0,
-            &parent,
-        )
-        .expect("clean run");
+        let out = explore_supervised_inner(&env, &cfg, 1, 20, 5, 0, &parent).expect("clean run");
         let got: Vec<_> = out
             .report
             .designs

@@ -1,18 +1,21 @@
 //! The deterministic chaos harness: every injected fault scenario must
-//! either recover to the bit-identical clean-run result or fail with the
-//! expected typed error — never a hang, never a silent wrong answer.
+//! either end in the expected typed error or, for a damaged checkpoint,
+//! recover to the bit-identical clean-run result — never a hang, never a
+//! silent wrong answer.
 //!
-//! Single-thread runs are fully deterministic, so recovery there is
-//! asserted as *bit identity* (per-cycle outcomes and the training
-//! history). Multi-thread runs interleave nondeterministically even
-//! without faults, so at 8 threads the suite asserts completion and
-//! accounting instead.
+//! Single-thread runs are fully deterministic, so a stop there is asserted
+//! as *bit identity* of its partial results with the clean run's earlier
+//! cycles (per-cycle outcomes and the training history). Multi-thread runs
+//! interleave nondeterministically even without faults, so at 8 threads the
+//! suite asserts the typed stop and liveness instead.
 
 use rlnoc_core::checkpoint::prev_path;
-use rlnoc_core::parallel::{explore_parallel_checkpointed, explore_parallel_supervised};
+use rlnoc_core::parallel::{
+    explore_parallel, explore_parallel_checkpointed, explore_parallel_supervised,
+};
 use rlnoc_core::{
     AnomalyKind, AnomalyReport, ChaosInjector, ChaosPlan, CheckpointConfig, ExploreCheckpoint,
-    ExploreError, ExploreReport, ExplorerConfig, RouterlessEnv, SupervisionConfig,
+    ExploreError, ExploreReport, ExplorerConfig, RouterlessEnv, SupervisedReport,
 };
 use rlnoc_telemetry::TelemetrySink;
 use rlnoc_topology::Grid;
@@ -35,6 +38,14 @@ fn chaos_config(plan: ChaosPlan, tweak: impl FnOnce(&mut ExplorerConfig)) -> Exp
     c
 }
 
+/// A plan that panics at each of `cycles`.
+fn panic_plan(cycles: Vec<usize>) -> ChaosPlan {
+    ChaosPlan {
+        panic_cycles: cycles,
+        ..ChaosPlan::default()
+    }
+}
+
 /// The full per-cycle outcome signature used for bit-identity assertions.
 fn sig(report: &ExploreReport<RouterlessEnv>) -> Vec<(usize, usize, bool, f64)> {
     report
@@ -49,36 +60,138 @@ fn run(
     threads: usize,
     cycles: usize,
     seed: u64,
-) -> rlnoc_core::SupervisedReport<RouterlessEnv> {
-    explore_parallel_supervised(
-        &env3(),
-        config,
-        threads,
-        cycles,
-        seed,
-        SupervisionConfig::default(),
-    )
-    .expect("scenario must recover, not fail")
+) -> SupervisedReport<RouterlessEnv> {
+    explore_parallel_supervised(&env3(), config, threads, cycles, seed)
+        .expect("a clean run must complete")
 }
 
 #[test]
-fn worker_panic_recovery_is_bit_identical() {
-    // The RNG escrow hands the respawned incarnation the exact stream the
-    // panicked one was on, so even a panic recovers bit-identically.
+fn worker_panic_stops_with_typed_error() {
+    // At one thread the run is deterministic: a panic at cycle k stops it
+    // with exactly the clean run's cycles < k, and the panicking worker
+    // counts it once.
     let clean = run(&quick_config(), 1, 4, 11);
+    let telemetry = TelemetrySink::enabled();
+    let cfg = chaos_config(panic_plan(vec![2]), |c| c.telemetry = telemetry.clone());
+    let err = explore_parallel_supervised(&env3(), &cfg, 1, 4, 11)
+        .expect_err("a worker panic must stop the run");
+    match err {
+        ExploreError::Panicked {
+            worker,
+            cycle,
+            message,
+            partial,
+            requested,
+        } => {
+            assert_eq!((worker, cycle, requested), (0, 2, 4));
+            assert_eq!(message, "chaos: injected worker panic at cycle 2");
+            assert_eq!(sig(&partial.report), sig(&clean.report)[..2]);
+            assert_eq!(
+                partial.report.train_history,
+                clean.report.train_history[..2]
+            );
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    assert_eq!(telemetry.counter_total("worker.panics"), 1);
+}
 
-    let plan = ChaosPlan {
-        panic_cycles: vec![1],
-        ..ChaosPlan::default()
-    };
-    let cfg = chaos_config(plan, |_| {});
-    let chaotic = run(&cfg, 1, 4, 11);
+#[test]
+fn worker_panic_stops_8_threads_without_hanging() {
+    // Eight workers race for the cycles. The first panic recorded stops the
+    // pool (a worker that already claimed a later panic cycle may panic
+    // too, but only one stop is reported), the run returns, and no design
+    // carries a panicked cycle.
+    let cfg = chaos_config(panic_plan(vec![2, 5, 9]), |_| {});
+    let err = explore_parallel_supervised(&env3(), &cfg, 8, 12, 29)
+        .expect_err("a worker panic must stop the run");
+    match err {
+        ExploreError::Panicked {
+            cycle,
+            partial,
+            requested,
+            ..
+        } => {
+            assert_eq!(requested, 12);
+            assert!(
+                [2, 5, 9].contains(&cycle),
+                "stop names a panic cycle, got {cycle}"
+            );
+            assert!(partial.report.cycles_run < 12);
+            assert_eq!(partial.report.cycles_run, partial.report.designs.len());
+            assert!(
+                partial
+                    .report
+                    .designs
+                    .iter()
+                    .all(|d| ![2, 5, 9].contains(&d.cycle)),
+                "a panicked cycle must not be reported"
+            );
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+}
 
-    assert_eq!(sig(&clean.report), sig(&chaotic.report));
-    assert_eq!(clean.report.train_history, chaotic.report.train_history);
-    assert_eq!(chaotic.supervision.panics, 1);
-    assert_eq!(chaotic.supervision.respawns, 1);
-    assert_eq!(chaotic.supervision.workers_lost, 0);
+#[test]
+#[should_panic(
+    expected = "panicked at cycle 1 after 1 of 3 cycles: chaos: injected worker panic at cycle 1"
+)]
+fn explore_parallel_panics_with_the_stop_message() {
+    let cfg = chaos_config(panic_plan(vec![1]), |_| {});
+    let _ = explore_parallel(&env3(), &cfg, 1, 3, 11);
+}
+
+#[test]
+fn failed_batch_never_reaches_disk() {
+    // Checkpoint every 2 cycles and panic at cycle 2, the first cycle of the
+    // second batch: the stop must leave the batch-1 checkpoint in place, and
+    // a clean resume must replay the uninterrupted run.
+    let base = std::env::temp_dir().join(format!("rlnoc_chaos_stop_{}", std::process::id()));
+    let stopped = base.with_extension("stopped.json");
+    let clean = base.with_extension("clean.json");
+    for p in [&stopped, &clean] {
+        let _ = std::fs::remove_file(p);
+        let _ = std::fs::remove_file(prev_path(p));
+    }
+    let env = env3();
+    let full = explore_parallel_checkpointed(
+        &env,
+        &quick_config(),
+        1,
+        6,
+        17,
+        &CheckpointConfig::new(&clean, 2),
+    )
+    .unwrap();
+
+    let ckpt = CheckpointConfig::new(&stopped, 2);
+    let cfg = chaos_config(panic_plan(vec![2]), |_| {});
+    let err = explore_parallel_checkpointed(&env, &cfg, 1, 6, 17, &ckpt)
+        .expect_err("a worker panic must stop the run");
+    match err {
+        ExploreError::Panicked {
+            cycle,
+            partial,
+            requested,
+            ..
+        } => {
+            assert_eq!((cycle, requested), (2, 6));
+            assert_eq!(sig(&partial.report), sig(&full.report)[..2]);
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    let cp = ExploreCheckpoint::<RouterlessEnv>::load(&stopped).unwrap();
+    assert_eq!(cp.cycles_done, 2, "the stopped batch must not be saved");
+
+    let resumed = explore_parallel_checkpointed(&env, &quick_config(), 1, 6, 17, &ckpt).unwrap();
+    assert_eq!(resumed.resumed_from, 2);
+    assert_eq!(sig(&resumed.report), sig(&full.report)[2..]);
+    assert_eq!(resumed.report.train_history, full.report.train_history[2..]);
+
+    for p in [&stopped, &clean] {
+        let _ = std::fs::remove_file(p);
+        let _ = std::fs::remove_file(prev_path(p));
+    }
 }
 
 #[test]
@@ -92,7 +205,7 @@ fn nan_grad_stops_with_typed_error() {
         ..ChaosPlan::default()
     };
     let cfg = chaos_config(plan.clone(), |c| c.telemetry = telemetry.clone());
-    let err = explore_parallel_supervised(&env3(), &cfg, 1, 4, 11, SupervisionConfig::default())
+    let err = explore_parallel_supervised(&env3(), &cfg, 1, 4, 11)
         .expect_err("a NaN gradient must stop the run");
     match err {
         ExploreError::Numerical {
@@ -123,7 +236,7 @@ fn nan_grad_stops_with_typed_error() {
     // At two threads the interleaving is free, but the pool still stops
     // with the typed error instead of hanging or finishing.
     let cfg = chaos_config(plan, |_| {});
-    let err = explore_parallel_supervised(&env3(), &cfg, 2, 6, 11, SupervisionConfig::default())
+    let err = explore_parallel_supervised(&env3(), &cfg, 2, 6, 11)
         .expect_err("a NaN gradient must stop the run");
     match err {
         ExploreError::Numerical {
@@ -138,32 +251,6 @@ fn nan_grad_stops_with_typed_error() {
 }
 
 #[test]
-fn seeded_chaos_suite_completes_at_8_threads() {
-    // A seeded panic schedule at full thread count: the contract here is
-    // liveness and accounting — every cycle completes exactly once,
-    // nothing hangs, and the run reports what it absorbed. The respawn
-    // budget covers every scheduled panic, so no worker can be lost
-    // whichever cycles it happens to claim.
-    let plan = ChaosPlan::seeded(23, 12, 5);
-    let injector = ChaosInjector::new(plan.clone());
-    let mut cfg = quick_config();
-    cfg.chaos = Some(injector.clone());
-    let supervision = SupervisionConfig {
-        max_respawns_per_worker: plan.panic_cycles.len(),
-    };
-    let out = explore_parallel_supervised(&env3(), &cfg, 8, 12, 29, supervision)
-        .expect("a recoverable schedule must complete");
-    assert_eq!(out.report.cycles_run, 12);
-    let mut cycles: Vec<_> = out.report.designs.iter().map(|d| d.cycle).collect();
-    cycles.sort_unstable();
-    assert_eq!(cycles, (0..12).collect::<Vec<_>>());
-    assert_eq!(injector.injected(), 5, "the whole schedule fired");
-    assert_eq!(out.supervision.panics, 5);
-    assert_eq!(out.supervision.respawns, 5);
-    assert_eq!(out.supervision.workers_lost, 0);
-}
-
-#[test]
 fn torn_checkpoint_recovers_from_prev_bit_identically() {
     let base = std::env::temp_dir().join(format!("rlnoc_chaos_ckpt_{}", std::process::id()));
     let torn = base.with_extension("torn.json");
@@ -173,7 +260,6 @@ fn torn_checkpoint_recovers_from_prev_bit_identically() {
         let _ = std::fs::remove_file(prev_path(p));
     }
     let env = env3();
-    let sup = SupervisionConfig::default();
 
     // Baseline: one uninterrupted 6-cycle checkpointed run.
     let full = explore_parallel_checkpointed(
@@ -182,7 +268,6 @@ fn torn_checkpoint_recovers_from_prev_bit_identically() {
         1,
         6,
         17,
-        sup,
         &CheckpointConfig::new(&clean, 2),
     )
     .unwrap();
@@ -190,7 +275,7 @@ fn torn_checkpoint_recovers_from_prev_bit_identically() {
     // Crashed run: 3 cycles saved (checkpoints at 2 and 3, `.prev` holds
     // the cycles_done=2 generation), then the primary write is torn.
     let ckpt = CheckpointConfig::new(&torn, 2);
-    explore_parallel_checkpointed(&env, &quick_config(), 1, 3, 17, sup, &ckpt).unwrap();
+    explore_parallel_checkpointed(&env, &quick_config(), 1, 3, 17, &ckpt).unwrap();
     let bytes = std::fs::read(&torn).unwrap();
     std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
 
@@ -199,7 +284,7 @@ fn torn_checkpoint_recovers_from_prev_bit_identically() {
     let telemetry = TelemetrySink::enabled();
     let mut cfg = quick_config();
     cfg.telemetry = telemetry.clone();
-    let resumed = explore_parallel_checkpointed(&env, &cfg, 1, 6, 17, sup, &ckpt).unwrap();
+    let resumed = explore_parallel_checkpointed(&env, &cfg, 1, 6, 17, &ckpt).unwrap();
     assert_eq!(resumed.resumed_from, 2);
     assert_eq!(telemetry.counter_total("checkpoint.recovered_prev"), 1);
     let replayed = sig(&resumed.report);
@@ -215,7 +300,7 @@ fn torn_checkpoint_recovers_from_prev_bit_identically() {
     // fresh start.
     std::fs::write(&torn, b"RLNOC-CKPT v2 9999\ngarbage").unwrap();
     std::fs::write(prev_path(&torn), b"RLNOC-CKPT v2 9999\ngarbage").unwrap();
-    let err = explore_parallel_checkpointed(&env, &quick_config(), 1, 6, 17, sup, &ckpt)
+    let err = explore_parallel_checkpointed(&env, &quick_config(), 1, 6, 17, &ckpt)
         .expect_err("two damaged generations cannot silently restart");
     assert!(matches!(err, ExploreError::Checkpoint(_)), "got {err:?}");
 

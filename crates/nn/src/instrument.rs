@@ -41,8 +41,7 @@ pub fn is_active() -> bool {
 /// Installs `recorder` for the lifetime of the returned guard, restoring
 /// whatever was previously installed (usually nothing) on drop. Panic-safe:
 /// an unwinding scope still flushes the scoped recorder and puts the old
-/// one back, so chaos-injected panics cannot leak a stale sink into the
-/// respawned worker's thread.
+/// one back, so a panic cannot leave a stale sink installed on the thread.
 pub fn install_scoped(recorder: Recorder) -> InstallGuard {
     InstallGuard {
         prev: install(recorder),

@@ -147,14 +147,6 @@ impl Layer for BatchNorm2d {
         out.extend_from_slice(&self.running_mean);
         out.extend_from_slice(&self.running_var);
     }
-
-    fn load_norm_state(&mut self, state: &[f32]) -> usize {
-        let c = self.channels();
-        assert!(state.len() >= 2 * c, "norm state snapshot too short");
-        self.running_mean.copy_from_slice(&state[..c]);
-        self.running_var.copy_from_slice(&state[c..2 * c]);
-        2 * c
-    }
 }
 
 #[cfg(test)]

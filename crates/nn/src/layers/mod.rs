@@ -91,18 +91,8 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Appends this layer's persistent non-parameter state — values a
     /// training forward mutates that are not [`Param`]s (batch-norm
     /// running statistics) — onto `out`. Stateless layers append nothing.
-    /// Together with [`Layer::load_norm_state`] this lets a caller make a
-    /// training attempt fully transactional.
     fn append_norm_state(&self, out: &mut Vec<f32>) {
         let _ = out;
-    }
-
-    /// Restores the prefix of `state` captured by
-    /// [`Layer::append_norm_state`], returning how many values were
-    /// consumed. Stateless layers consume nothing.
-    fn load_norm_state(&mut self, state: &[f32]) -> usize {
-        let _ = state;
-        0
     }
 }
 

@@ -66,12 +66,6 @@ impl Layer for ResidualBlock {
         self.bn1.append_norm_state(out);
         self.bn2.append_norm_state(out);
     }
-
-    fn load_norm_state(&mut self, state: &[f32]) -> usize {
-        let mut used = self.bn1.load_norm_state(state);
-        used += self.bn2.load_norm_state(&state[used..]);
-        used
-    }
 }
 
 #[cfg(test)]

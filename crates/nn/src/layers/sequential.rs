@@ -75,14 +75,6 @@ impl Layer for Sequential {
             layer.append_norm_state(out);
         }
     }
-
-    fn load_norm_state(&mut self, state: &[f32]) -> usize {
-        let mut used = 0;
-        for layer in &mut self.layers {
-            used += layer.load_norm_state(&state[used..]);
-        }
-        used
-    }
 }
 
 /// Backpropagates `grad_out` through `layers` in reverse, returning the

@@ -284,8 +284,7 @@ impl PolicyValueNet {
 
     /// Snapshot of the non-parameter state that training forwards mutate
     /// (batch-norm running statistics). Parameter snapshots do NOT include
-    /// this state; a caller that needs a training attempt to be fully
-    /// reversible must capture both.
+    /// this state.
     pub fn norm_snapshot(&self) -> Vec<f32> {
         let mut out = Vec::new();
         self.trunk.append_norm_state(&mut out);
@@ -293,20 +292,6 @@ impl PolicyValueNet {
         self.dir_head.append_norm_state(&mut out);
         self.value_head.append_norm_state(&mut out);
         out
-    }
-
-    /// Restores a snapshot from [`PolicyValueNet::norm_snapshot`] on an
-    /// identically configured net.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not match this network's norm layers.
-    pub fn load_norm_snapshot(&mut self, snapshot: &[f32]) {
-        let mut used = self.trunk.load_norm_state(snapshot);
-        used += self.coord_head.load_norm_state(&snapshot[used..]);
-        used += self.dir_head.load_norm_state(&snapshot[used..]);
-        used += self.value_head.load_norm_state(&snapshot[used..]);
-        assert_eq!(used, snapshot.len(), "norm snapshot length mismatch");
     }
 
     /// Accumulates a gradient snapshot into this network's parameter

@@ -203,12 +203,8 @@ pub struct ResilienceSummary {
     /// `anomaly.total`: numerical anomalies detected (each one stops its
     /// run).
     pub anomalies: u64,
-    /// `worker.panics`: worker panics caught.
+    /// `worker.panics`: worker panics caught (each one stops its run).
     pub panics: u64,
-    /// `worker.respawns`: panicked workers respawned in place.
-    pub respawns: u64,
-    /// `worker.lost`: workers lost past the respawn budget.
-    pub workers_lost: u64,
     /// `checkpoint.recovered_prev`: resumes served from `.prev` after a
     /// torn or corrupt primary.
     pub checkpoint_recoveries: u64,
@@ -232,8 +228,6 @@ pub fn resilience_summary(events: &[Event]) -> ResilienceSummary {
         match event.name.as_str() {
             "anomaly.total" => out.anomalies += value,
             "worker.panics" => out.panics += value,
-            "worker.respawns" => out.respawns += value,
-            "worker.lost" => out.workers_lost += value,
             "checkpoint.recovered_prev" => out.checkpoint_recoveries += value,
             _ => {}
         }
@@ -338,23 +332,22 @@ mod tests {
     #[test]
     fn resilience_summary_folds_counters_and_ignores_noise() {
         let sink = TelemetrySink::enabled();
-        let mut a = sink.recorder("supervisor");
+        let mut a = sink.recorder("worker0");
         a.incr("anomaly.total", 1);
-        a.incr("worker.panics", 2);
-        a.incr("worker.respawns", 2);
         a.incr("explore.cycles", 50); // unrelated counter
         a.record("explore.steps", 5); // unrelated histogram
         drop(a);
-        let mut b = sink.recorder("checkpoint");
-        b.incr("checkpoint.recovered_prev", 1);
+        let mut b = sink.recorder("worker1");
+        b.incr("worker.panics", 1);
         drop(b);
+        let mut c = sink.recorder("checkpoint");
+        c.incr("checkpoint.recovered_prev", 1);
+        drop(c);
 
         let events = parse_jsonl(&sink.to_jsonl()).expect("parses");
         let summary = resilience_summary(&events);
         assert_eq!(summary.anomalies, 1);
-        assert_eq!(summary.panics, 2);
-        assert_eq!(summary.respawns, 2);
-        assert_eq!(summary.workers_lost, 0);
+        assert_eq!(summary.panics, 1);
         assert_eq!(summary.checkpoint_recoveries, 1);
         assert!(!summary.clean());
         assert!(resilience_summary(&[]).clean());

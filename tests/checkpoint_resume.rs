@@ -6,7 +6,7 @@
 
 use rlnoc::drl::checkpoint::{CheckpointConfig, ExploreCheckpoint};
 use rlnoc::drl::explorer::ExploreReport;
-use rlnoc::drl::parallel::{explore_parallel_checkpointed, SupervisionConfig};
+use rlnoc::drl::parallel::explore_parallel_checkpointed;
 use rlnoc::drl::routerless::RouterlessEnv;
 use rlnoc::drl::ExplorerConfig;
 use rlnoc::telemetry::TelemetrySink;
@@ -41,7 +41,6 @@ fn resumed_run_matches_uninterrupted_run() {
     let env = RouterlessEnv::new(Grid::square(3).unwrap(), 6);
     let seed = 23;
     let total = 6;
-    let supervision = SupervisionConfig::default();
 
     // Uninterrupted: all 6 cycles in one call, checkpointing every 2.
     let full_path = temp_ckpt("full");
@@ -54,7 +53,6 @@ fn resumed_run_matches_uninterrupted_run() {
         1,
         total,
         seed,
-        supervision,
         &CheckpointConfig::new(&full_path, 2),
     )
     .expect("uninterrupted run");
@@ -63,17 +61,15 @@ fn resumed_run_matches_uninterrupted_run() {
     let resumed_path = temp_ckpt("resumed");
     let ckpt = CheckpointConfig::new(&resumed_path, 2);
     let first =
-        explore_parallel_checkpointed(&env, &quick_config(), 1, 4, seed, supervision, &ckpt)
-            .expect("first leg");
+        explore_parallel_checkpointed(&env, &quick_config(), 1, 4, seed, &ckpt).expect("first leg");
     assert_eq!(first.resumed_from, 0);
     assert_eq!(first.report.cycles_run, 4);
 
     let resumed_sink = TelemetrySink::enabled();
     let mut resumed_config = quick_config();
     resumed_config.telemetry = resumed_sink.clone();
-    let second =
-        explore_parallel_checkpointed(&env, &resumed_config, 1, total, seed, supervision, &ckpt)
-            .expect("resumed leg");
+    let second = explore_parallel_checkpointed(&env, &resumed_config, 1, total, seed, &ckpt)
+        .expect("resumed leg");
     assert_eq!(second.resumed_from, 4);
     assert_eq!(second.report.cycles_run, 2);
 
