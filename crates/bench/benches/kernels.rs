@@ -130,8 +130,8 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    // Convolution at the paper-8x8 net's stage-2 shape: im2col+GEMM vs the
-    // direct 7-deep loop nest.
+    // Convolution at the paper-8x8 net's stage-2 shape: the direct conv
+    // kernel vs the naive 7-deep loop nest.
     use rlnoc_nn::layers::{Conv2d, Layer};
     let x = Tensor::from_vec(
         (0..16 * 32 * 32).map(|v| (v as f32 * 0.11).sin()).collect(),
@@ -139,7 +139,7 @@ fn bench_kernels(c: &mut Criterion) {
     )
     .unwrap();
     let mut conv = Conv2d::new(16, 32, 3, 0);
-    c.bench_function("conv/im2col_16c_to_32c_32x32", |b| {
+    c.bench_function("conv/direct_16c_to_32c_32x32", |b| {
         b.iter(|| black_box(conv.forward(black_box(&x), false)))
     });
     let w = Tensor::zeros(&[32, 16, 3, 3]);

@@ -199,18 +199,7 @@ fn main() {
     let run_serial = |mk: &dyn Fn(&Topology) -> Box<dyn Network>| -> Vec<SweepResult> {
         Pattern::ALL
             .iter()
-            .map(|&pattern| {
-                latency_sweep(
-                    || mk(&rec),
-                    pattern,
-                    &sweep_cfg,
-                    params.start,
-                    params.step,
-                    params.max_rate,
-                    params.latency_factor,
-                    params.seed,
-                )
-            })
+            .map(|&pattern| latency_sweep(|| mk(&rec), pattern, &sweep_cfg, params))
             .collect()
     };
     let jobs: Vec<SweepJob<'_>> = Pattern::ALL
@@ -243,7 +232,7 @@ fn main() {
     );
     assert_eq!(
         results,
-        SweepEngine::serial().sweep_many(&jobs),
+        SweepEngine::new(1).sweep_many(&jobs),
         "parallel sweep diverged from the serial schedule"
     );
     let sweep_speedup = serial_reference_secs / engine_optimized_secs;

@@ -11,9 +11,9 @@
 
 use rlnoc_bench::{drl_topology, Effort};
 use rlnoc_power::{AreaModel, Fabric, PowerModel};
-use rlnoc_sim::sweep::{SweepEngine, SweepParams};
+use rlnoc_sim::sweep::{SweepEngine, SweepJob, SweepParams};
 use rlnoc_sim::traffic::Pattern;
-use rlnoc_sim::{run_synthetic, RouterlessSim, SimConfig};
+use rlnoc_sim::{run_synthetic_checked, RouterlessSim, SimConfig};
 use rlnoc_topology::{diversity, render, Grid, Topology};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -166,7 +166,7 @@ fn cmd_simulate(rest: &[String]) -> Result<(), String> {
         ..SimConfig::routerless()
     };
     let mut sim = RouterlessSim::new(&topo);
-    let m = run_synthetic(&mut sim, pattern, rate, &cfg, 1);
+    let m = run_synthetic_checked(&mut sim, pattern, rate, &cfg, 1).map_err(|e| e.to_string())?;
     println!("pattern {pattern:?} at {rate} flits/node/cycle over {cycles} cycles:");
     println!(
         "  avg packet latency: {:.2} cycles (max {})",
@@ -216,22 +216,21 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         drain: 2_000,
         ..SimConfig::routerless()
     };
-    // Adaptive sweep: a serial coarse pass brackets the saturation point,
-    // then the remaining fine points fill in across cores — bit-identical
-    // to the full serial sweep (see `rlnoc_sim::sweep`).
-    let sweep = SweepEngine::available().adaptive_sweep(
-        || RouterlessSim::new(&topo),
-        pattern,
-        &cfg,
-        SweepParams {
-            start: step,
-            step,
-            max_rate: 1.0,
-            latency_factor: 4.0,
-            seed: 1,
-        },
-        4,
-    );
+    let params = SweepParams {
+        start: step,
+        step,
+        max_rate: 1.0,
+        latency_factor: 4.0,
+        seed: 1,
+    };
+    cfg.validate().map_err(|e| e.to_string())?;
+    params.validate().map_err(|e| e.to_string())?;
+    // Points fan out across cores, bit-identical to the serial sweep (see
+    // `rlnoc_sim::sweep`).
+    let jobs = [SweepJob::new(*path, pattern, cfg, params, || {
+        RouterlessSim::new(&topo)
+    })];
+    let sweep = SweepEngine::available().sweep_many(&jobs).remove(0);
     println!("rate      latency   accepted");
     for p in &sweep.points {
         println!("{:<8.3}  {:<8.2}  {:<8.3}", p.rate, p.latency, p.accepted);

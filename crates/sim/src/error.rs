@@ -6,7 +6,7 @@
 //! descriptive [`SimError`] instead.
 
 use crate::config::SimConfig;
-use crate::sweep::{SweepEngine, SweepParams};
+use crate::sweep::SweepParams;
 
 /// A rejected simulator or sweep input.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,8 +22,6 @@ pub enum SimError {
         /// Which field was zero (e.g. `"measure"`).
         field: &'static str,
     },
-    /// A worker pool cannot have zero threads.
-    ZeroThreads,
     /// A sweep step that is not strictly positive.
     InvalidSweepStep {
         /// The offending step.
@@ -60,7 +58,6 @@ impl std::fmt::Display for SimError {
                 write!(f, "injection rate {rate} outside (0, 1] flits/node/cycle")
             }
             SimError::ZeroCycles { field } => write!(f, "{field} must be nonzero"),
-            SimError::ZeroThreads => write!(f, "thread count must be nonzero"),
             SimError::InvalidSweepStep { step } => {
                 write!(f, "sweep step {step} must be strictly positive and finite")
             }
@@ -152,18 +149,6 @@ impl SweepParams {
     }
 }
 
-impl SweepEngine {
-    /// Fallible constructor: rejects a zero thread count with a typed
-    /// error instead of panicking like [`SweepEngine::new`].
-    pub fn try_new(threads: usize) -> Result<Self, SimError> {
-        if threads == 0 {
-            Err(SimError::ZeroThreads)
-        } else {
-            Ok(SweepEngine::new(threads))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,12 +233,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn try_new_rejects_zero_threads() {
-        assert_eq!(SweepEngine::try_new(0).unwrap_err(), SimError::ZeroThreads);
-        assert_eq!(SweepEngine::try_new(3).unwrap().threads(), 3);
     }
 
     #[test]

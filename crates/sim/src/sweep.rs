@@ -1,6 +1,11 @@
 //! Injection-rate sweeps and saturation detection (paper Figures 10 & 16),
 //! with a deterministic parallel execution engine.
 //!
+//! There is one serial sweep and one parallel one: [`latency_sweep`] is
+//! the reference, and [`SweepEngine::sweep_many`] runs a batch of one or
+//! more [`SweepJob`]s on the engine's one worker pool,
+//! [`SweepEngine::map`].
+//!
 //! # Determinism contract
 //!
 //! Every sweep point is a *pure function* of `(factory, pattern, cfg,
@@ -181,35 +186,24 @@ fn scan(points_in_order: impl Iterator<Item = SweepPoint>, latency_factor: f64) 
     }
 }
 
-/// Sweeps injection rate from `start` in steps of `step`, running a fresh
-/// network from `factory` at each rate, until the network saturates or
-/// `max_rate` is reached. This is the serial reference implementation the
-/// [`SweepEngine`] determinism tests compare against; it evaluates points
-/// lazily so nothing past the saturation point is simulated.
-#[allow(clippy::too_many_arguments)] // sweep knobs mirror the paper's sweep parameters 1:1
+/// Sweeps injection rate over `params.rates()`, running a fresh network
+/// from `factory` at each rate, until the network saturates or
+/// `params.max_rate` is reached. This is the serial reference
+/// implementation the [`SweepEngine`] determinism tests compare against;
+/// it evaluates points lazily so nothing past the saturation point is
+/// simulated.
 pub fn latency_sweep<N: Network>(
     mut factory: impl FnMut() -> N,
     pattern: Pattern,
     cfg: &SimConfig,
-    start: f64,
-    step: f64,
-    max_rate: f64,
-    latency_factor: f64,
-    seed: u64,
+    params: SweepParams,
 ) -> SweepResult {
-    let params = SweepParams {
-        start,
-        step,
-        max_rate,
-        latency_factor,
-        seed,
-    };
     scan(
         params.rates().into_iter().map(|rate| {
             let mut net = factory();
-            evaluate_point(&mut net, pattern, cfg, rate, seed)
+            evaluate_point(&mut net, pattern, cfg, rate, params.seed)
         }),
-        latency_factor,
+        params.latency_factor,
     )
 }
 
@@ -254,8 +248,8 @@ impl JobState {
     }
 }
 
-/// One sweep in a heterogeneous [`SweepEngine::sweep_many`] batch: a
-/// labelled fabric factory with its own pattern, config, and parameters.
+/// One sweep in a [`SweepEngine::sweep_many`] batch: a labelled fabric
+/// factory with its own pattern, config, and parameters.
 pub struct SweepJob<'a> {
     /// Display label (fabric/pattern), carried through to callers.
     pub label: String,
@@ -301,10 +295,12 @@ impl<'a> SweepJob<'a> {
 
 /// Deterministic parallel sweep executor over scoped worker threads.
 ///
-/// Work is distributed from a shared atomic queue; results land in
-/// per-point slots and are reduced by the same serial [`scan`] the
-/// reference implementation uses, so the output is bit-identical at any
-/// thread count (see the module-level determinism contract).
+/// [`SweepEngine::map`] is the engine's one worker pool: workers claim
+/// items from a shared atomic counter and fill per-item slots.
+/// [`SweepEngine::sweep_many`] runs every sweep point as one item of that
+/// pool and reduces each job's points with the same serial `scan` the
+/// reference uses, so the output is bit-identical at any thread count
+/// (see the module-level determinism contract).
 ///
 /// An engine optionally carries a [`TelemetrySink`]
 /// ([`SweepEngine::with_telemetry`]); when live, every evaluated sweep
@@ -360,11 +356,6 @@ impl SweepEngine {
         point
     }
 
-    /// A single-worker engine (parallel code path, serial schedule).
-    pub fn serial() -> Self {
-        SweepEngine::new(1)
-    }
-
     /// An engine sized to the machine's available parallelism.
     pub fn available() -> Self {
         SweepEngine::new(
@@ -379,64 +370,13 @@ impl SweepEngine {
         self.threads
     }
 
-    /// Evaluates one rate list concurrently. Returns one slot per rate;
-    /// a `None` slot was skipped because it lies strictly beyond an index
-    /// already known to be saturated (and therefore past where the scan
-    /// stops).
-    fn evaluate_rates(
-        &self,
-        rates: &[f64],
-        latency_factor: f64,
-        eval: impl Fn(f64) -> SweepPoint + Sync,
-    ) -> Vec<Option<SweepPoint>> {
-        let n = rates.len();
-        let slots: Vec<Mutex<Option<SweepPoint>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let state = JobState::new(n);
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n.max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if state.beyond_cutoff(i) {
-                        continue;
-                    }
-                    let point = eval(rates[i]);
-                    state.observe(i, &point, latency_factor);
-                    *slots[i].lock().unwrap() = Some(point);
-                });
-            }
-        })
-        .expect("sweep worker panicked");
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap())
-            .collect()
-    }
-
-    /// Runs one sweep, bit-identical to [`latency_sweep`] with the same
-    /// arguments at any thread count.
-    pub fn sweep<N: Network>(
-        &self,
-        factory: impl Fn() -> N + Sync,
-        pattern: Pattern,
-        cfg: &SimConfig,
-        params: SweepParams,
-    ) -> SweepResult {
-        let rates = params.rates();
-        let slots = self.evaluate_rates(&rates, params.latency_factor, |rate| {
-            let mut net = factory();
-            self.traced_point(&mut net, pattern, cfg, rate, params.seed)
-        });
-        scan(slots.into_iter().map_while(|p| p), params.latency_factor)
-    }
-
-    /// Runs a batch of heterogeneous sweeps (multi-pattern, multi-fabric)
-    /// over one worker pool, returning one result per job in order. Tasks
-    /// are interleaved by point index so every job's low-rate points — the
-    /// ones that feed its saturation cutoff — are claimed early.
+    /// Runs a batch of sweeps — one job, or many patterns and fabrics —
+    /// on the worker pool, returning one result per job in order, each
+    /// bit-identical to [`latency_sweep`] on that job's inputs at any
+    /// thread count. Points are interleaved by point index so every
+    /// job's low-rate points — the ones that feed its saturation cutoff —
+    /// are claimed early; a point strictly beyond its job's known cutoff
+    /// is skipped, being past where the scan stops.
     pub fn sweep_many(&self, jobs: &[SweepJob<'_>]) -> Vec<SweepResult> {
         let rates: Vec<Vec<f64>> = jobs.iter().map(|j| j.params.rates()).collect();
         let max_points = rates.iter().map(Vec::len).max().unwrap_or(0);
@@ -448,106 +388,39 @@ impl SweepEngine {
                 }
             }
         }
-        let slots: Vec<Vec<Mutex<Option<SweepPoint>>>> = rates
-            .iter()
-            .map(|r| (0..r.len()).map(|_| Mutex::new(None)).collect())
-            .collect();
         let states: Vec<JobState> = rates.iter().map(|r| JobState::new(r.len())).collect();
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..self.threads.min(tasks.len().max(1)) {
-                scope.spawn(|| loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tasks.len() {
-                        break;
-                    }
-                    let (j, i) = tasks[t];
-                    if states[j].beyond_cutoff(i) {
-                        continue;
-                    }
-                    let job = &jobs[j];
-                    let mut net = (job.factory)();
-                    let point = self.traced_point(
-                        &mut net,
-                        job.pattern,
-                        &job.cfg,
-                        rates[j][i],
-                        job.params.seed,
-                    );
-                    states[j].observe(i, &point, job.params.latency_factor);
-                    *slots[j][i].lock().unwrap() = Some(point);
-                });
+        let points = self.map(&tasks, |_, &(j, i)| {
+            if states[j].beyond_cutoff(i) {
+                return None;
             }
-        })
-        .expect("sweep worker panicked");
-        slots
-            .into_iter()
+            let job = &jobs[j];
+            let mut net = (job.factory)();
+            let point = self.traced_point(
+                &mut net,
+                job.pattern,
+                &job.cfg,
+                rates[j][i],
+                job.params.seed,
+            );
+            states[j].observe(i, &point, job.params.latency_factor);
+            Some(point)
+        });
+        // Each job's tasks come in increasing point order, so pushing in
+        // task order rebuilds every job's row in rate order.
+        let mut rows: Vec<Vec<Option<SweepPoint>>> = vec![Vec::new(); jobs.len()];
+        for (&(j, _), point) in tasks.iter().zip(points) {
+            rows[j].push(point);
+        }
+        rows.into_iter()
             .zip(jobs)
-            .map(|(row, job)| {
-                scan(
-                    row.into_iter().map_while(|slot| slot.into_inner().unwrap()),
-                    job.params.latency_factor,
-                )
-            })
+            .map(|(row, job)| scan(row.into_iter().map_while(|p| p), job.params.latency_factor))
             .collect()
     }
 
-    /// Adaptive sweep: a cheap serial *coarse* pass at every
-    /// `coarse_stride`-th rate brackets the saturation point, then the
-    /// remaining fine points inside the bracket are filled in parallel.
-    /// Coarse points are cached and reused, and the final result comes
-    /// from the same [`scan`] over the full fine grid — because the first
-    /// fine saturated index can never exceed the first coarse saturated
-    /// index, the result is bit-identical to [`latency_sweep`].
-    pub fn adaptive_sweep<N: Network>(
-        &self,
-        factory: impl Fn() -> N + Sync,
-        pattern: Pattern,
-        cfg: &SimConfig,
-        params: SweepParams,
-        coarse_stride: usize,
-    ) -> SweepResult {
-        assert!(coarse_stride >= 1, "stride must be at least 1");
-        let rates = params.rates();
-        let n = rates.len();
-        if n == 0 {
-            return scan(std::iter::empty(), params.latency_factor);
-        }
-        let eval = |rate: f64| {
-            let mut net = factory();
-            self.traced_point(&mut net, pattern, cfg, rate, params.seed)
-        };
-        let mut cache: Vec<Option<SweepPoint>> = vec![None; n];
-        let mut zero_load = f64::NAN;
-        let mut bracket_end = n - 1;
-        let mut i = 0;
-        loop {
-            let point = eval(rates[i]);
-            if i == 0 {
-                zero_load = point.latency.max(1.0);
-            }
-            let saturated = is_saturated(&point, zero_load, params.latency_factor);
-            cache[i] = Some(point);
-            if saturated {
-                bracket_end = i;
-                break;
-            }
-            if i == n - 1 {
-                break;
-            }
-            i = (i + coarse_stride).min(n - 1);
-        }
-        let missing: Vec<usize> = (0..=bracket_end).filter(|&i| cache[i].is_none()).collect();
-        let refined = self.map(&missing, |_, &i| eval(rates[i]));
-        for (&i, point) in missing.iter().zip(refined) {
-            cache[i] = Some(point);
-        }
-        scan(cache.into_iter().map_while(|p| p), params.latency_factor)
-    }
-
     /// Applies `f` to every item on the worker pool, preserving input
-    /// order in the output. The general fan-out primitive behind the
-    /// benchmark binaries (independent per-benchmark / per-fabric runs).
+    /// order in the output. This is the engine's one pool: `sweep_many`
+    /// runs on it, and so do the benchmark binaries' independent
+    /// per-benchmark / per-fabric runs.
     pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
         let n = items.len();
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -564,7 +437,7 @@ impl SweepEngine {
                 });
             }
         })
-        .expect("map worker panicked");
+        .expect("sweep worker panicked");
         slots
             .into_iter()
             .map(|slot| {
@@ -649,15 +522,18 @@ mod tests {
     #[test]
     fn sweep_terminates_and_orders_points() {
         let g = Grid::square(4).unwrap();
+        let params = SweepParams {
+            start: 0.02,
+            step: 0.04,
+            max_rate: 0.5,
+            latency_factor: 4.0,
+            seed: 1,
+        };
         let result = latency_sweep(
             || MeshSim::mesh2(g),
             Pattern::UniformRandom,
             &quick_cfg(3),
-            0.02,
-            0.04,
-            0.5,
-            4.0,
-            1,
+            params,
         );
         assert!(!result.points.is_empty());
         assert!(result.zero_load_latency > 0.0);
@@ -668,24 +544,26 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_at_any_thread_count() {
-        // Satellite (a): the same sweep must be bit-identical serially and
-        // at 1, 2, and 8 worker threads.
+        // The same sweep must be bit-identical serially and at 1, 2, and 8
+        // worker threads.
         let g = Grid::square(4).unwrap();
         let cfg = tiny_cfg();
         let params = tiny_params(11);
-        let serial = latency_sweep(
+        let serial = [latency_sweep(
             || MeshSim::mesh2(g),
             Pattern::UniformRandom,
             &cfg,
-            params.start,
-            params.step,
-            params.max_rate,
-            params.latency_factor,
-            params.seed,
-        );
+            params,
+        )];
+        let jobs = [SweepJob::new(
+            "mesh2/uniform",
+            Pattern::UniformRandom,
+            cfg,
+            params,
+            || MeshSim::mesh2(g),
+        )];
         for threads in [1, 2, 8] {
-            let engine = SweepEngine::new(threads);
-            let parallel = engine.sweep(|| MeshSim::mesh2(g), Pattern::UniformRandom, &cfg, params);
+            let parallel = SweepEngine::new(threads).sweep_many(&jobs);
             assert_eq!(
                 parallel, serial,
                 "engine with {threads} threads diverged from the serial reference"
@@ -706,19 +584,16 @@ mod tests {
             || RouterlessSim::new(&topo),
             Pattern::Transpose,
             &cfg,
-            params.start,
-            params.step,
-            params.max_rate,
-            params.latency_factor,
-            params.seed,
-        );
-        let parallel = SweepEngine::new(4).sweep(
-            || RouterlessSim::new(&topo),
-            Pattern::Transpose,
-            &cfg,
             params,
         );
-        assert_eq!(parallel, serial);
+        let jobs = [SweepJob::new(
+            "rless/transpose",
+            Pattern::Transpose,
+            cfg,
+            params,
+            || RouterlessSim::new(&topo),
+        )];
+        assert_eq!(SweepEngine::new(4).sweep_many(&jobs), [serial]);
     }
 
     #[test]
@@ -756,50 +631,93 @@ mod tests {
             || MeshSim::mesh2(g),
             Pattern::UniformRandom,
             &mesh_cfg,
-            params.start,
-            params.step,
-            params.max_rate,
-            params.latency_factor,
-            params.seed,
+            params,
         );
         let rless_alone = latency_sweep(
             || RouterlessSim::new(&topo),
             Pattern::Tornado,
             &rless_cfg,
-            params.start,
-            params.step,
-            params.max_rate,
-            params.latency_factor,
-            params.seed,
+            params,
         );
         assert_eq!(batch[0], mesh_alone);
         assert_eq!(batch[1], rless_alone);
     }
 
     #[test]
-    fn adaptive_matches_plain_sweep() {
+    fn ragged_jobs_match_serial_and_skip_past_the_cutoff() {
+        // Two jobs with different rate counts, so the interleaved task
+        // list has rows of different lengths. Both saturate before their
+        // last rate, so the cutoff skip has points to skip.
         let g = Grid::square(4).unwrap();
-        let cfg = tiny_cfg();
-        let params = tiny_params(9);
-        let plain = latency_sweep(
-            || MeshSim::mesh2(g),
-            Pattern::UniformRandom,
-            &cfg,
-            params.start,
-            params.step,
-            params.max_rate,
-            params.latency_factor,
-            params.seed,
-        );
-        for stride in [1, 2, 3] {
-            let adaptive = SweepEngine::new(2).adaptive_sweep(
+        let topo = rec_topology(g).unwrap();
+        let mesh_cfg = tiny_cfg();
+        let rless_cfg = SimConfig {
+            data_flits: 5,
+            ..tiny_cfg()
+        };
+        let mesh_params = SweepParams {
+            max_rate: 0.95,
+            ..tiny_params(13)
+        };
+        let rless_params = SweepParams {
+            step: 0.05,
+            max_rate: 0.9,
+            ..tiny_params(17)
+        };
+        let mesh_calls = AtomicUsize::new(0);
+        let rless_calls = AtomicUsize::new(0);
+        let jobs = [
+            SweepJob::new(
+                "mesh2/uniform",
+                Pattern::UniformRandom,
+                mesh_cfg.clone(),
+                mesh_params,
+                || {
+                    mesh_calls.fetch_add(1, Ordering::Relaxed);
+                    MeshSim::mesh2(g)
+                },
+            ),
+            SweepJob::new(
+                "rless/uniform",
+                Pattern::UniformRandom,
+                rless_cfg.clone(),
+                rless_params,
+                || {
+                    rless_calls.fetch_add(1, Ordering::Relaxed);
+                    RouterlessSim::new(&topo)
+                },
+            ),
+        ];
+        let serial = [
+            latency_sweep(
                 || MeshSim::mesh2(g),
                 Pattern::UniformRandom,
-                &cfg,
-                params,
-                stride,
-            );
-            assert_eq!(adaptive, plain, "stride {stride} diverged");
+                &mesh_cfg,
+                mesh_params,
+            ),
+            latency_sweep(
+                || RouterlessSim::new(&topo),
+                Pattern::UniformRandom,
+                &rless_cfg,
+                rless_params,
+            ),
+        ];
+        assert_ne!(mesh_params.rates().len(), rless_params.rates().len());
+        for (result, params) in serial.iter().zip([mesh_params, rless_params]) {
+            assert!(result.points.len() < params.rates().len());
+        }
+        for threads in [1, 2, 8] {
+            mesh_calls.store(0, Ordering::Relaxed);
+            rless_calls.store(0, Ordering::Relaxed);
+            let batch = SweepEngine::new(threads).sweep_many(&jobs);
+            assert_eq!(batch, serial, "{threads} threads diverged from serial");
+            if threads == 1 {
+                // One worker claims points in order, so the cutoff is known
+                // before any point past it is claimed: each job builds a
+                // network for exactly the points its scan keeps.
+                assert_eq!(mesh_calls.load(Ordering::Relaxed), batch[0].points.len());
+                assert_eq!(rless_calls.load(Ordering::Relaxed), batch[1].points.len());
+            }
         }
     }
 
@@ -823,25 +741,24 @@ mod tests {
         // two fabrics tie on throughput; the paper's gap appears at 8x8+.)
         let g = Grid::square(8).unwrap();
         let topo = rec_topology(g).unwrap();
+        let params = SweepParams {
+            start: 0.05,
+            step: 0.05,
+            max_rate: 0.9,
+            latency_factor: 4.0,
+            seed: 7,
+        };
         let mesh = latency_sweep(
             || MeshSim::mesh2(g),
             Pattern::UniformRandom,
             &quick_cfg(3),
-            0.05,
-            0.05,
-            0.9,
-            4.0,
-            7,
+            params,
         );
         let rless = latency_sweep(
             || RouterlessSim::new(&topo),
             Pattern::UniformRandom,
             &quick_cfg(5),
-            0.05,
-            0.05,
-            0.9,
-            4.0,
-            7,
+            params,
         );
         assert!(
             rless.saturation > mesh.saturation,

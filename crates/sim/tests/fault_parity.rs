@@ -9,7 +9,7 @@
 //!    parallel engine at 1, 2, and 8 threads.
 
 use rlnoc_baselines::rec_topology;
-use rlnoc_sim::sweep::{latency_sweep, SweepEngine, SweepParams};
+use rlnoc_sim::sweep::{latency_sweep, SweepEngine, SweepJob, SweepParams};
 use rlnoc_sim::traffic::Pattern;
 use rlnoc_sim::{run_synthetic, FaultPlan, MeshSim, RouterlessSim, SimConfig};
 use rlnoc_topology::Grid;
@@ -94,20 +94,17 @@ fn faulted_sweep_is_deterministic_across_thread_counts() {
         seed: 21,
     };
     let factory = || RouterlessSim::with_faults(&topo, plan.clone());
-    let serial = latency_sweep(
-        factory,
+    let serial = [latency_sweep(factory, Pattern::UniformRandom, &cfg, params)];
+    assert!(!serial[0].points.is_empty());
+    let jobs = [SweepJob::new(
+        "faulted",
         Pattern::UniformRandom,
-        &cfg,
-        params.start,
-        params.step,
-        params.max_rate,
-        params.latency_factor,
-        params.seed,
-    );
-    assert!(!serial.points.is_empty());
+        cfg,
+        params,
+        factory,
+    )];
     for threads in [1, 2, 8] {
-        let parallel =
-            SweepEngine::new(threads).sweep(factory, Pattern::UniformRandom, &cfg, params);
+        let parallel = SweepEngine::new(threads).sweep_many(&jobs);
         assert_eq!(
             parallel, serial,
             "faulted sweep diverged at {threads} threads"
@@ -136,19 +133,16 @@ fn faulted_mesh_sweep_is_deterministic_across_thread_counts() {
         seed: 5,
     };
     let factory = || MeshSim::with_faults(g, 1, 8, plan.clone());
-    let serial = latency_sweep(
-        factory,
+    let serial = [latency_sweep(factory, Pattern::UniformRandom, &cfg, params)];
+    let jobs = [SweepJob::new(
+        "faulted",
         Pattern::UniformRandom,
-        &cfg,
-        params.start,
-        params.step,
-        params.max_rate,
-        params.latency_factor,
-        params.seed,
-    );
+        cfg,
+        params,
+        factory,
+    )];
     for threads in [1, 2, 8] {
-        let parallel =
-            SweepEngine::new(threads).sweep(factory, Pattern::UniformRandom, &cfg, params);
+        let parallel = SweepEngine::new(threads).sweep_many(&jobs);
         assert_eq!(
             parallel, serial,
             "faulted mesh sweep diverged at {threads} threads"

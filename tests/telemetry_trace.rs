@@ -10,7 +10,7 @@ use rlnoc::baselines::rec_topology;
 use rlnoc::drl::explorer::{ExploreReport, Explorer, ExplorerConfig};
 use rlnoc::drl::parallel::explore_parallel;
 use rlnoc::drl::routerless::RouterlessEnv;
-use rlnoc::sim::sweep::{SweepEngine, SweepParams};
+use rlnoc::sim::sweep::{SweepEngine, SweepJob, SweepParams};
 use rlnoc::sim::traffic::{Pattern, TrafficGen};
 use rlnoc::sim::{run_synthetic, run_with_source_traced, FaultPlan, RouterlessSim, SimConfig};
 use rlnoc::telemetry::{Event, TelemetrySink};
@@ -120,12 +120,14 @@ fn golden_sweep_trace_8x8() {
     };
     let sink = TelemetrySink::enabled();
     let engine = SweepEngine::new(2).with_telemetry(sink.clone());
-    let traced = engine.sweep(
-        || RouterlessSim::new(&topo),
+    let jobs = [SweepJob::new(
+        "rec/uniform",
         Pattern::UniformRandom,
-        &cfg,
+        cfg,
         params,
-    );
+        || RouterlessSim::new(&topo),
+    )];
+    let traced = engine.sweep_many(&jobs).remove(0);
 
     let events = sink.events();
     assert_schema_stable(&events);
@@ -137,12 +139,7 @@ fn golden_sweep_trace_8x8() {
     assert_eq!(lat.count, points);
 
     // Observation-only: the same sweep without telemetry is bit-identical.
-    let plain = SweepEngine::new(2).sweep(
-        || RouterlessSim::new(&topo),
-        Pattern::UniformRandom,
-        &cfg,
-        params,
-    );
+    let plain = SweepEngine::new(2).sweep_many(&jobs).remove(0);
     assert_eq!(traced, plain, "telemetry must not perturb sweep results");
 }
 
