@@ -7,7 +7,6 @@ use rlnoc_baselines::rec_topology;
 use rlnoc_core::mcts::{Mcts, MctsConfig};
 use rlnoc_core::routerless::RouterlessEnv;
 use rlnoc_core::Environment;
-use rlnoc_nn::net::PolicyValueGrad;
 use rlnoc_nn::{PolicyValueConfig, PolicyValueNet, Tensor};
 use rlnoc_sim::traffic::Pattern;
 use rlnoc_sim::{MeshSim, Network, RouterlessSim, SimConfig};
@@ -73,17 +72,11 @@ fn bench_nn(c: &mut Criterion) {
     let mut net = PolicyValueNet::new(PolicyValueConfig::small(8), 1);
     let x = Tensor::zeros(&[1, 1, 64, 64]);
     c.bench_function("nn/forward_small_8x8_state", |b| {
-        b.iter(|| black_box(net.forward(black_box(&x), false)))
+        b.iter(|| black_box(net.forward(black_box(&x))))
     });
     c.bench_function("nn/forward_backward_small_8x8_state", |b| {
         b.iter(|| {
-            let out = net.forward(black_box(&x), true);
-            let grad = PolicyValueGrad {
-                coord_logits: Tensor::zeros(out.coord_logits.shape()),
-                dir: Tensor::zeros(&[1, 1]),
-                value: Tensor::full(&[1, 1], 1.0),
-            };
-            net.backward(&grad);
+            black_box(net.train_pass(black_box(&x), |_, grad| grad.value[0] = 1.0));
             net.zero_grad();
         })
     });
@@ -97,7 +90,7 @@ fn bench_nn(c: &mut Criterion) {
         let mut net = PolicyValueNet::new(cfg, 1);
         let x = Tensor::zeros(&[1, 1, side, side]);
         c.bench_function(&format!("nn/forward_paper_{n}x{n}"), |b| {
-            b.iter(|| black_box(net.forward(black_box(&x), false)))
+            b.iter(|| black_box(net.forward(black_box(&x))))
         });
     }
     rlnoc_nn::kernels::set_matmul_threads(0);
@@ -132,15 +125,20 @@ fn bench_kernels(c: &mut Criterion) {
 
     // Convolution at the paper-8x8 net's stage-2 shape: the direct conv
     // kernel vs the naive 7-deep loop nest.
-    use rlnoc_nn::layers::{Conv2d, Layer};
+    use rlnoc_nn::layers::{Conv2d, Layer, Workspace};
     let x = Tensor::from_vec(
         (0..16 * 32 * 32).map(|v| (v as f32 * 0.11).sin()).collect(),
         &[1, 16, 32, 32],
     )
     .unwrap();
     let mut conv = Conv2d::new(16, 32, 3, 0);
+    let mut ws = Workspace::default();
     c.bench_function("conv/direct_16c_to_32c_32x32", |b| {
-        b.iter(|| black_box(conv.forward(black_box(&x), false)))
+        b.iter(|| {
+            ws.start(black_box(&x));
+            conv.forward(&mut ws, false);
+            black_box(ws.output());
+        })
     });
     let w = Tensor::zeros(&[32, 16, 3, 3]);
     let bias = Tensor::zeros(&[32]);

@@ -18,8 +18,7 @@
 use rlnoc_core::explorer::ExplorerConfig;
 use rlnoc_core::parallel::explore_parallel;
 use rlnoc_core::routerless::RouterlessEnv;
-use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer, MaxPool2d};
-use rlnoc_nn::net::PolicyValueGrad;
+use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer, MaxPool2d, Workspace};
 use rlnoc_nn::{reference, PolicyValueConfig, PolicyValueNet, Tensor};
 use rlnoc_telemetry::TelemetrySink;
 use rlnoc_topology::Grid;
@@ -67,6 +66,40 @@ fn probed(mut f: impl FnMut()) -> (f64, [f64; 3]) {
         }
     }
     best
+}
+
+/// [`probed`] passes of `layer`: a training forward on `x` alone, and a
+/// forward then a backward of `grad` with the forward's time taken out (a
+/// backward reads the activations its forward left in the workspace).
+/// Both include copying `x` into the workspace.
+fn probed_passes(
+    layer: &mut impl Layer,
+    x: &Tensor,
+    grad: &Tensor,
+) -> ((f64, [f64; 3]), (f64, [f64; 3])) {
+    let mut ws = Workspace::default();
+    let forward = probed(|| {
+        ws.start(black_box(x));
+        layer.forward(&mut ws, true);
+    });
+    let (both, probes) = probed(|| {
+        ws.start(black_box(x));
+        layer.forward(&mut ws, true);
+        ws.push_grad(grad.as_slice());
+        layer.backward(&mut ws, true);
+    });
+    (forward, (both - forward.0, probes))
+}
+
+/// Mean seconds per inference forward of `layer` on `x`, including the
+/// copy of `x` into the workspace.
+fn time_forward(layer: &mut impl Layer, x: &Tensor) -> f64 {
+    let mut ws = Workspace::default();
+    time_secs(|| {
+        ws.start(black_box(x));
+        layer.forward(&mut ws, false);
+        black_box(ws.output());
+    })
 }
 
 /// Single-core `mul`+`add` throughput of the build's widest vector in
@@ -133,10 +166,7 @@ fn main() {
     // --- Conv forward vs naive at the paper-8x8 stage-2 shape ------------
     let x = Tensor::from_vec(wave(16 * 32 * 32, 0.11), &[1, 16, 32, 32])
         .expect("conv input data sized 16*32*32");
-    let mut conv = Conv2d::new(16, 32, 3, 0);
-    let conv_direct = time_secs(|| {
-        black_box(conv.forward(black_box(&x), false));
-    });
+    let conv_direct = time_forward(&mut Conv2d::new(16, 32, 3, 0), &x);
     let w = Tensor::from_vec(wave(32 * 16 * 9, 0.19), &[32, 16, 3, 3])
         .expect("conv weight data sized 32*16*3*3");
     let bias = Tensor::zeros(&[32]);
@@ -157,7 +187,7 @@ fn main() {
         let mut net = PolicyValueNet::new(cfg, 1);
         let state = Tensor::zeros(&[1, 1, side, side]);
         let secs = time_secs(|| {
-            black_box(net.forward(black_box(&state), false));
+            black_box(net.forward(black_box(&state)));
         });
         if grid_n == 8 {
             forward_8x8 = secs;
@@ -181,10 +211,7 @@ fn main() {
     for &(ic, oc, kk, side) in &conv_shapes(&cfg8) {
         let x = Tensor::from_vec(wave(ic * side * side, 0.13), &[1, ic, side, side])
             .expect("layer input data sized ic*side*side");
-        let mut c = Conv2d::new(ic, oc, kk, 0);
-        conv_opt_total += time_secs(|| {
-            black_box(c.forward(black_box(&x), false));
-        });
+        conv_opt_total += time_forward(&mut Conv2d::new(ic, oc, kk, 0), &x);
         let w = Tensor::from_vec(wave(oc * ic * kk * kk, 0.29), &[oc, ic, kk, kk])
             .expect("layer weight data sized oc*ic*k*k");
         let bias = Tensor::zeros(&[oc]);
@@ -223,7 +250,7 @@ fn main() {
     // (`8→6`): a 45-state batch of 64×64 inputs; and the 4x4 learner's
     // residual at 16×16. Layer times per pass, and each pass's kernel
     // throughput from its telemetry probe (weight packing, padding copies
-    // and the kernel; not the output allocation or the input cache) as
+    // and the kernel; not the workspace copy of the input) as
     // GMAC/s and as a fraction of the measured single-core peak, each the
     // best of five rounds. All three passes are counted as
     // `batch·out_c·in_c·k²·h·w` multiply-adds.
@@ -234,35 +261,16 @@ fn main() {
     for (out_c, side) in [(8usize, 64usize), (2, 64), (6, 64), (8, 16)] {
         let x = Tensor::from_vec(wave(batch * 8 * side * side, 0.13), &[batch, 8, side, side])
             .expect("conv input data sized batch*8*side*side");
-        let grad_of = |out_c: usize| {
-            Tensor::from_vec(
-                wave(batch * out_c * side * side, 0.07),
-                &[batch, out_c, side, side],
-            )
-            .expect("conv gradient data sized batch*out_c*side*side")
-        };
+        let grad = Tensor::from_vec(
+            wave(batch * out_c * side * side, 0.07),
+            &[batch, out_c, side, side],
+        )
+        .expect("conv gradient data sized batch*out_c*side*side");
         let ((forward, [fwd, ..]), (backward, [_, wgrad, igrad])) = if out_c == 6 {
             let mut heads = ConvHeads::new((0..3).map(|g| Conv2d::new(8, 2, 3, g)).collect());
-            let grads = [grad_of(2), grad_of(2), grad_of(2)];
-            (
-                probed(|| {
-                    black_box(heads.forward(black_box(&x)));
-                }),
-                probed(|| {
-                    black_box(heads.backward(black_box(&grads)));
-                }),
-            )
+            probed_passes(&mut heads, &x, &grad)
         } else {
-            let mut conv = Conv2d::new(8, out_c, 3, 0);
-            let grad = grad_of(out_c);
-            (
-                probed(|| {
-                    black_box(conv.forward(black_box(&x), true));
-                }),
-                probed(|| {
-                    black_box(conv.backward(black_box(&grad)));
-                }),
-            )
+            probed_passes(&mut Conv2d::new(8, out_c, 3, 0), &x, &grad)
         };
         let name = format!("conv_8to{out_c}_{side}x{side}_batch{batch}");
         if side == 64 {
@@ -299,11 +307,11 @@ fn main() {
         let states = Tensor::from_vec(wave(batch * side * side, 0.17), &[batch, 1, side, side])
             .expect("state batch data sized batch*side*side");
         let secs = time_secs(|| {
-            let out = net.forward(black_box(&states), true);
-            net.backward(&PolicyValueGrad {
-                coord_logits: out.coord_logits,
-                dir: out.dir,
-                value: out.value,
+            net.train_pass(black_box(&states), |out, grad| {
+                grad.coord_logits
+                    .copy_from_slice(out.coord_logits.as_slice());
+                grad.dir.copy_from_slice(out.dir.as_slice());
+                grad.value.copy_from_slice(out.value.as_slice());
             });
             net.zero_grad();
         });

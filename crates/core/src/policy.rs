@@ -5,7 +5,6 @@ use crate::env::Environment;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rlnoc_nn::loss;
-use rlnoc_nn::net::PolicyValueGrad;
 use rlnoc_nn::optim::{clip_global_norm, Adam};
 use rlnoc_nn::{PolicyValueConfig, PolicyValueNet, PolicyValueOutput, Tensor};
 
@@ -103,6 +102,10 @@ pub struct PolicyAgent {
     /// Bumped on every optimizer step; evaluation caches key on
     /// `(state_key, generation)` so stale entries are never served.
     generation: u64,
+    /// Grow-only storage for the stacked state batch of
+    /// [`PolicyAgent::evaluate_batch`] and
+    /// [`PolicyAgent::accumulate_episode`].
+    staging: Vec<f32>,
 }
 
 /// A policy evaluation at one state: per-head probability tables, the
@@ -144,6 +147,7 @@ impl PolicyAgent {
             optim: Adam::new(lr),
             config: train_config,
             generation: 0,
+            staging: Vec::new(),
         }
     }
 
@@ -187,8 +191,8 @@ impl PolicyAgent {
 
     /// Evaluates the policy and value heads at `state` (inference mode).
     pub fn evaluate(&mut self, state: &Tensor) -> Evaluation {
-        let out = self.net.forward(state, false);
-        let mut evals = self.split_output(&out);
+        let out = self.net.forward(state);
+        let mut evals = split_output(self.net.config().n, &out);
         assert_eq!(evals.len(), 1, "evaluate expects a single-sample state");
         evals.remove(0)
     }
@@ -208,43 +212,33 @@ impl PolicyAgent {
         if states.is_empty() {
             return Vec::new();
         }
+        let batch = self.stack(states.iter());
+        let out = self.net.forward(&batch);
+        self.staging = batch.into_vec();
+        split_output(self.net.config().n, &out)
+    }
+
+    /// Stacks single-sample states into one `[count, 1, side, side]`
+    /// batch, built in the staging buffer; hand the buffer back with
+    /// `self.staging = batch.into_vec()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any state is not a single `side × side` sample.
+    fn stack<'a>(&mut self, states: impl ExactSizeIterator<Item = &'a Tensor>) -> Tensor {
         let side = self.net.config().input_side;
-        let mut data = Vec::with_capacity(states.len() * side * side);
+        let count = states.len();
+        let mut data = std::mem::take(&mut self.staging);
+        data.clear();
         for s in states {
             assert_eq!(
                 s.as_slice().len(),
                 side * side,
-                "evaluate_batch expects [1, 1, {side}, {side}] states"
+                "states must be single [1, 1, {side}, {side}] samples"
             );
             data.extend_from_slice(s.as_slice());
         }
-        let batch = Tensor::from_vec(data, &[states.len(), 1, side, side]).expect("sized above");
-        let out = self.net.forward(&batch, false);
-        self.split_output(&out)
-    }
-
-    /// Converts raw network outputs into per-sample [`Evaluation`]s.
-    fn split_output(&self, out: &PolicyValueOutput) -> Vec<Evaluation> {
-        let n = self.net.config().n;
-        let batch = out.value.shape()[0];
-        let logits = out.coord_logits.as_slice();
-        let dirs = out.dir.as_slice();
-        let values = out.value.as_slice();
-        (0..batch)
-            .map(|i| {
-                let l = &logits[i * 4 * n..(i + 1) * 4 * n];
-                Evaluation {
-                    probs: [
-                        loss::softmax(&l[0..n]),
-                        loss::softmax(&l[n..2 * n]),
-                        loss::softmax(&l[2 * n..3 * n]),
-                        loss::softmax(&l[3 * n..4 * n]),
-                    ],
-                    p_clockwise: (1.0 + dirs[i]) / 2.0,
-                    value: f64::from(values[i]),
-                }
-            })
-            .collect()
+        Tensor::from_vec(data, &[count, 1, side, side]).expect("sized above")
     }
 
     /// Samples an action from the policy at the environment's current
@@ -303,53 +297,35 @@ impl PolicyAgent {
         }
         let returns = episode.returns(self.config.gamma);
         let n = self.net.config().n;
-        let side = self.net.config().input_side;
-
-        let mut data = Vec::with_capacity(steps * side * side);
-        for step in &episode.steps {
-            assert_eq!(
-                step.state.as_slice().len(),
-                side * side,
-                "episode states must be single {side}x{side} samples"
-            );
-            data.extend_from_slice(step.state.as_slice());
-        }
-        let batch = Tensor::from_vec(data, &[steps, 1, side, side]).expect("sized above");
-        let out = self.net.forward(&batch, true);
-
-        let logits = out.coord_logits.as_slice();
-        let dirs = out.dir.as_slice();
-        let values = out.value.as_slice();
-        let mut coord_grad = vec![0.0f32; steps * 4 * n];
-        let mut dir_grad = vec![0.0f32; steps];
-        let mut value_grad = vec![0.0f32; steps];
+        let value_coeff = self.config.value_coeff;
+        let batch = self.stack(episode.steps.iter().map(|step| &step.state));
         let mut policy_loss = 0.0f32;
         let mut value_loss = 0.0f32;
         let mut entropy = 0.0f32;
-        for (i, (step, &g_t)) in episode.steps.iter().zip(&returns).enumerate() {
-            let v = values[i];
-            let advantage = (g_t - f64::from(v)) as f32;
-            let (coords, flag) = env.encode_action(step.action);
-            for (h, &coord) in coords.iter().enumerate() {
-                let base = (i * 4 + h) * n;
-                entropy += softmax_entropy(&logits[base..base + n]);
-                let (l, g) = loss::policy_head_grad(&logits[base..base + n], coord, advantage);
-                policy_loss += l;
-                coord_grad[base..base + n].copy_from_slice(&g);
+        self.net.train_pass(&batch, |out, grad| {
+            let logits = out.coord_logits.as_slice();
+            let dirs = out.dir.as_slice();
+            let values = out.value.as_slice();
+            for (i, (step, &g_t)) in episode.steps.iter().zip(&returns).enumerate() {
+                let v = values[i];
+                let advantage = (g_t - f64::from(v)) as f32;
+                let (coords, flag) = env.encode_action(step.action);
+                for (h, &coord) in coords.iter().enumerate() {
+                    let base = (i * 4 + h) * n;
+                    entropy += softmax_entropy(&logits[base..base + n]);
+                    let (l, g) = loss::policy_head_grad(&logits[base..base + n], coord, advantage);
+                    policy_loss += l;
+                    grad.coord_logits[base..base + n].copy_from_slice(&g);
+                }
+                let (dl, dg) = loss::direction_head_grad(dirs[i], flag, advantage);
+                policy_loss += dl;
+                grad.dir[i] = dg;
+                let (vl, vg) = loss::value_head_grad(v, g_t as f32);
+                value_loss += vl;
+                grad.value[i] = vg * value_coeff;
             }
-            let (dl, dg) = loss::direction_head_grad(dirs[i], flag, advantage);
-            policy_loss += dl;
-            dir_grad[i] = dg;
-            let (vl, vg) = loss::value_head_grad(v, g_t as f32);
-            value_loss += vl;
-            value_grad[i] = vg * self.config.value_coeff;
-        }
-
-        self.net.backward(&PolicyValueGrad {
-            coord_logits: Tensor::from_vec(coord_grad, &[steps, 4, n]).expect("4N logits"),
-            dir: Tensor::from_vec(dir_grad, &[steps, 1]).expect("batch scalars"),
-            value: Tensor::from_vec(value_grad, &[steps, 1]).expect("batch scalars"),
         });
+        self.staging = batch.into_vec();
         TrainStats {
             policy_loss: policy_loss / steps as f32,
             value_loss: value_loss / steps as f32,
@@ -412,6 +388,30 @@ impl PolicyAgent {
         stats.grad_norm = self.step_optimizer();
         stats
     }
+}
+
+/// Converts raw network outputs of a head cardinality `n` network into
+/// per-sample [`Evaluation`]s.
+fn split_output(n: usize, out: &PolicyValueOutput) -> Vec<Evaluation> {
+    let batch = out.value.shape()[0];
+    let logits = out.coord_logits.as_slice();
+    let dirs = out.dir.as_slice();
+    let values = out.value.as_slice();
+    (0..batch)
+        .map(|i| {
+            let l = &logits[i * 4 * n..(i + 1) * 4 * n];
+            Evaluation {
+                probs: [
+                    loss::softmax(&l[0..n]),
+                    loss::softmax(&l[n..2 * n]),
+                    loss::softmax(&l[2 * n..3 * n]),
+                    loss::softmax(&l[3 * n..4 * n]),
+                ],
+                p_clockwise: (1.0 + dirs[i]) / 2.0,
+                value: f64::from(values[i]),
+            }
+        })
+        .collect()
 }
 
 /// Shannon entropy (nats) of the softmax distribution over `logits`,

@@ -12,7 +12,6 @@ use crate::policy::{Episode, PolicyAgent};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rlnoc_nn::loss;
-use rlnoc_nn::net::PolicyValueGrad;
 use rlnoc_nn::Tensor;
 use std::collections::VecDeque;
 
@@ -119,27 +118,25 @@ pub fn train_on_replay(
     let mut value_loss = 0.0f32;
     let count = samples.len();
     for t in samples {
-        let out = agent.net_mut().forward(&t.state, true);
-        let v = out.value.as_slice()[0];
-        let advantage = (t.ret - f64::from(v)) as f32;
-        let logits = out.coord_logits.as_slice();
-        let mut coord_grad = vec![0.0f32; 4 * n];
-        for h in 0..4 {
-            // Out-of-range head indices (rectangular grids) train nothing
-            // for that head.
-            if t.coords[h] < n {
-                let (_, g) =
-                    loss::policy_head_grad(&logits[h * n..(h + 1) * n], t.coords[h], advantage);
-                coord_grad[h * n..(h + 1) * n].copy_from_slice(&g);
+        agent.net_mut().train_pass(&t.state, |out, grad| {
+            let v = out.value.as_slice()[0];
+            let advantage = (t.ret - f64::from(v)) as f32;
+            let logits = out.coord_logits.as_slice();
+            for h in 0..4 {
+                // Out-of-range head indices (rectangular grids) train
+                // nothing for that head.
+                if t.coords[h] < n {
+                    let head = h * n..(h + 1) * n;
+                    let (_, g) =
+                        loss::policy_head_grad(&logits[head.clone()], t.coords[h], advantage);
+                    grad.coord_logits[head].copy_from_slice(&g);
+                }
             }
-        }
-        let (_, dg) = loss::direction_head_grad(out.dir.as_slice()[0], t.flag, advantage);
-        let (vl, vg) = loss::value_head_grad(v, t.ret as f32);
-        value_loss += vl;
-        agent.net_mut().backward(&PolicyValueGrad {
-            coord_logits: Tensor::from_vec(coord_grad, &[1, 4, n]).expect("4N logits"),
-            dir: Tensor::from_vec(vec![dg], &[1, 1]).expect("scalar"),
-            value: Tensor::from_vec(vec![vg * value_coeff], &[1, 1]).expect("scalar"),
+            let (_, dg) = loss::direction_head_grad(out.dir.as_slice()[0], t.flag, advantage);
+            let (vl, vg) = loss::value_head_grad(v, t.ret as f32);
+            value_loss += vl;
+            grad.dir[0] = dg;
+            grad.value[0] = vg * value_coeff;
         });
     }
     agent.step_optimizer();

@@ -1,68 +1,64 @@
-use super::Layer;
-use crate::Tensor;
+use super::{Layer, Workspace};
 
 /// Rectified linear unit, `max(0, x)`.
 #[derive(Debug, Clone, Default)]
-pub struct Relu {
-    cache: Option<Tensor>,
-}
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU activation.
     pub fn new() -> Self {
-        Relu::default()
+        Relu
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.cache = Some(x.clone());
-        x.map(|v| v.max(0.0))
+    fn forward(&mut self, ws: &mut Workspace, _train: bool) {
+        let io = ws.push(ws.output_shape());
+        for (y, &x) in io.y.iter_mut().zip(io.x) {
+            *y = x.max(0.0);
+        }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cache.as_ref().expect("backward before forward");
-        assert_eq!(x.shape(), grad_out.shape(), "gradient shape mismatch");
-        let mut g = grad_out.clone();
-        for (gi, &xi) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            if xi <= 0.0 {
-                *gi = 0.0;
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        ws.backward(input_grad, 0, |b| {
+            if let Some(gx) = b.gx {
+                for ((g, &go), &x) in gx.iter_mut().zip(b.go).zip(b.x) {
+                    *g = if x <= 0.0 { 0.0 } else { go };
+                }
             }
-        }
-        g
+        });
     }
 }
 
 /// Hyperbolic tangent activation, used by the paper for the loop-direction
 /// head (`dir > 0` ⇒ clockwise).
 #[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cache: Option<Tensor>,
-}
+pub struct Tanh;
 
 impl Tanh {
     /// Creates a tanh activation.
     pub fn new() -> Self {
-        Tanh::default()
+        Tanh
     }
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let y = x.map(f32::tanh);
-        self.cache = Some(y.clone());
-        y
+    fn forward(&mut self, ws: &mut Workspace, _train: bool) {
+        let io = ws.push(ws.output_shape());
+        for (y, &x) in io.y.iter_mut().zip(io.x) {
+            *y = x.tanh();
+        }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.cache.as_ref().expect("backward before forward");
-        assert_eq!(y.shape(), grad_out.shape(), "gradient shape mismatch");
-        // d tanh = 1 - tanh².
-        let mut g = grad_out.clone();
-        for (gi, &yi) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *gi *= 1.0 - yi * yi;
-        }
-        g
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        ws.backward(input_grad, 0, |b| {
+            if let Some(gx) = b.gx {
+                // d tanh = 1 - tanh².
+                for ((g, &go), &y) in gx.iter_mut().zip(b.go).zip(b.y) {
+                    *g = go * (1.0 - y * y);
+                }
+            }
+        });
     }
 }
 
@@ -70,31 +66,29 @@ impl Layer for Tanh {
 mod tests {
     use super::*;
     use crate::layers::gradcheck;
+    use crate::Tensor;
 
     #[test]
     fn relu_clamps_negatives() {
-        let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]).unwrap();
-        assert_eq!(r.forward(&x, false).as_slice(), &[0.0, 0.0, 2.0]);
+        let y = gradcheck::forward(&mut Relu::new(), &mut Workspace::default(), &x);
+        assert_eq!(y, [0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn relu_gradient_masks() {
-        let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 3.0], &[2]).unwrap();
-        let _ = r.forward(&x, true);
-        let g = r.backward(&Tensor::from_vec(vec![5.0, 5.0], &[2]).unwrap());
-        assert_eq!(g.as_slice(), &[0.0, 5.0]);
+        let g = gradcheck::input_grad(&mut Relu::new(), &x, &[5.0, 5.0]);
+        assert_eq!(g, [0.0, 5.0]);
     }
 
     #[test]
     fn tanh_range_and_sign() {
-        let mut t = Tanh::new();
         let x = Tensor::from_vec(vec![-10.0, 0.0, 10.0], &[3]).unwrap();
-        let y = t.forward(&x, false);
-        assert!(y.as_slice()[0] < -0.99);
-        assert_eq!(y.as_slice()[1], 0.0);
-        assert!(y.as_slice()[2] > 0.99);
+        let y = gradcheck::forward(&mut Tanh::new(), &mut Workspace::default(), &x);
+        assert!(y[0] < -0.99);
+        assert_eq!(y[1], 0.0);
+        assert!(y[2] > 0.99);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-use super::conv::shape4;
-use super::{Layer, Param};
+use super::{Layer, Param, Workspace};
 use crate::Tensor;
 
 /// Per-channel batch normalization over `(batch, height, width)`, as used
@@ -8,7 +7,10 @@ use crate::Tensor;
 ///
 /// In training mode the layer normalizes with batch statistics and updates
 /// exponential running averages; in inference mode it uses the running
-/// averages.
+/// averages. A training forward keeps each channel's batch mean and
+/// `1/√(var + ε)` in the workspace, and the backward recomputes the
+/// normalized input `x̂ = (x − mean)·inv_std` from its input with the
+/// forward's expression, so it reads the same bits the forward wrote.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
@@ -17,14 +19,6 @@ pub struct BatchNorm2d {
     running_var: Vec<f32>,
     momentum: f32,
     eps: f32,
-    cache: Option<BnCache>,
-}
-
-#[derive(Debug, Clone)]
-struct BnCache {
-    xhat: Tensor,
-    inv_std: Vec<f32>,
-    shape: [usize; 4],
 }
 
 impl BatchNorm2d {
@@ -42,7 +36,6 @@ impl BatchNorm2d {
             running_var: vec![1.0; channels],
             momentum: 0.1,
             eps: 1e-5,
-            cache: None,
         }
     }
 
@@ -52,16 +45,15 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let [n, c, h, w] = shape4(x);
+    fn forward(&mut self, ws: &mut Workspace, train: bool) {
+        let timer = crate::instrument::start();
+        let shape @ [n, c, h, w] = ws.output_shape();
         assert_eq!(c, self.channels(), "channel mismatch");
         let plane = h * w;
         let m = (n * plane) as f32;
-        let xd = x.as_slice();
-        let mut out = Tensor::zeros(&[n, c, h, w]);
-        let mut xhat = Tensor::zeros(&[n, c, h, w]);
-        let mut inv_stds = vec![0.0f32; c];
-        for (ch, inv_std_slot) in inv_stds.iter_mut().enumerate() {
+        let io = ws.push(shape);
+        let xd = io.x;
+        for ch in 0..c {
             let (mean, var) = if train {
                 let mut sum = 0.0f32;
                 let mut sq = 0.0f32;
@@ -83,60 +75,62 @@ impl Layer for BatchNorm2d {
                 (self.running_mean[ch], self.running_var[ch])
             };
             let inv_std = 1.0 / (var + self.eps).sqrt();
-            *inv_std_slot = inv_std;
+            if train {
+                io.saved.extend([mean, inv_std]);
+            }
             let g = self.gamma.value.as_slice()[ch];
             let b0 = self.beta.value.as_slice()[ch];
             for b in 0..n {
-                let base = ((b * c) + ch) * plane;
-                for i in 0..plane {
-                    let xh = (xd[base + i] - mean) * inv_std;
-                    xhat.as_mut_slice()[base + i] = xh;
-                    out.as_mut_slice()[base + i] = g * xh + b0;
+                let at = ((b * c) + ch) * plane..((b * c) + ch + 1) * plane;
+                for (y, &x) in io.y[at.clone()].iter_mut().zip(&xd[at]) {
+                    let xh = (x - mean) * inv_std;
+                    *y = g * xh + b0;
                 }
             }
         }
-        self.cache = Some(BnCache {
-            xhat,
-            inv_std: inv_stds,
-            shape: [n, c, h, w],
-        });
-        out
+        crate::instrument::record_since("nn.bn_us", timer);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let [n, c, h, w] = cache.shape;
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        let timer = crate::instrument::start();
+        let [n, c, h, w] = ws.input_shape();
         let plane = h * w;
         let m = (n * plane) as f32;
-        let god = grad_out.as_slice();
-        let xh = cache.xhat.as_slice();
-        let mut gx = Tensor::zeros(&[n, c, h, w]);
-        for ch in 0..c {
-            let g = self.gamma.value.as_slice()[ch];
-            let inv_std = cache.inv_std[ch];
-            let mut sum_g = 0.0f32;
-            let mut sum_gx = 0.0f32;
-            for b in 0..n {
-                let base = ((b * c) + ch) * plane;
-                for i in 0..plane {
-                    sum_g += god[base + i];
-                    sum_gx += god[base + i] * xh[base + i];
+        let (gamma, beta) = (&mut self.gamma, &mut self.beta);
+        ws.backward(input_grad, 2 * c, |mut io| {
+            let (xd, god) = (io.x, io.go);
+            for (ch, stats) in io.saved.chunks_exact(2).enumerate() {
+                let (mean, inv_std) = (stats[0], stats[1]);
+                let g = gamma.value.as_slice()[ch];
+                let mut sum_g = 0.0f32;
+                let mut sum_gx = 0.0f32;
+                for b in 0..n {
+                    let at = ((b * c) + ch) * plane..((b * c) + ch + 1) * plane;
+                    for (&x, &go) in xd[at.clone()].iter().zip(&god[at]) {
+                        let xh = (x - mean) * inv_std;
+                        sum_g += go;
+                        sum_gx += go * xh;
+                    }
+                }
+                gamma.grad.as_mut_slice()[ch] += sum_gx;
+                beta.grad.as_mut_slice()[ch] += sum_g;
+                let Some(gx) = io.gx.as_deref_mut() else {
+                    continue;
+                };
+                for b in 0..n {
+                    let at = ((b * c) + ch) * plane..((b * c) + ch + 1) * plane;
+                    let items = gx[at.clone()].iter_mut().zip(&xd[at.clone()]).zip(&god[at]);
+                    for ((gx, &x), &go) in items {
+                        let xh = (x - mean) * inv_std;
+                        let dxhat = go * g;
+                        // Full batch-norm backward: couples every element of the
+                        // channel through the batch mean and variance.
+                        *gx = inv_std * (dxhat - (g / m) * sum_g - xh * (g / m) * sum_gx);
+                    }
                 }
             }
-            self.gamma.grad.as_mut_slice()[ch] += sum_gx;
-            self.beta.grad.as_mut_slice()[ch] += sum_g;
-            for b in 0..n {
-                let base = ((b * c) + ch) * plane;
-                for i in 0..plane {
-                    let dxhat = god[base + i] * g;
-                    // Full batch-norm backward: couples every element of the
-                    // channel through the batch mean and variance.
-                    gx.as_mut_slice()[base + i] =
-                        inv_std * (dxhat - (g / m) * sum_g - xh[base + i] * (g / m) * sum_gx);
-                }
-            }
-        }
-        gx
+        });
+        crate::instrument::record_since("nn.bn_us", timer);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -154,18 +148,20 @@ mod tests {
     use super::*;
     use crate::layers::gradcheck;
 
+    fn run(bn: &mut BatchNorm2d, x: &Tensor, train: bool) -> Vec<f32> {
+        let mut ws = Workspace::default();
+        ws.start(x);
+        bn.forward(&mut ws, train);
+        ws.output().to_vec()
+    }
+
     #[test]
     fn normalizes_to_zero_mean_unit_var() {
         let mut bn = BatchNorm2d::new(1);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let y = bn.forward(&x, true);
-        let mean = y.mean();
-        let var = y
-            .as_slice()
-            .iter()
-            .map(|&v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / 4.0;
+        let y = run(&mut bn, &x, true);
+        let mean = y.iter().sum::<f32>() / 4.0;
+        let var = y.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5, "mean {mean}");
         assert!((var - 1.0).abs() < 1e-3, "var {var}");
     }
@@ -176,10 +172,10 @@ mod tests {
         bn.gamma.value = Tensor::from_vec(vec![2.0], &[1]).unwrap();
         bn.beta.value = Tensor::from_vec(vec![1.0], &[1]).unwrap();
         let x = Tensor::from_vec(vec![-1.0, 1.0], &[1, 1, 1, 2]).unwrap();
-        let y = bn.forward(&x, true);
+        let y = run(&mut bn, &x, true);
         // xhat = [-1, 1] (unit variance), so y = 2*xhat + 1 = [-1, 3].
-        assert!((y.as_slice()[0] + 1.0).abs() < 1e-2);
-        assert!((y.as_slice()[1] - 3.0).abs() < 1e-2);
+        assert!((y[0] + 1.0).abs() < 1e-2);
+        assert!((y[1] - 3.0).abs() < 1e-2);
     }
 
     #[test]
@@ -187,13 +183,17 @@ mod tests {
         let mut bn = BatchNorm2d::new(1);
         let x = Tensor::from_vec(vec![4.0, 6.0], &[1, 1, 1, 2]).unwrap();
         for _ in 0..200 {
-            let _ = bn.forward(&x, true);
+            run(&mut bn, &x, true);
         }
         assert!((bn.running_mean[0] - 5.0).abs() < 1e-2);
         assert!((bn.running_var[0] - 1.0).abs() < 1e-1);
         // Inference uses running stats: output for x=5 should be ≈ 0.
-        let y = bn.forward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap(), false);
-        assert!(y.as_slice()[0].abs() < 0.1);
+        let y = run(
+            &mut bn,
+            &Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap(),
+            false,
+        );
+        assert!(y[0].abs() < 0.1);
     }
 
     #[test]

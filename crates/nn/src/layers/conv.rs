@@ -1,4 +1,4 @@
-use super::{Layer, Param};
+use super::{Layer, Param, Shape, Workspace};
 use crate::{init, kernels, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +74,6 @@ pub struct Conv2d {
     in_c: usize,
     out_c: usize,
     k: usize,
-    cache: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -95,7 +94,6 @@ impl Conv2d {
             in_c,
             out_c,
             k,
-            cache: None,
         }
     }
 
@@ -104,9 +102,8 @@ impl Conv2d {
         self.out_c
     }
 
-    /// The shape of a pass over `x`.
-    fn dims(&self, x: &Tensor) -> Dims {
-        let [n, c, h, w] = shape4(x);
+    /// The shape of a pass over an input of `shape`.
+    fn dims(&self, [n, c, h, w]: Shape) -> Dims {
         assert_eq!(c, self.in_c, "input channel mismatch");
         Dims {
             n,
@@ -117,55 +114,40 @@ impl Conv2d {
             out_c: self.out_c,
         }
     }
-
-    /// Accumulates the parameter gradients of `grad_out` and, if
-    /// `input_grad`, returns the input gradient.
-    fn backward_pass(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
-        let x = self.cache.as_ref().expect("backward before forward");
-        let d = self.dims(x);
-        assert_eq!(grad_out.shape(), &d.out_shape(), "gradient shape mismatch");
-        let mut bufs = CONV_SCRATCH.take();
-        weight_grad_pass(d, x.as_slice(), grad_out.as_slice(), &mut bufs);
-        add_item_partials(&bufs, d, 0, &mut self.weight, &mut self.bias);
-        let gx = input_grad.then(|| {
-            let mut gx = Tensor::zeros(x.shape());
-            let wd = self.weight.value.as_slice();
-            input_grad_pass(d, 1, wd, grad_out.as_slice(), gx.as_mut_slice(), &mut bufs);
-            gx
-        });
-        CONV_SCRATCH.set(bufs);
-        gx
-    }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, ws: &mut Workspace, _train: bool) {
         let timer = crate::instrument::start();
-        let d = self.dims(x);
-        let mut out = Tensor::zeros(&d.out_shape());
+        let d = self.dims(ws.output_shape());
+        let io = ws.push(d.out_shape());
         let mut bufs = CONV_SCRATCH.take();
         forward_pass(
             d,
-            x.as_slice(),
+            io.x,
             self.weight.value.as_slice(),
             self.bias.value.as_slice(),
-            out.as_mut_slice(),
+            io.y,
             &mut bufs,
         );
         CONV_SCRATCH.set(bufs);
-        self.cache = Some(x.clone());
         crate::instrument::record_since("nn.conv_us", timer);
-        out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_pass(grad_out, true)
-            .expect("input gradient requested")
-    }
-
-    /// Skips the input gradient altogether.
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        self.backward_pass(grad_out, false);
+    /// Without `input_grad` (the stem), skips the input gradient
+    /// altogether.
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        let d = self.dims(ws.input_shape());
+        ws.backward(input_grad, 0, |io| {
+            let mut bufs = CONV_SCRATCH.take();
+            weight_grad_pass(d, io.x, io.go, &mut bufs);
+            add_item_partials(&bufs, d, 0, &mut self.weight, &mut self.bias);
+            if let Some(gx) = io.gx {
+                let wd = self.weight.value.as_slice();
+                input_grad_pass(d, 1, wd, io.go, gx, &mut bufs);
+            }
+            CONV_SCRATCH.set(bufs);
+        });
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -175,24 +157,21 @@ impl Layer for Conv2d {
 
 /// Convolutions of one input, all with the same input channels, kernel
 /// size and output channel count, run as one stacked convolution: the
-/// three head convolutions of [`crate::PolicyValueNet`].
+/// three head convolutions of [`crate::PolicyValueNet`]. Its output is
+/// the heads' outputs stacked along channels, `[n, heads·out_c, h, w]`.
 ///
 /// The heads keep their own [`Param`]s, in head order, and every output
 /// and gradient is bit-identical to running the heads as separate
 /// [`Conv2d`] layers: the forward and the weight gradient are per output
 /// channel, and the input gradient sums each head's taps on its own and
 /// adds the heads' sums left to right, as separate input gradients added
-/// with [`Tensor::add`] would be. Only one copy of the input is cached.
+/// with [`Tensor::add`] would be.
 #[derive(Debug, Clone)]
 pub struct ConvHeads {
     heads: Vec<Conv2d>,
-    cache: Option<Tensor>,
     /// The heads' weights stacked as `[out_c, kdim]`, then their biases
     /// as `[out_c]`.
     stacked: Vec<f32>,
-    /// All heads' outputs, or output gradients, as one `[n, out_c, h, w]`
-    /// batch (grow-only scratch).
-    all: Vec<f32>,
 }
 
 impl ConvHeads {
@@ -212,9 +191,7 @@ impl ConvHeads {
         );
         ConvHeads {
             heads,
-            cache: None,
             stacked: Vec::new(),
-            all: Vec::new(),
         }
     }
 
@@ -223,93 +200,67 @@ impl ConvHeads {
         &mut self.heads
     }
 
-    /// The shapes of one head's pass over `x` and of the stacked pass.
-    fn dims(&self, x: &Tensor) -> (Dims, Dims) {
-        let one = self.heads[0].dims(x);
-        let out_c = one.out_c * self.heads.len();
-        (one, Dims { out_c, ..one })
+    /// The shape of the stacked pass over an input of `shape`.
+    fn dims(&self, shape: Shape) -> Dims {
+        let one = self.heads[0].dims(shape);
+        Dims {
+            out_c: one.out_c * self.heads.len(),
+            ..one
+        }
     }
 
-    /// Stacks the heads' current weights, then biases, into `stacked`.
-    fn stack_params(&mut self) {
+    /// Stacks the heads' current weights, then biases, into `stacked`,
+    /// and returns the two parts.
+    fn stack_params(&mut self) -> (&[f32], &[f32]) {
         self.stacked.clear();
         for head in &self.heads {
             self.stacked.extend_from_slice(head.weight.value.as_slice());
         }
+        let weights = self.stacked.len();
         for head in &self.heads {
             self.stacked.extend_from_slice(head.bias.value.as_slice());
         }
+        self.stacked.split_at(weights)
     }
+}
 
-    /// Runs every head on `x`, returning their outputs in head order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[n, in_c, h, w]`.
-    pub fn forward(&mut self, x: &Tensor) -> Vec<Tensor> {
+impl Layer for ConvHeads {
+    fn forward(&mut self, ws: &mut Workspace, _train: bool) {
         let timer = crate::instrument::start();
-        let (one, d) = self.dims(x);
-        self.stack_params();
-        let (weights, bias) = self.stacked.split_at(d.out_c * d.kdim());
-        let all = kernels::scratch(&mut self.all, d.out_len());
+        let d = self.dims(ws.output_shape());
+        let (weights, bias) = self.stack_params();
+        let io = ws.push(d.out_shape());
         let mut bufs = CONV_SCRATCH.take();
-        forward_pass(d, x.as_slice(), weights, bias, all, &mut bufs);
+        forward_pass(d, io.x, weights, bias, io.y, &mut bufs);
         CONV_SCRATCH.set(bufs);
-        let per = one.out_c * one.hw();
-        let outs = (0..self.heads.len())
-            .map(|g| {
-                let mut out = Vec::with_capacity(one.out_len());
-                for item in all.chunks_exact(d.out_c * d.hw()) {
-                    out.extend_from_slice(&item[g * per..][..per]);
-                }
-                Tensor::from_vec(out, &one.out_shape()).expect("sized as one head's output")
-            })
-            .collect();
-        self.cache = Some(x.clone());
         crate::instrument::record_since("nn.conv_us", timer);
-        outs
     }
 
-    /// Backpropagates one output gradient per head, accumulating each
-    /// head's parameter gradients and returning the gradient with respect
-    /// to the shared input, `(g₀ + g₁) + g₂ …` over the heads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward` or with mismatched gradients.
-    pub fn backward(&mut self, grads: &[Tensor]) -> Tensor {
-        let x = self.cache.take().expect("backward before forward");
-        let (one, d) = self.dims(&x);
-        assert_eq!(grads.len(), self.heads.len(), "one gradient per head");
-        for g in grads {
-            assert_eq!(g.shape(), &one.out_shape(), "gradient shape mismatch");
-        }
+    /// Accumulates each head's parameter gradients from its channels of
+    /// the output gradient; the input gradient is `(g₀ + g₁) + g₂ …` over
+    /// the heads.
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        let d = self.dims(ws.input_shape());
+        let groups = self.heads.len();
+        let per_head = d.out_c / groups;
         self.stack_params();
-        let mut gx = Tensor::zeros(x.shape());
-        let go = kernels::scratch(&mut self.all, d.out_len());
-        let per = one.out_c * one.hw();
-        for (b, item) in go.chunks_exact_mut(d.out_c * d.hw()).enumerate() {
-            for (dst, g) in item.chunks_exact_mut(per).zip(grads) {
-                dst.copy_from_slice(&g.as_slice()[b * per..][..per]);
+        let (heads, weights) = (&mut self.heads, &self.stacked[..d.out_c * d.kdim()]);
+        ws.backward(input_grad, 0, |io| {
+            let mut bufs = CONV_SCRATCH.take();
+            weight_grad_pass(d, io.x, io.go, &mut bufs);
+            for (g, head) in heads.iter_mut().enumerate() {
+                add_item_partials(&bufs, d, g * per_head, &mut head.weight, &mut head.bias);
             }
-        }
-        let mut bufs = CONV_SCRATCH.take();
-        weight_grad_pass(d, x.as_slice(), go, &mut bufs);
-        for (g, head) in self.heads.iter_mut().enumerate() {
-            add_item_partials(&bufs, d, g * one.out_c, &mut head.weight, &mut head.bias);
-        }
-        let weights = &self.stacked[..d.out_c * d.kdim()];
-        input_grad_pass(
-            d,
-            self.heads.len(),
-            weights,
-            go,
-            gx.as_mut_slice(),
-            &mut bufs,
-        );
-        CONV_SCRATCH.set(bufs);
-        self.cache = Some(x);
-        gx
+            if let Some(gx) = io.gx {
+                input_grad_pass(d, groups, weights, io.go, gx, &mut bufs);
+            }
+            CONV_SCRATCH.set(bufs);
+        });
+    }
+
+    /// Every head's parameters, in head order.
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.heads.iter_mut().flat_map(|h| h.params_mut()).collect()
     }
 }
 
@@ -336,11 +287,6 @@ impl Dims {
 
     fn out_shape(&self) -> [usize; 4] {
         [self.n, self.out_c, self.h, self.w]
-    }
-
-    /// Elements of the `[n, out_c, h, w]` output.
-    fn out_len(&self) -> usize {
-        self.n * self.out_c * self.hw()
     }
 
     /// Threads for the pass and batch items per thread; `None` when there
@@ -565,21 +511,18 @@ fn pad_rows_into<'a>(
     out
 }
 
-/// Extracts `[n, c, h, w]` from a 4-D tensor.
-///
-/// # Panics
-///
-/// Panics if the tensor is not 4-D.
-pub(crate) fn shape4(x: &Tensor) -> [usize; 4] {
-    let s = x.shape();
-    assert_eq!(s.len(), 4, "expected NCHW tensor, got shape {s:?}");
-    [s[0], s[1], s[2], s[3]]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::gradcheck;
+
+    /// An inference forward of `conv` on `x`: its output and shape.
+    fn run(conv: &mut Conv2d, x: &Tensor) -> (Vec<f32>, Shape) {
+        let mut ws = Workspace::default();
+        ws.start(x);
+        conv.forward(&mut ws, false);
+        (ws.output().to_vec(), ws.output_shape())
+    }
 
     #[test]
     fn identity_kernel_passes_through() {
@@ -590,16 +533,16 @@ mod tests {
         conv.weight.value = w;
         conv.bias.value = Tensor::zeros(&[1]);
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let y = conv.forward(&x, false);
-        assert_eq!(y, x);
+        let (y, _) = run(&mut conv, &x);
+        assert_eq!(y, x.as_slice());
     }
 
     #[test]
     fn same_padding_preserves_shape() {
         let mut conv = Conv2d::new(3, 5, 3, 1);
         let x = Tensor::zeros(&[2, 3, 6, 7]);
-        let y = conv.forward(&x, false);
-        assert_eq!(y.shape(), &[2, 5, 6, 7]);
+        let (_, shape) = run(&mut conv, &x);
+        assert_eq!(shape, [2, 5, 6, 7]);
     }
 
     #[test]
@@ -607,9 +550,9 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 3, 2);
         conv.weight.value = Tensor::zeros(&[2, 1, 3, 3]);
         conv.bias.value = Tensor::from_vec(vec![1.5, -0.5], &[2]).unwrap();
-        let y = conv.forward(&Tensor::zeros(&[1, 1, 2, 2]), false);
-        assert!(y.as_slice()[..4].iter().all(|&v| v == 1.5));
-        assert!(y.as_slice()[4..].iter().all(|&v| v == -0.5));
+        let (y, _) = run(&mut conv, &Tensor::zeros(&[1, 1, 2, 2]));
+        assert!(y[..4].iter().all(|&v| v == 1.5));
+        assert!(y[4..].iter().all(|&v| v == -0.5));
     }
 
     #[test]
@@ -646,10 +589,10 @@ mod tests {
                 &[n, c, h, w],
             )
             .unwrap();
-            let got = conv.forward(&x, false);
+            let (got, shape) = run(&mut conv, &x);
             let want = crate::reference::conv2d_naive(&x, &conv.weight.value, &conv.bias.value);
-            assert_eq!(got.shape(), want.shape());
-            for (g, e) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(&shape[..], want.shape());
+            for (g, e) in got.iter().zip(want.as_slice()) {
                 assert!(
                     (g - e).abs() <= 1e-5,
                     "conv parity failed at shape {:?}: {g} vs {e}",
@@ -667,9 +610,8 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, 0);
         conv.weight.value = Tensor::from_vec(vec![f32::NAN; 9], &[1, 1, 3, 3]).unwrap();
         let x = Tensor::zeros(&[1, 1, 3, 3]);
-        conv.forward(&x, true);
-        let gx = conv.backward(&Tensor::zeros(&[1, 1, 3, 3]));
-        assert!(gx.as_slice().iter().all(|v| v.is_nan()));
+        let gx = gradcheck::input_grad(&mut conv, &x, &[0.0; 9]);
+        assert!(gx.iter().all(|v| v.is_nan()));
     }
 
     #[test]

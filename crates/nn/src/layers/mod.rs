@@ -1,9 +1,11 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Each layer caches whatever it needs during [`Layer::forward`] and
-//! consumes that cache in [`Layer::backward`]. Parameters are exposed
-//! through [`Layer::params_mut`] so optimizers in [`crate::optim`] can
-//! update them uniformly.
+//! Layers hold only their parameters (and batch-norm running statistics).
+//! A pass's activations and gradients live in a [`Workspace`]: a forward
+//! pushes its output there, and the matching [`Layer::backward`] reads
+//! its input and output back from it. Parameters are exposed through
+//! [`Layer::params_mut`] so optimizers in [`crate::optim`] can update
+//! them uniformly.
 
 mod activation;
 mod batchnorm;
@@ -12,14 +14,17 @@ mod linear;
 mod pool;
 mod residual;
 mod sequential;
+mod workspace;
 
 pub use activation::{Relu, Tanh};
 pub use batchnorm::BatchNorm2d;
 pub use conv::{Conv2d, ConvHeads};
-pub use linear::{Flatten, Linear};
+pub use linear::Linear;
 pub use pool::MaxPool2d;
 pub use residual::ResidualBlock;
 pub use sequential::Sequential;
+pub(crate) use workspace::with_thread_workspace;
+pub use workspace::{Shape, Workspace};
 
 use crate::Tensor;
 
@@ -47,34 +52,25 @@ impl Param {
     }
 }
 
-/// A differentiable network layer.
+/// A differentiable network layer, run over a [`Workspace`].
 ///
-/// The contract is strictly sequential: `backward` must be called with the
-/// gradient of the loss with respect to the output of the *most recent*
-/// `forward`, and returns the gradient with respect to that forward's input.
-/// Gradients accumulate into [`Param::grad`] (they are not overwritten), so
-/// multiple episodes can be batched before an optimizer step.
+/// The contract is strictly last in, first out: `forward` reads the top
+/// activation and pushes its output; `backward` undoes the most recent
+/// training `forward` still on the workspace, so backwards run in the
+/// reverse order of their forwards. Gradients accumulate into
+/// [`Param::grad`] (they are not overwritten), so multiple episodes can be
+/// batched before an optimizer step.
 pub trait Layer: std::fmt::Debug + Send {
-    /// Computes the layer output. `train` selects training behaviour for
-    /// layers that distinguish it (e.g. batch-norm statistics).
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer's output from the top activation of `ws` and
+    /// pushes it. `train` selects training behaviour: batch statistics
+    /// for batch norm, and keeping what [`Layer::backward`] needs.
+    fn forward(&mut self, ws: &mut Workspace, train: bool);
 
-    /// Backpropagates `grad_out` (∂loss/∂output), accumulating parameter
-    /// gradients and returning ∂loss/∂input.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if called before `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Like [`Layer::backward`], for a layer whose input needs no
-    /// gradient (the first layer of a network): accumulates the parameter
-    /// gradients and returns nothing. The default runs `backward` and
-    /// drops its result; layers that can skip forming the input gradient
-    /// override it.
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        let _ = self.backward(grad_out);
-    }
+    /// Backpropagates the top gradient of `ws` (∂loss/∂output, the top
+    /// activation), accumulating parameter gradients. Replaces that
+    /// gradient with ∂loss/∂input when `input_grad`, and drops it
+    /// otherwise (the first layer of a network); pops the output.
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool);
 
     /// The layer's trainable parameters, if any.
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -100,30 +96,52 @@ pub trait Layer: std::fmt::Debug + Send {
 pub(crate) mod gradcheck {
     //! Finite-difference gradient checking shared by layer tests.
 
-    use super::Layer;
+    use super::{Layer, Workspace};
     use crate::Tensor;
+
+    /// A training forward of `layer` on `x` in `ws`, returning its output.
+    pub fn forward(layer: &mut impl Layer, ws: &mut Workspace, x: &Tensor) -> Vec<f32> {
+        ws.start(x);
+        layer.forward(ws, true);
+        ws.output().to_vec()
+    }
+
+    /// `forward` then a backward of `grad_out`, returning ∂loss/∂x.
+    pub fn input_grad(layer: &mut impl Layer, x: &Tensor, grad_out: &[f32]) -> Vec<f32> {
+        let mut ws = Workspace::default();
+        forward(layer, &mut ws, x);
+        ws.push_grad(grad_out);
+        layer.backward(&mut ws, true);
+        ws.grad().to_vec()
+    }
+
+    /// The scalar loss `sum(forward(x) * weights)`.
+    fn loss(layer: &mut impl Layer, x: &Tensor, weights: &[f32]) -> f32 {
+        let out = forward(layer, &mut Workspace::default(), x);
+        out.iter().zip(weights).map(|(o, w)| o * w).sum()
+    }
+
+    /// Deterministic pseudo-random loss weights covering every output.
+    fn loss_weights(layer: &mut impl Layer, x: &Tensor) -> Vec<f32> {
+        let len = forward(layer, &mut Workspace::default(), x).len();
+        (0..len)
+            .map(|i| ((i * 2654435761) % 1000) as f32 / 1000.0 - 0.3)
+            .collect()
+    }
 
     /// Verifies `layer`'s input gradient against central finite differences
     /// of the scalar loss `sum(forward(x) * weights)`.
     pub fn check_input_grad(layer: &mut impl Layer, x: &Tensor, tol: f32) {
-        let out = layer.forward(x, true);
-        // Use deterministic pseudo-random loss weights to cover all outputs.
-        let weights: Vec<f32> = (0..out.len())
-            .map(|i| ((i * 2654435761) % 1000) as f32 / 1000.0 - 0.3)
-            .collect();
-        let w = Tensor::from_vec(weights, out.shape()).unwrap();
-        let analytic = layer.backward(&w);
+        let w = loss_weights(layer, x);
+        let analytic = input_grad(layer, x, &w);
 
         let eps = 1e-2f32;
-        for i in 0..x.len() {
+        for (i, &a) in analytic.iter().enumerate() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let lp = layer.forward(&xp, true).mul(&w).sum();
-            let lm = layer.forward(&xm, true).mul(&w).sum();
-            let numeric = (lp - lm) / (2.0 * eps);
-            let a = analytic.as_slice()[i];
+            let numeric = (loss(layer, &xp, &w) - loss(layer, &xm, &w)) / (2.0 * eps);
             assert!(
                 (a - numeric).abs() <= tol * (1.0 + numeric.abs()),
                 "input grad [{i}]: analytic {a}, numeric {numeric}"
@@ -133,13 +151,9 @@ pub(crate) mod gradcheck {
 
     /// Verifies parameter gradients of `layer` the same way.
     pub fn check_param_grads(layer: &mut impl Layer, x: &Tensor, tol: f32) {
-        let out = layer.forward(x, true);
-        let weights: Vec<f32> = (0..out.len())
-            .map(|i| ((i * 2654435761) % 1000) as f32 / 1000.0 - 0.3)
-            .collect();
-        let w = Tensor::from_vec(weights, out.shape()).unwrap();
+        let w = loss_weights(layer, x);
         layer.zero_grad();
-        let _ = layer.backward(&w);
+        input_grad(layer, x, &w);
         let analytic: Vec<Tensor> = layer.params_mut().iter().map(|p| p.grad.clone()).collect();
 
         let eps = 1e-2f32;
@@ -151,9 +165,9 @@ pub(crate) mod gradcheck {
                     ps[pi].value.as_mut_slice()[i] = v + eps;
                     v
                 };
-                let lp = layer.forward(x, true).mul(&w).sum();
+                let lp = loss(layer, x, &w);
                 layer.params_mut()[pi].value.as_mut_slice()[i] = orig - eps;
-                let lm = layer.forward(x, true).mul(&w).sum();
+                let lm = loss(layer, x, &w);
                 layer.params_mut()[pi].value.as_mut_slice()[i] = orig;
                 let numeric = (lp - lm) / (2.0 * eps);
                 let a = grad.as_slice()[i];

@@ -1,22 +1,17 @@
-use super::conv::shape4;
-use super::Layer;
-use crate::Tensor;
+use super::{Layer, Workspace};
 
 /// 2x2 max pooling with stride 2 (the paper's `pool, /2`).
 ///
 /// Odd spatial dimensions are handled by letting the final window clamp to
-/// the edge (ceiling division), so no input element is dropped.
+/// the edge (ceiling division), so no input element is dropped. The
+/// backward finds each window's winner again from the forward's input.
 #[derive(Debug, Clone, Default)]
-pub struct MaxPool2d {
-    /// For each output element, the flat input index that won the max.
-    argmax: Option<(Vec<usize>, Vec<usize>)>, // (input shape proxy, winners)
-    in_shape: Option<[usize; 4]>,
-}
+pub struct MaxPool2d;
 
 impl MaxPool2d {
     /// Creates a 2x2/stride-2 max-pooling layer.
     pub fn new() -> Self {
-        MaxPool2d::default()
+        MaxPool2d
     }
 
     /// Output spatial size for an input of `side` (ceiling halving).
@@ -25,81 +20,83 @@ impl MaxPool2d {
     }
 }
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let [n, c, h, w] = shape4(x);
-        let (oh, ow) = (h.div_ceil(2), w.div_ceil(2));
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut winners = vec![0usize; n * c * oh * ow];
-        let xd = x.as_slice();
-        let od = out.as_mut_slice();
-        for b in 0..n {
-            for ch in 0..c {
-                let ibase = ((b * c) + ch) * h * w;
-                let obase = ((b * c) + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..2 {
-                            let iy = (2 * oy + dy).min(h - 1);
-                            for dx in 0..2 {
-                                let ix = (2 * ox + dx).min(w - 1);
-                                let idx = ibase + iy * w + ix;
-                                if xd[idx] > best {
-                                    best = xd[idx];
-                                    best_idx = idx;
-                                }
-                            }
+/// Calls `f(output index, input index of the window's maximum)` for every
+/// output of a 2x2/stride-2 max pool over `x`, `[n, c, h, w]`, in output
+/// order. The first maximum of a window wins.
+fn for_each_winner(x: &[f32], [n, c, h, w]: [usize; 4], mut f: impl FnMut(usize, usize)) {
+    let (oh, ow) = (h.div_ceil(2), w.div_ceil(2));
+    for plane in 0..n * c {
+        let ibase = plane * h * w;
+        let obase = plane * oh * ow;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0usize;
+                for dy in 0..2 {
+                    let iy = (2 * oy + dy).min(h - 1);
+                    for dx in 0..2 {
+                        let ix = (2 * ox + dx).min(w - 1);
+                        let idx = ibase + iy * w + ix;
+                        if x[idx] > best {
+                            best = x[idx];
+                            best_idx = idx;
                         }
-                        od[obase + oy * ow + ox] = best;
-                        winners[obase + oy * ow + ox] = best_idx;
                     }
                 }
+                f(obase + oy * ow + ox, best_idx);
             }
         }
-        self.in_shape = Some([n, c, h, w]);
-        self.argmax = Some((vec![n * c * h * w], winners));
-        out
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward(&mut self, ws: &mut Workspace, _train: bool) {
+        let shape @ [n, c, h, w] = ws.output_shape();
+        let io = ws.push([n, c, h.div_ceil(2), w.div_ceil(2)]);
+        for_each_winner(io.x, shape, |o, i| io.y[o] = io.x[i]);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let [n, c, h, w] = self.in_shape.expect("backward before forward");
-        let (_, winners) = self.argmax.as_ref().expect("backward before forward");
-        let mut gx = Tensor::zeros(&[n, c, h, w]);
-        let gxd = gx.as_mut_slice();
-        for (&win, &g) in winners.iter().zip(grad_out.as_slice()) {
-            gxd[win] += g;
-        }
-        gx
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        let shape = ws.input_shape();
+        ws.backward(input_grad, 0, |io| {
+            if let Some(gx) = io.gx {
+                gx.fill(0.0);
+                for_each_winner(io.x, shape, |o, i| gx[i] += io.go[o]);
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::gradcheck;
+    use crate::Tensor;
+
+    fn pool(x: &Tensor) -> (Vec<f32>, [usize; 4]) {
+        let mut ws = Workspace::default();
+        let y = gradcheck::forward(&mut MaxPool2d::new(), &mut ws, x);
+        (y, ws.output_shape())
+    }
 
     #[test]
     fn pool_halves_even_dims() {
-        let mut p = MaxPool2d::new();
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let y = p.forward(&x, false);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
+        let (y, shape) = pool(&x);
+        assert_eq!(shape, [1, 1, 2, 2]);
+        assert_eq!(y, [5.0, 7.0, 13.0, 15.0]);
     }
 
     #[test]
     fn pool_ceils_odd_dims() {
-        let mut p = MaxPool2d::new();
         let x = Tensor::from_vec((0..9).map(|v| v as f32).collect(), &[1, 1, 3, 3]).unwrap();
-        let y = p.forward(&x, false);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.as_slice(), &[4.0, 5.0, 7.0, 8.0]);
+        let (y, shape) = pool(&x);
+        assert_eq!(shape, [1, 1, 2, 2]);
+        assert_eq!(y, [4.0, 5.0, 7.0, 8.0]);
     }
 
     #[test]
     fn backward_routes_to_argmax() {
-        let mut p = MaxPool2d::new();
         let x = Tensor::from_vec(
             vec![
                 1.0, 2.0, 3.0, 9.0, 5.0, 6.0, 7.0, 8.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
@@ -107,11 +104,9 @@ mod tests {
             &[1, 1, 4, 4],
         )
         .unwrap();
-        let _ = p.forward(&x, true);
-        let g = p.backward(&Tensor::full(&[1, 1, 2, 2], 1.0));
+        let g = gradcheck::input_grad(&mut MaxPool2d::new(), &x, &[1.0; 4]);
         // Exactly four gradient entries, each 1.0, at the max positions.
         let nonzero: Vec<usize> = g
-            .as_slice()
             .iter()
             .enumerate()
             .filter(|(_, &v)| v != 0.0)

@@ -1,5 +1,4 @@
-use super::{BatchNorm2d, Conv2d, Layer, Param, Relu};
-use crate::Tensor;
+use super::{BatchNorm2d, Conv2d, Layer, Param, Relu, Workspace};
 
 /// The paper's residual building block (Figure 6a/6b): two 3x3
 /// convolutions with batch normalization, a shortcut connection adding the
@@ -32,26 +31,34 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut f = self.conv1.forward(x, train);
-        f = self.bn1.forward(&f, train);
-        f = self.relu1.forward(&f, train);
-        f = self.conv2.forward(&f, train);
-        f = self.bn2.forward(&f, train);
-        // Shortcut: activation applies to F(x) + x (Figure 6a).
-        let sum = f.add(x);
-        self.relu_out.forward(&sum, train)
+    fn forward(&mut self, ws: &mut Workspace, train: bool) {
+        self.conv1.forward(ws, train);
+        self.bn1.forward(ws, train);
+        self.relu1.forward(ws, train);
+        self.conv2.forward(ws, train);
+        self.bn2.forward(ws, train);
+        // Shortcut: activation applies to F(x) + x (Figure 6a). The sum
+        // overwrites the second batch norm's output, which its backward
+        // does not read; the block input sits under the five outputs.
+        ws.add_to_top(5);
+        self.relu_out.forward(ws, train);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_sum = self.relu_out.backward(grad_out);
-        // The sum node fans the gradient to both branches.
-        let mut g = self.bn2.backward(&g_sum);
-        g = self.conv2.backward(&g);
-        g = self.relu1.backward(&g);
-        g = self.bn1.backward(&g);
-        g = self.conv1.backward(&g);
-        g.add(&g_sum)
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        self.relu_out.backward(ws, true);
+        // The sum node fans the gradient to both branches: the branch
+        // consumes a copy, and the shortcut's stays underneath.
+        ws.dup_grad();
+        self.bn2.backward(ws, true);
+        self.conv2.backward(ws, true);
+        self.relu1.backward(ws, true);
+        self.bn1.backward(ws, true);
+        self.conv1.backward(ws, input_grad);
+        if input_grad {
+            ws.fold_grads();
+        } else {
+            ws.pop_grad();
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -72,12 +79,14 @@ impl Layer for ResidualBlock {
 mod tests {
     use super::*;
     use crate::layers::gradcheck;
+    use crate::Tensor;
 
     #[test]
     fn preserves_shape() {
         let mut block = ResidualBlock::new(4, 0);
-        let x = Tensor::zeros(&[1, 4, 5, 5]);
-        assert_eq!(block.forward(&x, true).shape(), &[1, 4, 5, 5]);
+        let mut ws = Workspace::default();
+        gradcheck::forward(&mut block, &mut ws, &Tensor::zeros(&[1, 4, 5, 5]));
+        assert_eq!(ws.output_shape(), [1, 4, 5, 5]);
     }
 
     #[test]
@@ -92,8 +101,8 @@ mod tests {
             p.value = Tensor::zeros(p.value.shape());
         }
         let x = Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let y = block.forward(&x, true);
-        assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
+        let y = gradcheck::forward(&mut block, &mut Workspace::default(), &x);
+        assert_eq!(y, [0.0, 2.0, 0.0, 4.0]);
     }
 
     #[test]

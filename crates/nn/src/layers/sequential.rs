@@ -1,5 +1,4 @@
-use super::{Layer, Param};
-use crate::Tensor;
+use super::{Layer, Param, Workspace};
 
 /// A chain of layers applied in order.
 ///
@@ -41,26 +40,21 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut cur = x.clone();
+    fn forward(&mut self, ws: &mut Workspace, train: bool) {
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, train);
+            layer.forward(ws, train);
         }
-        cur
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        backward_through(&mut self.layers, grad_out).unwrap_or_else(|| grad_out.clone())
-    }
-
-    /// Runs [`Layer::backward`] down to the second layer and
-    /// [`Layer::backward_params`] on the first.
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return;
-        };
-        let g = backward_through(rest, grad_out);
-        first.backward_params(g.as_ref().unwrap_or(grad_out));
+    /// Backpropagates through the layers in reverse; only the first one's
+    /// input gradient depends on `input_grad`.
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            layer.backward(ws, input_grad || i > 0);
+        }
+        if self.layers.is_empty() && !input_grad {
+            ws.pop_grad();
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -77,20 +71,11 @@ impl Layer for Sequential {
     }
 }
 
-/// Backpropagates `grad_out` through `layers` in reverse, returning the
-/// last input gradient (`None` when `layers` is empty).
-fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Option<Tensor> {
-    let mut g: Option<Tensor> = None;
-    for layer in layers.iter_mut().rev() {
-        g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, Relu};
+    use crate::layers::{gradcheck, Linear, Relu};
+    use crate::Tensor;
 
     #[test]
     fn chains_forward_and_backward() {
@@ -99,10 +84,13 @@ mod tests {
             .with(Relu::new())
             .with(Linear::new(3, 1, 1));
         let x = Tensor::from_vec(vec![0.5, -0.5], &[1, 2]).unwrap();
-        let y = net.forward(&x, true);
-        assert_eq!(y.shape(), &[1, 1]);
-        let gx = net.backward(&Tensor::full(&[1, 1], 1.0));
-        assert_eq!(gx.shape(), &[1, 2]);
+        let mut ws = Workspace::default();
+        let y = gradcheck::forward(&mut net, &mut ws, &x);
+        assert_eq!(y.len(), 1);
+        ws.push_grad(&[1.0]);
+        net.backward(&mut ws, true);
+        assert_eq!(ws.grad().len(), 2);
+        assert_eq!(ws.output_shape(), [1, 2, 1, 1], "back to the input");
         assert_eq!(net.params_mut().len(), 4, "two linears × (W, b)");
     }
 
@@ -110,8 +98,7 @@ mod tests {
     fn zero_grad_clears_all() {
         let mut net = Sequential::new().with(Linear::new(2, 2, 0));
         let x = Tensor::full(&[1, 2], 1.0);
-        let _ = net.forward(&x, true);
-        let _ = net.backward(&Tensor::full(&[1, 2], 1.0));
+        gradcheck::input_grad(&mut net, &x, &[1.0, 1.0]);
         assert!(net.params_mut().iter().any(|p| p.grad.norm() > 0.0));
         net.zero_grad();
         assert!(net.params_mut().iter().all(|p| p.grad.norm() == 0.0));

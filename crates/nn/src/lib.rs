@@ -26,7 +26,7 @@
 //! let cfg = PolicyValueConfig::small(4); // 4x4 NoC → 16x16 state matrix
 //! let mut net = PolicyValueNet::new(cfg, 42);
 //! let state = Tensor::zeros(&[1, 1, 16, 16]);
-//! let out = net.forward(&state, false);
+//! let out = net.forward(&state);
 //! assert_eq!(out.coord_logits.shape(), &[1, 4, 4]); // 4 heads × N logits
 //! assert_eq!(out.value.shape(), &[1, 1]);
 //! ```

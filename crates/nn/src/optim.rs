@@ -24,7 +24,9 @@ pub fn clip_global_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
     if norm.is_finite() && norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
         for p in params.iter_mut() {
-            p.grad = p.grad.scale(scale);
+            for g in p.grad.as_mut_slice() {
+                *g *= scale;
+            }
         }
     }
     norm
@@ -66,6 +68,7 @@ impl Sgd {
     ///
     /// Panics if the parameter list changes shape between calls.
     pub fn step(&mut self, params: &mut [&mut Param]) {
+        let timer = crate::instrument::start();
         if self.velocity.is_empty() {
             self.velocity = params
                 .iter()
@@ -75,11 +78,14 @@ impl Sgd {
         assert_eq!(self.velocity.len(), params.len(), "parameter set changed");
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
             assert_eq!(v.shape(), p.value.shape(), "parameter shape changed");
-            *v = v.scale(self.momentum);
+            for x in v.as_mut_slice() {
+                *x *= self.momentum;
+            }
             v.add_scaled(&p.grad, 1.0);
             p.value.add_scaled(v, -self.lr);
             p.zero_grad();
         }
+        crate::instrument::record_since("nn.optim_us", timer);
     }
 }
 
@@ -146,6 +152,7 @@ impl Adam {
     ///
     /// Panics if the parameter list changes shape between calls.
     pub fn step(&mut self, params: &mut [&mut Param]) {
+        let timer = crate::instrument::start();
         if self.m.is_empty() {
             self.m = params
                 .iter()
@@ -174,6 +181,7 @@ impl Adam {
             }
             p.zero_grad();
         }
+        crate::instrument::record_since("nn.optim_us", timer);
     }
 }
 

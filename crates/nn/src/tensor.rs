@@ -117,15 +117,6 @@ impl Tensor {
         off
     }
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadReshape`] if element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Result<Tensor, NnError> {
-        Tensor::from_vec(self.data.clone(), shape)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -161,28 +152,6 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Elementwise multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
-    }
-
-    /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
     }
 
     /// In-place `self += other * scale`.
@@ -323,8 +292,6 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).as_slice(), &[4.0, 10.0, 18.0]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! Counting-allocator audit of the GEMM and convolution kernels.
+//! Counting-allocator audit of the kernels, the layers, the network's
+//! passes and the optimizer step.
 //!
 //! Once a thread has run a call of a given shape, repeating it on that
 //! thread performs **zero** heap allocations inside the kernels: the GEMM's
 //! packed panels and the convolutions' padded-input, padded and transposed
 //! gradient, and gradient-partial buffers live in reusable per-thread
-//! scratch (see `rlnoc_nn::kernels`), so a warm call only reads and writes
-//! memory it already owns. A warm `Conv2d` or `ConvHeads` pass allocates
-//! exactly its returned tensors and, in the forward, the cached copy of
-//! its input; a warm parameters-only backward allocates nothing. The
-//! shapes are the ones the learner's small network issues on every
-//! forward/backward pass.
+//! scratch (see `rlnoc_nn::kernels`), and every activation and gradient of
+//! a pass lives in a grow-only `Workspace`, so a warm call only reads and
+//! writes memory it already owns. A warm `Conv2d` or `ConvHeads` pass
+//! allocates only the copy of its output (or input gradient) the test
+//! takes out of the workspace; a warm parameters-only backward allocates
+//! nothing. A warm `PolicyValueNet` training pass or inference forward
+//! allocates only its returned outputs, the same count at every batch
+//! size, and a warm clipped optimizer step allocates nothing. The shapes
+//! are the ones the learner's small network issues on every pass.
 //!
 //! The counter is thread-local, so the harness and any sibling threads
 //! cannot pollute the measurement. Every test here pins the matmul to one
 //! thread (the serial path); none sets anything else.
 
-use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer, Param};
-use rlnoc_nn::{kernels, Tensor};
+use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer, Param, Workspace};
+use rlnoc_nn::net::PolicyValueOutput;
+use rlnoc_nn::optim::{clip_global_norm, Adam};
+use rlnoc_nn::{kernels, PolicyValueConfig, PolicyValueNet, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -98,8 +104,33 @@ fn wave(shape: &[usize], step: f32) -> Tensor {
     Tensor::from_vec((0..len).map(|v| (v as f32 * step).sin()).collect(), shape).unwrap()
 }
 
+/// Allocations of a warm training forward of `layer` on `x` that takes a
+/// copy of the output, of a warm backward of `grad` that takes a copy of
+/// the input gradient, and of a warm parameters-only backward.
+fn warm_pass_allocations(layer: &mut impl Layer, x: &Tensor, grad: &Tensor) -> (u64, u64, u64) {
+    let mut ws = Workspace::default();
+    let forward = |layer: &mut _, ws: &mut Workspace| {
+        ws.start(x);
+        Layer::forward(layer, ws, true);
+        drop(ws.output().to_vec());
+        ws.push_grad(grad.as_slice());
+    };
+    forward(layer, &mut ws);
+    layer.backward(&mut ws, true);
+    let forward = allocations_during(|| forward(layer, &mut ws));
+    let backward = allocations_during(|| {
+        layer.backward(&mut ws, true);
+        drop(ws.grad().to_vec());
+    });
+    ws.start(x);
+    layer.forward(&mut ws, true);
+    ws.push_grad(grad.as_slice());
+    let params_only = allocations_during(|| layer.backward(&mut ws, false));
+    (forward, backward, params_only)
+}
+
 #[test]
-fn warm_serial_conv_allocates_only_its_tensors() {
+fn warm_serial_conv_allocates_only_its_output() {
     ALLOC_COUNT.with(|c| c.get());
     kernels::set_matmul_threads(1);
 
@@ -107,21 +138,15 @@ fn warm_serial_conv_allocates_only_its_tensors() {
         for &(in_c, out_c, k) in LEARNER_CONVS {
             let x = wave(&[batch, in_c, side, side], 0.19);
             let grad = wave(&[batch, out_c, side, side], 0.07);
-            let out_shape = [batch, out_c, side, side];
-            // What the pass must allocate: its output tensor and, in the
-            // forward, the cached input. Nothing else.
-            let output = allocations_during(|| drop(Tensor::zeros(&out_shape)));
-            let input_grad = allocations_during(|| drop(Tensor::zeros(x.shape())));
-            let cache = allocations_during(|| drop(x.clone()));
+            // What the pass must allocate: the copy of its output or
+            // input gradient taken out of the workspace. Nothing else.
+            let output = allocations_during(|| drop(grad.as_slice().to_vec()));
+            let input_grad = allocations_during(|| drop(x.as_slice().to_vec()));
 
             let mut conv = Conv2d::new(in_c, out_c, k, 3);
-            conv.forward(&x, true);
-            conv.backward(&grad);
-            let forward = allocations_during(|| drop(conv.forward(&x, true)));
-            let backward = allocations_during(|| drop(conv.backward(&grad)));
-            let params_only = allocations_during(|| conv.backward_params(&grad));
+            let (forward, backward, params_only) = warm_pass_allocations(&mut conv, &x, &grad);
             let what = format!("{in_c}->{out_c} k{k} at {side}x{side}, batch {batch}");
-            assert_eq!(forward, output + cache, "warm forward {what}");
+            assert_eq!(forward, output, "warm forward {what}");
             assert_eq!(backward, input_grad, "warm backward {what}");
             assert_eq!(params_only, 0, "warm parameters-only backward {what}");
         }
@@ -129,34 +154,94 @@ fn warm_serial_conv_allocates_only_its_tensors() {
 }
 
 #[test]
-fn warm_serial_head_pass_allocates_only_its_tensors() {
+fn warm_serial_head_pass_allocates_only_its_output() {
     ALLOC_COUNT.with(|c| c.get());
     kernels::set_matmul_threads(1);
 
     for &(side, batch) in LEARNER_BATCHES {
         let x = wave(&[batch, 8, side, side], 0.19);
-        let head_shape = [batch, 2, side, side];
-        let grads: Vec<Tensor> = (0..3).map(|g| wave(&head_shape, 0.07 + g as f32)).collect();
-        // What the pass must allocate: the three head outputs and the
-        // `Vec` holding them, the cached input, and the input gradient.
-        let outputs = allocations_during(|| {
-            drop(
-                (0..3)
-                    .map(|_| Tensor::zeros(&head_shape))
-                    .collect::<Vec<_>>(),
-            )
-        });
-        let cache = allocations_during(|| drop(x.clone()));
-        let input_grad = allocations_during(|| drop(Tensor::zeros(x.shape())));
+        // The three heads' output gradients, stacked along channels.
+        let grad = wave(&[batch, 6, side, side], 0.07);
+        let output = allocations_during(|| drop(grad.as_slice().to_vec()));
+        let input_grad = allocations_during(|| drop(x.as_slice().to_vec()));
 
         let mut heads = ConvHeads::new((0..3).map(|g| Conv2d::new(8, 2, 3, g)).collect());
-        heads.forward(&x);
-        heads.backward(&grads);
-        let forward = allocations_during(|| drop(heads.forward(&x)));
-        let backward = allocations_during(|| drop(heads.backward(&grads)));
+        let (forward, backward, params_only) = warm_pass_allocations(&mut heads, &x, &grad);
         let what = format!("8->3x2 k3 at {side}x{side}, batch {batch}");
-        assert_eq!(forward, outputs + cache, "warm forward {what}");
+        assert_eq!(forward, output, "warm forward {what}");
         assert_eq!(backward, input_grad, "warm backward {what}");
+        assert_eq!(params_only, 0, "warm parameters-only backward {what}");
+    }
+}
+
+/// A loss that backpropagates the outputs themselves, allocating nothing.
+fn echo_loss(out: &PolicyValueOutput, grad: rlnoc_nn::net::PolicyValueGrad<'_>) {
+    grad.coord_logits
+        .copy_from_slice(out.coord_logits.as_slice());
+    grad.dir.copy_from_slice(out.dir.as_slice());
+    grad.value.copy_from_slice(out.value.as_slice());
+}
+
+/// `(n, batch)` of the network audits: the 4x4 learner's longest episode,
+/// and the 8x8 learner at a batch small enough for unoptimised builds.
+/// The workspace is sized by the first pass at each shape.
+const NET_BATCHES: &[(usize, usize)] = &[(4, 45), (8, 4)];
+
+#[test]
+fn warm_network_passes_allocate_only_their_outputs() {
+    ALLOC_COUNT.with(|c| c.get());
+    kernels::set_matmul_threads(1);
+
+    let mut counts = Vec::new();
+    for &(n, batch) in NET_BATCHES {
+        let config = PolicyValueConfig::small(n);
+        let side = config.input_side;
+        let x = wave(&[batch, 1, side, side], 0.13);
+        let output = allocations_during(|| {
+            drop(PolicyValueOutput {
+                coord_logits: Tensor::zeros(&[batch, 4, n]),
+                dir: Tensor::zeros(&[batch, 1]),
+                value: Tensor::zeros(&[batch, 1]),
+            })
+        });
+        let mut net = PolicyValueNet::new(config, 5);
+        net.train_pass(&x, echo_loss);
+        net.forward(&x);
+        let train = allocations_during(|| drop(net.train_pass(&x, echo_loss)));
+        let forward = allocations_during(|| drop(net.forward(&x)));
+        let what = format!("small({n}) at batch {batch}");
+        assert_eq!(train, output, "warm train_pass {what}");
+        assert_eq!(forward, output, "warm forward {what}");
+        counts.push((train, forward));
+    }
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "allocation counts depend on the batch: {counts:?}"
+    );
+}
+
+#[test]
+fn warm_clipped_optimizer_step_allocates_nothing() {
+    ALLOC_COUNT.with(|c| c.get());
+    kernels::set_matmul_threads(1);
+
+    let config = PolicyValueConfig::small(4);
+    let x = wave(&[3, 1, config.input_side, config.input_side], 0.13);
+    let mut net = PolicyValueNet::new(config, 6);
+    let mut opt = Adam::new(1e-3);
+    let max_norm = 1e-3;
+    for round in 0..2 {
+        net.train_pass(&x, echo_loss);
+        let mut params = net.params_mut();
+        let mut norm = 0.0;
+        let allocs = allocations_during(|| {
+            norm = clip_global_norm(&mut params, max_norm);
+            opt.step(&mut params);
+        });
+        assert!(norm > max_norm, "clipping is active (norm {norm})");
+        if round > 0 {
+            assert_eq!(allocs, 0, "warm clip and Adam step allocated");
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! into one pass and must equal running them one by one.
 
 use rand::prelude::*;
-use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer};
+use rlnoc_nn::layers::{Conv2d, ConvHeads, Layer, Workspace};
 use rlnoc_nn::{kernels, reference, Tensor};
 use std::sync::Mutex;
 
@@ -41,9 +41,25 @@ struct Pass {
     gb: Tensor,
 }
 
+/// A training forward of `layer` on `x` in `ws`, then a backward of
+/// `go`: the output and the input gradient.
+fn train(
+    layer: &mut impl Layer,
+    ws: &mut Workspace,
+    x: &Tensor,
+    go: &[f32],
+) -> (Vec<f32>, Vec<f32>) {
+    ws.start(x);
+    layer.forward(ws, true);
+    let y = ws.output().to_vec();
+    ws.push_grad(go);
+    layer.backward(ws, true);
+    (y, ws.grad().to_vec())
+}
+
 /// Runs `conv` forward on `x` and backward on `go`, next to the im2col
 /// oracle on the same parameters and pre-existing gradients.
-fn both_passes(conv: &mut Conv2d, x: &Tensor, go: &Tensor) -> (Pass, Pass) {
+fn both_passes(conv: &mut Conv2d, ws: &mut Workspace, x: &Tensor, go: &Tensor) -> (Pass, Pass) {
     let (w, b, gw0, gb0) = {
         let params = conv.params_mut();
         let (w, b) = (&params[0], &params[1]);
@@ -54,13 +70,12 @@ fn both_passes(conv: &mut Conv2d, x: &Tensor, go: &Tensor) -> (Pass, Pass) {
             b.grad.clone(),
         )
     };
-    let y = conv.forward(x, true);
-    let gx = conv.backward(go);
+    let (y, gx) = train(conv, ws, x, go.as_slice());
     let got = {
         let params = conv.params_mut();
         Pass {
-            y,
-            gx,
+            y: Tensor::from_vec(y, go.shape()).unwrap(),
+            gx: Tensor::from_vec(gx, x.shape()).unwrap(),
             gw: params[0].grad.clone(),
             gb: params[1].grad.clone(),
         }
@@ -132,6 +147,7 @@ fn conv_matches_im2col_oracle_bit_for_bit() {
     let _pin = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let previous = kernels::matmul_threads();
     let mut rng = StdRng::seed_from_u64(2020);
+    let mut ws = Workspace::default();
     for threads in [1, 2, 3] {
         kernels::set_matmul_threads(threads);
         for (i, &(n, in_c, out_c, k, h, w)) in CASES.iter().enumerate() {
@@ -149,7 +165,7 @@ fn conv_matches_im2col_oracle_bit_for_bit() {
             // Twice on one layer: the second pass runs on warm scratch
             // (and accumulates onto the first pass's gradients).
             for round in 0..2 {
-                let (got, want) = both_passes(&mut conv, &x, &go);
+                let (got, want) = both_passes(&mut conv, &mut ws, &x, &go);
                 let what = format!(
                     "batch {n}, {in_c}->{out_c}, k{k}, {h}x{w}, {threads} threads, round {round}"
                 );
@@ -186,6 +202,7 @@ fn heads_match_separate_convs_bit_for_bit() {
     let _pin = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let previous = kernels::matmul_threads();
     let mut rng = StdRng::seed_from_u64(2021);
+    let mut ws = Workspace::default();
     for threads in [1, 2, 3] {
         kernels::set_matmul_threads(threads);
         for &(n, in_c, k, h, w) in HEAD_CASES {
@@ -204,23 +221,40 @@ fn heads_match_separate_convs_bit_for_bit() {
             let x = random(&mut rng, &[n, in_c, h, w]);
             let grads: Vec<Tensor> = (0..3).map(|_| random(&mut rng, &[n, 2, h, w])).collect();
             let what = format!("batch {n}, {in_c}->3x2, k{k}, {h}x{w}, {threads} threads");
+            // The heads' output gradients stacked along channels, as the
+            // stacked pass takes them.
+            let per = 2 * h * w;
+            let mut stacked = vec![0.0f32; 3 * grads[0].len()];
+            for (b, item) in stacked.chunks_exact_mut(3 * per).enumerate() {
+                for (dst, g) in item.chunks_exact_mut(per).zip(&grads) {
+                    dst.copy_from_slice(&g.as_slice()[b * per..][..per]);
+                }
+            }
             for round in 0..2 {
-                let ys = heads.forward(&x);
-                let gx = heads.backward(&grads);
+                let (ys, gx) = train(&mut heads, &mut ws, &x, &stacked);
                 let mut want_gx: Option<Tensor> = None;
                 for (g, conv) in separate.iter_mut().enumerate() {
-                    let y = conv.forward(&x, true);
+                    let (y, gx_g) = train(conv, &mut ws, &x, grads[g].as_slice());
+                    let head_y: Vec<f32> = ys
+                        .chunks_exact(3 * per)
+                        .flat_map(|item| &item[g * per..][..per])
+                        .copied()
+                        .collect();
                     assert!(
-                        bits(&ys[g]) == bits(&y),
+                        head_y
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .eq(y.iter().map(|v| v.to_bits())),
                         "{what}, round {round}: head {g} output"
                     );
-                    let gx_g = conv.backward(&grads[g]);
+                    let gx_g = Tensor::from_vec(gx_g, x.shape()).unwrap();
                     want_gx = Some(match want_gx {
                         None => gx_g,
                         Some(sum) => sum.add(&gx_g),
                     });
                 }
                 let want_gx = want_gx.expect("three heads");
+                let gx = Tensor::from_vec(gx, x.shape()).unwrap();
                 assert!(
                     bits(&gx) == bits(&want_gx),
                     "{what}, round {round}: input gradient"
@@ -259,7 +293,7 @@ fn non_finite_weight_times_padding_is_nan_forward() {
         let mut conv = corner_tap_conv(value);
         let x = Tensor::from_vec(vec![1.0; 25], &[1, 1, 5, 5]).unwrap();
         let go = Tensor::zeros(&[1, 1, 5, 5]);
-        let (got, want) = both_passes(&mut conv, &x, &go);
+        let (got, want) = both_passes(&mut conv, &mut Workspace::default(), &x, &go);
         assert_same_bits(&got, &want, &format!("corner tap {value}"));
         // The top-left tap reads zero padding along the top row and left
         // column: value × 0 = NaN there, whatever the other taps add.
@@ -284,7 +318,7 @@ fn non_finite_values_times_zero_are_nan_backward() {
         let mut conv = corner_tap_conv(value);
         let x = Tensor::from_vec(vec![1.0; 25], &[1, 1, 5, 5]).unwrap();
         let go = Tensor::zeros(&[1, 1, 5, 5]);
-        let (got, want) = both_passes(&mut conv, &x, &go);
+        let (got, want) = both_passes(&mut conv, &mut Workspace::default(), &x, &go);
         assert_same_bits(&got, &want, &format!("corner tap {value}, zero grad"));
         // The top-left tap sends output (oy, ox) to input (oy-1, ox-1), so
         // every input pixel but the last row and column is reached.
@@ -305,7 +339,7 @@ fn non_finite_values_times_zero_are_nan_backward() {
     conv.params_mut()[0].value = Tensor::from_vec(weight, &[1, 1, 5, 5]).unwrap();
     let x = Tensor::from_vec(vec![1.0; 3], &[1, 1, 3, 1]).unwrap();
     let go = Tensor::from_vec(vec![1.0; 3], &[1, 1, 3, 1]).unwrap();
-    let (got, want) = both_passes(&mut conv, &x, &go);
+    let (got, want) = both_passes(&mut conv, &mut Workspace::default(), &x, &go);
     assert_same_bits(&got, &want, "image narrower than the kernel");
     assert!(
         got.gx.as_slice().iter().all(|g| g.is_finite()),
@@ -317,7 +351,7 @@ fn non_finite_values_times_zero_are_nan_backward() {
     let mut conv = Conv2d::new(1, 1, 3, 0);
     let x = Tensor::from_vec(vec![1.0; 25], &[1, 1, 5, 5]).unwrap();
     let go = Tensor::from_vec(vec![f32::INFINITY; 25], &[1, 1, 5, 5]).unwrap();
-    let (got, want) = both_passes(&mut conv, &x, &go);
+    let (got, want) = both_passes(&mut conv, &mut Workspace::default(), &x, &go);
     assert_same_bits(&got, &want, "infinite grad");
     for (tap, g) in got.gw.as_slice().iter().enumerate() {
         if tap == 4 {
@@ -351,7 +385,7 @@ fn non_finite_edge_taps_inside_row_blocks() {
             Tensor::zeros(&[2, out_c, h, w]),
             random(&mut rng, &[2, out_c, h, w]),
         ] {
-            let (got, want) = both_passes(&mut conv, &x, &go);
+            let (got, want) = both_passes(&mut conv, &mut Workspace::default(), &x, &go);
             assert_same_bits(&got, &want, &format!("edge taps {value}"));
             // Tap (0, 2) reaches input (iy, ix) from output (iy + 1, ix - 1);
             // tap (2, 0) from output (iy - 1, ix + 1). Elsewhere it reads

@@ -1,16 +1,20 @@
-//! Net-level golden pin for `PolicyValueNet` training passes.
+//! Net-level golden pin for `PolicyValueNet` training and inference
+//! passes.
 //!
 //! `conv_oracle.rs` pins one `Conv2d` at a time; this pins what the whole
 //! network computes. Two training rounds (forward, backward, one Adam
 //! step) are folded into an FNV-1a digest of every output, every
 //! accumulated parameter gradient (`grad_snapshot`) and the batch-norm
-//! running statistics (`norm_snapshot`). The digests were recorded from
-//! the network whose convolutions formed the weight gradient through an
-//! im2col matrix and ran the three head convolutions as three separate
-//! layers; any rewrite of the network or its kernels must reproduce them
-//! bit for bit, at every matmul thread count.
+//! running statistics (`norm_snapshot`). The training digests were
+//! recorded from the network whose convolutions formed the weight
+//! gradient through an im2col matrix and ran the three head convolutions
+//! as three separate layers. A second digest folds the outputs of one
+//! inference forward run after those rounds, so it reads trained weights
+//! and non-trivial running statistics; it was recorded from the network
+//! whose layers cached their inputs and allocated every activation. Any
+//! rewrite of the network or its kernels must reproduce both bit for bit,
+//! at every matmul thread count.
 
-use rlnoc_nn::net::PolicyValueGrad;
 use rlnoc_nn::optim::Adam;
 use rlnoc_nn::{kernels, PolicyValueConfig, PolicyValueNet, Tensor};
 
@@ -35,9 +39,9 @@ fn wave(shape: &[usize], step: f32, phase: f32) -> Tensor {
     .unwrap()
 }
 
-/// Digest of two training rounds of a freshly seeded network on `batch`
-/// states.
-fn training_digest(config: PolicyValueConfig, batch: usize) -> u64 {
+/// Digests of two training rounds of a freshly seeded network on `batch`
+/// states, and of one inference forward after them.
+fn digests(config: PolicyValueConfig, batch: usize) -> (u64, u64) {
     let (n, side) = (config.n, config.input_side);
     let mut net = PolicyValueNet::new(config, 17);
     let mut opt = Adam::new(1e-3);
@@ -45,54 +49,68 @@ fn training_digest(config: PolicyValueConfig, batch: usize) -> u64 {
     for round in 0..2 {
         let phase = round as f32;
         let x = wave(&[batch, 1, side, side], 0.37, phase);
-        let out = net.forward(&x, true);
+        let out = net.train_pass(&x, |_, grad| {
+            grad.coord_logits
+                .copy_from_slice(wave(&[batch, 4, n], 0.11, phase).as_slice());
+            grad.dir
+                .copy_from_slice(wave(&[batch, 1], 0.7, phase).as_slice());
+            grad.value
+                .copy_from_slice(wave(&[batch, 1], 0.3, phase).as_slice());
+        });
         hash = fold(hash, out.coord_logits.as_slice());
         hash = fold(hash, out.dir.as_slice());
         hash = fold(hash, out.value.as_slice());
-        net.backward(&PolicyValueGrad {
-            coord_logits: wave(&[batch, 4, n], 0.11, phase),
-            dir: wave(&[batch, 1], 0.7, phase),
-            value: wave(&[batch, 1], 0.3, phase),
-        });
         for g in net.grad_snapshot() {
             hash = fold(hash, g.as_slice());
         }
         hash = fold(hash, &net.norm_snapshot());
         opt.step(&mut net.params_mut());
     }
-    hash
+    let x = wave(&[batch, 1, side, side], 0.29, 2.0);
+    let out = net.forward(&x);
+    let mut inference = FNV_OFFSET;
+    inference = fold(inference, out.coord_logits.as_slice());
+    inference = fold(inference, out.dir.as_slice());
+    inference = fold(inference, out.value.as_slice());
+    (hash, inference)
 }
 
-/// `(network, n, batch, digest)`. Batch 45 is the longest episode the
-/// learner trains on at once; paper(4) covers the four-stage trunk with
-/// poolings and `in_c` up to 128.
-const CASES: &[(&str, usize, usize, u64)] = &[
-    ("small", 4, 1, 0x40a0_4746_5afc_85bc),
-    ("small", 4, 45, 0xf992_b209_14df_b78c),
-    ("small", 8, 1, 0x734e_c3f7_4a91_ec89),
-    ("small", 8, 45, 0x444d_cc38_ce46_e065),
-    ("paper", 4, 1, 0x7212_c313_1999_a237),
-    ("paper", 4, 45, 0xa271_9800_e80b_65fd),
+/// `(network, n, batch, training digest, inference digest)`. Batch 45 is
+/// the longest episode the learner trains on at once; paper(4) covers the
+/// four-stage trunk with poolings and `in_c` up to 128.
+const CASES: &[(&str, usize, usize, u64, u64)] = &[
+    ("small", 4, 1, 0x40a0_4746_5afc_85bc, 0xd033_cf20_0a2f_60fc),
+    ("small", 4, 45, 0xf992_b209_14df_b78c, 0xf956_abeb_6762_efe7),
+    ("small", 8, 1, 0x734e_c3f7_4a91_ec89, 0x2abd_3ccd_b52d_7343),
+    ("small", 8, 45, 0x444d_cc38_ce46_e065, 0x7930_8d32_69b3_e7f7),
+    ("paper", 4, 1, 0x7212_c313_1999_a237, 0xd8e5_2858_910b_fb79),
+    ("paper", 4, 45, 0xa271_9800_e80b_65fd, 0xfc21_a2d4_a45d_2feb),
 ];
 
 /// One test function on purpose: it pins the global matmul thread
 /// setting, so no sibling test in this binary may race it.
 #[test]
-fn training_rounds_match_golden_digests() {
+fn training_and_inference_match_golden_digests() {
     let previous = kernels::matmul_threads();
     let mut failures = Vec::new();
     for threads in [1, 2, 3] {
         kernels::set_matmul_threads(threads);
-        for &(name, n, batch, want) in CASES {
+        for &(name, n, batch, want_training, want_inference) in CASES {
             let config = match name {
                 "small" => PolicyValueConfig::small(n),
                 _ => PolicyValueConfig::paper(n),
             };
-            let got = training_digest(config, batch);
-            if got != want {
-                failures.push(format!(
-                    "{name}({n}), batch {batch}, {threads} threads: {got:#018x} (want {want:#018x})"
-                ));
+            let (training, inference) = digests(config, batch);
+            for (pass, got, want) in [
+                ("training", training, want_training),
+                ("inference", inference, want_inference),
+            ] {
+                if got != want {
+                    failures.push(format!(
+                        "{name}({n}), batch {batch}, {threads} threads, {pass}: \
+                         {got:#018x} (want {want:#018x})"
+                    ));
+                }
             }
         }
     }

@@ -88,7 +88,7 @@ fn rectangular_grids_work_through_the_stack() {
 fn network_config_validates_input_shape() {
     let mut net = PolicyValueNet::new(PolicyValueConfig::small(3), 1);
     let ok = Tensor::zeros(&[1, 1, 9, 9]);
-    let out = net.forward(&ok, false);
+    let out = net.forward(&ok);
     assert_eq!(out.coord_logits.shape(), &[1, 4, 3]);
 }
 
