@@ -8,8 +8,9 @@
 //! - a value regression term `∇ (A)²` (Eq. 18).
 //!
 //! These functions compute both the scalar losses (for logging) and the
-//! gradients with respect to the network's raw outputs, ready for
-//! [`crate::PolicyValueNet::backward`].
+//! gradients with respect to the network's raw outputs, which a
+//! [`crate::PolicyValueNet::train_pass`] loss writes into the output
+//! gradients it is handed.
 
 /// Numerically stable softmax over a logit slice.
 ///
