@@ -5,6 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rlnoc_baselines::rec_topology;
 use rlnoc_core::mcts::{Mcts, MctsConfig};
+use rlnoc_core::rollout::greedy_rollout;
 use rlnoc_core::routerless::RouterlessEnv;
 use rlnoc_core::Environment;
 use rlnoc_nn::{PolicyValueConfig, PolicyValueNet, Tensor};
@@ -34,15 +35,19 @@ fn bench_hop_matrix(c: &mut Criterion) {
 }
 
 fn bench_greedy(c: &mut Criterion) {
-    // Greedy action on a partially built 8x8 design (mid-episode state).
+    // A whole Algorithm 1 design: each selection is an argmax over a score
+    // table that every added loop updates, so one selection alone would
+    // leave the updates untimed.
+    let grid = Grid::square(10).unwrap();
+    c.bench_function("greedy/rollout_10x10_cap18", |b| {
+        b.iter(|| black_box(greedy_rollout(black_box(grid), 18)))
+    });
+    // Env surfaces on a partially built 8x8 design (mid-episode state).
     let mut env = RouterlessEnv::new(Grid::square(8).unwrap(), 14);
     for _ in 0..10 {
         let a = env.greedy_action().unwrap();
         env.apply(a);
     }
-    c.bench_function("greedy/algorithm1_8x8_mid", |b| {
-        b.iter(|| black_box(env.greedy_action()))
-    });
     c.bench_function("env/state_tensor_8x8", |b| {
         b.iter(|| black_box(env.state_tensor()))
     });

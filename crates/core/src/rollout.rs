@@ -45,12 +45,12 @@ pub fn greedy_rollout(grid: Grid, cap: u32) -> Topology {
 /// [`Topology::is_fully_connected`] or use [`best_connected`].
 pub fn frugal_rollout(grid: Grid, cap: u32, seed: u64) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut topo = Topology::new(grid);
+    let mut env = RouterlessEnv::new(grid, cap);
 
     // Phase 1: connect everything, spending as little budget as possible.
     loop {
         let mut cands: Vec<(f64, RectLoop)> = Vec::new();
-        for_each_candidate(&topo, cap, |c| {
+        for_each_candidate(&env, |c| {
             if c.score.new_pairs > 0 {
                 cands.push((c.discounted_pairs(), c.best_direction().1));
             }
@@ -61,18 +61,18 @@ pub fn frugal_rollout(grid: Grid, cap: u32, seed: u64) -> Topology {
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
         let k = cands.len().min(4);
         let pick = rng.gen_range(0..k);
-        topo.add_loop(cands[pick].1)
-            .expect("candidate validated against the current design");
-        if topo.is_fully_connected() {
+        let r = env.apply(cands[pick].1.into());
+        assert_eq!(r, 0.0, "candidates are legal");
+        if env.is_fully_connected() {
             break;
         }
     }
 
     // Phase 2: spend leftover wiring on hop-count improvement.
-    if topo.is_fully_connected() {
+    if env.is_fully_connected() {
         loop {
             let mut best: Option<(u64, RectLoop)> = None;
-            for_each_candidate(&topo, cap, |c| {
+            for_each_candidate(&env, |c| {
                 let (g, ring) = c.best_direction();
                 if best.is_none_or(|(bg, _)| g > bg) {
                     best = Some((g, ring));
@@ -80,14 +80,14 @@ pub fn frugal_rollout(grid: Grid, cap: u32, seed: u64) -> Topology {
             });
             match best {
                 Some((g, ring)) if g > 0 => {
-                    topo.add_loop(ring)
-                        .expect("candidate validated against the current design");
+                    let r = env.apply(ring.into());
+                    assert_eq!(r, 0.0, "candidates are legal");
                 }
                 _ => break,
             }
         }
     }
-    topo
+    env.into_topology()
 }
 
 /// A minimal-wiring fully connected construction with maximum node

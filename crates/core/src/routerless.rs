@@ -1,9 +1,10 @@
 //! The routerless NoC design environment — the paper's case study.
 
 use crate::env::Environment;
+use crate::greedy::ScoreTable;
 use rlnoc_nn::Tensor;
 use rlnoc_topology::{Direction, Grid, RectLoop, Topology, TopologyError};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -94,7 +95,7 @@ struct DesignConstraints {
 /// let r = env.apply(LoopAction::new(0, 0, 1, 1, Direction::Clockwise));
 /// assert_eq!(r, -1.0); // repetitive
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouterlessEnv {
     grid: Grid,
     constraints: DesignConstraints,
@@ -103,6 +104,50 @@ pub struct RouterlessEnv {
     /// Sum of all rewards received since the last reset (penalties plus the
     /// final return once terminal).
     reward_accum: f64,
+    /// Algorithm 1's scores of `topo`; derived, so never serialized.
+    table: ScoreTable,
+}
+
+impl Serialize for RouterlessEnv {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("grid".into(), self.grid.serialize()),
+            ("constraints".into(), self.constraints.serialize()),
+            ("topo".into(), self.topo.serialize()),
+            ("mesh_avg".into(), self.mesh_avg.serialize()),
+            ("reward_accum".into(), self.reward_accum.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for RouterlessEnv {
+    /// Decodes the fields [`Serialize`] writes and rebuilds the score table
+    /// by replaying the decoded design's loops.
+    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
+        if value.as_object().is_none() {
+            return Err(SerdeError::expected("object for RouterlessEnv", value));
+        }
+        let field = |name: &str| {
+            value.get(name).ok_or_else(|| {
+                SerdeError::custom(format!("missing field `{name}` in RouterlessEnv"))
+            })
+        };
+        let grid = Grid::deserialize(field("grid")?)?;
+        let constraints = DesignConstraints::deserialize(field("constraints")?)?;
+        let topo = Topology::deserialize(field("topo")?)?;
+        let mesh_avg = f64::deserialize(field("mesh_avg")?)?;
+        let reward_accum = f64::deserialize(field("reward_accum")?)?;
+        let table = ScoreTable::of(&topo, constraints.overlap_cap)
+            .map_err(|e| SerdeError::custom(format!("RouterlessEnv design: {e}")))?;
+        Ok(RouterlessEnv {
+            grid,
+            constraints,
+            topo,
+            mesh_avg,
+            reward_accum,
+            table,
+        })
+    }
 }
 
 impl RouterlessEnv {
@@ -113,6 +158,7 @@ impl RouterlessEnv {
             grid,
             constraints: DesignConstraints { overlap_cap: cap },
             topo: Topology::new(grid),
+            table: ScoreTable::new(grid, cap),
             mesh_avg: rlnoc_topology::mesh::average_hops(&grid),
             reward_accum: 0.0,
         }
@@ -128,16 +174,14 @@ impl RouterlessEnv {
         self.constraints.overlap_cap
     }
 
-    /// Whether adding `ring` keeps every node within the overlap cap.
-    fn fits_cap(&self, ring: &RectLoop) -> bool {
-        self.topo
-            .overlap_violation(ring, self.overlap_cap())
-            .is_none()
-    }
-
     /// The design built so far.
     pub fn topology(&self) -> &Topology {
         &self.topo
+    }
+
+    /// Algorithm 1's per-rectangle scores and flags for the current design.
+    pub fn score_table(&self) -> &ScoreTable {
+        &self.table
     }
 
     /// Consumes the environment, returning the design.
@@ -176,14 +220,14 @@ impl RouterlessEnv {
         if ring.check_on(&self.grid).is_err() {
             return -1.0; // invalid: outside the grid
         }
-        if self.topo.contains_loop(&ring) {
+        if self.table.is_placed(&ring) {
             return -1.0; // repetitive
         }
-        if !self.fits_cap(&ring) {
+        if self.table.is_blocked(&ring) {
             return self.illegal_penalty(); // illegal: exceeds the overlap cap
         }
-        self.topo
-            .add_loop(ring)
+        self.table
+            .add_loop(&mut self.topo, ring)
             .expect("validated above; addition cannot fail");
         0.0
     }
@@ -194,6 +238,7 @@ impl Environment for RouterlessEnv {
 
     fn reset(&mut self) {
         self.topo = Topology::new(self.grid);
+        self.table.reset();
         self.reward_accum = 0.0;
     }
 
@@ -285,12 +330,12 @@ impl RouterlessEnv {
     /// Visits legal actions (both directions of every in-cap, non-duplicate
     /// rectangle) in scan order until `f` returns `false`.
     fn scan_legal(&self, mut f: impl FnMut(LoopAction) -> bool) {
-        for base in RectLoop::all_clockwise(&self.grid) {
-            if !self.fits_cap(&base) {
+        for (base, s) in self.table.states() {
+            if s.blocked {
                 continue;
             }
-            for ring in [base, base.reversed()] {
-                if !self.topo.contains_loop(&ring) && !f(ring.into()) {
+            for (ring, placed) in [(base, s.placed_cw), (base.reversed(), s.placed_ccw)] {
+                if !placed && !f(ring.into()) {
                     return;
                 }
             }
