@@ -1,20 +1,22 @@
 //! Deterministic fault injection for the exploration drivers.
 //!
-//! A [`ChaosInjector`] carries a [`ChaosPlan`]: which global cycles get a
-//! NaN gradient or a worker panic. Faults are keyed on the cycle index (not
-//! the worker or wall clock), so a chaos run is reproducible at any thread
+//! A [`ChaosInjector`] carries a [`ChaosPlan`]: which cycles get a NaN
+//! gradient or a panic. Faults are keyed on the cycle index (not the
+//! worker or wall clock), so a chaos run is reproducible at any thread
 //! count. Either fault stops the run at its first occurrence with a typed
-//! error, a panic with [`crate::parallel::ExploreError::Panicked`] and a NaN
-//! gradient with [`crate::parallel::ExploreError::Numerical`], whose partial
-//! results at one thread are bit-identical to the clean run's cycles before
-//! the fault (asserted in `tests/chaos.rs`). Nothing is retried, so each
-//! scheduled fault fires at most once and a schedule with several panics
-//! stops at the first one a worker reaches.
+//! error, a panic with [`crate::parallel::ExploreError::Panicked`] and a
+//! NaN gradient with [`crate::parallel::ExploreError::Numerical`], whose
+//! partial results at one thread are bit-identical to the clean run's
+//! cycles before the fault (asserted in `tests/chaos.rs`). The serial
+//! [`crate::Explorer`] honors the same plan, keyed on the cycle index of
+//! its `run_cycles` call, and panics with the stop's message. Nothing is
+//! retried, so each scheduled fault fires at most once and a schedule with
+//! several panics stops at the first one a worker reaches.
 //!
-//! The injector is intended for tests and the `exp_chaos` smoke binary,
-//! but it ships in the library so the hook sites in [`crate::parallel`]
-//! exercise the exact production code path; with no injector configured
-//! each hook is one `Option` branch.
+//! The injector is intended for tests, but it ships in the library so its
+//! hooks, which sit in the cycle body every driver shares
+//! (`explorer::run_cycle`), exercise the exact production code
+//! path; with no injector configured each hook is one `Option` branch.
 
 use rlnoc_nn::Tensor;
 use std::sync::Arc;
@@ -53,15 +55,21 @@ impl ChaosInjector {
         }
     }
 
-    /// Gradient hook: writes a NaN into `grads` when `cycle` is a
-    /// scheduled NaN-gradient cycle. Returns true when something was
+    /// Gradient hook: writes a NaN into the first of `grads` when `cycle`
+    /// is a scheduled NaN-gradient cycle. Returns true when something was
     /// injected.
-    pub fn corrupt_grads(&self, cycle: usize, grads: &mut [Tensor]) -> bool {
-        if grads.is_empty() || !self.0.nan_grad_cycles.contains(&cycle) {
-            return false;
+    pub fn corrupt_grads<'a>(
+        &self,
+        cycle: usize,
+        grads: impl IntoIterator<Item = &'a mut Tensor>,
+    ) -> bool {
+        match grads.into_iter().next() {
+            Some(g) if self.0.nan_grad_cycles.contains(&cycle) => {
+                g.as_mut_slice()[0] = f32::NAN;
+                true
+            }
+            _ => false,
         }
-        grads[0].as_mut_slice()[0] = f32::NAN;
-        true
     }
 }
 

@@ -4,6 +4,7 @@
 use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
 use crate::env::Environment;
 use crate::mcts::{Mcts, MctsConfig};
+use crate::parallel::{AnomalyKind, AnomalyReport, ExploreError, SupervisedReport};
 use crate::policy::{Episode, Evaluation, PolicyAgent, Step, TrainConfig, TrainStats};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -53,9 +54,9 @@ pub struct ExplorerConfig {
     /// disabled sink compiles the probes down to a branch — exploration
     /// results are bit-identical either way.
     pub telemetry: TelemetrySink,
-    /// Deterministic fault injector for chaos tests, honored by the
-    /// [`crate::parallel`] drivers; `None` (the default) costs one branch
-    /// per hook site.
+    /// Deterministic fault injector for chaos tests, honored by every
+    /// driver (its hooks sit in the cycle body both share); `None` (the
+    /// default) costs one branch per hook site.
     pub chaos: Option<crate::chaos::ChaosInjector>,
 }
 
@@ -220,7 +221,7 @@ fn cached_evaluate<C: EvalCacheHandle>(
 ///
 /// At most `limit` states are evaluated (the DNN/MCTS prefix; greedy
 /// completion tails can be long and are rarely revisited).
-pub(crate) fn warm_cache<A>(
+fn warm_cache<A>(
     agent: &mut PolicyAgent,
     cache: &mut impl EvalCacheHandle,
     episode: &Episode<A>,
@@ -359,6 +360,125 @@ pub fn run_episode<E: Environment>(
     (episode, path)
 }
 
+/// One exploration cycle, the body every driver runs (Figures 4 and 8):
+/// the episode ([`run_episode`]), its actor-critic gradients, the NaN/Inf
+/// checks, the caller's `commit`, the tree backup, the cache warm-up under
+/// the committed parameters, and the cycle's telemetry. The
+/// [`crate::chaos`] hooks fire here, keyed on `cycle`.
+///
+/// `commit` applies the agent's accumulated gradients and returns the
+/// pre-clip gradient norm, or returns a non-finite norm as `Err` having
+/// applied nothing. The serial driver passes
+/// [`PolicyAgent::try_step_optimizer`]; a parallel worker pushes the
+/// gradients to the parent and pulls back the stepped parameters.
+///
+/// A non-finite loss, gradient or norm stops the cycle before anything
+/// commits: on `Err` the agent's gradients are zeroed, its parameters,
+/// Adam state and generation are untouched, and neither the tree backup
+/// nor the warm-up has happened.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_cycle<E: Environment, C: EvalCacheHandle>(
+    env: &mut E,
+    agent: &mut PolicyAgent,
+    tree: &mut impl TreeHandle<E::Action>,
+    cache: &mut C,
+    config: &ExplorerConfig,
+    rng: &mut StdRng,
+    cycle: usize,
+    rec: &mut Recorder,
+    commit: impl FnOnce(&mut PolicyAgent) -> Result<f32, f32>,
+) -> Result<(DesignResult<E>, TrainStats), AnomalyKind> {
+    let timer = rec.timer();
+    if let Some(injector) = &config.chaos {
+        injector.on_cycle_start(cycle);
+    }
+    let (episode, path) = run_episode(env, agent, tree, cache, config, rng);
+    let mut stats = agent.accumulate_episode(env, &episode);
+    let committed = check_update(agent, &stats, config, cycle)
+        .and_then(|()| commit(agent).map_err(|norm| AnomalyKind::NonFiniteGradNorm { norm }));
+    match committed {
+        Ok(norm) => stats.grad_norm = norm,
+        Err(kind) => {
+            agent.net_mut().zero_grad();
+            rec.incr(kind.counter(), 1);
+            rec.incr("anomaly.total", 1);
+            return Err(kind);
+        }
+    }
+    tree.backup(&path, &episode.returns(config.train.gamma));
+    if config.eval_cache_capacity > 0 {
+        warm_cache(agent, cache, &episode, &path, config.max_steps);
+    }
+    let successful = env.is_successful();
+    if rec.is_enabled() {
+        rec.incr("explore.cycles", 1);
+        if successful {
+            rec.incr("explore.designs_successful", 1);
+        }
+        rec.record("explore.steps", episode.steps.len() as u64);
+        rec.record("mcts.path_depth", path.len() as u64);
+        rec.gauge("train.policy_loss", f64::from(stats.policy_loss));
+        rec.gauge("train.value_loss", f64::from(stats.value_loss));
+        rec.gauge("train.grad_norm", f64::from(stats.grad_norm));
+        rec.gauge("train.entropy", f64::from(stats.entropy));
+        rec.observe_timer("explore.cycle_us", timer);
+    }
+    let design = DesignResult {
+        successful,
+        env: env.clone(),
+        final_return: episode.final_return,
+        cycle,
+        steps: episode.steps.len(),
+    };
+    Ok((design, stats))
+}
+
+/// Fires the chaos gradient hook on the agent's own gradients, then checks
+/// the episode's losses and those gradients for NaN/Inf.
+fn check_update(
+    agent: &mut PolicyAgent,
+    stats: &TrainStats,
+    config: &ExplorerConfig,
+    cycle: usize,
+) -> Result<(), AnomalyKind> {
+    let mut params = agent.net_mut().params_mut();
+    if let Some(injector) = &config.chaos {
+        injector.corrupt_grads(cycle, params.iter_mut().map(|p| &mut p.grad));
+    }
+    if !stats.policy_loss.is_finite() || !stats.value_loss.is_finite() {
+        return Err(AnomalyKind::NonFiniteLoss {
+            policy_loss: stats.policy_loss,
+            value_loss: stats.value_loss,
+        });
+    }
+    match params.iter().position(|p| !p.grad.all_finite()) {
+        Some(tensor) => Err(AnomalyKind::NonFiniteGrad { tensor }),
+        None => Ok(()),
+    }
+}
+
+/// Publishes a run's end-of-run telemetry: the cache hits and misses it
+/// made, the tree size and edge-visit distribution, and the parameter
+/// generation reached. No-op on a disabled recorder.
+pub(crate) fn record_run_end<A: Copy + Eq + std::hash::Hash + std::fmt::Debug>(
+    rec: &mut Recorder,
+    tree: &Mcts<A>,
+    cache: CacheStats,
+    generation: u64,
+) {
+    if !rec.is_enabled() {
+        return;
+    }
+    rec.incr("cache.hits", cache.hits);
+    rec.incr("cache.misses", cache.misses);
+    rec.gauge("mcts.nodes", tree.len() as f64);
+    for v in tree.edge_visit_counts() {
+        rec.record("mcts.edge_visits", u64::from(v));
+    }
+    rec.gauge("train.param_generation", generation as f64);
+    rec.flush();
+}
+
 /// The agent `config` asks for: its explicit [`ExplorerConfig::net`], or
 /// the small default network sized for `env`.
 pub(crate) fn new_agent<E: Environment>(
@@ -372,8 +492,9 @@ pub(crate) fn new_agent<E: Environment>(
     }
 }
 
-/// The single-threaded exploration driver: repeats exploration cycles,
-/// updating the tree and training the DNN after each (Figure 4).
+/// The single-threaded exploration driver: repeats exploration cycles
+/// (`run_cycle`), updating the tree and training the DNN after each
+/// (Figure 4).
 #[derive(Debug)]
 pub struct Explorer<E: Environment> {
     env: E,
@@ -383,7 +504,6 @@ pub struct Explorer<E: Environment> {
     config: ExplorerConfig,
     rng: StdRng,
     recorder: Recorder,
-    last_cache: CacheStats,
 }
 
 impl<E: Environment> Explorer<E> {
@@ -401,7 +521,6 @@ impl<E: Environment> Explorer<E> {
             config,
             rng: StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
             recorder,
-            last_cache: CacheStats::default(),
         }
     }
 
@@ -426,8 +545,18 @@ impl<E: Environment> Explorer<E> {
         self.run_cycles(cycles)
     }
 
-    /// Runs `cycles` exploration cycles (callable repeatedly; the tree and
-    /// network persist across calls).
+    /// Runs `cycles` exploration cycles (callable repeatedly; the tree,
+    /// cache, RNG stream and network persist across calls, and each call
+    /// numbers its cycles from 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ExploreError::Numerical`] message that
+    /// [`crate::explore_parallel`] uses (as worker 0) if an update holds a
+    /// non-finite loss, gradient or gradient norm. The stop comes before
+    /// the update commits: parameters, Adam state and parameter generation
+    /// stay as the last clean cycle left them (batch-norm running
+    /// statistics have seen the stopped episode).
     pub fn run_cycles(&mut self, cycles: usize) -> ExploreReport<E> {
         let traced = self.recorder.is_enabled();
         let prev_nn = if traced {
@@ -435,96 +564,75 @@ impl<E: Environment> Explorer<E> {
         } else {
             None
         };
+        let cache_start = self.cache.stats();
         let mut designs = Vec::with_capacity(cycles);
         let mut train_history = Vec::with_capacity(cycles);
+        let mut stop = None;
         for cycle in 0..cycles {
-            let timer = self.recorder.timer();
-            let (episode, path) = run_episode(
+            let outcome = run_cycle(
                 &mut self.env,
                 &mut self.agent,
                 &mut self.mcts,
                 &mut self.cache,
                 &self.config,
                 &mut self.rng,
-            );
-            let returns = episode.returns(self.config.train.gamma);
-            self.mcts.backup(&path, &returns);
-            let stats = self.agent.train_episode(&self.env, &episode);
-            if self.cache.is_enabled() {
-                warm_cache(
-                    &mut self.agent,
-                    &mut self.cache,
-                    &episode,
-                    &path,
-                    self.config.max_steps,
-                );
-            }
-            let successful = self.env.is_successful();
-            if traced {
-                self.record_cycle(&stats, successful, episode.steps.len(), path.len());
-                self.recorder.observe_timer("explore.cycle_us", timer);
-            }
-            train_history.push(stats);
-            designs.push(DesignResult {
-                successful,
-                env: self.env.clone(),
-                final_return: episode.final_return,
                 cycle,
-                steps: episode.steps.len(),
-            });
+                &mut self.recorder,
+                PolicyAgent::try_step_optimizer,
+            );
+            match outcome {
+                Ok((design, stats)) => {
+                    designs.push(design);
+                    train_history.push(stats);
+                }
+                Err(kind) => {
+                    stop = Some(AnomalyReport {
+                        kind,
+                        worker: 0,
+                        cycle,
+                    });
+                    break;
+                }
+            }
         }
+        let cache_stats = self.cache.stats();
         if traced {
-            self.record_run_end();
+            let run = CacheStats {
+                hits: cache_stats.hits - cache_start.hits,
+                misses: cache_stats.misses - cache_start.misses,
+            };
+            let generation = self.agent.param_generation();
+            record_run_end(&mut self.recorder, &self.mcts, run, generation);
             drop(rlnoc_nn::instrument::take());
             if let Some(p) = prev_nn {
                 rlnoc_nn::instrument::install(p);
             }
         }
-        ExploreReport {
+        let report = ExploreReport {
+            cycles_run: designs.len(),
             designs,
             train_history,
-            cycles_run: cycles,
-            cache_stats: self.cache.stats(),
+            cache_stats,
+        };
+        match stop {
+            None => report,
+            Some(anomaly) => {
+                let error = ExploreError::Numerical {
+                    report: anomaly,
+                    partial: Box::new(SupervisedReport {
+                        report,
+                        resumed_from: 0,
+                    }),
+                    requested: cycles,
+                };
+                panic!("{error}")
+            }
         }
-    }
-
-    /// Publishes one exploration cycle's telemetry (live recorders only).
-    fn record_cycle(&mut self, stats: &TrainStats, successful: bool, steps: usize, depth: usize) {
-        let rec = &mut self.recorder;
-        rec.incr("explore.cycles", 1);
-        if successful {
-            rec.incr("explore.designs_successful", 1);
-        }
-        rec.record("explore.steps", steps as u64);
-        rec.record("mcts.path_depth", depth as u64);
-        rec.gauge("train.policy_loss", f64::from(stats.policy_loss));
-        rec.gauge("train.value_loss", f64::from(stats.value_loss));
-        rec.gauge("train.grad_norm", f64::from(stats.grad_norm));
-        rec.gauge("train.entropy", f64::from(stats.entropy));
-        let cache = self.cache.stats();
-        rec.incr("cache.hits", cache.hits - self.last_cache.hits);
-        rec.incr("cache.misses", cache.misses - self.last_cache.misses);
-        self.last_cache = cache;
-    }
-
-    /// Publishes end-of-run telemetry: tree size, the edge-visit
-    /// distribution, and the parameter generation reached.
-    fn record_run_end(&mut self) {
-        let rec = &mut self.recorder;
-        rec.gauge("mcts.nodes", self.mcts.len() as f64);
-        for v in self.mcts.edge_visit_counts() {
-            rec.record("mcts.edge_visits", u64::from(v));
-        }
-        rec.gauge(
-            "train.param_generation",
-            self.agent.param_generation() as f64,
-        );
-        rec.flush();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::routerless::RouterlessEnv;
     use rlnoc_topology::Grid;
@@ -629,5 +737,112 @@ mod tests {
         let mut ex = Explorer::new(env, cfg, 5);
         let report = ex.run();
         assert!(report.designs[0].steps > 0);
+    }
+
+    #[test]
+    fn explorer_outcomes_are_pinned() {
+        // Golden outcomes of the serial driver on 4x4 at cap 6, run as two
+        // `run_cycles` calls so that the RNG stream, tree and cache carried
+        // between calls are pinned too, down to the final parameters and
+        // Adam state: any change to what a cycle commits shows here.
+        let env = RouterlessEnv::new(Grid::square(4).unwrap(), 6);
+        let mut ex = Explorer::new(env, quick_config(0), 5);
+        let first = ex.run_cycles(6);
+        let second = ex.run_cycles(4);
+        let got: Vec<_> = first
+            .designs
+            .iter()
+            .chain(&second.designs)
+            .map(|d| (d.cycle, d.steps, d.successful, d.final_return.to_bits()))
+            .collect();
+        let history = history_digest(first.train_history.iter().chain(&second.train_history));
+        let state = learner_digest(ex.agent_mut());
+        let want = vec![
+            (0, 17, false, 0xc024_3333_3333_3334),
+            (1, 16, false, 0xc023_0888_8888_8889),
+            (2, 13, false, 0xc01b_cccc_cccc_ccce),
+            (3, 11, false, 0xc00a_cccc_cccc_cccd),
+            (4, 12, false, 0xc010_d555_5555_5556),
+            (5, 10, false, 0xc003_4444_4444_4445),
+            (0, 10, false, 0xc007_8888_8888_8889),
+            (1, 12, false, 0xc006_aaaa_aaaa_aaab),
+            (2, 11, false, 0xc010_cccc_cccc_cccc),
+            (3, 11, false, 0xc012_0000_0000_0000),
+        ];
+        assert_eq!(got, want, "per-cycle outcomes");
+        assert_eq!(history, 0x05be_2557_a6c8_05bb, "train_history digest");
+        assert_eq!(state, 0xbc0a_1c3b_8665_6f38, "params + Adam state digest");
+    }
+
+    #[test]
+    fn nan_grad_stops_before_the_update_commits() {
+        // A NaN gradient at cycle 1 stops the serial driver with the
+        // parallel drivers' typed message, and the agent keeps exactly the
+        // parameters, Adam state and generation of a clean 1-cycle run.
+        let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
+        let mut clean = Explorer::new(env.clone(), quick_config(0), 11);
+        clean.run_cycles(1);
+        let mut cfg = quick_config(0);
+        cfg.chaos = Some(crate::chaos::ChaosInjector::new(crate::chaos::ChaosPlan {
+            nan_grad_cycles: vec![1],
+            ..Default::default()
+        }));
+        let mut ex = Explorer::new(env, cfg, 11);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ex.run_cycles(3)))
+            .expect_err("a NaN gradient must stop the run");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(
+                "numerical anomaly after 1 of 3 cycles: \
+                 worker 0 cycle 1: non-finite gradient in tensor 0"
+            )
+        );
+        assert_eq!(
+            ex.agent_mut().param_generation(),
+            clean.agent_mut().param_generation()
+        );
+        assert_eq!(
+            learner_digest(ex.agent_mut()),
+            learner_digest(clean.agent_mut())
+        );
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv_bytes(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv(hash: u64, values: &[f32]) -> u64 {
+        values
+            .iter()
+            .fold(hash, |h, v| fnv_bytes(h, &v.to_bits().to_le_bytes()))
+    }
+
+    /// FNV-1a digest of each cycle's policy loss, value loss and gradient
+    /// norm.
+    pub(crate) fn history_digest<'a>(history: impl IntoIterator<Item = &'a TrainStats>) -> u64 {
+        history.into_iter().fold(FNV_OFFSET, |h, s| {
+            fnv(h, &[s.policy_loss, s.value_loss, s.grad_norm])
+        })
+    }
+
+    /// FNV-1a digest of the agent's parameters and Adam `t`, `m` and `v`.
+    pub(crate) fn learner_digest(agent: &mut PolicyAgent) -> u64 {
+        let learner = crate::checkpoint::LearnerState::capture(agent);
+        let mut state = fnv_bytes(FNV_OFFSET, &learner.adam_t.to_le_bytes());
+        for t in agent
+            .net_mut()
+            .param_snapshot()
+            .iter()
+            .chain(&learner.adam_m)
+            .chain(&learner.adam_v)
+        {
+            state = fnv(state, t.as_slice());
+        }
+        state
     }
 }

@@ -2,22 +2,24 @@
 //! server plus child threads that explore independently, sharing one search
 //! tree and exchanging parameters/gradients.
 //!
-//! Children copy the parent's network parameters before each cycle, run an
-//! exploration cycle against the shared tree, then push their accumulated
-//! actor-critic gradients back; the parent averages incoming gradients into
-//! one optimizer step each. Convergence is stabilized by the global-norm
+//! Children copy the parent's network parameters before each cycle, then
+//! run the cycle body the serial [`crate::Explorer`] runs
+//! (`explorer::run_cycle`) against the shared tree, with a commit
+//! step that pushes their accumulated actor-critic gradients back; the
+//! parent applies incoming gradients one optimizer step each. Convergence is stabilized by the global-norm
 //! clipping inside [`PolicyAgent::step_optimizer`], matching the paper's
 //! note that averaging "both large gradients and small gradients" steadies
 //! training.
 //!
 //! # Failure handling
 //!
-//! Every driver runs the same worker loop, and a run stops at its first
-//! failure with a typed [`ExploreError`] that carries every cycle completed
-//! before it. Each worker runs under one [`std::panic::catch_unwind`], so a
+//! Every driver here runs the same worker loop over that shared cycle
+//! body, and a run stops at its first failure with a typed
+//! [`ExploreError`] that carries every cycle completed before it. Each worker runs under one [`std::panic::catch_unwind`], so a
 //! worker panic becomes [`ExploreError::Panicked`]. A non-finite loss,
-//! gradient or gradient norm is caught before the parent step commits
-//! anything and becomes [`ExploreError::Numerical`]. Either way, no worker
+//! gradient or gradient norm is caught by the cycle body before the parent
+//! step commits anything and becomes [`ExploreError::Numerical`] (the
+//! serial driver panics with the same error's message). Either way, no worker
 //! claims another cycle. Nothing is retried: a retry would replay the same
 //! inputs and meet the same fault. [`explore_parallel`] is the panicking
 //! convenience wrapper; [`explore_parallel_checkpointed`] additionally
@@ -26,10 +28,11 @@
 //! clean batch left off.
 
 use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
-use crate::chaos::ChaosInjector;
 use crate::checkpoint::{CheckpointConfig, CheckpointError, CheckpointSource, ExploreCheckpoint};
 use crate::env::Environment;
-use crate::explorer::{new_agent, DesignResult, ExploreReport, ExplorerConfig, TreeHandle};
+use crate::explorer::{
+    new_agent, record_run_end, run_cycle, DesignResult, ExploreReport, ExplorerConfig, TreeHandle,
+};
 use crate::mcts::Mcts;
 use crate::policy::{Evaluation, PolicyAgent, TrainStats};
 use parking_lot::Mutex;
@@ -55,22 +58,6 @@ impl<A: Copy + Eq + std::hash::Hash + std::fmt::Debug> SharedTree<A> {
     /// Wraps a tree for shared access.
     pub fn new(tree: Mcts<A>) -> Self {
         SharedTree(Arc::new(Mutex::new(tree)))
-    }
-
-    /// Number of stored nodes (lock-and-read; usable while other handles
-    /// are alive).
-    pub fn len(&self) -> usize {
-        self.0.lock().len()
-    }
-
-    /// Whether the shared tree has no nodes yet.
-    pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
-    }
-
-    /// Visit counts of every stored edge (see [`Mcts::edge_visit_counts`]).
-    pub fn edge_visit_counts(&self) -> Vec<u32> {
-        self.0.lock().edge_visit_counts()
     }
 }
 
@@ -350,129 +337,35 @@ fn worker_recorder(config: &ExplorerConfig, t: usize) -> Recorder {
     config.telemetry.recorder(&format!("worker{t}"))
 }
 
-/// Publishes the parent-side end-of-run summary (cache totals, tree size,
-/// edge-visit distribution, parameter generation). No-op with telemetry
-/// disabled.
-fn publish_run_summary<A>(
-    config: &ExplorerConfig,
-    tree: &SharedTree<A>,
-    cache_stats: CacheStats,
-    param_generation: u64,
-) where
-    A: Copy + Eq + std::hash::Hash + std::fmt::Debug,
-{
-    if !config.telemetry.is_enabled() {
-        return;
-    }
-    let mut rec = config.telemetry.recorder("supervisor");
-    rec.incr("cache.hits", cache_stats.hits);
-    rec.incr("cache.misses", cache_stats.misses);
-    rec.gauge("mcts.nodes", tree.len() as f64);
-    for v in tree.edge_visit_counts() {
-        rec.record("mcts.edge_visits", u64::from(v));
-    }
-    rec.gauge("train.param_generation", param_generation as f64);
+/// A parameter snapshot tagged with its generation.
+type Params = (Vec<rlnoc_nn::Tensor>, u64);
+
+fn snapshot(agent: &mut PolicyAgent) -> Params {
+    (agent.net_mut().param_snapshot(), agent.param_generation())
 }
 
-/// One complete worker cycle: pull parameters, run an episode against the
-/// shared tree, push gradients, warm the cache, record the result.
-///
-/// The loss, the gradients and the global gradient norm are checked for
-/// NaN/Inf before the parent step, so on `Err` the parent is untouched and
-/// neither the tree backup nor the result push has happened.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_cycle<E: Environment>(
-    env: &mut E,
-    local: &mut PolicyAgent,
-    tree: &mut SharedTree<E::Action>,
-    cache: &mut SharedEvalCache,
-    parent: &Mutex<PolicyAgent>,
-    config: &ExplorerConfig,
-    rng: &mut StdRng,
-    cycle: usize,
-    results: &Mutex<Vec<DesignResult<E>>>,
-    stats_log: &Mutex<Vec<TrainStats>>,
-    rec: &mut Recorder,
-    chaos: Option<&ChaosInjector>,
-) -> Result<(), AnomalyKind> {
-    let timer = rec.timer();
-    // θ: parent → child, tagged with the parent's generation so cached
-    // evaluations stay consistent.
-    let (snapshot, generation) = {
-        let mut p = parent.lock();
-        (p.net_mut().param_snapshot(), p.param_generation())
-    };
-    local.net_mut().load_params(&snapshot);
+/// Loads `params` into a child, tagged with the parent's generation so its
+/// cached evaluations stay consistent.
+fn adopt(local: &mut PolicyAgent, (params, generation): Params) {
+    local.net_mut().load_params(&params);
     local.set_param_generation(generation);
-    local.net_mut().zero_grad();
+}
 
-    let (episode, path) = crate::explorer::run_episode(env, local, tree, cache, config, rng);
-    let returns = episode.returns(config.train.gamma);
-
-    // dθ: child → parent, validated before anything commits.
-    let mut stats = local.accumulate_episode(env, &episode);
-    let mut grads = local.net_mut().grad_snapshot();
-    if let Some(injector) = chaos {
-        injector.corrupt_grads(cycle, &mut grads);
-    }
-    if !stats.policy_loss.is_finite() || !stats.value_loss.is_finite() {
-        return Err(AnomalyKind::NonFiniteLoss {
-            policy_loss: stats.policy_loss,
-            value_loss: stats.value_loss,
-        });
-    }
-    if let Some(tensor) = grads.iter().position(|g| !g.all_finite()) {
-        return Err(AnomalyKind::NonFiniteGrad { tensor });
-    }
-    let stepped = {
+/// A worker's commit step, dθ: child → parent. The parent adds the child's
+/// gradients and steps; with the cache on, the child then loads the stepped
+/// parameters so that its warm-up evaluates under them.
+fn push(parent: &Mutex<PolicyAgent>, local: &mut PolicyAgent, reload: bool) -> Result<f32, f32> {
+    let grads = local.net_mut().grad_snapshot();
+    let (norm, stepped) = {
         let mut p = parent.lock();
         p.net_mut().accumulate_grads(&grads);
-        stats.grad_norm = p
-            .try_step_optimizer()
-            .map_err(|norm| AnomalyKind::NonFiniteGradNorm { norm })?;
-        if config.eval_cache_capacity > 0 {
-            Some((p.net_mut().param_snapshot(), p.param_generation()))
-        } else {
-            None
-        }
+        let norm = p.try_step_optimizer()?;
+        (norm, reload.then(|| snapshot(&mut p)))
     };
-    // Commit point: the parent accepted the update, so the episode's tree
-    // statistics become visible. (Backup after the step keeps a stopped
-    // cycle out of the tree; at one thread the ordering relative to the
-    // step is indistinguishable, and across threads the interleaving was
-    // never deterministic.)
-    tree.backup(&path, &returns);
-    // Warm the shared cache under the new parameters: one batched forward
-    // over this episode's visited states, so the next cycle's root
-    // expansion (any worker) hits.
-    if let Some((snapshot, generation)) = stepped {
-        local.net_mut().load_params(&snapshot);
-        local.set_param_generation(generation);
-        crate::explorer::warm_cache(local, cache, &episode, &path, config.max_steps);
+    if let Some(params) = stepped {
+        adopt(local, params);
     }
-    let successful = env.is_successful();
-    if rec.is_enabled() {
-        rec.incr("explore.cycles", 1);
-        if successful {
-            rec.incr("explore.designs_successful", 1);
-        }
-        rec.record("explore.steps", episode.steps.len() as u64);
-        rec.record("mcts.path_depth", path.len() as u64);
-        rec.gauge("train.policy_loss", f64::from(stats.policy_loss));
-        rec.gauge("train.value_loss", f64::from(stats.value_loss));
-        rec.gauge("train.grad_norm", f64::from(stats.grad_norm));
-        rec.gauge("train.entropy", f64::from(stats.entropy));
-        rec.observe_timer("explore.cycle_us", timer);
-    }
-    stats_log.lock().push(stats);
-    results.lock().push(DesignResult {
-        successful,
-        env: env.clone(),
-        final_return: episode.final_return,
-        cycle,
-        steps: episode.steps.len(),
-    });
-    Ok(())
+    Ok(norm)
 }
 
 /// Runs `total_cycles` exploration cycles split across `threads` child
@@ -481,9 +374,9 @@ fn run_worker_cycle<E: Environment>(
 /// cycle).
 ///
 /// This is [`explore_parallel_supervised`] with its typed error turned into
-/// a panic. Its worker RNG streams and parent/child parameter split differ
-/// from [`crate::Explorer`]'s, so even at one thread the two drivers explore
-/// different trajectories.
+/// a panic. Its workers run the same cycle body as [`crate::Explorer`], but
+/// their RNG streams and parent/child parameter split differ, so even at
+/// one thread the two drivers explore different trajectories.
 ///
 /// # Panics
 ///
@@ -686,10 +579,11 @@ impl<E> SupervisedReport<E> {
 /// `cycle_offset + local_cycle` so multi-batch callers
 /// ([`explore_parallel_checkpointed`]) report global indices.
 ///
-/// Each worker runs its whole claim loop under one `catch_unwind`. The
-/// first failure, a numerical anomaly (see [`run_worker_cycle`]) or a
-/// panic, is recorded, no worker claims another cycle, and the batch ends
-/// in the matching [`ExploreError`].
+/// A worker cycle is the parameter pull, then [`run_cycle`] with [`push`]
+/// as its commit. Each worker runs its whole claim loop under one
+/// `catch_unwind`. The first failure, a numerical anomaly caught before the
+/// parent step or a panic, is recorded, no worker claims another cycle,
+/// and the batch ends in the matching [`ExploreError`].
 fn explore_supervised_inner<E>(
     env: &E,
     config: &ExplorerConfig,
@@ -741,30 +635,42 @@ where
                     let mut env = env.clone();
                     let mut local = new_agent(&env, &config, seed);
                     let mut rng = worker_rng(seed, t);
-                    let chaos = config.chaos.as_ref();
+                    let reload = config.eval_cache_capacity > 0;
                     // `claim` cannot panic, so a caught panic belongs to the
                     // cycle claimed last.
                     let mut cycle = cycle_offset;
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         while let Some(claimed) = claim() {
                             cycle = claimed;
-                            if let Some(injector) = chaos {
-                                injector.on_cycle_start(cycle);
-                            }
-                            let attempt = run_worker_cycle(
-                                &mut env, &mut local, &mut tree, &mut cache, parent, &config,
-                                &mut rng, cycle, results, stats_log, &mut rec, chaos,
+                            // θ: parent → child.
+                            let params = snapshot(&mut parent.lock());
+                            adopt(&mut local, params);
+                            local.net_mut().zero_grad();
+                            let outcome = run_cycle(
+                                &mut env,
+                                &mut local,
+                                &mut tree,
+                                &mut cache,
+                                &config,
+                                &mut rng,
+                                cycle,
+                                &mut rec,
+                                |local| push(parent, local, reload),
                             );
-                            if let Err(kind) = attempt {
-                                rec.incr(kind.counter(), 1);
-                                rec.incr("anomaly.total", 1);
-                                let report = AnomalyReport {
-                                    kind,
-                                    worker: t,
-                                    cycle,
-                                };
-                                fatal.lock().get_or_insert(Stop::Numerical(report));
-                                return;
+                            match outcome {
+                                Ok((design, stats)) => {
+                                    stats_log.lock().push(stats);
+                                    results.lock().push(design);
+                                }
+                                Err(kind) => {
+                                    let report = AnomalyReport {
+                                        kind,
+                                        worker: t,
+                                        cycle,
+                                    };
+                                    fatal.lock().get_or_insert(Stop::Numerical(report));
+                                    return;
+                                }
                             }
                         }
                     }));
@@ -796,7 +702,12 @@ where
     designs.sort_by_key(|d| d.cycle);
     let train_history = std::mem::take(&mut *stats_log.lock());
     let cache_stats = cache.stats();
-    publish_run_summary(config, &tree, cache_stats, parent.lock().param_generation());
+    record_run_end(
+        &mut config.telemetry.recorder("supervisor"),
+        &tree.0.lock(),
+        cache_stats,
+        parent.lock().param_generation(),
+    );
     let out = SupervisedReport {
         report: ExploreReport {
             cycles_run: designs.len(),
@@ -815,6 +726,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::tests::{history_digest, learner_digest};
     use crate::routerless::RouterlessEnv;
     use rlnoc_topology::Grid;
 
@@ -1003,21 +915,8 @@ mod tests {
             .iter()
             .map(|d| (d.steps, d.successful, d.final_return.to_bits()))
             .collect();
-        let history = out.report.train_history.iter().fold(FNV_OFFSET, |h, s| {
-            fnv(h, &[s.policy_loss, s.value_loss, s.grad_norm])
-        });
-        let mut parent = parent.into_inner();
-        let learner = crate::checkpoint::LearnerState::capture(&parent);
-        let mut state = fnv_u64(FNV_OFFSET, learner.adam_t);
-        for t in parent
-            .net_mut()
-            .param_snapshot()
-            .iter()
-            .chain(&learner.adam_m)
-            .chain(&learner.adam_v)
-        {
-            state = fnv(state, t.as_slice());
-        }
+        let history = history_digest(&out.report.train_history);
+        let state = learner_digest(&mut parent.into_inner());
         let want = vec![
             (17, false, 0xc024_3333_3333_3334),
             (16, false, 0xc023_0888_8888_8889),
@@ -1046,24 +945,5 @@ mod tests {
             state, 0x9f3f_ebbe_671c_1943,
             "parent params + Adam state digest"
         );
-    }
-
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-    fn fnv_bytes(hash: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(hash, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
-    }
-
-    fn fnv_u64(hash: u64, word: u64) -> u64 {
-        fnv_bytes(hash, &word.to_le_bytes())
-    }
-
-    /// FNV-1a over the bit patterns of `values`.
-    fn fnv(hash: u64, values: &[f32]) -> u64 {
-        values
-            .iter()
-            .fold(hash, |h, v| fnv_bytes(h, &v.to_bits().to_le_bytes()))
     }
 }

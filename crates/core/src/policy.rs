@@ -269,9 +269,9 @@ impl PolicyAgent {
     /// Accumulates actor-critic gradients for `episode` into the network
     /// (without stepping the optimizer). Returns the per-episode stats.
     ///
-    /// This is the child-thread side of the paper's §4.6 exchange; single
-    /// threaded training calls [`PolicyAgent::train_episode`] which also
-    /// steps.
+    /// Every driver's cycle body calls this, then commits the gradients:
+    /// the serial driver with [`PolicyAgent::try_step_optimizer`], a child
+    /// thread of the paper's §4.6 exchange by pushing them to the parent.
     ///
     /// The whole trajectory is stacked into a single `[steps, 1, side,
     /// side]` batch: one forward and one backward per episode instead of
@@ -375,18 +375,6 @@ impl PolicyAgent {
     /// Restores state captured by [`PolicyAgent::optimizer_snapshot`].
     pub fn restore_optimizer(&mut self, t: u64, m: Vec<Tensor>, v: Vec<Tensor>) {
         self.optim.restore_state(t, m, v);
-    }
-
-    /// Full single-threaded update: accumulate `episode`'s gradients, clip,
-    /// and step.
-    pub fn train_episode<E: Environment>(
-        &mut self,
-        env: &E,
-        episode: &Episode<E::Action>,
-    ) -> TrainStats {
-        let mut stats = self.accumulate_episode(env, episode);
-        stats.grad_norm = self.step_optimizer();
-        stats
     }
 }
 
@@ -552,7 +540,8 @@ mod tests {
             final_return: 1.0,
         };
         for _ in 0..15 {
-            agent.train_episode(&env, &episode);
+            agent.accumulate_episode(&env, &episode);
+            agent.step_optimizer();
         }
         let after = agent
             .evaluate(&state)
@@ -575,7 +564,8 @@ mod tests {
             final_return: -2.0,
         };
         for _ in 0..80 {
-            agent.train_episode(&env, &episode);
+            agent.accumulate_episode(&env, &episode);
+            agent.step_optimizer();
         }
         let v = agent.evaluate(&state).value;
         assert!((v - (-2.0)).abs() < 0.7, "value {v} should approach -2");

@@ -233,20 +233,25 @@ fn nan_grad_stops_with_typed_error() {
     assert_eq!(telemetry.counter_total("anomaly.nonfinite_grad"), 1);
     assert_eq!(telemetry.counter_total("anomaly.total"), 1);
 
-    // At two threads the interleaving is free, but the pool still stops
-    // with the typed error instead of hanging or finishing.
-    let cfg = chaos_config(plan, |_| {});
-    let err = explore_parallel_supervised(&env3(), &cfg, 2, 6, 11)
-        .expect_err("a NaN gradient must stop the run");
-    match err {
-        ExploreError::Numerical {
-            report, partial, ..
-        } => {
-            assert_eq!(report.cycle, 2);
-            assert!(partial.report.cycles_run < 6);
-            assert!(partial.report.designs.iter().all(|d| d.cycle != 2));
+    // At two and eight threads the interleaving is free, but the pool
+    // still stops with the typed error instead of hanging or finishing,
+    // and the one poisoned update is counted once.
+    for threads in [2, 8] {
+        let telemetry = TelemetrySink::enabled();
+        let cfg = chaos_config(plan.clone(), |c| c.telemetry = telemetry.clone());
+        let err = explore_parallel_supervised(&env3(), &cfg, threads, 6, 11)
+            .expect_err("a NaN gradient must stop the run");
+        match err {
+            ExploreError::Numerical {
+                report, partial, ..
+            } => {
+                assert_eq!(report.cycle, 2);
+                assert!(partial.report.cycles_run < 6);
+                assert!(partial.report.designs.iter().all(|d| d.cycle != 2));
+            }
+            other => panic!("expected Numerical, got {other:?}"),
         }
-        other => panic!("expected Numerical, got {other:?}"),
+        assert_eq!(telemetry.counter_total("anomaly.total"), 1);
     }
 }
 

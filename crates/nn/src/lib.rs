@@ -10,8 +10,7 @@
 //!   fully connected, ReLU/Tanh activations, and residual blocks,
 //! - [`PolicyValueNet`]: the paper's two-headed architecture, parameterized
 //!   by grid size and channel widths,
-//! - [`optim`]: SGD with momentum and Adam, with global-norm gradient
-//!   clipping,
+//! - [`optim`]: Adam with global-norm gradient clipping,
 //! - [`loss`]: softmax/cross-entropy utilities and the advantage
 //!   actor-critic gradients of the paper's Equations 17–18.
 //!

@@ -1,6 +1,6 @@
-//! Optimizers: SGD with momentum and Adam, plus global-norm gradient
-//! clipping (the stabilization the paper's multi-threaded training relies
-//! on when averaging "both large gradients and small gradients", §4.6).
+//! The Adam optimizer, plus global-norm gradient clipping (the
+//! stabilization the paper's multi-threaded training relies on when
+//! averaging "both large gradients and small gradients", §4.6).
 
 use crate::layers::Param;
 use crate::Tensor;
@@ -30,63 +30,6 @@ pub fn clip_global_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
         }
     }
     norm
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with learning rate `lr` and momentum
-    /// coefficient `momentum` (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Replaces the learning rate (for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies one update step to `params` from their accumulated
-    /// gradients, then zeroes the gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter list changes shape between calls.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        let timer = crate::instrument::start();
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-        }
-        assert_eq!(self.velocity.len(), params.len(), "parameter set changed");
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            assert_eq!(v.shape(), p.value.shape(), "parameter shape changed");
-            for x in v.as_mut_slice() {
-                *x *= self.momentum;
-            }
-            v.add_scaled(&p.grad, 1.0);
-            p.value.add_scaled(v, -self.lr);
-            p.zero_grad();
-        }
-        crate::instrument::record_since("nn.optim_us", timer);
-    }
 }
 
 /// The Adam optimizer (Kingma & Ba) with bias correction.
@@ -205,22 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = quadratic_param(0.0);
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = run(&mut p, |ps| opt.step(ps), 100);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut p = quadratic_param(-5.0);
-        let mut opt = Sgd::new(0.05, 0.9);
-        let x = run(&mut p, |ps| opt.step(ps), 200);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut p = quadratic_param(10.0);
         let mut opt = Adam::new(0.3);
@@ -232,7 +159,7 @@ mod tests {
     fn step_zeroes_gradients() {
         let mut p = quadratic_param(0.0);
         p.grad = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        let mut opt = Sgd::new(0.1, 0.0);
+        let mut opt = Adam::new(0.1);
         let mut params = [&mut p];
         opt.step(&mut params);
         assert_eq!(p.grad.as_slice(), &[0.0]);

@@ -195,46 +195,6 @@ fn finish_row(name: String, acc: RowAcc) -> SummaryRow {
     }
 }
 
-/// Totals of the fault counters across every phase and source — the
-/// health summary an unattended run is judged by (rendered by the
-/// `exp_chaos` experiment and checked by the CI chaos-smoke job).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceSummary {
-    /// `anomaly.total`: numerical anomalies detected (each one stops its
-    /// run).
-    pub anomalies: u64,
-    /// `worker.panics`: worker panics caught (each one stops its run).
-    pub panics: u64,
-    /// `checkpoint.recovered_prev`: resumes served from `.prev` after a
-    /// torn or corrupt primary.
-    pub checkpoint_recoveries: u64,
-}
-
-impl ResilienceSummary {
-    /// Whether the run saw no faults at all (every counter zero).
-    pub fn clean(&self) -> bool {
-        *self == ResilienceSummary::default()
-    }
-}
-
-/// Folds the fault counters out of an event stream (any phase, any
-/// source). Unrelated events are ignored.
-pub fn resilience_summary(events: &[Event]) -> ResilienceSummary {
-    let mut out = ResilienceSummary::default();
-    for event in events {
-        let EventValue::Counter { value } = event.value else {
-            continue;
-        };
-        match event.name.as_str() {
-            "anomaly.total" => out.anomalies += value,
-            "worker.panics" => out.panics += value,
-            "checkpoint.recovered_prev" => out.checkpoint_recoveries += value,
-            _ => {}
-        }
-    }
-    out
-}
-
 fn fmt_num(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
@@ -327,30 +287,6 @@ mod tests {
         assert!(rendered.contains("phase: explore"));
         assert!(rendered.contains("cycles"));
         assert!(rendered.contains("steps"));
-    }
-
-    #[test]
-    fn resilience_summary_folds_counters_and_ignores_noise() {
-        let sink = TelemetrySink::enabled();
-        let mut a = sink.recorder("worker0");
-        a.incr("anomaly.total", 1);
-        a.incr("explore.cycles", 50); // unrelated counter
-        a.record("explore.steps", 5); // unrelated histogram
-        drop(a);
-        let mut b = sink.recorder("worker1");
-        b.incr("worker.panics", 1);
-        drop(b);
-        let mut c = sink.recorder("checkpoint");
-        c.incr("checkpoint.recovered_prev", 1);
-        drop(c);
-
-        let events = parse_jsonl(&sink.to_jsonl()).expect("parses");
-        let summary = resilience_summary(&events);
-        assert_eq!(summary.anomalies, 1);
-        assert_eq!(summary.panics, 1);
-        assert_eq!(summary.checkpoint_recoveries, 1);
-        assert!(!summary.clean());
-        assert!(resilience_summary(&[]).clean());
     }
 
     #[test]
