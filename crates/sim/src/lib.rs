@@ -41,6 +41,7 @@ mod config;
 mod error;
 mod fault;
 mod hash;
+mod ledger;
 mod mesh;
 mod packet;
 mod routerless;

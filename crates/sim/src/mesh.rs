@@ -2,12 +2,12 @@
 //! dimension-order routing and credit-based backpressure.
 
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::hash::PacketIdBuildHasher;
+use crate::ledger::Ledger;
 use crate::packet::{Flit, Packet};
 use crate::runner::{Delivery, Network};
 use rlnoc_topology::{Grid, NodeId};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Router ports, in fixed arbitration order.
 const NORTH: usize = 0;
@@ -55,56 +55,6 @@ struct Router {
     rr: [usize; PORTS],
 }
 
-/// Live fault-injection state for the mesh (present only on sims built
-/// with [`MeshSim::with_faults`]). All hooks are behavioural no-ops until
-/// the first event fires, preserving the zero-fault bit-identity contract.
-#[derive(Debug, Clone)]
-struct MeshFaultState {
-    plan: FaultPlan,
-    /// Index of the next unapplied event in `plan`.
-    next_event: usize,
-    /// `dead_out[node][port]`: the directed link leaving `node` through
-    /// `port` is dead.
-    dead_out: Vec<[bool; PORTS]>,
-    /// Whether any link has died yet (fast path gate).
-    any_dead: bool,
-    /// Injection-stall windows `(node, from, until)`.
-    stalls: Vec<(NodeId, u64, u64)>,
-    /// Packets that lost flits (or their only route) to a fault; their
-    /// surviving flits are purged instead of delivered.
-    condemned: HashSet<u64, PacketIdBuildHasher>,
-    /// Packets condemned by faults (each counted once).
-    dropped_packets: u64,
-    /// Individual flits destroyed or discarded because of faults.
-    dropped_flits: u64,
-}
-
-impl MeshFaultState {
-    fn is_stalled(&self, node: NodeId, cycle: u64) -> bool {
-        self.stalls
-            .iter()
-            .any(|&(n, from, until)| n == node && from <= cycle && cycle < until)
-    }
-
-    /// Condemns `id` exactly once, unwinding assembly and in-flight
-    /// accounting. Returns whether it was newly condemned.
-    fn condemn(
-        &mut self,
-        assembly: &mut HashMap<u64, usize, PacketIdBuildHasher>,
-        in_flight_packets: &mut usize,
-        id: u64,
-    ) -> bool {
-        if self.condemned.insert(id) {
-            assembly.remove(&id);
-            *in_flight_packets -= 1;
-            self.dropped_packets += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Cycle-accurate mesh simulator.
 ///
 /// Each hop costs one link cycle plus `router_delay` cycles in the input
@@ -137,11 +87,12 @@ pub struct MeshSim {
     queues: Vec<VecDeque<Packet>>,
     /// Next flit index to inject for the head packet of each node queue.
     inject_progress: Vec<usize>,
-    assembly: HashMap<u64, usize, PacketIdBuildHasher>,
-    deliveries: Vec<Delivery>,
-    in_flight_packets: usize,
-    /// Fault-injection state; `None` for sims without a fault plan.
-    faults: Option<Box<MeshFaultState>>,
+    ledger: Ledger,
+    /// `dead_out[node][port]`: the directed link leaving `node` through
+    /// `port` is dead (empty without a fault plan).
+    dead_out: Vec<[bool; PORTS]>,
+    /// Whether any link has died yet (fast path gate).
+    any_dead: bool,
 }
 
 impl MeshSim {
@@ -161,10 +112,9 @@ impl MeshSim {
             ticks: 0,
             queues: vec![VecDeque::new(); grid.len()],
             inject_progress: vec![0; grid.len()],
-            assembly: HashMap::default(),
-            deliveries: Vec::new(),
-            in_flight_packets: 0,
-            faults: None,
+            ledger: Ledger::default(),
+            dead_out: Vec::new(),
+            any_dead: false,
         }
     }
 
@@ -187,35 +137,19 @@ impl MeshSim {
         plan: FaultPlan,
     ) -> Self {
         let mut sim = MeshSim::new(grid, router_delay, buffer_capacity);
-        let stalls = plan
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::StallInjection { node, from, until } => Some((node, from, until)),
-                _ => None,
-            })
-            .collect();
-        sim.faults = Some(Box::new(MeshFaultState {
-            plan,
-            next_event: 0,
-            dead_out: vec![[false; PORTS]; grid.len()],
-            any_dead: false,
-            stalls,
-            condemned: HashSet::default(),
-            dropped_packets: 0,
-            dropped_flits: 0,
-        }));
+        sim.ledger = Ledger::with_plan(plan);
+        sim.dead_out = vec![[false; PORTS]; grid.len()];
         sim
     }
 
     /// Packets condemned by injected faults (each counted once).
     pub fn dropped_by_fault(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.dropped_packets)
+        self.ledger.dropped_packets()
     }
 
     /// Individual flits destroyed or discarded because of injected faults.
     pub fn dropped_fault_flits(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.dropped_flits)
+        self.ledger.dropped_flits()
     }
 
     /// The paper's baseline two-cycle router.
@@ -274,14 +208,8 @@ impl MeshSim {
     fn refresh_front(&mut self, f: usize) {
         let (flit, entered) = self.front(f);
         let request = if flit.is_head() {
-            let dead = self.faults.as_deref().filter(|fs| fs.any_dead);
-            Self::route(
-                &self.coords,
-                dead.map(|fs| &fs.dead_out[..]),
-                f / PORTS,
-                flit.packet.dst,
-            )
-            .unwrap_or(NO_REQUEST)
+            let dead = self.any_dead.then_some(&self.dead_out[..]);
+            Self::route(&self.coords, dead, f / PORTS, flit.packet.dst).unwrap_or(NO_REQUEST)
         } else {
             NO_REQUEST
         };
@@ -320,46 +248,10 @@ impl MeshSim {
         }
     }
 
-    /// Keeps only the flits of FIFO `f` that `keep` accepts, in order, and
-    /// returns how many were removed.
-    fn retain(&mut self, f: usize, keep: impl Fn(&Flit) -> bool) -> usize {
-        let cap = self.buffer_capacity;
-        let Fifo { head, len, .. } = self.fifos[f];
-        let ring = &mut self.slots[f * cap..(f + 1) * cap];
-        let mut kept = 0;
-        for i in 0..len {
-            let entry = ring[(head + i) % cap];
-            if entry.is_some_and(|(flit, _)| keep(&flit)) {
-                ring[(head + kept) % cap] = entry;
-                kept += 1;
-            }
-        }
-        self.fifos[f].len = kept;
-        if kept == 0 {
-            self.nonempty[f / PORTS] &= !(1 << (f % PORTS));
-        }
-        len - kept
-    }
-
     /// Applies every scheduled fault whose activation cycle has arrived.
     /// No-op (one branch) without a plan or between events.
     fn apply_due_faults(&mut self, cycle: u64) {
-        let due = match &self.faults {
-            Some(f) => {
-                f.next_event < f.plan.events().len()
-                    && f.plan.events()[f.next_event].activation_cycle() <= cycle
-            }
-            None => return,
-        };
-        if !due {
-            return;
-        }
-        let mut fs = self.faults.take().expect("checked above");
-        while fs.next_event < fs.plan.events().len()
-            && fs.plan.events()[fs.next_event].activation_cycle() <= cycle
-        {
-            let event = fs.plan.events()[fs.next_event];
-            fs.next_event += 1;
+        while let Some(event) = self.ledger.next_due(cycle) {
             let FaultEvent::KillMeshLink { from, to, .. } = event else {
                 // Routerless-only and pre-extracted events: nothing to do.
                 continue;
@@ -373,19 +265,17 @@ impl MeshSim {
                 (0, -1) => NORTH,
                 _ => continue, // not an adjacent pair: ignore
             };
-            if fs.dead_out[from][port] {
+            if self.dead_out[from][port] {
                 continue;
             }
-            fs.dead_out[from][port] = true;
-            fs.any_dead = true;
+            self.dead_out[from][port] = true;
+            self.any_dead = true;
             // A wormhole mid-transfer across the dying link is severed:
             // the packet can never complete.
-            if let Some((_, _, pid)) = self.routers[from].out_lock[port] {
-                fs.condemn(&mut self.assembly, &mut self.in_flight_packets, pid);
-                self.routers[from].out_lock[port] = None;
+            if let Some((_, _, pid)) = self.routers[from].out_lock[port].take() {
+                self.ledger.condemn(pid);
             }
         }
-        self.faults = Some(fs);
     }
 
     /// Removes fault casualties from the fabric: flits of condemned
@@ -393,33 +283,52 @@ impl MeshSim {
     /// productive port (condemning their packets), and output locks held
     /// by condemned packets. Runs only while faults are active.
     fn purge_faulted(&mut self) {
-        let Some(mut fs) = self.faults.take() else {
+        if !self.any_dead && !self.ledger.any_condemned() {
             return;
-        };
-        // Drop condemned flits wherever they sit.
-        if !fs.condemned.is_empty() {
+        }
+        // Drop condemned flits wherever they sit, keeping the rest in
+        // order.
+        if self.ledger.any_condemned() {
+            let cap = self.buffer_capacity;
             for f in 0..self.fifos.len() {
-                let removed = self.retain(f, |flit| !fs.condemned.contains(&flit.packet.id));
-                fs.dropped_flits += removed as u64;
+                let Fifo { head, len, .. } = self.fifos[f];
+                let ring = &mut self.slots[f * cap..(f + 1) * cap];
+                let mut kept = 0;
+                for i in 0..len {
+                    let entry = ring[(head + i) % cap];
+                    if entry.is_some_and(|(flit, _)| !self.ledger.is_condemned(flit.packet.id)) {
+                        ring[(head + kept) % cap] = entry;
+                        kept += 1;
+                    }
+                }
+                self.fifos[f].len = kept;
+                if kept == 0 {
+                    self.nonempty[f / PORTS] &= !(1 << (f % PORTS));
+                }
+                self.ledger.discard_flits((len - kept) as u64);
             }
         }
         // Heads stuck with no live productive port block their whole input
         // queue: condemn and drop them.
-        if fs.any_dead {
+        if self.any_dead {
             for f in 0..self.fifos.len() {
                 while self.fifos[f].len > 0 {
                     let (flit, _) = self.front(f);
                     let id = flit.packet.id;
-                    if fs.condemned.contains(&id) {
+                    if self.ledger.is_condemned(id) {
                         self.pop(f);
-                        fs.dropped_flits += 1;
+                        self.ledger.discard_flits(1);
                     } else if flit.is_head()
-                        && Self::route(&self.coords, Some(&fs.dead_out), f / PORTS, flit.packet.dst)
-                            .is_none()
+                        && Self::route(
+                            &self.coords,
+                            Some(&self.dead_out),
+                            f / PORTS,
+                            flit.packet.dst,
+                        )
+                        .is_none()
                     {
                         self.pop(f);
-                        fs.dropped_flits += 1;
-                        fs.condemn(&mut self.assembly, &mut self.in_flight_packets, id);
+                        self.ledger.lose_flit(id);
                     } else {
                         break;
                     }
@@ -427,25 +336,21 @@ impl MeshSim {
             }
         }
         // Condemned packets release their wormhole reservations.
-        if !fs.condemned.is_empty() {
+        if self.ledger.any_condemned() {
             for router in &mut self.routers {
                 for lock in &mut router.out_lock {
-                    if lock.is_some_and(|(_, _, pid)| fs.condemned.contains(&pid)) {
+                    if lock.is_some_and(|(_, _, pid)| self.ledger.is_condemned(pid)) {
                         *lock = None;
                     }
                 }
             }
         }
-        let active = fs.any_dead || !fs.condemned.is_empty();
-        self.faults = Some(fs);
-        // The pops above routed new fronts with the fault state taken out
-        // of `self`, i.e. unmasked; re-route every front under the current
-        // dead-link mask.
-        if active {
-            for f in 0..self.fifos.len() {
-                if self.fifos[f].len > 0 {
-                    self.refresh_front(f);
-                }
+        // Filtering a FIFO moves its front without re-routing it, and a
+        // new dead link re-routes fronts that did not move: refresh every
+        // front under the current dead-link mask.
+        for f in 0..self.fifos.len() {
+            if self.fifos[f].len > 0 {
+                self.refresh_front(f);
             }
         }
     }
@@ -480,28 +385,6 @@ impl MeshSim {
         }
         (ready, want)
     }
-
-    fn deliver(&mut self, flit: Flit, cycle: u64) {
-        if let Some(fs) = self.faults.as_deref_mut() {
-            // Stragglers of a packet already lost to a fault are discarded.
-            if !fs.condemned.is_empty() && fs.condemned.contains(&flit.packet.id) {
-                fs.dropped_flits += 1;
-                return;
-            }
-        }
-        let count = self.assembly.entry(flit.packet.id).or_insert(0);
-        *count += 1;
-        if *count == flit.packet.flits {
-            self.assembly.remove(&flit.packet.id);
-            let ((sx, sy), (dx, dy)) = (self.coords[flit.packet.src], self.coords[flit.packet.dst]);
-            self.deliveries.push(Delivery {
-                packet: flit.packet,
-                delivered: cycle,
-                hops: (sx.abs_diff(dx) + sy.abs_diff(dy)) as u64,
-            });
-            self.in_flight_packets -= 1;
-        }
-    }
 }
 
 impl Network for MeshSim {
@@ -511,7 +394,7 @@ impl Network for MeshSim {
 
     fn offer(&mut self, packet: Packet) {
         self.queues[packet.src].push_back(packet);
-        self.in_flight_packets += 1;
+        self.ledger.offer();
     }
 
     fn tick(&mut self, cycle: u64) {
@@ -563,7 +446,12 @@ impl Network for MeshSim {
                 let (flit, _) = self.front(f);
                 if out == LOCAL {
                     self.pop(f);
-                    self.deliver(flit, cycle);
+                    let coords = &self.coords;
+                    self.ledger.eject(flit, cycle, || {
+                        let ((sx, sy), (dx, dy)) =
+                            (coords[flit.packet.src], coords[flit.packet.dst]);
+                        (sx.abs_diff(dx) + sy.abs_diff(dy)) as u64
+                    });
                 } else {
                     // Credit check against the neighbour's input FIFO.
                     let nb = match out {
@@ -606,22 +494,22 @@ impl Network for MeshSim {
         // Injection: one flit per node per cycle into the local input, if
         // there is buffer space.
         for node in 0..self.grid.len() {
-            if let Some(fs) = self.faults.as_deref_mut() {
-                if !fs.stalls.is_empty() && fs.is_stalled(node, cycle) {
+            if self.ledger.is_faulted() {
+                if self.ledger.is_stalled(node, cycle) {
                     continue;
                 }
                 // Queued packets whose route died (or that were condemned
                 // mid-injection) never enter the fabric.
                 while let Some(&p) = self.queues[node].front() {
-                    if fs.condemned.contains(&p.id) {
+                    if self.ledger.is_condemned(p.id) {
                         self.queues[node].pop_front();
                         self.inject_progress[node] = 0;
                     } else if self.inject_progress[node] == 0
-                        && fs.any_dead
-                        && Self::route(&self.coords, Some(&fs.dead_out), p.src, p.dst).is_none()
+                        && self.any_dead
+                        && Self::route(&self.coords, Some(&self.dead_out), p.src, p.dst).is_none()
                     {
                         self.queues[node].pop_front();
-                        fs.condemn(&mut self.assembly, &mut self.in_flight_packets, p.id);
+                        self.ledger.condemn(p.id);
                     } else {
                         break;
                     }
@@ -646,16 +534,15 @@ impl Network for MeshSim {
     }
 
     fn drain_deliveries(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.deliveries);
+        self.ledger.drain(out);
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight_packets
+        self.ledger.in_flight()
     }
 
     fn telemetry_sample(&self, rec: &mut rlnoc_telemetry::Recorder) {
-        rec.incr("sim.dropped_by_fault_packets", self.dropped_by_fault());
-        rec.incr("sim.dropped_by_fault_flits", self.dropped_fault_flits());
+        self.ledger.telemetry_sample(rec);
     }
 }
 

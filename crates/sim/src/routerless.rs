@@ -12,11 +12,11 @@
 //! not O(slots)), and a flit passing through costs nothing at all.
 
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::hash::PacketIdBuildHasher;
+use crate::ledger::Ledger;
 use crate::packet::{Flit, Packet};
 use crate::runner::{Delivery, Network};
 use rlnoc_topology::{FaultSet, Grid, NodeId, RoutingTable, Topology};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Sentinel for an unoccupied slot in [`Lane::dst`].
 const EMPTY: u32 = u32::MAX;
@@ -47,6 +47,9 @@ struct Lane {
     /// bucket, which recurs exactly one full circle later. Buckets retain
     /// capacity, so steady-state pushes never allocate.
     calendar: Vec<Vec<usize>>,
+    /// Whether a fault has cut at least one link of this lane (a
+    /// deflection here would circle through the cut, so it drops instead).
+    cut: bool,
 }
 
 impl Lane {
@@ -64,62 +67,6 @@ struct ActiveInjection {
     packet: Packet,
     lane: usize,
     next_flit: usize,
-    hops: u64,
-}
-
-/// Live fault-injection state (present only on sims built with
-/// [`RouterlessSim::with_faults`]). Every hook it drives is a behavioural
-/// no-op until the first structural event fires, preserving the zero-fault
-/// bit-identity contract.
-#[derive(Debug, Clone)]
-struct FaultState {
-    /// The topology, retained so the routing table can be re-derived over
-    /// the survivors after each structural fault.
-    topo: Topology,
-    plan: FaultPlan,
-    /// Index of the next unapplied event in `plan`.
-    next_event: usize,
-    /// Faults applied so far, in topology-layer form.
-    applied: FaultSet,
-    /// Whether each lane has at least one cut link (a deflection on such a
-    /// lane would circle through the cut, so it drops instead).
-    lane_cut: Vec<bool>,
-    /// Injection-stall windows `(node, from, until)`.
-    stalls: Vec<(NodeId, u64, u64)>,
-    /// Packets that lost at least one flit to a fault; their surviving
-    /// flits are discarded at ejection instead of assembled.
-    condemned: HashSet<u64, PacketIdBuildHasher>,
-    /// Packets condemned by faults (each counted once).
-    dropped_packets: u64,
-    /// Individual flits destroyed or discarded because of faults.
-    dropped_flits: u64,
-}
-
-impl FaultState {
-    fn is_stalled(&self, node: NodeId, cycle: u64) -> bool {
-        self.stalls
-            .iter()
-            .any(|&(n, from, until)| n == node && from <= cycle && cycle < until)
-    }
-}
-
-/// Marks `id` as lost to a fault, unwinding its assembly progress and the
-/// in-flight count exactly once. Returns whether the packet was newly
-/// condemned (callers then abort any matching active injection).
-fn condemn(
-    fs: &mut FaultState,
-    assembly: &mut HashMap<u64, (usize, u64), PacketIdBuildHasher>,
-    in_flight_packets: &mut usize,
-    id: u64,
-) -> bool {
-    if fs.condemned.insert(id) {
-        assembly.remove(&id);
-        *in_flight_packets -= 1;
-        fs.dropped_packets += 1;
-        true
-    } else {
-        false
-    }
 }
 
 /// Cycle-accurate simulator for a routerless NoC [`Topology`].
@@ -138,10 +85,7 @@ pub struct RouterlessSim {
     lanes: Vec<Lane>,
     queues: Vec<VecDeque<Packet>>,
     active: Vec<Option<ActiveInjection>>,
-    /// Flits received so far per in-flight packet id, with the hop count.
-    assembly: HashMap<u64, (usize, u64), PacketIdBuildHasher>,
-    deliveries: Vec<Delivery>,
-    in_flight_packets: usize,
+    ledger: Ledger,
     unroutable: u64,
     /// Max flits a node may eject per cycle across all loops; `None`
     /// models REC's per-loop ejection links (unlimited).
@@ -152,8 +96,12 @@ pub struct RouterlessSim {
     /// Per-node ejections this cycle (persistent scratch, zeroed each
     /// tick only while an ejection limit is set).
     ejected_at: Vec<usize>,
-    /// Fault-injection state; `None` for sims without a fault plan.
-    faults: Option<Box<FaultState>>,
+    /// The topology, retained by [`RouterlessSim::with_faults`] so the
+    /// routing table can be re-derived over the survivors after each
+    /// structural fault.
+    topo: Option<Box<Topology>>,
+    /// Faults applied so far, in topology-layer form.
+    applied: FaultSet,
 }
 
 impl RouterlessSim {
@@ -199,6 +147,7 @@ impl RouterlessSim {
                     // construction, not just after warm-up. (Built with a
                     // map: `vec![v; n]` clones drop capacity.)
                     calendar: (0..len).map(|_| Vec::with_capacity(len)).collect(),
+                    cut: false,
                 }
             })
             .collect();
@@ -208,14 +157,13 @@ impl RouterlessSim {
             lanes,
             queues: vec![VecDeque::new(); grid.len()],
             active: vec![None; grid.len()],
-            assembly: HashMap::default(),
-            deliveries: Vec::new(),
-            in_flight_packets: 0,
+            ledger: Ledger::default(),
             unroutable: 0,
             ejection_limit: None,
             deflections: 0,
             ejected_at: vec![0; grid.len()],
-            faults: None,
+            topo: None,
+            applied: FaultSet::new(),
         }
     }
 
@@ -228,25 +176,8 @@ impl RouterlessSim {
     /// [`RouterlessSim::new`].
     pub fn with_faults(topo: &Topology, plan: FaultPlan) -> Self {
         let mut sim = RouterlessSim::new(topo);
-        let stalls = plan
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::StallInjection { node, from, until } => Some((node, from, until)),
-                _ => None,
-            })
-            .collect();
-        sim.faults = Some(Box::new(FaultState {
-            topo: topo.clone(),
-            plan,
-            next_event: 0,
-            applied: FaultSet::new(),
-            lane_cut: vec![false; sim.lanes.len()],
-            stalls,
-            condemned: HashSet::default(),
-            dropped_packets: 0,
-            dropped_flits: 0,
-        }));
+        sim.ledger = Ledger::with_plan(plan);
+        sim.topo = Some(Box::new(topo.clone()));
         sim
     }
 
@@ -254,29 +185,14 @@ impl RouterlessSim {
     /// then rebuilds the routing table if the wiring changed. No-op (one
     /// branch) without a plan or between events.
     fn apply_due_faults(&mut self, cycle: u64) {
-        let due = match &self.faults {
-            Some(f) => {
-                f.next_event < f.plan.events().len()
-                    && f.plan.events()[f.next_event].activation_cycle() <= cycle
-            }
-            None => return,
-        };
-        if !due {
-            return;
-        }
-        let mut fs = self.faults.take().expect("checked above");
         let mut structural = false;
-        while fs.next_event < fs.plan.events().len()
-            && fs.plan.events()[fs.next_event].activation_cycle() <= cycle
-        {
-            let event = fs.plan.events()[fs.next_event];
-            fs.next_event += 1;
+        while let Some(event) = self.ledger.next_due(cycle) {
             match event {
                 FaultEvent::KillLoop { loop_index, .. } => {
-                    if loop_index >= self.lanes.len() || fs.applied.loop_failed(loop_index) {
+                    if loop_index >= self.lanes.len() || self.applied.loop_failed(loop_index) {
                         continue;
                     }
-                    fs.applied.fail_loop(loop_index);
+                    self.applied.fail_loop(loop_index);
                     structural = true;
                     // Drain the lane: every on-board flit is destroyed and
                     // its packet condemned.
@@ -287,29 +203,16 @@ impl RouterlessSim {
                         }
                         lane.dst[s] = EMPTY;
                         let flit = lane.slots[s].take().expect("slot occupied per dst key");
-                        fs.dropped_flits += 1;
-                        condemn(
-                            &mut fs,
-                            &mut self.assembly,
-                            &mut self.in_flight_packets,
-                            flit.packet.id,
-                        );
+                        self.ledger.lose_flit(flit.packet.id);
                     }
                     for bucket in &mut lane.calendar {
                         bucket.clear();
                     }
                     // Abort injections mid-flight onto the dead lane.
-                    for node in 0..self.active.len() {
-                        if let Some(act) = self.active[node] {
-                            if act.lane == loop_index {
-                                condemn(
-                                    &mut fs,
-                                    &mut self.assembly,
-                                    &mut self.in_flight_packets,
-                                    act.packet.id,
-                                );
-                                self.active[node] = None;
-                            }
+                    for act in &mut self.active {
+                        if let Some(a) = act.filter(|a| a.lane == loop_index) {
+                            self.ledger.condemn(a.packet.id);
+                            *act = None;
                         }
                     }
                 }
@@ -317,8 +220,8 @@ impl RouterlessSim {
                     loop_index, from, ..
                 } => {
                     if loop_index >= self.lanes.len()
-                        || fs.applied.loop_failed(loop_index)
-                        || fs.applied.link_failed(loop_index, from)
+                        || self.applied.loop_failed(loop_index)
+                        || self.applied.link_failed(loop_index, from)
                     {
                         continue;
                     }
@@ -326,8 +229,8 @@ impl RouterlessSim {
                     let Some(pf) = lane.pos.get(from).copied().flatten() else {
                         continue; // node not on this loop: nothing to cut
                     };
-                    fs.applied.fail_link(loop_index, from);
-                    fs.lane_cut[loop_index] = true;
+                    self.applied.fail_link(loop_index, from);
+                    lane.cut = true;
                     structural = true;
                     let len = lane.nodes.len();
                     // Destroy flits whose remaining arc crosses the cut; a
@@ -347,13 +250,7 @@ impl RouterlessSim {
                         if (pf + len - p) % len < rem {
                             lane.dst[s] = EMPTY;
                             lane.slots[s] = None;
-                            fs.dropped_flits += 1;
-                            condemn(
-                                &mut fs,
-                                &mut self.assembly,
-                                &mut self.in_flight_packets,
-                                flit.packet.id,
-                            );
+                            self.ledger.lose_flit(flit.packet.id);
                         }
                     }
                     // Rebuild the calendar from the survivors (their
@@ -379,23 +276,17 @@ impl RouterlessSim {
                     // Abort active injections whose source→destination arc
                     // spans the cut: their remaining flits could never get
                     // through. (Arcs that avoid the cut keep injecting.)
-                    for node in 0..self.active.len() {
-                        if let Some(act) = self.active[node] {
-                            if act.lane != loop_index {
-                                continue;
-                            }
-                            let ps = lane.pos[node].expect("source on lane");
-                            let pd = lane.pos[act.packet.dst].expect("dst on lane");
-                            let arc = (pd + len - ps) % len;
-                            if (pf + len - ps) % len < arc {
-                                condemn(
-                                    &mut fs,
-                                    &mut self.assembly,
-                                    &mut self.in_flight_packets,
-                                    act.packet.id,
-                                );
-                                self.active[node] = None;
-                            }
+                    for (node, act) in self.active.iter_mut().enumerate() {
+                        let Some(a) = *act else { continue };
+                        if a.lane != loop_index {
+                            continue;
+                        }
+                        let ps = lane.pos[node].expect("source on lane");
+                        let pd = lane.pos[a.packet.dst].expect("dst on lane");
+                        let arc = (pd + len - ps) % len;
+                        if (pf + len - ps) % len < arc {
+                            self.ledger.condemn(a.packet.id);
+                            *act = None;
                         }
                     }
                 }
@@ -404,28 +295,28 @@ impl RouterlessSim {
             }
         }
         if structural {
-            self.routing = RoutingTable::rebuild_excluding(&fs.topo, &fs.applied).0;
+            let topo = self
+                .topo
+                .as_deref()
+                .expect("only a fault plan schedules faults");
+            self.routing = RoutingTable::rebuild_excluding(topo, &self.applied).0;
         }
-        self.faults = Some(fs);
     }
 
     /// Packets condemned by injected faults (each counted once, in the
     /// cycle the fault destroyed their first flit).
     pub fn dropped_by_fault(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.dropped_packets)
+        self.ledger.dropped_packets()
     }
 
     /// Individual flits destroyed or discarded because of injected faults.
     pub fn dropped_fault_flits(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.dropped_flits)
+        self.ledger.dropped_flits()
     }
 
     /// The faults applied so far (empty without a plan).
     pub fn applied_faults(&self) -> FaultSet {
-        self.faults
-            .as_ref()
-            .map(|f| f.applied.clone())
-            .unwrap_or_default()
+        self.applied.clone()
     }
 
     /// Caps how many flits each node may eject per cycle across all its
@@ -471,7 +362,7 @@ impl Network for RouterlessSim {
 
     fn offer(&mut self, packet: Packet) {
         self.queues[packet.src].push_back(packet);
-        self.in_flight_packets += 1;
+        self.ledger.offer();
     }
 
     fn tick(&mut self, cycle: u64) {
@@ -486,7 +377,7 @@ impl Network for RouterlessSim {
         if limit.is_some() {
             self.ejected_at.fill(0);
         }
-        for (li, lane) in self.lanes.iter_mut().enumerate() {
+        for lane in &mut self.lanes {
             let len = lane.nodes.len();
             if len == 0 {
                 continue;
@@ -515,24 +406,17 @@ impl Network for RouterlessSim {
                         // up — one full circle later... unless the loop
                         // has a cut link, in which case the full circle
                         // crosses it and the flit is lost to the fault.
-                        if let Some(fs) = self.faults.as_deref_mut() {
-                            if fs.lane_cut[li] {
-                                lane.calendar[rot].swap_remove(i);
-                                lane.dst[s] = EMPTY;
-                                let flit = lane.slots[s].take().expect("slot occupied per dst key");
-                                fs.dropped_flits += 1;
-                                if condemn(
-                                    fs,
-                                    &mut self.assembly,
-                                    &mut self.in_flight_packets,
-                                    flit.packet.id,
-                                ) && self.active[flit.packet.src]
+                        if lane.cut {
+                            lane.calendar[rot].swap_remove(i);
+                            lane.dst[s] = EMPTY;
+                            let flit = lane.slots[s].take().expect("slot occupied per dst key");
+                            if self.ledger.lose_flit(flit.packet.id)
+                                && self.active[flit.packet.src]
                                     .is_some_and(|a| a.packet.id == flit.packet.id)
-                                {
-                                    self.active[flit.packet.src] = None;
-                                }
-                                continue;
+                            {
+                                self.active[flit.packet.src] = None;
                             }
+                            continue;
                         }
                         self.deflections += 1;
                         i += 1;
@@ -541,39 +425,21 @@ impl Network for RouterlessSim {
                     self.ejected_at[node] += 1;
                 }
                 lane.calendar[rot].swap_remove(i);
-                // Eject: deliver into the assembly buffer.
                 lane.dst[s] = EMPTY;
                 let flit = lane.slots[s].take().expect("slot occupied per dst key");
-                if let Some(fs) = self.faults.as_deref_mut() {
-                    // Surviving flits of a packet that already lost one to
-                    // a fault are discarded, not assembled.
-                    if !fs.condemned.is_empty() && fs.condemned.contains(&flit.packet.id) {
-                        fs.dropped_flits += 1;
-                        continue;
-                    }
-                }
-                let entry = self.assembly.entry(flit.packet.id).or_insert((0, 0));
-                entry.0 += 1;
-                if entry.0 == flit.packet.flits {
-                    let (_, hops) = self.assembly.remove(&flit.packet.id).expect("present");
-                    self.deliveries.push(Delivery {
-                        packet: flit.packet,
-                        delivered: cycle,
-                        hops,
-                    });
-                    self.in_flight_packets -= 1;
-                }
+                // The packet rode this lane from its source, so its hop
+                // count is the source's distance along the lane.
+                self.ledger.eject(flit, cycle, || {
+                    let ps = lane.pos[flit.packet.src].expect("source on lane");
+                    ((p + len - ps) % len) as u64
+                });
             }
         }
 
         // Phase 2: injection — one flit per node, only into an empty slot,
         // so passing traffic always has priority.
         for node in 0..self.grid.len() {
-            if self
-                .faults
-                .as_deref()
-                .is_some_and(|fs| !fs.stalls.is_empty() && fs.is_stalled(node, cycle))
-            {
+            if self.ledger.is_stalled(node, cycle) {
                 continue;
             }
             if self.active[node].is_none() {
@@ -585,13 +451,12 @@ impl Network for RouterlessSim {
                                 packet: p,
                                 lane: route.loop_index,
                                 next_flit: 0,
-                                hops: route.hops as u64,
                             });
                             break;
                         }
                         None => {
                             self.unroutable += 1;
-                            self.in_flight_packets -= 1;
+                            self.ledger.unroutable();
                         }
                     }
                 }
@@ -618,11 +483,6 @@ impl Network for RouterlessSim {
                     .expect("routing table only picks loops through the destination");
                 let bucket = (lane.rot + hops) % len;
                 lane.calendar[bucket].push(s);
-                // Record hops once per packet in the assembly buffer.
-                self.assembly
-                    .entry(act.packet.id)
-                    .or_insert((0, act.hops))
-                    .1 = act.hops;
                 act.next_flit += 1;
                 self.active[node] = if act.next_flit == act.packet.flits {
                     None
@@ -634,17 +494,16 @@ impl Network for RouterlessSim {
     }
 
     fn drain_deliveries(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.deliveries);
+        self.ledger.drain(out);
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight_packets
+        self.ledger.in_flight()
     }
 
     fn telemetry_sample(&self, rec: &mut rlnoc_telemetry::Recorder) {
         rec.incr("sim.unroutable_packets", self.unroutable());
-        rec.incr("sim.dropped_by_fault_packets", self.dropped_by_fault());
-        rec.incr("sim.dropped_by_fault_flits", self.dropped_fault_flits());
+        self.ledger.telemetry_sample(rec);
         rec.incr("sim.deflected_flits", self.deflections());
         let (scheduled, capacity) = self.calendar_occupancy();
         if capacity > 0 {
