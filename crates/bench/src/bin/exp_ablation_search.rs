@@ -40,9 +40,7 @@ fn summarize(results: Vec<(bool, f64)>) -> Outcome {
 }
 
 fn run_mcts(env: &RouterlessEnv, config: &ExplorerConfig, cycles: usize, seed: u64) -> Outcome {
-    let mut cfg = config.clone();
-    cfg.cycles = cycles;
-    let report = Explorer::new(env.clone(), cfg, seed).run();
+    let report = Explorer::new(env.clone(), config.clone(), seed).run_cycles(cycles);
     summarize(
         report
             .designs

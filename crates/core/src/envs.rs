@@ -350,10 +350,9 @@ mod tests {
     fn framework_runs_on_express_env() {
         use crate::explorer::{Explorer, ExplorerConfig};
         let mut cfg = ExplorerConfig::fast();
-        cfg.cycles = 2;
         cfg.max_steps = 6;
         let env = ExpressLinkEnv::new(Grid::square(3).unwrap(), 1);
-        let report = Explorer::new(env, cfg, 3).run();
+        let report = Explorer::new(env, cfg, 3).run_cycles(2);
         assert_eq!(report.cycles_run, 2);
         // Any design with a useful link counts as successful.
         assert!(report.designs.iter().any(|d| d.steps > 0));

@@ -15,8 +15,6 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 /// Tunables for the exploration loop.
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
-    /// Number of exploration cycles (episodes) to run.
-    pub cycles: usize,
     /// The ε of the ε-greedy override: with this probability a step is
     /// taken by the environment's deterministic greedy heuristic
     /// (Algorithm 1) instead of Equation 21. Table 1 sweeps this knob.
@@ -64,7 +62,6 @@ impl ExplorerConfig {
     /// A laptop-friendly configuration: small network, short episodes.
     pub fn fast() -> Self {
         ExplorerConfig {
-            cycles: 10,
             epsilon: 0.1,
             mcts: MctsConfig::default(),
             train: TrainConfig::default(),
@@ -539,12 +536,6 @@ impl<E: Environment> Explorer<E> {
         &mut self.agent
     }
 
-    /// Runs the configured number of exploration cycles.
-    pub fn run(&mut self) -> ExploreReport<E> {
-        let cycles = self.config.cycles;
-        self.run_cycles(cycles)
-    }
-
     /// Runs `cycles` exploration cycles (callable repeatedly; the tree,
     /// cache, RNG stream and network persist across calls, and each call
     /// numbers its cycles from 0).
@@ -637,9 +628,8 @@ pub(crate) mod tests {
     use crate::routerless::RouterlessEnv;
     use rlnoc_topology::Grid;
 
-    fn quick_config(cycles: usize) -> ExplorerConfig {
+    fn quick_config() -> ExplorerConfig {
         let mut c = ExplorerConfig::fast();
-        c.cycles = cycles;
         c.max_steps = 40;
         c
     }
@@ -647,8 +637,8 @@ pub(crate) mod tests {
     #[test]
     fn explorer_completes_cycles() {
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let mut ex = Explorer::new(env, quick_config(3), 1);
-        let report = ex.run();
+        let mut ex = Explorer::new(env, quick_config(), 1);
+        let report = ex.run_cycles(3);
         assert_eq!(report.cycles_run, 3);
         assert_eq!(report.designs.len(), 3);
         assert_eq!(report.train_history.len(), 3);
@@ -660,8 +650,8 @@ pub(crate) mod tests {
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 6);
         // Seed chosen to converge within the quick budget under the
         // workspace PRNG stream (most seeds do; see vendor/rand).
-        let mut ex = Explorer::new(env, quick_config(5), 1);
-        let report = ex.run();
+        let mut ex = Explorer::new(env, quick_config(), 1);
+        let report = ex.run_cycles(5);
         assert!(
             report.successful_count() > 0,
             "3x3 at cap 6 should connect within 5 cycles (greedy fallback guarantees progress)"
@@ -673,8 +663,8 @@ pub(crate) mod tests {
     #[test]
     fn explorer_is_deterministic_per_seed() {
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let a = Explorer::new(env.clone(), quick_config(2), 11).run();
-        let b = Explorer::new(env, quick_config(2), 11).run();
+        let a = Explorer::new(env.clone(), quick_config(), 11).run_cycles(2);
+        let b = Explorer::new(env, quick_config(), 11).run_cycles(2);
         let ra: Vec<f64> = a.designs.iter().map(|d| d.final_return).collect();
         let rb: Vec<f64> = b.designs.iter().map(|d| d.final_return).collect();
         assert_eq!(ra, rb);
@@ -683,8 +673,8 @@ pub(crate) mod tests {
     #[test]
     fn explorer_reports_cache_activity() {
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let mut ex = Explorer::new(env, quick_config(2), 1);
-        let report = ex.run();
+        let mut ex = Explorer::new(env, quick_config(), 1);
+        let report = ex.run_cycles(2);
         let stats = report.cache_stats;
         // First cycle evaluates the root once for expansion and reuses it
         // for the initial DNN action — at least one guaranteed hit.
@@ -696,11 +686,11 @@ pub(crate) mod tests {
     #[test]
     fn episodes_respect_max_steps() {
         let env = RouterlessEnv::new(Grid::square(4).unwrap(), 8);
-        let mut cfg = quick_config(1);
+        let mut cfg = quick_config();
         cfg.max_steps = 5;
         cfg.complete_designs = false;
         let mut ex = Explorer::new(env, cfg, 3);
-        let report = ex.run();
+        let report = ex.run_cycles(1);
         assert!(report.designs[0].steps <= 5);
     }
 
@@ -710,19 +700,19 @@ pub(crate) mod tests {
         // budget yields fully connected designs (the greedy tail finishes
         // what the DNN/MCTS started); without it, a 2-step budget cannot.
         let env = RouterlessEnv::new(Grid::square(4).unwrap(), 10);
-        let mut with = quick_config(2);
+        let mut with = quick_config();
         with.max_steps = 6;
         with.complete_designs = true;
-        let report = Explorer::new(env.clone(), with, 9).run();
+        let report = Explorer::new(env.clone(), with, 9).run_cycles(2);
         assert!(
             report.successful_count() > 0,
             "completion should finish designs"
         );
 
-        let mut without = quick_config(1);
+        let mut without = quick_config();
         without.max_steps = 2;
         without.complete_designs = false;
-        let report = Explorer::new(env, without, 9).run();
+        let report = Explorer::new(env, without, 9).run_cycles(1);
         assert_eq!(report.successful_count(), 0);
     }
 
@@ -732,10 +722,10 @@ pub(crate) mod tests {
         // proposes legal loops, so only the first (DNN-sampled) action can
         // be penalized.
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let mut cfg = quick_config(1);
+        let mut cfg = quick_config();
         cfg.epsilon = 1.0;
         let mut ex = Explorer::new(env, cfg, 5);
-        let report = ex.run();
+        let report = ex.run_cycles(1);
         assert!(report.designs[0].steps > 0);
     }
 
@@ -746,7 +736,7 @@ pub(crate) mod tests {
         // between calls are pinned too, down to the final parameters and
         // Adam state: any change to what a cycle commits shows here.
         let env = RouterlessEnv::new(Grid::square(4).unwrap(), 6);
-        let mut ex = Explorer::new(env, quick_config(0), 5);
+        let mut ex = Explorer::new(env, quick_config(), 5);
         let first = ex.run_cycles(6);
         let second = ex.run_cycles(4);
         let got: Vec<_> = first
@@ -780,9 +770,9 @@ pub(crate) mod tests {
         // parallel drivers' typed message, and the agent keeps exactly the
         // parameters, Adam state and generation of a clean 1-cycle run.
         let env = RouterlessEnv::new(Grid::square(3).unwrap(), 4);
-        let mut clean = Explorer::new(env.clone(), quick_config(0), 11);
+        let mut clean = Explorer::new(env.clone(), quick_config(), 11);
         clean.run_cycles(1);
-        let mut cfg = quick_config(0);
+        let mut cfg = quick_config();
         cfg.chaos = Some(crate::chaos::ChaosInjector::new(crate::chaos::ChaosPlan {
             nan_grad_cycles: vec![1],
             ..Default::default()

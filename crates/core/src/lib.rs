@@ -27,10 +27,8 @@
 //! use rlnoc_topology::Grid;
 //!
 //! let env = RouterlessEnv::new(Grid::square(4).unwrap(), 6);
-//! let mut config = ExplorerConfig::fast();
-//! config.cycles = 3;
-//! let mut explorer = Explorer::new(env, config, 42);
-//! let report = explorer.run();
+//! let mut explorer = Explorer::new(env, ExplorerConfig::fast(), 42);
+//! let report = explorer.run_cycles(3);
 //! assert!(report.cycles_run == 3);
 //! ```
 

@@ -353,36 +353,6 @@ impl PolicyValueNet {
             p.grad.add_scaled(g, 1.0);
         }
     }
-
-    /// Serializes the parameter values to a JSON checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file cannot be written.
-    pub fn save_checkpoint(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let snapshot = self.param_snapshot();
-        let json = serde_json::to_string(&snapshot).expect("tensors always serialize");
-        std::fs::write(path, json)
-    }
-
-    /// Loads parameter values from a checkpoint written by
-    /// [`PolicyValueNet::save_checkpoint`] on an identically configured
-    /// network.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file cannot be read or parsed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint's shapes do not match this network.
-    pub fn load_checkpoint(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = std::fs::read_to_string(path)?;
-        let snapshot: Vec<Tensor> = serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        self.load_params(&snapshot);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -428,20 +398,6 @@ mod tests {
         let snap = a.param_snapshot();
         b.load_params(&snap);
         assert_eq!(a.forward(&x), b.forward(&x));
-    }
-
-    #[test]
-    fn checkpoint_round_trip() {
-        let cfg = PolicyValueConfig::small(2);
-        let x =
-            Tensor::from_vec((0..16).map(|v| (v as f32).cos()).collect(), &[1, 1, 4, 4]).unwrap();
-        let mut a = PolicyValueNet::new(cfg.clone(), 5);
-        let mut b = PolicyValueNet::new(cfg, 99);
-        let dir = std::env::temp_dir().join("rlnoc_ckpt_test.json");
-        a.save_checkpoint(&dir).unwrap();
-        b.load_checkpoint(&dir).unwrap();
-        assert_eq!(a.forward(&x), b.forward(&x));
-        let _ = std::fs::remove_file(dir);
     }
 
     #[test]

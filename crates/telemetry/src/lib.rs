@@ -1,6 +1,6 @@
 //! Run telemetry for the rlnoc workspace: typed counters, gauges, and
 //! histograms recorded by per-thread [`Recorder`]s and published into a
-//! shared [`TelemetrySink`] for JSONL/CSV export.
+//! shared [`TelemetrySink`] for JSONL export.
 //!
 //! # Design contract
 //!
@@ -45,4 +45,4 @@ mod sink;
 
 pub use metrics::{GaugeStat, Histogram, RecorderState, HIST_BUCKETS};
 pub use recorder::{Recorder, Span, Timer};
-pub use sink::{Event, EventValue, TelemetryConfig, TelemetrySink};
+pub use sink::{Event, EventValue, TelemetrySink};

@@ -1,5 +1,5 @@
 //! The shared telemetry sink: collects flushed recorder state as timestamped
-//! [`Event`]s, keeps commutative run totals, and exports JSONL/CSV.
+//! [`Event`]s, keeps commutative run totals, and exports JSONL.
 
 use crate::metrics::{GaugeStat, Histogram, RecorderState};
 use crate::recorder::Recorder;
@@ -9,26 +9,6 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Whether instrumentation is active for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TelemetryConfig {
-    /// True to collect telemetry; false compiles every instrumentation
-    /// call down to a single branch.
-    pub enabled: bool,
-}
-
-impl TelemetryConfig {
-    /// Telemetry off: recorders are no-ops (the default).
-    pub fn disabled() -> Self {
-        TelemetryConfig { enabled: false }
-    }
-
-    /// Telemetry on: recorders accumulate and flush into the sink.
-    pub fn enabled() -> Self {
-        TelemetryConfig { enabled: true }
-    }
-}
 
 /// One flushed metric snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,56 +220,6 @@ impl Event {
     pub fn from_json_line(line: &str) -> Result<Event, String> {
         serde_json::from_str(line).map_err(|e| e.to_string())
     }
-
-    /// Renders the event as one CSV row matching [`TelemetrySink::write_csv`]'s
-    /// header (`ts_us,source,phase,kind,name,value,count,sum,min,max,p50,p95,p99`).
-    pub fn to_csv_row(&self) -> String {
-        let mut cols: Vec<String> = vec![
-            self.ts_us.to_string(),
-            self.source.clone(),
-            self.phase.clone(),
-            self.value.kind().to_string(),
-            self.name.clone(),
-        ];
-        match &self.value {
-            EventValue::Counter { value } => {
-                cols.push(value.to_string());
-                cols.resize(13, String::new());
-            }
-            EventValue::Gauge {
-                count,
-                sum,
-                min,
-                max,
-            } => {
-                cols.push(String::new());
-                cols.push(count.to_string());
-                cols.push(format!("{sum}"));
-                cols.push(format!("{min}"));
-                cols.push(format!("{max}"));
-                cols.resize(13, String::new());
-            }
-            EventValue::Hist {
-                count,
-                sum,
-                min,
-                max,
-                p50,
-                p95,
-                p99,
-            } => {
-                cols.push(String::new());
-                cols.push(count.to_string());
-                cols.push(sum.to_string());
-                cols.push(min.to_string());
-                cols.push(max.to_string());
-                cols.push(p50.to_string());
-                cols.push(p95.to_string());
-                cols.push(p99.to_string());
-            }
-        }
-        cols.join(",")
-    }
 }
 
 pub(crate) struct SinkShared {
@@ -386,20 +316,11 @@ impl TelemetrySink {
 
     /// A live sink collecting events from its recorders.
     pub fn enabled() -> Self {
-        TelemetrySink::new(TelemetryConfig::enabled())
-    }
-
-    /// Builds a sink from a [`TelemetryConfig`].
-    pub fn new(config: TelemetryConfig) -> Self {
-        if config.enabled {
-            TelemetrySink {
-                shared: Some(Arc::new(SinkShared {
-                    start: Instant::now(),
-                    state: Mutex::new(SinkState::default()),
-                })),
-            }
-        } else {
-            TelemetrySink::disabled()
+        TelemetrySink {
+            shared: Some(Arc::new(SinkShared {
+                start: Instant::now(),
+                state: Mutex::new(SinkState::default()),
+            })),
         }
     }
 
@@ -471,18 +392,6 @@ impl TelemetrySink {
     /// Writes the JSONL export to `path`, creating parent directories.
     pub fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         write_file(path.as_ref(), self.to_jsonl().as_bytes())
-    }
-
-    /// Writes a CSV export (fixed 13-column header; counter rows fill
-    /// `value`, gauge/hist rows fill the summary columns) to `path`.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut out =
-            String::from("ts_us,source,phase,kind,name,value,count,sum,min,max,p50,p95,p99\n");
-        for event in self.events() {
-            out.push_str(&event.to_csv_row());
-            out.push('\n');
-        }
-        write_file(path.as_ref(), out.as_bytes())
     }
 }
 

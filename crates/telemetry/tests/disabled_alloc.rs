@@ -7,7 +7,7 @@
 //! only test in this binary, so no sibling test thread pollutes the
 //! thread-local counter.
 
-use rlnoc_telemetry::{Recorder, TelemetryConfig, TelemetrySink};
+use rlnoc_telemetry::{Recorder, TelemetrySink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -50,7 +50,7 @@ fn disabled_telemetry_allocates_nothing() {
     // Force thread-local slot initialisation outside the counted windows.
     ALLOC_COUNT.with(|c| c.get());
 
-    let (allocs, sink) = allocations_during(|| TelemetrySink::new(TelemetryConfig::disabled()));
+    let (allocs, sink) = allocations_during(TelemetrySink::disabled);
     assert_eq!(allocs, 0, "building a disabled sink must not allocate");
     assert!(!sink.is_enabled());
 

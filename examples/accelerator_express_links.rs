@@ -29,11 +29,10 @@ fn main() {
     // Explore. The greedy fallback for this environment is naive (first
     // legal link), so learning and tree search carry more weight here.
     let mut config = ExplorerConfig::fast();
-    config.cycles = 5;
     config.max_steps = 12;
     config.epsilon = 0.05;
     let mut explorer = Explorer::new(env, config, 7);
-    let report = explorer.run();
+    let report = explorer.run_cycles(5);
 
     println!("explored {} link placements:", report.cycles_run);
     for d in &report.designs {

@@ -22,13 +22,12 @@ fn main() {
     //    update trains the network from the outcome.
     let env = RouterlessEnv::new(grid, cap);
     let mut config = ExplorerConfig::fast();
-    config.cycles = 8;
     // A fresh (untrained) policy benefits from a high ε: Algorithm 1 keeps
     // episodes on track toward connectivity while the network learns.
     config.epsilon = 0.35;
     config.max_steps = 4; // short exploration prefix; completion finishes the design
     let mut explorer = Explorer::new(env, config, 42);
-    let report = explorer.run();
+    let report = explorer.run_cycles(8);
     println!(
         "explored {} designs, {} fully connected",
         report.cycles_run,

@@ -28,9 +28,8 @@ fn explore_route_simulate_cost() {
     let grid = Grid::square(3).unwrap();
     let env = RouterlessEnv::new(grid, 6);
     let mut config = ExplorerConfig::fast();
-    config.cycles = 4;
     config.max_steps = 30;
-    let report = Explorer::new(env, config, 5).run();
+    let report = Explorer::new(env, config, 5).run_cycles(4);
     let best = report.best().expect("3x3 at cap 6 must connect");
     let topo = best.env.topology().clone();
     assert!(topo.is_fully_connected());
@@ -153,9 +152,8 @@ fn parallel_and_single_threaded_searches_agree_on_success() {
     let grid = Grid::square(3).unwrap();
     let env = RouterlessEnv::new(grid, 6);
     let mut config = ExplorerConfig::fast();
-    config.cycles = 3;
     config.max_steps = 30;
-    let single = Explorer::new(env.clone(), config.clone(), 2).run();
+    let single = Explorer::new(env.clone(), config.clone(), 2).run_cycles(3);
     let multi = explore_parallel(&env, &config, 2, 3, 2);
     assert!(single.successful_count() > 0);
     assert!(multi.successful_count() > 0);

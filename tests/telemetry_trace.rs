@@ -16,9 +16,8 @@ use rlnoc::sim::{run_synthetic, run_with_source_traced, FaultPlan, RouterlessSim
 use rlnoc::telemetry::{Event, TelemetrySink};
 use rlnoc::topology::Grid;
 
-fn explorer_config(cycles: usize) -> ExplorerConfig {
+fn explorer_config() -> ExplorerConfig {
     let mut c = ExplorerConfig::fast();
-    c.cycles = cycles;
     c.max_steps = 12;
     c
 }
@@ -60,10 +59,10 @@ fn assert_schema_stable(events: &[Event]) {
 #[test]
 fn golden_explorer_trace_4x4() {
     let sink = TelemetrySink::enabled();
-    let mut config = explorer_config(2);
+    let mut config = explorer_config();
     config.telemetry = sink.clone();
     let env = RouterlessEnv::new(Grid::square(4).unwrap(), 6);
-    let report = Explorer::new(env, config, 7).run();
+    let report = Explorer::new(env, config, 7).run_cycles(2);
 
     let events = sink.events();
     assert_schema_stable(&events);
@@ -192,11 +191,11 @@ fn traced_sim_conserves_packets_under_faults() {
 #[test]
 fn explorer_results_identical_with_telemetry_on_and_off() {
     let env = RouterlessEnv::new(Grid::square(3).unwrap(), 6);
-    let off = Explorer::new(env.clone(), explorer_config(3), 9).run();
+    let off = Explorer::new(env.clone(), explorer_config(), 9).run_cycles(3);
     let sink = TelemetrySink::enabled();
-    let mut config = explorer_config(3);
+    let mut config = explorer_config();
     config.telemetry = sink.clone();
-    let on = Explorer::new(env, config, 9).run();
+    let on = Explorer::new(env, config, 9).run_cycles(3);
     assert_eq!(outcomes(&off), outcomes(&on));
     assert_eq!(off.cache_stats, on.cache_stats);
     assert_eq!(sink.counter_total("explore.cycles"), 3);
@@ -212,10 +211,10 @@ fn explorer_results_identical_with_telemetry_on_and_off() {
 #[test]
 fn parallel_results_identical_with_telemetry_on_and_off() {
     let env = RouterlessEnv::new(Grid::square(3).unwrap(), 6);
-    let off = explore_parallel(&env, &explorer_config(3), 1, 4, 13);
+    let off = explore_parallel(&env, &explorer_config(), 1, 4, 13);
     for threads in [1usize, 2, 8] {
         let sink = TelemetrySink::enabled();
-        let mut config_on = explorer_config(3);
+        let mut config_on = explorer_config();
         config_on.telemetry = sink.clone();
         let on = explore_parallel(&env, &config_on, threads, 4, 13);
         if threads == 1 {
