@@ -24,16 +24,20 @@
 //! micro-kernel then reads, zero padding included, before it reads them.
 //! The scratch is freed when its thread exits.
 //!
-//! When `m·k·n` crosses `PARALLEL_FLOPS`, rows of `C` are partitioned
-//! into contiguous bands, one scoped thread per band. Each output element
-//! sees exactly the same floating-point operation order regardless of the
-//! band split, so **results are bit-identical for any thread count** — the
-//! determinism tests rely on this. The thread budget can be pinned with
-//! [`set_matmul_threads`] (`0` restores the automatic choice). Band threads
-//! are fresh scoped threads whose scratch starts empty, and each packs the
-//! whole `B` panel, so the split only pays for tall `A`. The convolution
-//! kernels below run on one thread each; their passes split the *batch*
-//! over the same budget (`threads_for`).
+//! When `m·k·n` reaches `PARALLEL_FLOPS` and `C` has at least two bands
+//! of `MIN_BAND_ROWS` rows, rows of `C` are partitioned into up to
+//! `MAX_AUTO_THREADS` contiguous bands, chosen from the shape alone, and
+//! the bands are shares of the crate's kernel pool (`crate::pool`): the
+//! caller computes bands itself, next to up to [`set_matmul_threads`]` − 1`
+//! helper threads. Each output element sees exactly the same
+//! floating-point operation order regardless of the band split, so
+//! **results are bit-identical for any thread count** — the determinism
+//! tests rely on this. The helpers live for the whole process, so their
+//! packing scratch stays warm from call to call, like the caller's. Every
+//! band packs the whole `B` panel, so a shorter `C` (the 8x8 learner's
+//! 8-state cache warm-up batch against its `8192 × 32` head weights) runs
+//! whole rather than pack `B` twice. The convolution kernels below run on
+//! one thread each; their passes split the *batch* over the same pool.
 //!
 //! The convolution kernels build no im2col matrix. `conv_same_direct`
 //! (forward) and `conv_wgrad_direct` (weight gradient) read each tap's
@@ -71,6 +75,7 @@
 use crate::simd::{self, Lane, Vector};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Micro-tile rows held in registers by the micro-kernel.
 const MR: usize = 4;
@@ -88,8 +93,11 @@ const KC: usize = 256;
 /// Column-panel width of packed `B` (L3-resident blocking).
 const NC: usize = 4096;
 
-/// Multiply-add count above which the row-parallel path engages.
-const PARALLEL_FLOPS: usize = 1 << 21;
+/// Multiply-add count from which a kernel's work is split over the pool.
+pub(crate) const PARALLEL_FLOPS: usize = 1 << 21;
+
+/// Fewest rows of `C` a [`gemm`] row band holds.
+const MIN_BAND_ROWS: usize = 16;
 
 /// Upper bound on automatically chosen matmul threads.
 const MAX_AUTO_THREADS: usize = 8;
@@ -115,11 +123,12 @@ pub(crate) fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
-/// Pins the number of threads large matmuls may use.
+/// Pins the number of threads, the caller included, that a large matmul,
+/// convolution or other split layer may use: the kernel pool's budget.
 ///
 /// `0` restores the automatic choice (`available_parallelism`, capped).
-/// `1` forces the serial path. Results are identical for every setting;
-/// only wall-clock changes.
+/// `1` forces the serial path, and no pool helper is started. Results are
+/// identical for every setting; only wall-clock changes.
 pub fn set_matmul_threads(threads: usize) {
     MATMUL_THREADS.store(threads, Ordering::Relaxed);
 }
@@ -129,22 +138,35 @@ pub fn matmul_threads() -> usize {
     MATMUL_THREADS.load(Ordering::Relaxed)
 }
 
-/// Threads a kernel with `work` multiply-adds should use when it can be
-/// split into at most `parts` independent pieces: `1` below
-/// [`PARALLEL_FLOPS`], else the [`set_matmul_threads`] budget capped at
-/// `parts`.
-pub(crate) fn threads_for(work: usize, parts: usize) -> usize {
-    if work < PARALLEL_FLOPS {
-        return 1;
-    }
-    let budget = match MATMUL_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(MAX_AUTO_THREADS),
+/// The thread budget of a split: the [`set_matmul_threads`] setting, or
+/// with `0` the available parallelism capped at `MAX_AUTO_THREADS`, read
+/// once per process: `available_parallelism` reads the cgroup's CPU quota
+/// from files, four allocations and ~24 µs a call.
+pub(crate) fn budget() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    match MATMUL_THREADS.load(Ordering::Relaxed) {
+        0 => *AUTO.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+                .min(MAX_AUTO_THREADS)
+        }),
         pinned => pinned,
-    };
-    budget.max(1).min(parts)
+    }
+}
+
+/// Rows per band when [`gemm`] splits `C` into row bands, or `None` when
+/// it runs whole. The split depends on the shape alone. It needs
+/// `PARALLEL_FLOPS` of work and at least two bands of `MIN_BAND_ROWS`
+/// rows: every band packs all of `B` again, so a short band would mostly
+/// repeat that packing. Up to `MAX_AUTO_THREADS` bands of whole
+/// micro-rows.
+fn row_band(m: usize, k: usize, n: usize) -> Option<usize> {
+    if m.saturating_mul(k).saturating_mul(n) < PARALLEL_FLOPS || m < 2 * MIN_BAND_ROWS {
+        return None;
+    }
+    let bands = (m / MIN_BAND_ROWS).min(MAX_AUTO_THREADS);
+    Some(m.div_ceil(bands).next_multiple_of(MR))
 }
 
 /// General matrix multiply over row-major slices:
@@ -178,32 +200,18 @@ pub fn gemm(
     }
     let timer = crate::instrument::start();
 
-    // A thread should own at least one full micro-row band.
-    let threads = threads_for(m.saturating_mul(k).saturating_mul(n), m.div_ceil(MR));
-    if threads <= 1 {
-        gemm_band(trans_a, trans_b, m, k, n, a, b, c, 0);
-        crate::instrument::record_since("nn.gemm_us", timer);
-        return;
-    }
-
-    // Split C into contiguous row bands, one per thread. Band boundaries
-    // only decide *which thread* computes a row, never *how* it is
-    // computed, so the split cannot perturb results.
-    let band_rows = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = c;
-        let mut row = 0;
-        while row < m {
-            let rows = band_rows.min(m - row);
-            let (band, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let start = row;
-            scope.spawn(move || {
-                gemm_band(trans_a, trans_b, rows, k, n, a, b, band, start);
+    match row_band(m, k, n) {
+        None => gemm_band(trans_a, trans_b, m, k, n, a, b, c, 0),
+        // Band boundaries only decide *which thread* computes a row, never
+        // *how* it is computed, so the split cannot perturb results.
+        Some(band_rows) => {
+            let bands = c.chunks_mut(band_rows * n).enumerate();
+            crate::pool::for_each(true, bands, |(i, band)| {
+                let rows = band.len() / n;
+                gemm_band(trans_a, trans_b, rows, k, n, a, b, band, i * band_rows);
             });
-            row += rows;
         }
-    });
+    }
     crate::instrument::record_since("nn.gemm_us", timer);
 }
 

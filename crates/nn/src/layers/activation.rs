@@ -1,6 +1,9 @@
 use super::{Layer, Workspace};
+use crate::pool::zip_map;
 
-/// Rectified linear unit, `max(0, x)`.
+/// Rectified linear unit, `max(0, x)`. A large tensor is split over the
+/// kernel pool in fixed chunks, elementwise, so the bits never depend on
+/// the thread count.
 #[derive(Debug, Clone, Default)]
 pub struct Relu;
 
@@ -14,24 +17,29 @@ impl Relu {
 impl Layer for Relu {
     fn forward(&mut self, ws: &mut Workspace, _train: bool) {
         let io = ws.push(ws.output_shape());
-        for (y, &x) in io.y.iter_mut().zip(io.x) {
-            *y = x.max(0.0);
-        }
+        zip_map(io.y, [io.x], |y, [x]| {
+            for (y, &x) in y.iter_mut().zip(x) {
+                *y = x.max(0.0);
+            }
+        });
     }
 
     fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
         ws.backward(input_grad, 0, |b| {
             if let Some(gx) = b.gx {
-                for ((g, &go), &x) in gx.iter_mut().zip(b.go).zip(b.x) {
-                    *g = if x <= 0.0 { 0.0 } else { go };
-                }
+                zip_map(gx, [b.go, b.x], |gx, [go, x]| {
+                    for ((g, &go), &x) in gx.iter_mut().zip(go).zip(x) {
+                        *g = if x <= 0.0 { 0.0 } else { go };
+                    }
+                });
             }
         });
     }
 }
 
 /// Hyperbolic tangent activation, used by the paper for the loop-direction
-/// head (`dir > 0` ⇒ clockwise).
+/// head (`dir > 0` ⇒ clockwise). Split over the kernel pool as [`Relu`]
+/// is.
 #[derive(Debug, Clone, Default)]
 pub struct Tanh;
 
@@ -45,18 +53,22 @@ impl Tanh {
 impl Layer for Tanh {
     fn forward(&mut self, ws: &mut Workspace, _train: bool) {
         let io = ws.push(ws.output_shape());
-        for (y, &x) in io.y.iter_mut().zip(io.x) {
-            *y = x.tanh();
-        }
+        zip_map(io.y, [io.x], |y, [x]| {
+            for (y, &x) in y.iter_mut().zip(x) {
+                *y = x.tanh();
+            }
+        });
     }
 
     fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
         ws.backward(input_grad, 0, |b| {
             if let Some(gx) = b.gx {
                 // d tanh = 1 - tanh².
-                for ((g, &go), &y) in gx.iter_mut().zip(b.go).zip(b.y) {
-                    *g = go * (1.0 - y * y);
-                }
+                zip_map(gx, [b.go, b.y], |gx, [go, y]| {
+                    for ((g, &go), &y) in gx.iter_mut().zip(go).zip(y) {
+                        *g = go * (1.0 - y * y);
+                    }
+                });
             }
         });
     }

@@ -1,5 +1,5 @@
 use super::{Layer, Param, Workspace};
-use crate::Tensor;
+use crate::{kernels, pool, Tensor};
 
 /// Per-channel batch normalization over `(batch, height, width)`, as used
 /// after the paper's convolutional layers "to normalize the value
@@ -11,6 +11,11 @@ use crate::Tensor;
 /// `1/√(var + ε)` in the workspace, and the backward recomputes the
 /// normalized input `x̂ = (x − mean)·inv_std` from its input with the
 /// forward's expression, so it reads the same bits the forward wrote.
+///
+/// A large pass splits over the kernel pool: its per-channel sums one
+/// channel per share, each in batch-then-pixel order, and its
+/// elementwise normalize and input gradient one batch item per share. So
+/// every value is the same at any thread count.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
@@ -51,10 +56,18 @@ impl Layer for BatchNorm2d {
         assert_eq!(c, self.channels(), "channel mismatch");
         let plane = h * w;
         let m = (n * plane) as f32;
+        let split = pool::splits(n * c * plane);
         let io = ws.push(shape);
         let xd = io.x;
-        for ch in 0..c {
-            let (mean, var) = if train {
+        // Each channel's `[mean, inv_std]`, kept for the backward in
+        // training; dropped again after an inference forward.
+        let kept = io.saved.len();
+        io.saved.resize(kept + 2 * c, 0.0);
+        let stats = &mut io.saved[kept..];
+        if train {
+            // The channel's sum and sum of squares, batch then pixel order.
+            let channels = stats.chunks_exact_mut(2).enumerate();
+            pool::for_each(split, channels, |(ch, s)| {
                 let mut sum = 0.0f32;
                 let mut sq = 0.0f32;
                 for b in 0..n {
@@ -64,8 +77,13 @@ impl Layer for BatchNorm2d {
                         sq += v * v;
                     }
                 }
-                let mean = sum / m;
-                let var = (sq / m - mean * mean).max(0.0);
+                s.copy_from_slice(&[sum, sq]);
+            });
+        }
+        for (ch, s) in stats.chunks_exact_mut(2).enumerate() {
+            let (mean, var) = if train {
+                let mean = s[0] / m;
+                let var = (s[1] / m - mean * mean).max(0.0);
                 self.running_mean[ch] =
                     (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
                 self.running_var[ch] =
@@ -74,19 +92,26 @@ impl Layer for BatchNorm2d {
             } else {
                 (self.running_mean[ch], self.running_var[ch])
             };
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            if train {
-                io.saved.extend([mean, inv_std]);
-            }
-            let g = self.gamma.value.as_slice()[ch];
-            let b0 = self.beta.value.as_slice()[ch];
-            for b in 0..n {
-                let at = ((b * c) + ch) * plane..((b * c) + ch + 1) * plane;
-                for (y, &x) in io.y[at.clone()].iter_mut().zip(&xd[at]) {
+            s.copy_from_slice(&[mean, 1.0 / (var + self.eps).sqrt()]);
+        }
+        let (gamma, beta) = (self.gamma.value.as_slice(), self.beta.value.as_slice());
+        let stats = &*stats;
+        let items = xd
+            .chunks_exact(c * plane)
+            .zip(io.y.chunks_exact_mut(c * plane));
+        pool::for_each(split, items, |(x_b, y_b)| {
+            let channels = x_b.chunks_exact(plane).zip(y_b.chunks_exact_mut(plane));
+            for (ch, (x_c, y_c)) in channels.enumerate() {
+                let (mean, inv_std) = (stats[2 * ch], stats[2 * ch + 1]);
+                let (g, b0) = (gamma[ch], beta[ch]);
+                for (y, &x) in y_c.iter_mut().zip(x_c) {
                     let xh = (x - mean) * inv_std;
                     *y = g * xh + b0;
                 }
             }
+        });
+        if !train {
+            io.saved.truncate(kept);
         }
         crate::instrument::record_since("nn.bn_us", timer);
     }
@@ -96,12 +121,15 @@ impl Layer for BatchNorm2d {
         let [n, c, h, w] = ws.input_shape();
         let plane = h * w;
         let m = (n * plane) as f32;
+        let split = pool::splits(n * c * plane);
         let (gamma, beta) = (&mut self.gamma, &mut self.beta);
-        ws.backward(input_grad, 2 * c, |mut io| {
-            let (xd, god) = (io.x, io.go);
-            for (ch, stats) in io.saved.chunks_exact(2).enumerate() {
-                let (mean, inv_std) = (stats[0], stats[1]);
-                let g = gamma.value.as_slice()[ch];
+        ws.backward(input_grad, 2 * c, |io| {
+            let (xd, god, saved) = (io.x, io.go, io.saved);
+            // Each channel's `[Σ go, Σ go·x̂]`, batch then pixel order.
+            let sums = kernels::scratch(io.tmp, 2 * c);
+            let channels = sums.chunks_exact_mut(2).enumerate();
+            pool::for_each(split, channels, |(ch, s)| {
+                let (mean, inv_std) = (saved[2 * ch], saved[2 * ch + 1]);
                 let mut sum_g = 0.0f32;
                 let mut sum_gx = 0.0f32;
                 for b in 0..n {
@@ -112,23 +140,42 @@ impl Layer for BatchNorm2d {
                         sum_gx += go * xh;
                     }
                 }
-                gamma.grad.as_mut_slice()[ch] += sum_gx;
-                beta.grad.as_mut_slice()[ch] += sum_g;
-                let Some(gx) = io.gx.as_deref_mut() else {
-                    continue;
-                };
-                for b in 0..n {
-                    let at = ((b * c) + ch) * plane..((b * c) + ch + 1) * plane;
-                    let items = gx[at.clone()].iter_mut().zip(&xd[at.clone()]).zip(&god[at]);
-                    for ((gx, &x), &go) in items {
+                s.copy_from_slice(&[sum_g, sum_gx]);
+            });
+            let grads = gamma.grad.as_mut_slice().iter_mut();
+            for ((dg, db), s) in grads
+                .zip(beta.grad.as_mut_slice())
+                .zip(sums.chunks_exact(2))
+            {
+                *dg += s[1];
+                *db += s[0];
+            }
+            let Some(gx) = io.gx else {
+                return;
+            };
+            let (g_all, sums) = (gamma.value.as_slice(), &*sums);
+            let items = gx
+                .chunks_exact_mut(c * plane)
+                .zip(xd.chunks_exact(c * plane))
+                .zip(god.chunks_exact(c * plane));
+            pool::for_each(split, items, |((gx_b, x_b), go_b)| {
+                let planes = gx_b
+                    .chunks_exact_mut(plane)
+                    .zip(x_b.chunks_exact(plane))
+                    .zip(go_b.chunks_exact(plane));
+                for (ch, ((gx_c, x_c), go_c)) in planes.enumerate() {
+                    let (mean, inv_std) = (saved[2 * ch], saved[2 * ch + 1]);
+                    let (sum_g, sum_gx) = (sums[2 * ch], sums[2 * ch + 1]);
+                    let g = g_all[ch];
+                    for ((gx, &x), &go) in gx_c.iter_mut().zip(x_c).zip(go_c) {
                         let xh = (x - mean) * inv_std;
                         let dxhat = go * g;
-                        // Full batch-norm backward: couples every element of the
-                        // channel through the batch mean and variance.
+                        // Full batch-norm backward: couples every element of
+                        // the channel through the batch mean and variance.
                         *gx = inv_std * (dxhat - (g / m) * sum_g - xh * (g / m) * sum_gx);
                     }
                 }
-            }
+            });
         });
         crate::instrument::record_since("nn.bn_us", timer);
     }

@@ -4,9 +4,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
 
-/// Buffers one thread needs to run a convolution pass over its share of
-/// the batch items. All are grow-only ([`kernels::scratch`]), never
-/// shrunk: every element a pass reads was written earlier in that pass.
+/// Buffers one thread needs to run a convolution pass over one batch
+/// item. All are grow-only ([`kernels::scratch`]), never shrunk: every
+/// element a pass reads was written earlier in that pass.
 #[derive(Default)]
 struct ItemScratch {
     /// One item's input, zero-padded, plus [`kernels::CONV_SLACK`]
@@ -20,9 +20,7 @@ struct ItemScratch {
 }
 
 /// Per-thread buffers of the thread that calls a convolution pass. A pass
-/// takes them out of [`CONV_SCRATCH`] and puts them back when done. The
-/// calling thread works in `items[0]`; a batch-split pass lends
-/// `items[i]` to its `i`-th helper thread, so helpers start warm too.
+/// takes them out of [`CONV_SCRATCH`] and puts them back when done.
 #[derive(Default)]
 struct ConvScratch {
     /// Tap offsets `p = (ic, ky, kx) → (ic·hp + ky)·wp + kx` into the
@@ -34,7 +32,6 @@ struct ConvScratch {
     gw_items: Vec<f32>,
     /// Per-item bias-gradient partials, `[n, out_c]`.
     gb_items: Vec<f32>,
-    items: Vec<ItemScratch>,
 }
 
 thread_local! {
@@ -44,7 +41,15 @@ thread_local! {
             packed_w: Vec::new(),
             gw_items: Vec::new(),
             gb_items: Vec::new(),
-            items: Vec::new(),
+        })
+    };
+    /// The item buffers of whichever thread runs an item: the caller's or
+    /// a pool helper's, which keeps them warm across passes.
+    static ITEM_SCRATCH: Cell<ItemScratch> = const {
+        Cell::new(ItemScratch {
+            xp: Vec::new(),
+            gt: Vec::new(),
+            gop: Vec::new(),
         })
     };
 }
@@ -60,11 +65,11 @@ thread_local! {
 /// and the weight gradient (`kernels::conv_wgrad_direct`) read every
 /// tap's pixels in place from it. The input gradient
 /// (`kernels::conv_igrad_gather`) gathers each input pixel's taps from a
-/// row-padded copy of `grad_out`. Every pass splits the batch items over
-/// the [`kernels::set_matmul_threads`] budget; per-item weight and bias
-/// gradient partials are summed in batch order. Every result is
-/// bit-identical, at any thread count, to the im2col passes kept in
-/// [`crate::reference::conv2d_im2col`] and
+/// row-padded copy of `grad_out`. A pass of enough work splits over the
+/// kernel pool ([`kernels::set_matmul_threads`]), one batch item per
+/// share; per-item weight and bias gradient partials are summed in batch
+/// order. Every result is bit-identical, at any thread count, to the
+/// im2col passes kept in [`crate::reference::conv2d_im2col`] and
 /// [`crate::reference::conv2d_im2col_backward`]; the naive loop nest lives
 /// in [`crate::reference::conv2d_naive`].
 #[derive(Debug, Clone)]
@@ -144,7 +149,7 @@ impl Layer for Conv2d {
             add_item_partials(&bufs, d, 0, &mut self.weight, &mut self.bias);
             if let Some(gx) = io.gx {
                 let wd = self.weight.value.as_slice();
-                input_grad_pass(d, 1, wd, io.go, gx, &mut bufs);
+                input_grad_pass(d, 1, wd, io.go, gx);
             }
             CONV_SCRATCH.set(bufs);
         });
@@ -252,7 +257,7 @@ impl Layer for ConvHeads {
                 add_item_partials(&bufs, d, g * per_head, &mut head.weight, &mut head.bias);
             }
             if let Some(gx) = io.gx {
-                input_grad_pass(d, groups, weights, io.go, gx, &mut bufs);
+                input_grad_pass(d, groups, weights, io.go, gx);
             }
             CONV_SCRATCH.set(bufs);
         });
@@ -289,14 +294,13 @@ impl Dims {
         [self.n, self.out_c, self.h, self.w]
     }
 
-    /// Threads for the pass and batch items per thread; `None` when there
-    /// is nothing to compute.
-    fn split(&self) -> Option<(usize, usize)> {
+    /// Whether the pass has any work, and whether it splits its items over
+    /// the pool: it must reach [`kernels::PARALLEL_FLOPS`] multiply-adds.
+    fn split(&self) -> Option<bool> {
         if self.n == 0 || self.hw() == 0 {
             return None;
         }
-        let threads = kernels::threads_for(self.n * self.out_c * self.kdim() * self.hw(), self.n);
-        Some((threads, self.n.div_ceil(threads)))
+        Some(self.n * self.out_c * self.kdim() * self.hw() >= kernels::PARALLEL_FLOPS)
     }
 }
 
@@ -310,7 +314,7 @@ fn forward_pass(
     out: &mut [f32],
     bufs: &mut ConvScratch,
 ) {
-    let Some((threads, per)) = d.split() else {
+    let Some(split) = d.split() else {
         return;
     };
     let timer = crate::instrument::start();
@@ -318,15 +322,10 @@ fn forward_pass(
     let wp = tap_offsets(c, h, w, d.k, &mut bufs.offs);
     let offs = &bufs.offs[..];
     let packed_w = kernels::pack_conv_weights(weights, out_c, d.kdim(), &mut bufs.packed_w);
-    let chunks = x.chunks(per * c * hw).zip(out.chunks_mut(per * out_c * hw));
-    run_chunks(threads, chunks, &mut bufs.items, |(xs, outs), item| {
-        for (x_b, out_b) in xs
-            .chunks_exact(c * hw)
-            .zip(outs.chunks_exact_mut(out_c * hw))
-        {
-            let xp = pad_into(x_b, c, h, w, d.k, &mut item.xp);
-            kernels::conv_same_direct(out_c, packed_w, bias, xp, offs, h, w, wp, out_b);
-        }
+    let items = x.chunks_exact(c * hw).zip(out.chunks_exact_mut(out_c * hw));
+    run_items(split, items, |(x_b, out_b), item| {
+        let xp = pad_into(x_b, c, h, w, d.k, &mut item.xp);
+        kernels::conv_same_direct(out_c, packed_w, bias, xp, offs, h, w, wp, out_b);
     });
     crate::instrument::record_since("nn.conv_fwd_us", timer);
 }
@@ -334,7 +333,7 @@ fn forward_pass(
 /// Fills `bufs.gw_items` and `bufs.gb_items` with every item's weight and
 /// bias gradient partials for output gradient `go`.
 fn weight_grad_pass(d: Dims, x: &[f32], go: &[f32], bufs: &mut ConvScratch) {
-    let Some((threads, per)) = d.split() else {
+    let Some(split) = d.split() else {
         return;
     };
     let timer = crate::instrument::start();
@@ -343,31 +342,19 @@ fn weight_grad_pass(d: Dims, x: &[f32], go: &[f32], bufs: &mut ConvScratch) {
     let offs = &bufs.offs[..];
     let gw_items = kernels::scratch(&mut bufs.gw_items, d.n * out_c * kdim);
     let gb_items = kernels::scratch(&mut bufs.gb_items, d.n * out_c);
-    let chunks = x
-        .chunks(per * c * hw)
-        .zip(go.chunks(per * out_c * hw))
-        .zip(gw_items.chunks_mut(per * out_c * kdim))
-        .zip(gb_items.chunks_mut(per * out_c));
-    run_chunks(
-        threads,
-        chunks,
-        &mut bufs.items,
-        |(((xs, gos), gws), gbs), item| {
-            let items = xs
-                .chunks_exact(c * hw)
-                .zip(gos.chunks_exact(out_c * hw))
-                .zip(gws.chunks_exact_mut(out_c * kdim))
-                .zip(gbs.chunks_exact_mut(out_c));
-            for (((x_b, go_b), gw_b), gb_b) in items {
-                for (s, go) in gb_b.iter_mut().zip(go_b.chunks_exact(hw)) {
-                    *s = go.iter().sum::<f32>();
-                }
-                let xp = pad_into(x_b, c, h, w, d.k, &mut item.xp);
-                let gt = kernels::pack_conv_grad(go_b, out_c, hw, &mut item.gt);
-                kernels::conv_wgrad_direct(out_c, gt, xp, offs, h, w, wp, gw_b);
-            }
-        },
-    );
+    let items = x
+        .chunks_exact(c * hw)
+        .zip(go.chunks_exact(out_c * hw))
+        .zip(gw_items.chunks_exact_mut(out_c * kdim))
+        .zip(gb_items.chunks_exact_mut(out_c));
+    run_items(split, items, |(((x_b, go_b), gw_b), gb_b), item| {
+        for (s, go) in gb_b.iter_mut().zip(go_b.chunks_exact(hw)) {
+            *s = go.iter().sum::<f32>();
+        }
+        let xp = pad_into(x_b, c, h, w, d.k, &mut item.xp);
+        let gt = kernels::pack_conv_grad(go_b, out_c, hw, &mut item.gt);
+        kernels::conv_wgrad_direct(out_c, gt, xp, offs, h, w, wp, gw_b);
+    });
     crate::instrument::record_since("nn.conv_wgrad_us", timer);
 }
 
@@ -399,60 +386,33 @@ fn add_item_partials(
 /// `gx = ∂loss/∂x` for output gradient `go`, with `weights` as
 /// `[out_c, kdim]` and the output channels in `groups` equal groups
 /// ([`kernels::conv_igrad_gather`]).
-fn input_grad_pass(
-    d: Dims,
-    groups: usize,
-    weights: &[f32],
-    go: &[f32],
-    gx: &mut [f32],
-    bufs: &mut ConvScratch,
-) {
-    let Some((threads, per)) = d.split() else {
+fn input_grad_pass(d: Dims, groups: usize, weights: &[f32], go: &[f32], gx: &mut [f32]) {
+    let Some(split) = d.split() else {
         return;
     };
     let timer = crate::instrument::start();
     let (c, h, w, hw, out_c) = (d.c, d.h, d.w, d.hw(), d.out_c);
-    let chunks = go.chunks(per * out_c * hw).zip(gx.chunks_mut(per * c * hw));
-    run_chunks(threads, chunks, &mut bufs.items, |(gos, gxs), item| {
-        for (go_b, gx_b) in gos
-            .chunks_exact(out_c * hw)
-            .zip(gxs.chunks_exact_mut(c * hw))
-        {
-            let gop = pad_rows_into(go_b, out_c * h, w, d.k / 2, &mut item.gop);
-            kernels::conv_igrad_gather(weights, out_c, groups, gop, c, h, w, d.k, gx_b);
-        }
+    let items = go.chunks_exact(out_c * hw).zip(gx.chunks_exact_mut(c * hw));
+    run_items(split, items, |(go_b, gx_b), item| {
+        let gop = pad_rows_into(go_b, out_c * h, w, d.k / 2, &mut item.gop);
+        kernels::conv_igrad_gather(weights, out_c, groups, gop, c, h, w, d.k, gx_b);
     });
     crate::instrument::record_since("nn.conv_igrad_us", timer);
 }
 
-/// Runs `work` on every chunk of batch items, the `i`-th with scratch
-/// `items[i]` (grown to `threads` on first need): the first on the
-/// calling thread, each other one on a scoped thread of its own.
-/// `threads` bounds the number of chunks; at `1` no thread is spawned
-/// (and a warm call allocates nothing).
-fn run_chunks<C: Send>(
-    threads: usize,
-    mut chunks: impl Iterator<Item = C>,
-    items: &mut Vec<ItemScratch>,
-    work: impl Fn(C, &mut ItemScratch) + Sync,
-) {
-    if items.len() < threads.max(1) {
-        items.resize_with(threads.max(1), ItemScratch::default);
-    }
-    let (local, helpers) = items.split_first_mut().expect("at least one scratch");
-    if threads <= 1 {
-        chunks.for_each(|chunk| work(chunk, local));
-        return;
-    }
-    let first = chunks.next();
-    std::thread::scope(|scope| {
-        let work = &work;
-        for (chunk, item) in chunks.zip(helpers.iter_mut()) {
-            scope.spawn(move || work(chunk, item));
-        }
-        if let Some(first) = first {
-            work(first, local);
-        }
+/// Runs `work` on every batch item, each with the [`ItemScratch`] of the
+/// thread that runs it: all on the calling thread, or, when `split`, one
+/// item per share of the kernel pool ([`crate::pool`]), whose helpers
+/// keep their scratch warm from pass to pass.
+fn run_items<I>(split: bool, items: I, work: impl Fn(I::Item, &mut ItemScratch) + Sync)
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+{
+    crate::pool::for_each(split, items, |item| {
+        let mut scratch = ITEM_SCRATCH.take();
+        work(item, &mut scratch);
+        ITEM_SCRATCH.set(scratch);
     });
 }
 

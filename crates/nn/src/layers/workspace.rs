@@ -1,3 +1,4 @@
+use crate::pool::{self, zip_map};
 use crate::Tensor;
 use std::cell::Cell;
 
@@ -162,7 +163,7 @@ impl Workspace {
         self.grads.len = 0;
         self.saved.clear();
         self.acts.push(shape_of(x));
-        self.acts.bufs[0].view_mut().copy_from_slice(x.as_slice());
+        copy(self.acts.bufs[0].view_mut(), x.as_slice());
     }
 
     /// The top activation: the output of the last forward.
@@ -251,24 +252,20 @@ impl Workspace {
     pub(crate) fn add_to_top(&mut self, depth: usize) {
         let (x, top) = self.acts.with_top(self.acts.len - 1 - depth);
         assert_eq!(x.shape, top.shape, "shortcut shape mismatch");
-        for (t, &v) in top.view_mut().iter_mut().zip(x.view()) {
-            *t += v;
-        }
+        add(top.view_mut(), x.view());
     }
 
     /// Pushes a copy of the top gradient.
     pub(crate) fn dup_grad(&mut self) {
         self.grads.push(self.grads.top().shape);
-        let (g, copy) = self.grads.with_top(self.grads.len - 2);
-        copy.view_mut().copy_from_slice(g.view());
+        let (g, top) = self.grads.with_top(self.grads.len - 2);
+        copy(top.view_mut(), g.view());
     }
 
     /// Adds the gradient under the top onto the top, and drops it.
     pub(crate) fn fold_grads(&mut self) {
         let (below, top) = self.grads.with_top(self.grads.len - 2);
-        for (t, &v) in top.view_mut().iter_mut().zip(below.view()) {
-            *t += v;
-        }
+        add(top.view_mut(), below.view());
         self.grads.drop_below();
     }
 
@@ -314,21 +311,38 @@ impl Workspace {
     }
 }
 
+/// `dst = src`, split over the kernel pool when large.
+fn copy(dst: &mut [f32], src: &[f32]) {
+    zip_map(dst, [src], |d, [s]| d.copy_from_slice(s));
+}
+
+/// `dst += src`, elementwise, split over the kernel pool when large.
+fn add(dst: &mut [f32], src: &[f32]) {
+    zip_map(dst, [src], |d, [s]| {
+        for (d, &s) in d.iter_mut().zip(s) {
+            *d += s;
+        }
+    });
+}
+
 /// Calls `f(channel group g of an item of all, that item of part)` for
-/// every batch item, where `all` has `groups` times `part`'s channels.
+/// every batch item, where `all` has `groups` times `part`'s channels;
+/// one item per share of the kernel pool when `part` is large.
 fn for_each_group(
     all: &mut Buf,
     part: &mut Buf,
     groups: usize,
     g: usize,
-    mut f: impl FnMut(&mut [f32], &mut [f32]),
+    f: impl Fn(&mut [f32], &mut [f32]) + Sync,
 ) {
     let [_, c, h, w] = part.shape;
     let per = c * h * w;
+    let part = part.view_mut();
+    let split = pool::splits(part.len());
     let items = all.view_mut().chunks_exact_mut(groups * per);
-    for (a, p) in items.zip(part.view_mut().chunks_exact_mut(per)) {
+    pool::for_each(split, items.zip(part.chunks_exact_mut(per)), |(a, p)| {
         f(&mut a[g * per..][..per], p);
-    }
+    });
 }
 
 thread_local! {

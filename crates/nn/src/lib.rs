@@ -35,6 +35,7 @@
 #![deny(unsafe_code)]
 
 mod error;
+mod pool;
 #[allow(unsafe_code)] // the lane intrinsics; see the module docs
 mod simd;
 mod tensor;

@@ -18,7 +18,9 @@
 //! expression it stands for, so each output element is bit-identical
 //! whichever implementation computes it.
 //!
-//! All of the crate's `unsafe` lives in this module.
+//! All of the crate's `unsafe` lives in this module, apart from the one
+//! lifetime erasure that lets the kernel pool's helpers borrow a split's
+//! job (`crate::pool`).
 
 /// A fixed number of `f32` lanes. Every op is lane-wise, works in place
 /// (large arrays then stay loop-vectorized instead of being copied by

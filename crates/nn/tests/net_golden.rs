@@ -13,7 +13,8 @@
 //! and non-trivial running statistics; it was recorded from the network
 //! whose layers cached their inputs and allocated every activation. Any
 //! rewrite of the network or its kernels must reproduce both bit for bit,
-//! at every matmul thread count.
+//! at every matmul thread count, and when two passes share the kernel
+//! pool at once.
 
 use rlnoc_nn::optim::Adam;
 use rlnoc_nn::{kernels, PolicyValueConfig, PolicyValueNet, Tensor};
@@ -112,6 +113,31 @@ fn training_and_inference_match_golden_digests() {
                     ));
                 }
             }
+        }
+    }
+    // Two passes at once at matmul 2: one of them holds the kernel pool,
+    // so the other finds it busy and runs its splits inline. Both must
+    // still match the pins.
+    kernels::set_matmul_threads(2);
+    let &(name, n, batch, want_training, want_inference) = CASES
+        .iter()
+        .find(|c| (c.0, c.1, c.2) == ("small", 8, 45))
+        .expect("a small(8) batch-45 pin");
+    let concurrent = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| scope.spawn(move || digests(PolicyValueConfig::small(n), batch)))
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("concurrent digest"))
+            .collect::<Vec<_>>()
+    });
+    for (i, &got) in concurrent.iter().enumerate() {
+        if got != (want_training, want_inference) {
+            failures.push(format!(
+                "{name}({n}), batch {batch}, 2 threads, concurrent run {i}: \
+                 {got:x?} (want {:x?})",
+                (want_training, want_inference)
+            ));
         }
     }
     kernels::set_matmul_threads(previous);
