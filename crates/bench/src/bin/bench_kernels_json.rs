@@ -12,6 +12,9 @@
 //! only adds on top and would make runs incomparable across hosts. The one
 //! exception is a row at the two matmul threads the `learn-8x8` benchmark
 //! workload uses, so a regression of the threaded path shows up here too.
+//! The `train_pass_layers` rows split the 8x8 learner's training pass into
+//! its layers at matmul 1 and 2, as the nn probes report them to a
+//! telemetry sink.
 //!
 //! Usage: `bench_kernels_json [out_path]` (default `BENCH_kernels.json`).
 
@@ -119,6 +122,49 @@ fn peak_mul_add_gmacs() -> f64 {
         })
         .fold(f64::INFINITY, f64::min);
     macs as f64 / best * 1e-9
+}
+
+/// The nn probes a training pass's layer rows read: `(row, probe)`.
+const LAYER_PROBES: [(&str, &str); 5] = [
+    ("conv_fwd", "nn.conv_fwd_us"),
+    ("conv_wgrad", "nn.conv_wgrad_us"),
+    ("conv_igrad", "nn.conv_igrad_us"),
+    ("batchnorm", "nn.bn_us"),
+    ("linear", "nn.linear_us"),
+];
+
+/// Milliseconds per pass of each [`LAYER_PROBES`] layer over `pass`
+/// calls, then of everything else the pass's forward and backward probes
+/// (`nn.forward_us`, `nn.backward_us`) cover, then of the whole pass:
+/// all read from a telemetry sink, each the best of five rounds of five
+/// passes.
+fn layer_ms(mut pass: impl FnMut()) -> [f64; LAYER_PROBES.len() + 2] {
+    const PASSES: u64 = 5;
+    let mut best = [f64::INFINITY; LAYER_PROBES.len() + 2];
+    pass();
+    for _ in 0..5 {
+        let sink = TelemetrySink::enabled();
+        {
+            let _probes = rlnoc_nn::instrument::install_scoped(sink.recorder("bench"));
+            for _ in 0..PASSES {
+                pass();
+            }
+        }
+        let ms = |name| {
+            sink.hist_total(name)
+                .map_or(0.0, |h| h.sum() as f64 / PASSES as f64 * 1e-3)
+        };
+        let layers = LAYER_PROBES.map(|(_, probe)| ms(probe));
+        let whole = ms("nn.forward_us") + ms("nn.backward_us");
+        let other = whole - layers.iter().sum::<f64>();
+        for (b, v) in best
+            .iter_mut()
+            .zip(layers.into_iter().chain([other, whole]))
+        {
+            *b = b.min(v);
+        }
+    }
+    best
 }
 
 fn wave(len: usize, step: f32) -> Vec<f32> {
@@ -297,8 +343,10 @@ fn main() {
         }
     }
     // One training pass of the small network on a 45-state batch, serial;
-    // at 8x8 also at the two matmul threads the `learn-8x8` benchmark uses.
+    // at 8x8 also at the two matmul threads the `learn-8x8` benchmark uses,
+    // and at 8x8 its time per layer from the nn probes.
     let mut train_rows = String::new();
+    let mut layer_rows = String::new();
     for (grid_n, threads) in [(4usize, 1usize), (8, 1), (8, 2)] {
         rlnoc_nn::kernels::set_matmul_threads(threads);
         let mut net = PolicyValueNet::new(PolicyValueConfig::small(grid_n), 1);
@@ -306,7 +354,7 @@ fn main() {
         let batch = 45;
         let states = Tensor::from_vec(wave(batch * side * side, 0.17), &[batch, 1, side, side])
             .expect("state batch data sized batch*side*side");
-        let secs = time_secs(|| {
+        let mut pass = || {
             net.train_pass(black_box(&states), |out, grad| {
                 grad.coord_logits
                     .copy_from_slice(out.coord_logits.as_slice());
@@ -314,7 +362,21 @@ fn main() {
                 grad.value.copy_from_slice(out.value.as_slice());
             });
             net.zero_grad();
-        });
+        };
+        let secs = time_secs(&mut pass);
+        if grid_n == 8 {
+            let names = LAYER_PROBES.map(|(row, _)| row).into_iter();
+            let rows = names.chain(["other", "pass"]).zip(layer_ms(&mut pass));
+            let rows: Vec<String> = rows
+                .map(|(row, ms)| format!("\"{row}_ms\": {ms:.3}"))
+                .collect();
+            let _ = write!(
+                layer_rows,
+                "{}\n    \"small_8x8_batch{batch}_matmul{threads}\": {{ {} }}",
+                if layer_rows.is_empty() { "" } else { "," },
+                rows.join(", ")
+            );
+        }
         let suffix = if threads == 1 {
             String::new()
         } else {
@@ -364,6 +426,8 @@ fn main() {
     "paper_8x8_speedup_vs_naive": {:.2}
   }},
   "learner_shapes": {{{gemm_rows}{conv_rows}{train_rows}
+  }},
+  "train_pass_layers": {{{layer_rows}
   }},
   "conv_kernels": {{
     "threads": 1,
