@@ -42,23 +42,20 @@
 //! The convolution kernels build no im2col matrix. `conv_same_direct`
 //! (forward) and `conv_wgrad_direct` (weight gradient) read each tap's
 //! pixels in place from a zero-padded copy of one batch item;
-//! `conv_igrad_gather` (input gradient) gathers each input pixel's taps
+//! `conv_igrad_direct` (input gradient) gathers each input pixel's taps
 //! from a row-padded copy of its output gradient. Each keeps, element by
 //! element, the operation order of the im2col-plus-[`gemm`] pass it
 //! replaces, so each is bit-identical to it.
 //!
 //! The forward and the input gradient run on the lane vectors of
 //! `crate::simd`, whose `Lane` is one register of the build's widest
-//! vector unit: 16 lanes with `avx512f`, 8 otherwise. Their register tiles
-//! follow it:
-//!
-//! - the forward tile is 8 output channels by 16 pixels (eight 512-bit
-//!   accumulators) with `avx512f`, and 4 channels by 8 pixels otherwise,
-//!   which fits the 16 vector registers of x86-64 without AVX-512;
-//! - the input gradient keeps eight `Lane`s of sums in flight, so each tap
-//!   runs eight independent channel sums: eight `Lane`s of one row, four
-//!   of two rows, two of four rows or one of eight rows, the widest that
-//!   fits the image.
+//! vector unit: 16 lanes with `avx512f`, 8 otherwise. Both use one register
+//! tile, `CONV_MR` channels by one `Lane` of pixels: 8 channels by 16
+//! pixels (eight 512-bit accumulators) with `avx512f`, and 4 channels by 8
+//! pixels otherwise, which fits the 16 vector registers of x86-64 without
+//! AVX-512. The forward's channels are output channels, summed over the
+//! taps; the input gradient's are input channels, and each output
+//! channel's `grad_out` vector is loaded once per tap for all of them.
 //!
 //! Both are one algorithm on every target: only the tile constants and the
 //! lane type change, never the order of any element's operations, so every
@@ -418,11 +415,12 @@ fn fold_block(sums: &mut [f32], block: &[f32], first: bool) {
     }
 }
 
-/// Output channels per register tile of [`conv_same_direct`]. With
-/// `avx512f` the tile is 8 channels by one 16-lane [`Lane`]: eight of
-/// the 32 512-bit registers, the rest left for the tap's pixels and the
-/// weight broadcasts. Without it the tile is 4 by 8 lanes, which fits
-/// x86-64's 16 registers; an 8×16 tile spills there.
+/// Output channels per register tile of [`conv_same_direct`], and input
+/// channels per tile of [`conv_igrad_direct`]. With `avx512f` the tile is
+/// 8 channels by one 16-lane [`Lane`]: eight of the 32 512-bit registers,
+/// the rest left for the tap's pixels and the weight broadcasts. Without
+/// it the tile is 4 by 8 lanes, which fits x86-64's 16 registers; an
+/// 8×16 tile spills there.
 const CONV_MR: usize = if cfg!(target_feature = "avx512f") {
     8
 } else {
@@ -567,6 +565,21 @@ pub(crate) fn pack_conv_grad<'g>(
     gt
 }
 
+/// The bias gradient of one batch item, `gb[oc] = Σ_q grad_out[oc, q]`,
+/// from the [`pack_conv_grad`] rows `gt`: each channel summed in pixel
+/// order from `-0.0`, where `Iterator::sum` starts, so the result equals
+/// `grad_out[oc].iter().sum()` bit for bit. The `NR` channels of a row
+/// run side by side as independent chains.
+pub(crate) fn conv_bias_grad(gt: &[f32], hw: usize, gb: &mut [f32]) {
+    for (gb, gt) in gb.chunks_mut(NR).zip(gt.chunks_exact(hw * NR)) {
+        let mut sums = [-0.0f32; NR];
+        for row in gt.as_chunks::<NR>().0 {
+            sums.add(row);
+        }
+        gb.copy_from_slice(&sums[..gb.len()]);
+    }
+}
+
 /// The weight gradient of one batch item of a stride-1 same-padding
 /// convolution, without an im2col matrix:
 /// `gw[oc, p] = Σ_q grad_out[oc, q] · xp[offs[p] + oy·wp + ox]` over the
@@ -645,38 +658,71 @@ fn wgrad_segment(mut acc: [[f32; NR]; WT], go: &[[f32; NR]], xs: [&[f32]; WT]) -
     acc
 }
 
+/// Packs a convolution's weight matrix `w` (`[out_c, c·k²]`) for
+/// [`conv_igrad_direct`] into `packed`: for each tile of `CONV_MR` input
+/// channels, each tap `(ky, kx)` and each output channel, the tile's
+/// `CONV_MR` weights side by side, zero for channels past `c`. Done once
+/// per pass and shared by every batch item.
+pub(crate) fn pack_igrad_weights<'p>(
+    w: &[f32],
+    out_c: usize,
+    c: usize,
+    k: usize,
+    packed: &'p mut Vec<f32>,
+) -> &'p [[f32; CONV_MR]] {
+    let taps = k * k;
+    debug_assert_eq!(w.len(), out_c * c * taps);
+    let packed = scratch(packed, c.div_ceil(CONV_MR) * taps * out_c * CONV_MR);
+    let packed = packed.as_chunks_mut::<CONV_MR>().0;
+    for (i, tile) in packed.chunks_exact_mut(taps * out_c).enumerate() {
+        for (tap, per_oc) in tile.chunks_exact_mut(out_c).enumerate() {
+            for (oc, dst) in per_oc.iter_mut().enumerate() {
+                let row = &w[oc * c * taps..][..c * taps];
+                *dst = std::array::from_fn(|j| {
+                    let ic = i * CONV_MR + j;
+                    if ic < c {
+                        row[ic * taps + tap]
+                    } else {
+                        0.0
+                    }
+                });
+            }
+        }
+    }
+    packed
+}
+
 /// The input gradient of one batch item of a stride-1 same-padding
 /// convolution, gathered per input pixel instead of scattered per tap:
 /// `gx[ic, iy, ix] = Σ_(ky, kx) Σ_oc W[oc, p] · grad_out[oc, oy, ox]` with
 /// `p = (ic, ky, kx)`, `oy = iy + pad − ky` and `ox = ix + pad − kx`,
 /// overwriting `gx` (`[c, h, w]`).
 ///
-/// `gop` is the item's `grad_out` padded horizontally to rows of
-/// `wq = w + 2·pad` (`[out_c, h, wq]`, `pad` zeros on each side). The
-/// output channels form `groups` equal groups, one per convolution the
-/// pass stands for. Each group's sum starts from `0.0` and takes the taps
-/// in ascending `(ky, kx)` order, adding a tap's
-/// `t = Σ_oc W[oc, p] · grad_out[…]` (over the group's channels in `KC`
-/// blocks, as [`gemm`]`(true, false, kdim, out_c, hw, …)` forms it) only
-/// where the tap's source pixel lies in the image: exactly what col2im of
-/// that GEMM's output adds, in its order. The groups' sums are then
-/// combined left to right, `(g₀ + g₁) + g₂ …`, as separate input
-/// gradients added with [`crate::Tensor::add`] would be.
+/// `packed` comes from [`pack_igrad_weights`]. `gop` is the item's
+/// `grad_out` padded horizontally to rows of `wq = w + 2·pad`
+/// (`[out_c, h, wq]`, `pad` zeros on each side). The output channels form
+/// `groups` equal groups, one per convolution the pass stands for. Each
+/// group's sum starts from `0.0` and takes the taps in ascending
+/// `(ky, kx)` order, adding a tap's `t = Σ_oc W[oc, p] · grad_out[…]`
+/// (over the group's channels in `KC` blocks, as
+/// [`gemm`]`(true, false, kdim, out_c, hw, …)` forms it) only where the
+/// tap's source pixel lies in the image: exactly what col2im of that
+/// GEMM's output adds, in its order. The groups' sums are then combined
+/// left to right, `(g₀ + g₁) + g₂ …`, as separate input gradients added
+/// with [`crate::Tensor::add`] would be.
 ///
-/// Pixels go in chunks along `x` and blocks of rows along `y` that keep
-/// eight [`Lane`]s of sums in flight, so each tap runs eight independent
-/// channel sums: chunks of eight `Lane`s in one row, of four in two rows,
-/// of two in four rows or of one in eight rows, the widest chunk that fits
-/// `w`; images narrower than a `Lane` take 8- or 1-lane chunks of one
-/// row. Each row of a block sums its taps on its own. A tap whose source
-/// row lies outside the image is skipped for that row; lanes whose source
-/// column does are kept out by a masked add, never by adding a product of
-/// the padding, so a non-finite weight cannot turn a skipped zero into
-/// `NaN`. A last chunk that overlaps the one before recomputes the same
-/// values.
+/// The register tile is the forward's turned around: `CONV_MR` *input*
+/// channels by one vector of one row, a [`Lane`] or, for images narrower
+/// than one, eight lanes or a single lane. Each tap loads an output
+/// channel's `grad_out` vector once and multiplies it by the tile's
+/// `CONV_MR` broadcast weights. A tap whose source row lies outside the
+/// image is skipped; lanes whose source column does are kept out by a
+/// masked add, never by adding a product of the padding, so a non-finite
+/// weight cannot turn a skipped zero into `NaN`. A last vector that
+/// overlaps the one before recomputes the same values.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv_igrad_gather(
-    wd: &[f32],
+pub(crate) fn conv_igrad_direct(
+    packed: &[[f32; CONV_MR]],
     out_c: usize,
     groups: usize,
     gop: &[f32],
@@ -686,154 +732,106 @@ pub(crate) fn conv_igrad_gather(
     k: usize,
     gx: &mut [f32],
 ) {
-    let d = Gather {
-        wd,
-        out_c,
-        groups,
-        gop,
-        c,
-        h,
-        w,
-        k,
+    debug_assert_eq!(out_c % groups, 0);
+    debug_assert_eq!(packed.len(), c.div_ceil(CONV_MR) * k * k * out_c);
+    debug_assert_eq!(gop.len(), out_c * h * (w + k - 1));
+    debug_assert_eq!(gx.len(), c * h * w);
+    let run = match w {
+        w if w >= Lane::LANES => igrad_tiles::<Lane>,
+        w if w >= 8 => igrad_tiles::<simd::Lane8>,
+        _ => igrad_tiles::<[f32; 1]>,
     };
-    match w {
-        w if w >= 8 * Lane::LANES => d.run::<[Lane; 8], 1>(gx),
-        w if w >= 4 * Lane::LANES => d.run::<[Lane; 4], 2>(gx),
-        w if w >= 2 * Lane::LANES => d.run::<[Lane; 2], 4>(gx),
-        w if w >= Lane::LANES => d.run::<[Lane; 1], 8>(gx),
-        w if w >= 8 => d.run::<simd::Lane8, 1>(gx),
-        _ => d.run::<[f32; 1], 1>(gx),
-    }
+    run(packed, out_c, out_c / groups, gop, c, h, w, k, gx);
 }
 
-/// The operands of one [`conv_igrad_gather`].
-#[derive(Clone, Copy)]
-struct Gather<'a> {
-    wd: &'a [f32],
+/// [`conv_igrad_direct`] in tiles of `CONV_MR` input channels by one `V`
+/// (`w ≥ V::LANES`), with `per_group` output channels in each group.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn igrad_tiles<V: Vector>(
+    packed: &[[f32; CONV_MR]],
     out_c: usize,
-    groups: usize,
-    gop: &'a [f32],
+    per_group: usize,
+    gop: &[f32],
     c: usize,
     h: usize,
     w: usize,
     k: usize,
-}
-
-impl Gather<'_> {
-    /// The whole gather in chunks of `V` (`w ≥ V::LANES`), in blocks of
-    /// `R` rows and a remainder of single rows.
-    #[inline(always)]
-    fn run<V: Vector, const R: usize>(self, gx: &mut [f32]) {
-        let Gather { c, h, w, k, .. } = self;
-        let hw = h * w;
-        debug_assert_eq!(self.out_c % self.groups, 0);
-        debug_assert_eq!(self.wd.len(), self.out_c * c * k * k);
-        debug_assert_eq!(self.gop.len(), self.out_c * h * (w + k - 1));
-        debug_assert_eq!(gx.len(), c * hw);
-        let blocked = h - h % R;
-        for ic in 0..c {
+    gx: &mut [f32],
+) {
+    let (pad, wq, taps) = (k / 2, w + k - 1, k * k);
+    let (hw, plane) = (h * w, h * wq);
+    for (tile, tile_w) in packed.chunks_exact(taps * out_c).enumerate() {
+        let ic0 = tile * CONV_MR;
+        let chans = CONV_MR.min(c - ic0);
+        for iy in 0..h {
             let mut done = 0;
             while done < w {
                 let ix0 = done.min(w - V::LANES);
-                for iy0 in (0..blocked).step_by(R) {
-                    let sums = self.block::<V, R>(ic, iy0, ix0);
-                    for (r, sums) in sums.iter().enumerate() {
-                        sums.store(&mut gx[ic * hw + (iy0 + r) * w + ix0..]);
+                for g0 in (0..out_c).step_by(per_group) {
+                    let group_end = g0 + per_group;
+                    let mut acc = [V::splat(0.0); CONV_MR];
+                    for ky in 0..k {
+                        let Some(oy) = (iy + pad).checked_sub(ky).filter(|&oy| oy < h) else {
+                            continue;
+                        };
+                        for kx in 0..k {
+                            let tap_w = &tile_w[(ky * k + kx) * out_c..][..out_c];
+                            let at = oy * wq + ix0 + 2 * pad - kx;
+                            let block = |oc0: usize| {
+                                let ocs = oc0..group_end.min(oc0 + KC);
+                                igrad_tap::<V>(&tap_w[ocs.clone()], &gop[oc0 * plane + at..], plane)
+                            };
+                            let mut t = block(g0);
+                            for oc0 in (g0 + KC..group_end).step_by(KC) {
+                                t.add(&block(oc0));
+                            }
+                            // Lane l reads source column ix0 + l + pad - kx,
+                            // in the image for l in lo..hi.
+                            let lo = kx.saturating_sub(ix0 + pad);
+                            let hi = (w + kx).saturating_sub(ix0 + pad).min(V::LANES);
+                            if lo == 0 && hi == V::LANES {
+                                acc.add(&t);
+                            } else {
+                                for (a, t) in acc.iter_mut().zip(&t) {
+                                    a.add_lanes(t, lo, hi);
+                                }
+                            }
+                        }
                     }
-                }
-                for iy in blocked..h {
-                    let [sums] = self.block::<V, 1>(ic, iy, ix0);
-                    sums.store(&mut gx[ic * hw + iy * w + ix0..]);
+                    // The groups fold into `gx` left to right.
+                    for (i, a) in acc.iter().enumerate().take(chans) {
+                        let dst = &mut gx[(ic0 + i) * hw + iy * w + ix0..];
+                        if g0 == 0 {
+                            a.store(dst);
+                        } else {
+                            let mut total = V::load(dst);
+                            total.add(a);
+                            total.store(dst);
+                        }
+                    }
                 }
                 done = ix0 + V::LANES;
             }
         }
     }
-
-    /// Input channel `ic`'s gradient at the `V::LANES` pixels from `ix0` of
-    /// rows `iy0..iy0 + R`, each row's groups combined left to right.
-    #[inline(always)]
-    fn block<V: Vector, const R: usize>(self, ic: usize, iy0: usize, ix0: usize) -> [V; R] {
-        let Gather {
-            wd,
-            out_c,
-            groups,
-            gop,
-            c,
-            h,
-            w,
-            k,
-        } = self;
-        let (pad, wq, kdim) = (k / 2, w + k - 1, c * k * k);
-        let per_group = out_c / groups;
-        let mut total = [V::splat(0.0); R];
-        for g in 0..groups {
-            let group = g * per_group..(g + 1) * per_group;
-            let mut acc = [V::splat(0.0); R];
-            for ky in 0..k {
-                // Row r's source row oy = iy0 + r + pad - ky must lie in the
-                // image. Rows where it does not read row 0 and drop the sums.
-                let rows: [Option<usize>; R] =
-                    std::array::from_fn(|r| (iy0 + r + pad).checked_sub(ky).filter(|&oy| oy < h));
-                if rows.iter().all(Option::is_none) {
-                    continue;
-                }
-                for kx in 0..k {
-                    let p = (ic * k + ky) * k + kx;
-                    // Lane l reads source column ix0 + l + pad - kx, in
-                    // the image for l in lo..hi.
-                    let lo = kx.saturating_sub(ix0 + pad);
-                    let hi = (w + kx).saturating_sub(ix0 + pad).min(V::LANES);
-                    let ats = rows.map(|oy| oy.unwrap_or(0) * wq + ix0 + 2 * pad - kx);
-                    let mut blocks = group.clone().step_by(KC).map(|oc0| {
-                        let ocs = oc0..group.end.min(oc0 + KC);
-                        tap_dots::<V, R>(wd, kdim, gop, h * wq, &ats, p, ocs)
-                    });
-                    let mut t = blocks.next().expect("groups are not empty");
-                    blocks.for_each(|s| t.add(&s));
-                    for ((a, t), row) in acc.iter_mut().zip(&t).zip(&rows) {
-                        if row.is_none() {
-                            continue;
-                        }
-                        if lo == 0 && hi == V::LANES {
-                            a.add(t);
-                        } else {
-                            a.add_lanes(t, lo, hi);
-                        }
-                    }
-                }
-            }
-            if g == 0 {
-                total = acc;
-            } else {
-                total.add(&acc);
-            }
-        }
-        total
-    }
 }
 
-/// One tap's sums over output channels `ocs` for `R` rows of `V::LANES`
-/// lanes, each from `0.0` in channel order:
-/// `Σ_oc wd[oc·kdim + p] · gop[oc·plane + ats[r] + l]`.
+/// One tap's sums for the tile's `CONV_MR` input channels over the output
+/// channels whose weights are `ws`, each from `0.0` in channel order:
+/// `Σ_oc ws[oc][i] · gs[oc·plane + l]`.
 #[inline(always)]
-fn tap_dots<V: Vector, const R: usize>(
-    wd: &[f32],
-    kdim: usize,
-    gop: &[f32],
-    plane: usize,
-    ats: &[usize; R],
-    p: usize,
-    ocs: std::ops::Range<usize>,
-) -> [V; R] {
-    let mut s = [V::splat(0.0); R];
-    for oc in ocs {
-        let wv = wd[oc * kdim + p];
-        for (s, &at) in s.iter_mut().zip(ats) {
-            s.add_scaled(wv, &gop[oc * plane + at..]);
+fn igrad_tap<V: Vector>(ws: &[[f32; CONV_MR]], gs: &[f32], plane: usize) -> [V; CONV_MR] {
+    let mut t = [V::splat(0.0); CONV_MR];
+    for (oc, wv) in ws.iter().enumerate() {
+        let g = V::load(&gs[oc * plane..]);
+        for (t, &wi) in t.iter_mut().zip(wv) {
+            let mut product = V::splat(wi);
+            product.mul(&g);
+            t.add(&product);
         }
     }
-    s
+    t
 }
 
 /// Runs 16 independent chains of `x = x × m + a` on the build's widest

@@ -12,10 +12,11 @@ use crate::{kernels, pool, Tensor};
 /// normalized input `x̂ = (x − mean)·inv_std` from its input with the
 /// forward's expression, so it reads the same bits the forward wrote.
 ///
-/// A large pass splits over the kernel pool: its per-channel sums one
-/// channel per share, each in batch-then-pixel order, and its
-/// elementwise normalize and input gradient one batch item per share. So
-/// every value is the same at any thread count.
+/// A large pass splits over the kernel pool: its statistics four channels
+/// per share (summed side by side on the share's thread), its backward
+/// sums one channel per share, each channel in batch-then-pixel order,
+/// and its elementwise normalize and input gradient one batch item per
+/// share. So every value is the same at any thread count.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
@@ -25,6 +26,9 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
 }
+
+/// Channels whose forward statistics one share sums side by side.
+const SUM_GROUP: usize = 4;
 
 impl BatchNorm2d {
     /// Creates a batch-norm layer for `channels` feature maps.
@@ -65,19 +69,28 @@ impl Layer for BatchNorm2d {
         io.saved.resize(kept + 2 * c, 0.0);
         let stats = &mut io.saved[kept..];
         if train {
-            // The channel's sum and sum of squares, batch then pixel order.
-            let channels = stats.chunks_exact_mut(2).enumerate();
-            pool::for_each(split, channels, |(ch, s)| {
-                let mut sum = 0.0f32;
-                let mut sq = 0.0f32;
+            // Each channel's sum and sum of squares, batch then pixel
+            // order, for `SUM_GROUP` channels side by side: their chains
+            // overlap instead of each waiting on its own `add`. Channels
+            // past `c` alias the group's last one; their sums are dropped.
+            let groups = stats.chunks_mut(2 * SUM_GROUP).enumerate();
+            pool::for_each(split, groups, |(g, s)| {
+                let last = s.len() / 2 - 1;
+                let mut acc = [[0.0f32; 2]; SUM_GROUP];
                 for b in 0..n {
-                    let base = ((b * c) + ch) * plane;
-                    for &v in &xd[base..base + plane] {
-                        sum += v;
-                        sq += v * v;
+                    let planes: [&[f32]; SUM_GROUP] = std::array::from_fn(|j| {
+                        let ch = g * SUM_GROUP + j.min(last);
+                        &xd[(b * c + ch) * plane..][..plane]
+                    });
+                    for q in 0..plane {
+                        for (a, p) in acc.iter_mut().zip(&planes) {
+                            let v = p[q];
+                            a[0] += v;
+                            a[1] += v * v;
+                        }
                     }
                 }
-                s.copy_from_slice(&[sum, sq]);
+                s.copy_from_slice(&acc.as_flattened()[..s.len()]);
             });
         }
         for (ch, s) in stats.chunks_exact_mut(2).enumerate() {
@@ -241,6 +254,38 @@ mod tests {
             false,
         );
         assert!(y[0].abs() < 0.1);
+    }
+
+    #[test]
+    fn statistics_keep_each_channels_order() {
+        // A whole group of `SUM_GROUP` channels and a ragged one.
+        let (n, c, plane) = (3, SUM_GROUP + 1, 7);
+        let data = (0..n * c * plane).map(|v| (v as f32 * 0.37).sin() * 3.0);
+        let x = Tensor::from_vec(data.collect(), &[n, c, 1, plane]).unwrap();
+        let mut bn = BatchNorm2d::new(c);
+        run(&mut bn, &x, true);
+        let m = (n * plane) as f32;
+        for ch in 0..c {
+            let (mut sum, mut sq) = (0.0f32, 0.0f32);
+            for b in 0..n {
+                for &v in &x.as_slice()[(b * c + ch) * plane..][..plane] {
+                    sum += v;
+                    sq += v * v;
+                }
+            }
+            let mean = sum / m;
+            let var = (sq / m - mean * mean).max(0.0);
+            let want = [
+                (1.0 - 0.1f32) * 0.0 + 0.1 * mean,
+                (1.0 - 0.1f32) * 1.0 + 0.1 * var,
+            ];
+            let got = [bn.running_mean[ch], bn.running_var[ch]];
+            assert_eq!(
+                got.map(f32::to_bits),
+                want.map(f32::to_bits),
+                "channel {ch}"
+            );
+        }
     }
 
     #[test]

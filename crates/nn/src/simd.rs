@@ -30,12 +30,22 @@ pub(crate) trait Vector: Copy {
     const LANES: usize;
     /// Every lane `v`.
     fn splat(v: f32) -> Self;
+    /// The first [`Self::LANES`] values of `src`.
+    ///
+    /// # Panics
+    /// Panics if `src` is shorter.
+    fn load(src: &[f32]) -> Self;
     /// `self += w × src`, over the first [`Self::LANES`] values of `src`:
     /// a `mul` then an `add`, never fused.
     ///
     /// # Panics
     /// Panics if `src` is shorter.
-    fn add_scaled(&mut self, w: f32, src: &[f32]);
+    #[inline(always)]
+    fn add_scaled(&mut self, w: f32, src: &[f32]) {
+        let mut product = Self::splat(w);
+        product.mul(&Self::load(src));
+        self.add(&product);
+    }
     /// `self += o`.
     fn add(&mut self, o: &Self);
     /// `self ×= o`.
@@ -58,11 +68,8 @@ impl<const N: usize> Vector for [f32; N] {
     }
 
     #[inline(always)]
-    fn add_scaled(&mut self, w: f32, src: &[f32]) {
-        let src = src.first_chunk::<N>().expect("source holds every lane");
-        for (a, &x) in self.iter_mut().zip(src) {
-            *a += w * x;
-        }
+    fn load(src: &[f32]) -> Self {
+        *src.first_chunk::<N>().expect("source holds every lane")
     }
 
     #[inline(always)]
@@ -110,11 +117,9 @@ impl<T: Vector, const V: usize> Vector for [T; V] {
     }
 
     #[inline(always)]
-    fn add_scaled(&mut self, w: f32, src: &[f32]) {
+    fn load(src: &[f32]) -> Self {
         let src = &src[..Self::LANES];
-        for (a, src) in self.iter_mut().zip(src.chunks_exact(T::LANES)) {
-            a.add_scaled(w, src);
-        }
+        std::array::from_fn(|v| T::load(&src[v * T::LANES..]))
     }
 
     #[inline(always)]
@@ -221,10 +226,11 @@ mod avx512 {
         }
 
         #[inline(always)]
-        fn add_scaled(&mut self, w: f32, src: &[f32]) {
-            let mut product = F32x16::splat(w);
-            product.mul(&load(src.first_chunk().expect("source holds every lane")));
-            self.add(&product);
+        fn load(src: &[f32]) -> Self {
+            let src: &[f32; 16] = src.first_chunk().expect("source holds every lane");
+            // SAFETY: `avx512f` is enabled for the whole build, and `src`
+            // holds the 16 values read.
+            F32x16(unsafe { _mm512_loadu_ps(src.as_ptr()) })
         }
 
         #[inline(always)]
@@ -255,14 +261,6 @@ mod avx512 {
             unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), self.0) }
         }
     }
-
-    /// The 16 values of `src` in one register.
-    #[inline(always)]
-    fn load(src: &[f32; 16]) -> F32x16 {
-        // SAFETY: `avx512f` is enabled for the whole build, and `src` holds
-        // the 16 values read.
-        F32x16(unsafe { _mm512_loadu_ps(src.as_ptr()) })
-    }
 }
 
 #[cfg(target_feature = "avx")]
@@ -288,13 +286,11 @@ mod avx {
         }
 
         #[inline(always)]
-        fn add_scaled(&mut self, w: f32, src: &[f32]) {
+        fn load(src: &[f32]) -> Self {
             let src: &[f32; 8] = src.first_chunk().expect("source holds every lane");
             // SAFETY: `avx` is enabled for the whole build, and `src` holds
             // the 8 values read.
-            let mut product = F32x8::splat(w);
-            product.mul(&F32x8(unsafe { _mm256_loadu_ps(src.as_ptr()) }));
-            self.add(&product);
+            F32x8(unsafe { _mm256_loadu_ps(src.as_ptr()) })
         }
 
         #[inline(always)]
@@ -357,6 +353,7 @@ mod tests {
         let want = |f: &dyn Fn(usize) -> f32| (0..n).map(|l| f(l).to_bits()).collect::<Vec<_>>();
         let x_at = |l: usize| 0.5 + 1.5 * xs[l];
         let y_at = |l: usize| -2.0 + 0.25 * ys[l];
+        assert_eq!(bits(&V::load(&xs)), want(&|l| xs[l]));
         let mut x = V::splat(0.5);
         x.add_scaled(1.5, &xs);
         let mut y = V::splat(-2.0);

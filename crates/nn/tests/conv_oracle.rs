@@ -116,9 +116,10 @@ fn assert_same_bits(got: &Pass, want: &Pass, what: &str) {
 ///
 /// The last rows cover the edges of the widest tiles: a partial 8-row
 /// output-channel tile (`out_c` 5, 7, 9, 11, 13, 15), a ragged or
-/// overlapping last 16-lane chunk (`w` 17, 19, 24, 31, 33, 40, 63, 70)
-/// and the remainder of the input gradient's 2-, 4- and 8-row blocks
-/// (`h` 2, 3, 5, 6, 7, 9, 13), or an image shorter than one block.
+/// overlapping last 16-lane vector (`w` 17, 19, 24, 31, 33, 40, 63, 70),
+/// and a partial second (8-channel tiles) or last (4-channel tiles)
+/// input-channel tile of the input gradient (`in_c` 12 and 13, at `w` 16
+/// and 33).
 const CASES: &[(usize, usize, usize, usize, usize, usize)] = &[
     (1, 1, 1, 1, 4, 4),
     (2, 2, 2, 3, 6, 7),
@@ -140,6 +141,10 @@ const CASES: &[(usize, usize, usize, usize, usize, usize)] = &[
     (2, 8, 15, 3, 6, 31),
     (1, 2, 3, 1, 9, 33),
     (2, 3, 9, 3, 5, 70),
+    (2, 12, 8, 3, 16, 16),
+    (1, 12, 5, 3, 3, 33),
+    (2, 13, 6, 3, 5, 16),
+    (1, 13, 9, 5, 4, 33),
 ];
 
 #[test]
@@ -180,8 +185,9 @@ fn conv_matches_im2col_oracle_bit_for_bit() {
 /// learners' heads (at batch 45 and, to keep unoptimised test builds
 /// quick, 5), a ragged `w`, a reduction deeper than `KC` in the weight
 /// gradient's `kdim`, and an image narrower than the kernel. The first
-/// four split the batch at 2 and 3 threads. The last three put the NaN
-/// head weight in a ragged 16-lane chunk and a partial row block.
+/// four split the batch at 2 and 3 threads. The next three put the NaN
+/// head weight in a ragged 16-lane vector, and the last in a partial
+/// input-channel tile.
 const HEAD_CASES: &[(usize, usize, usize, usize, usize)] = &[
     (45, 8, 3, 16, 16),
     (5, 8, 3, 64, 64),
@@ -191,6 +197,7 @@ const HEAD_CASES: &[(usize, usize, usize, usize, usize)] = &[
     (2, 8, 3, 6, 24),
     (1, 4, 3, 3, 40),
     (2, 2, 5, 5, 19),
+    (2, 12, 3, 5, 33),
 ];
 
 /// `ConvHeads` against three separate `Conv2d`s with the same parameters:
@@ -278,6 +285,25 @@ fn heads_match_separate_convs_bit_for_bit() {
     kernels::set_matmul_threads(previous);
 }
 
+/// An output-gradient plane of `-0.0` sums to `-0.0`, as `Iterator::sum`
+/// starts from it: the bias gradient must start each channel's sum there
+/// too, or a `-0.0` gradient accumulated onto it turns `+0.0`.
+#[test]
+fn bias_gradient_of_negative_zero_plane() {
+    let (n, in_c, out_c, h, w) = (2, 2, 3, 5, 9);
+    let mut rng = StdRng::seed_from_u64(2023);
+    let mut conv = Conv2d::new(in_c, out_c, 3, 0);
+    conv.params_mut()[1].grad = Tensor::full(&[out_c], -0.0);
+    let x = random(&mut rng, &[n, in_c, h, w]);
+    let mut go = random(&mut rng, &[n, out_c, h, w]);
+    for item in go.as_mut_slice().chunks_exact_mut(out_c * h * w) {
+        item[h * w..2 * h * w].fill(-0.0);
+    }
+    let (got, want) = both_passes(&mut conv, &mut Workspace::default(), &x, &go);
+    assert_same_bits(&got, &want, "-0.0 plane");
+    assert_eq!(got.gb.as_slice()[1].to_bits(), (-0.0f32).to_bits());
+}
+
 /// A 1→1 conv with `value` at the top-left tap and ones elsewhere.
 fn corner_tap_conv(value: f32) -> Conv2d {
     let mut conv = Conv2d::new(1, 1, 3, 0);
@@ -362,12 +388,13 @@ fn non_finite_values_times_zero_are_nan_backward() {
     }
 }
 
-/// Non-finite weights on edge taps of an image whose input gradient runs
-/// in row blocks with a remainder and a ragged last 16-lane chunk, in a
-/// partial 8-row output-channel tile. Bit-identical to the oracle, and
-/// the padding a skipped tap would read never turns into `NaN`.
+/// Non-finite weights on edge taps of an image whose input gradient ends
+/// each row in an overlapping last 16-lane vector, in a partial
+/// input-channel tile and a partial 8-row output-channel tile.
+/// Bit-identical to the oracle, and the padding a skipped tap would read
+/// never turns into `NaN`.
 #[test]
-fn non_finite_edge_taps_inside_row_blocks() {
+fn non_finite_edge_taps_in_partial_tiles() {
     let (in_c, out_c, h, w) = (2, 5, 11, 19);
     let mut rng = StdRng::seed_from_u64(2022);
     for value in [f32::INFINITY, f32::NAN] {

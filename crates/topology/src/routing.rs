@@ -126,12 +126,18 @@ impl RoutingTable {
 
     /// Shared construction path: enumerate candidate routes per ordered
     /// pair (optionally dropping those a `FaultSet` invalidates), then
-    /// select per the policy.
+    /// select per the policy. `Shortest` keeps only the best so far:
+    /// candidates come in loop order, so replacing it only on strictly
+    /// fewer hops breaks ties toward the earlier-added loop.
     fn build_filtered(topo: &Topology, policy: RoutingPolicy, faults: Option<&FaultSet>) -> Self {
         let grid = topo.grid();
         let n = grid.len();
-        // Candidate routes per ordered pair (loop index, hops).
-        let mut candidates: Vec<Vec<Route>> = vec![Vec::new(); n * n];
+        let mut entries: Vec<Option<Route>> = vec![None; n * n];
+        // Candidate routes per ordered pair, kept only for `Balanced`.
+        let mut candidates: Vec<Vec<Route>> = match policy {
+            RoutingPolicy::Shortest => Vec::new(),
+            RoutingPolicy::Balanced { .. } => vec![Vec::new(); n * n],
+        };
         for (i, ring) in topo.loops().iter().enumerate() {
             if faults.is_some_and(|f| f.loop_failed(i)) {
                 continue;
@@ -159,38 +165,39 @@ impl RoutingTable {
                     if cut_positions.iter().any(|&pf| (pf + len - pi) % len < hops) {
                         continue;
                     }
-                    candidates[a * n + b].push(Route {
+                    let route = Route {
                         loop_index: i,
                         hops,
-                    });
+                    };
+                    match policy {
+                        RoutingPolicy::Shortest => {
+                            let best = &mut entries[a * n + b];
+                            if best.is_none_or(|best| hops < best.hops) {
+                                *best = Some(route);
+                            }
+                        }
+                        RoutingPolicy::Balanced { .. } => candidates[a * n + b].push(route),
+                    }
                 }
             }
         }
-        let mut entries: Vec<Option<Route>> = vec![None; n * n];
-        match policy {
-            RoutingPolicy::Shortest => {
-                for (cell, cands) in entries.iter_mut().zip(&candidates) {
-                    *cell = cands.iter().copied().min_by_key(|r| (r.hops, r.loop_index));
-                }
-            }
-            RoutingPolicy::Balanced { slack } => {
-                // Greedy global balancing: assign pairs in node order,
-                // weighting each loop by the hop-traffic already routed on
-                // it, and choosing the least-loaded near-shortest loop.
-                let mut load = vec![0u64; topo.loops().len()];
-                for (cell, cands) in entries.iter_mut().zip(&candidates) {
-                    let Some(best) = cands.iter().map(|r| r.hops).min() else {
-                        continue;
-                    };
-                    let chosen = cands
-                        .iter()
-                        .copied()
-                        .filter(|r| r.hops <= best + slack)
-                        .min_by_key(|r| (load[r.loop_index], r.hops, r.loop_index))
-                        .expect("at least the shortest candidate qualifies");
-                    load[chosen.loop_index] += chosen.hops as u64;
-                    *cell = Some(chosen);
-                }
+        if let RoutingPolicy::Balanced { slack } = policy {
+            // Greedy global balancing: assign pairs in node order,
+            // weighting each loop by the hop-traffic already routed on
+            // it, and choosing the least-loaded near-shortest loop.
+            let mut load = vec![0u64; topo.loops().len()];
+            for (cell, cands) in entries.iter_mut().zip(&candidates) {
+                let Some(best) = cands.iter().map(|r| r.hops).min() else {
+                    continue;
+                };
+                let chosen = cands
+                    .iter()
+                    .copied()
+                    .filter(|r| r.hops <= best + slack)
+                    .min_by_key(|r| (load[r.loop_index], r.hops, r.loop_index))
+                    .expect("at least the shortest candidate qualifies");
+                load[chosen.loop_index] += chosen.hops as u64;
+                *cell = Some(chosen);
             }
         }
         RoutingTable { n, entries }
@@ -286,6 +293,26 @@ mod tests {
                 hops: 3
             }
         );
+    }
+
+    #[test]
+    fn equal_hops_break_toward_earlier_loop() {
+        // Opposite corners of the 12-node ring are 6 hops apart either way.
+        let t = topo_4x4_two_rings();
+        let g = *t.grid();
+        let table = RoutingTable::build(&t);
+        for (a, b) in [
+            (g.node_at(0, 0), g.node_at(3, 3)),
+            (g.node_at(3, 0), g.node_at(0, 3)),
+        ] {
+            for (src, dst) in [(a, b), (b, a)] {
+                let route = Route {
+                    loop_index: 0,
+                    hops: 6,
+                };
+                assert_eq!(table.route(src, dst), Some(route));
+            }
+        }
     }
 
     #[test]
