@@ -8,9 +8,16 @@ use crate::parallel::{AnomalyKind, AnomalyReport, ExploreError, SupervisedReport
 use crate::policy::{Episode, Evaluation, PolicyAgent, Step, TrainConfig, TrainStats};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use rlnoc_nn::PolicyValueConfig;
 use rlnoc_telemetry::{Recorder, TelemetrySink};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+
+/// After this many consecutive penalized actions the explorer forces a
+/// greedy action to restore progress.
+const INVALID_STREAK_LIMIT: usize = 8;
+
+/// Maximum number of edges added per node expansion (the legal actions
+/// with the highest priors).
+const EXPANSION_CANDIDATES: usize = 64;
 
 /// Tunables for the exploration loop.
 #[derive(Debug, Clone)]
@@ -29,20 +36,11 @@ pub struct ExplorerConfig {
     /// modest fraction of the design's total loop budget. Also guards
     /// against degenerate policies that only propose penalized actions.
     pub max_steps: usize,
-    /// After this many consecutive penalized actions the explorer forces a
-    /// greedy action to restore progress.
-    pub invalid_streak_limit: usize,
-    /// Maximum number of edges added per node expansion (the legal actions
-    /// with the highest priors).
-    pub expansion_candidates: usize,
     /// After the DNN/MCTS phase, finish incomplete designs with greedy
     /// actions — the paper's "additional actions can be taken, if
     /// necessary, to complete the design" (Figure 4). The completion steps
     /// are recorded and trained on like any others.
     pub complete_designs: bool,
-    /// Network architecture; `None` selects
-    /// [`PolicyValueConfig::small`] sized for the environment.
-    pub net: Option<PolicyValueConfig>,
     /// Capacity of the evaluation cache keyed on `(state_key, parameter
     /// generation)`; 0 disables caching. MCTS revisits make this a large
     /// win — see [`crate::cache`].
@@ -66,10 +64,7 @@ impl ExplorerConfig {
             mcts: MctsConfig::default(),
             train: TrainConfig::default(),
             max_steps: 8,
-            invalid_streak_limit: 8,
-            expansion_candidates: 64,
             complete_designs: true,
-            net: None,
             eval_cache_capacity: 4096,
             telemetry: TelemetrySink::disabled(),
             chaos: None,
@@ -284,11 +279,11 @@ pub fn run_episode<E: Environment>(
                 })
                 .collect();
             priors.sort_by(|a, b| b.1.total_cmp(&a.1));
-            priors.truncate(config.expansion_candidates);
+            priors.truncate(EXPANSION_CANDIDATES);
             tree.expand(key, &priors);
         }
 
-        let action = if invalid_streak >= config.invalid_streak_limit {
+        let action = if invalid_streak >= INVALID_STREAK_LIMIT {
             // Restore progress deterministically.
             match env.greedy_action() {
                 Some(a) => a,
@@ -476,19 +471,6 @@ pub(crate) fn record_run_end<A: Copy + Eq + std::hash::Hash + std::fmt::Debug>(
     rec.flush();
 }
 
-/// The agent `config` asks for: its explicit [`ExplorerConfig::net`], or
-/// the small default network sized for `env`.
-pub(crate) fn new_agent<E: Environment>(
-    env: &E,
-    config: &ExplorerConfig,
-    seed: u64,
-) -> PolicyAgent {
-    match &config.net {
-        Some(net_cfg) => PolicyAgent::new(net_cfg.clone(), config.train.clone(), seed),
-        None => PolicyAgent::for_env(env, config.train.clone(), seed),
-    }
-}
-
 /// The single-threaded exploration driver: repeats exploration cycles
 /// (`run_cycle`), updating the tree and training the DNN after each
 /// (Figure 4).
@@ -506,7 +488,7 @@ pub struct Explorer<E: Environment> {
 impl<E: Environment> Explorer<E> {
     /// Creates an explorer over `env` with deterministic seeding.
     pub fn new(env: E, config: ExplorerConfig, seed: u64) -> Self {
-        let agent = new_agent(&env, &config, seed);
+        let agent = PolicyAgent::for_env(&env, config.train.clone(), seed);
         let mcts = Mcts::new(config.mcts);
         let cache = EvalCache::new(config.eval_cache_capacity);
         let recorder = config.telemetry.recorder("explorer");

@@ -31,7 +31,7 @@ use crate::cache::{CacheStats, EvalCache, EvalCacheHandle};
 use crate::checkpoint::{CheckpointConfig, CheckpointError, CheckpointSource, ExploreCheckpoint};
 use crate::env::Environment;
 use crate::explorer::{
-    new_agent, record_run_end, run_cycle, DesignResult, ExploreReport, ExplorerConfig, TreeHandle,
+    record_run_end, run_cycle, DesignResult, ExploreReport, ExplorerConfig, TreeHandle,
 };
 use crate::mcts::Mcts;
 use crate::policy::{Evaluation, PolicyAgent, TrainStats};
@@ -416,7 +416,7 @@ where
     E: Environment + Send + Sync,
     E::Action: Send + Sync,
 {
-    let parent = Mutex::new(new_agent(env, config, seed));
+    let parent = Mutex::new(PolicyAgent::for_env(env, config.train.clone(), seed));
     explore_supervised_inner(env, config, threads, total_cycles, seed, 0, &parent)
 }
 
@@ -468,7 +468,7 @@ where
             None => (0, None, None, None),
         };
     let every = ckpt.every.max(1);
-    let mut parent_agent = new_agent(env, config, seed);
+    let mut parent_agent = PolicyAgent::for_env(env, config.train.clone(), seed);
     if let Some((params, generation)) = &restored_params {
         parent_agent.net_mut().load_params(params);
         parent_agent.set_param_generation(*generation);
@@ -633,7 +633,7 @@ where
                     };
                     let mut rec = worker_recorder(&config, t);
                     let mut env = env.clone();
-                    let mut local = new_agent(&env, &config, seed);
+                    let mut local = PolicyAgent::for_env(&env, config.train.clone(), seed);
                     let mut rng = worker_rng(seed, t);
                     let reload = config.eval_cache_capacity > 0;
                     // `claim` cannot panic, so a caught panic belongs to the
@@ -823,7 +823,7 @@ mod tests {
         let run = |mm_threads: usize| {
             let previous = rlnoc_nn::kernels::matmul_threads();
             rlnoc_nn::kernels::set_matmul_threads(mm_threads);
-            let parent = Mutex::new(new_agent(&env, &cfg, 21));
+            let parent = Mutex::new(PolicyAgent::for_env(&env, cfg.train.clone(), 21));
             let out =
                 explore_supervised_inner(&env, &cfg, 1, 2, 21, 0, &parent).expect("clean run");
             rlnoc_nn::kernels::set_matmul_threads(previous);
@@ -907,7 +907,7 @@ mod tests {
         // the digest, so any change to what a cycle commits shows here.
         let env = RouterlessEnv::new(Grid::square(4).unwrap(), 6);
         let cfg = quick_config();
-        let parent = Mutex::new(new_agent(&env, &cfg, 5));
+        let parent = Mutex::new(PolicyAgent::for_env(&env, cfg.train.clone(), 5));
         let out = explore_supervised_inner(&env, &cfg, 1, 20, 5, 0, &parent).expect("clean run");
         let got: Vec<_> = out
             .report

@@ -200,11 +200,6 @@ impl RouterlessEnv {
         self.topo.is_fully_connected()
     }
 
-    /// The mesh average hop count used as the final-return reference.
-    pub fn mesh_average_hops(&self) -> f64 {
-        self.mesh_avg
-    }
-
     /// The illegal-action penalty, −5·N for an N-wide grid (§4.3).
     pub fn illegal_penalty(&self) -> f64 {
         -(self.grid.unconnected_hops() as f64)

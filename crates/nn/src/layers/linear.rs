@@ -31,16 +31,6 @@ impl Linear {
             out_f,
         }
     }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_f
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_f
-    }
 }
 
 impl Layer for Linear {

@@ -64,11 +64,6 @@ impl Adam {
         self.lr
     }
 
-    /// Replaces the learning rate (for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Step count and first/second moment estimates, for checkpointing.
     /// Empty moments mean the optimizer has not stepped yet.
     pub fn state(&self) -> (u64, &[Tensor], &[Tensor]) {

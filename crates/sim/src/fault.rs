@@ -1,14 +1,15 @@
-//! Cycle-scheduled fault injection for the simulators: permanent loop and
-//! link kills plus transient injection-stall windows, applied at exact
-//! cycles so faulted runs stay deterministic (and therefore bit-identical
-//! across sweep thread counts).
+//! Cycle-scheduled loop kills for the routerless simulator, applied at
+//! exact cycles so faulted runs stay deterministic (and therefore
+//! bit-identical across sweep thread counts).
 //!
-//! A [`FaultPlan`] is a sorted schedule of [`FaultEvent`]s. Both fabrics
-//! consult it at the top of each tick; an *empty* plan is required to
-//! leave the kernels bit-identical to their fault-free behaviour — the
-//! parity tests in `tests/fault_parity.rs` enforce that contract.
+//! A [`FaultPlan`] is a sorted schedule of [`FaultEvent`]s, replayed by
+//! `RouterlessSim::with_faults` at the top of each tick. The only fault
+//! is a whole-loop kill, the failure the paper's §6.7 reliability
+//! argument counts; an *empty* plan is required to leave the kernel
+//! bit-identical to its fault-free behaviour — the parity tests in
+//! `tests/fault_parity.rs` enforce that contract.
 
-use rlnoc_topology::{FaultSet, NodeId};
+use rlnoc_topology::FaultSet;
 use serde::{Deserialize, Serialize};
 
 /// One scheduled fault.
@@ -23,61 +24,24 @@ pub enum FaultEvent {
         /// Index into the topology's loop list.
         loop_index: usize,
     },
-    /// Permanently cut one directed link of one routerless loop at cycle
-    /// `at`, identified by the node the link leaves. Flits whose remaining
-    /// arc crosses the cut are dropped; the rest of the loop keeps
-    /// working.
-    KillLink {
-        /// Cycle the fault becomes active.
-        at: u64,
-        /// Index into the topology's loop list.
-        loop_index: usize,
-        /// Node whose outgoing link on that loop is cut.
-        from: NodeId,
-    },
-    /// Permanently kill the directed mesh link `from -> to` at cycle `at`.
-    /// The mesh falls back to fault-masked XY routing; packets left with
-    /// no productive live port are dropped and accounted.
-    KillMeshLink {
-        /// Cycle the fault becomes active.
-        at: u64,
-        /// Upstream router of the dead link.
-        from: NodeId,
-        /// Downstream router of the dead link.
-        to: NodeId,
-    },
-    /// Transiently prevent `node` from *injecting* new flits during cycles
-    /// `[from, until)` — models a source stalled by a local fault. Traffic
-    /// already on the network is unaffected; queued packets wait.
-    StallInjection {
-        /// Stalled node.
-        node: NodeId,
-        /// First stalled cycle (inclusive).
-        from: u64,
-        /// First cycle injection resumes (exclusive end).
-        until: u64,
-    },
 }
 
 impl FaultEvent {
     /// The cycle at which this event takes effect.
     pub fn activation_cycle(&self) -> u64 {
         match *self {
-            FaultEvent::KillLoop { at, .. }
-            | FaultEvent::KillLink { at, .. }
-            | FaultEvent::KillMeshLink { at, .. } => at,
-            FaultEvent::StallInjection { from, .. } => from,
+            FaultEvent::KillLoop { at, .. } => at,
         }
     }
 }
 
 /// A deterministic schedule of faults, sorted by activation cycle.
 ///
-/// Build one with the fluent `kill_*`/`stall_*` methods (or from a
-/// [`FaultSet`] via [`FaultPlan::kill_loops_at`]) and hand it to
-/// `RouterlessSim::with_faults` / `MeshSim::with_faults`. The same plan
-/// replayed against the same traffic always produces the same `Metrics`,
-/// whatever thread count the sweep engine uses.
+/// Build one with [`FaultPlan::kill_loop`] (or from a [`FaultSet`] via
+/// [`FaultPlan::kill_faults_at`]) and hand it to
+/// `RouterlessSim::with_faults`. The same plan replayed against the same
+/// traffic always produces the same `Metrics`, whatever thread count the
+/// sweep engine uses.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
@@ -113,34 +77,12 @@ impl FaultPlan {
         self.push(FaultEvent::KillLoop { at, loop_index })
     }
 
-    /// Schedules a routerless directed-link cut at `at`.
-    pub fn kill_link(&mut self, at: u64, loop_index: usize, from: NodeId) -> &mut Self {
-        self.push(FaultEvent::KillLink {
-            at,
-            loop_index,
-            from,
-        })
-    }
-
-    /// Schedules a directed mesh link kill at `at`.
-    pub fn kill_mesh_link(&mut self, at: u64, from: NodeId, to: NodeId) -> &mut Self {
-        self.push(FaultEvent::KillMeshLink { at, from, to })
-    }
-
-    /// Schedules an injection stall for `node` over `[from, until)`.
-    pub fn stall_injection(&mut self, node: NodeId, from: u64, until: u64) -> &mut Self {
-        self.push(FaultEvent::StallInjection { node, from, until })
-    }
-
-    /// Schedules a kill at `at` for every loop (and every individual
-    /// link) a [`FaultSet`] marks failed — the bridge from the static
-    /// topology-layer fault model to the dynamic schedule.
+    /// Schedules a kill at `at` for every loop a [`FaultSet`] marks
+    /// failed — the bridge from the static topology-layer fault model to
+    /// the dynamic schedule.
     pub fn kill_faults_at(&mut self, at: u64, faults: &FaultSet) -> &mut Self {
         for &l in faults.failed_loops() {
             self.kill_loop(at, l);
-        }
-        for &(l, from) in faults.failed_links() {
-            self.kill_link(at, l, from);
         }
         self
     }
@@ -163,46 +105,46 @@ mod tests {
     fn events_stay_sorted_by_cycle() {
         let mut plan = FaultPlan::new();
         plan.kill_loop(50, 2)
-            .kill_link(10, 0, 3)
-            .stall_injection(1, 30, 40)
-            .kill_mesh_link(10, 4, 5);
+            .kill_loop(10, 0)
+            .kill_loop(30, 1)
+            .kill_loop(10, 4);
         let cycles: Vec<u64> = plan.events().iter().map(|e| e.activation_cycle()).collect();
         assert_eq!(cycles, vec![10, 10, 30, 50]);
         // Equal cycles keep insertion order.
         assert_eq!(
-            plan.events()[0],
-            FaultEvent::KillLink {
-                at: 10,
-                loop_index: 0,
-                from: 3
-            }
-        );
-        assert_eq!(
-            plan.events()[1],
-            FaultEvent::KillMeshLink {
-                at: 10,
-                from: 4,
-                to: 5
-            }
+            plan.events()[..2],
+            [
+                FaultEvent::KillLoop {
+                    at: 10,
+                    loop_index: 0
+                },
+                FaultEvent::KillLoop {
+                    at: 10,
+                    loop_index: 4
+                }
+            ]
         );
     }
 
     #[test]
     fn kill_faults_at_mirrors_fault_set() {
         let mut fs = FaultSet::new();
-        fs.fail_loop(3).fail_link(1, 7);
+        fs.fail_loop(3).fail_loop(1);
         let mut plan = FaultPlan::new();
         plan.kill_faults_at(5, &fs);
-        assert_eq!(plan.events().len(), 2);
-        assert!(plan.events().contains(&FaultEvent::KillLoop {
-            at: 5,
-            loop_index: 3
-        }));
-        assert!(plan.events().contains(&FaultEvent::KillLink {
-            at: 5,
-            loop_index: 1,
-            from: 7
-        }));
+        assert_eq!(
+            plan.events(),
+            [
+                FaultEvent::KillLoop {
+                    at: 5,
+                    loop_index: 1
+                },
+                FaultEvent::KillLoop {
+                    at: 5,
+                    loop_index: 3
+                }
+            ]
+        );
     }
 
     #[test]

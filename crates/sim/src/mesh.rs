@@ -1,7 +1,6 @@
 //! The router-based mesh fabric: input-buffered wormhole routers with XY
 //! dimension-order routing and credit-based backpressure.
 
-use crate::fault::{FaultEvent, FaultPlan};
 use crate::ledger::Ledger;
 use crate::packet::{Flit, Packet};
 use crate::runner::{Delivery, Network};
@@ -37,20 +36,18 @@ struct Fifo {
     /// First cycle the front flit may leave: its arrival plus the router
     /// delay.
     ready_at: u64,
-    /// Output the front flit requests if it is a head flit with a live
-    /// route, else [`NO_REQUEST`].
+    /// Output the front flit requests if it is a head flit, else
+    /// [`NO_REQUEST`].
     request: usize,
 }
 
-/// [`Fifo::request`] of a body flit or of a head with no live route.
+/// [`Fifo::request`] of a body flit.
 const NO_REQUEST: usize = PORTS;
 
 #[derive(Debug, Clone, Default)]
 struct Router {
-    /// Wormhole reservation per output port:
-    /// `(input port, flits left, packet id)`. The id lets fault handling
-    /// release locks held by packets lost to a dead link.
-    out_lock: [Option<(usize, usize, u64)>; PORTS],
+    /// Wormhole reservation per output port: `(input port, flits left)`.
+    out_lock: [Option<(usize, usize)>; PORTS],
     /// Round-robin pointer per output port.
     rr: [usize; PORTS],
 }
@@ -88,11 +85,6 @@ pub struct MeshSim {
     /// Next flit index to inject for the head packet of each node queue.
     inject_progress: Vec<usize>,
     ledger: Ledger,
-    /// `dead_out[node][port]`: the directed link leaving `node` through
-    /// `port` is dead (empty without a fault plan).
-    dead_out: Vec<[bool; PORTS]>,
-    /// Whether any link has died yet (fast path gate).
-    any_dead: bool,
 }
 
 impl MeshSim {
@@ -113,43 +105,7 @@ impl MeshSim {
             queues: vec![VecDeque::new(); grid.len()],
             inject_progress: vec![0; grid.len()],
             ledger: Ledger::default(),
-            dead_out: Vec::new(),
-            any_dead: false,
         }
-    }
-
-    /// Builds a mesh that replays `plan` as it runs: dead links switch the
-    /// fabric to fault-masked XY routing (prefer the X-productive port if
-    /// its link is alive, else the Y-productive one), packets left with no
-    /// live productive port are dropped and accounted in
-    /// [`MeshSim::dropped_by_fault`], and stall windows pause a node's
-    /// injection. An empty plan behaves bit-identically to
-    /// [`MeshSim::new`].
-    ///
-    /// Fault-masked routing keeps every move productive (no livelock) but
-    /// abandons strict dimension order, so adversarial faulted workloads
-    /// can in principle form wormhole cycles; bounded-drain runs report
-    /// such stuck packets via [`Network::in_flight`] rather than hanging.
-    pub fn with_faults(
-        grid: Grid,
-        router_delay: u64,
-        buffer_capacity: usize,
-        plan: FaultPlan,
-    ) -> Self {
-        let mut sim = MeshSim::new(grid, router_delay, buffer_capacity);
-        sim.ledger = Ledger::with_plan(plan);
-        sim.dead_out = vec![[false; PORTS]; grid.len()];
-        sim
-    }
-
-    /// Packets condemned by injected faults (each counted once).
-    pub fn dropped_by_fault(&self) -> u64 {
-        self.ledger.dropped_packets()
-    }
-
-    /// Individual flits destroyed or discarded because of injected faults.
-    pub fn dropped_fault_flits(&self) -> u64 {
-        self.ledger.dropped_flits()
     }
 
     /// The paper's baseline two-cycle router.
@@ -167,32 +123,16 @@ impl MeshSim {
         MeshSim::new(grid, 0, 8)
     }
 
-    /// XY output port at `at` for `dst`, masked by `dead_out` when links
-    /// have died: the X-productive port if its link is alive, else the
-    /// Y-productive one, else `None` (no live productive move). Without
-    /// dead links this is plain dimension-order routing and never `None`.
-    fn route(
-        coords: &[(usize, usize)],
-        dead_out: Option<&[[bool; PORTS]]>,
-        at: NodeId,
-        dst: NodeId,
-    ) -> Option<usize> {
+    /// XY dimension-order output port at `at` for `dst`.
+    fn route(coords: &[(usize, usize)], at: NodeId, dst: NodeId) -> usize {
         let ((x, y), (dx, dy)) = (coords[at], coords[dst]);
-        let xport = match x.cmp(&dx) {
-            Ordering::Less => Some(EAST),
-            Ordering::Greater => Some(WEST),
-            Ordering::Equal => None,
-        };
-        let yport = match y.cmp(&dy) {
-            Ordering::Less => Some(SOUTH),
-            Ordering::Greater => Some(NORTH),
-            Ordering::Equal => None,
-        };
-        if xport.is_none() && yport.is_none() {
-            return Some(LOCAL);
+        match (x.cmp(&dx), y.cmp(&dy)) {
+            (Ordering::Less, _) => EAST,
+            (Ordering::Greater, _) => WEST,
+            (_, Ordering::Less) => SOUTH,
+            (_, Ordering::Greater) => NORTH,
+            _ => LOCAL,
         }
-        let alive = |&p: &usize| dead_out.is_none_or(|dead| !dead[at][p]);
-        xport.filter(alive).or(yport.filter(alive))
     }
 
     /// The front flit of FIFO `f` (which must be non-empty).
@@ -202,14 +142,11 @@ impl MeshSim {
 
     /// Caches when the front flit of non-empty FIFO `f` may leave and, for
     /// a head, where it goes: a flit is routed once, when it reaches the
-    /// front. Its route depends only on the router, its destination and
-    /// the dead links, and `purge_faulted` refreshes every front whenever
-    /// faults are active.
+    /// front. Its route depends only on the router and its destination.
     fn refresh_front(&mut self, f: usize) {
         let (flit, entered) = self.front(f);
         let request = if flit.is_head() {
-            let dead = self.any_dead.then_some(&self.dead_out[..]);
-            Self::route(&self.coords, dead, f / PORTS, flit.packet.dst).unwrap_or(NO_REQUEST)
+            Self::route(&self.coords, f / PORTS, flit.packet.dst)
         } else {
             NO_REQUEST
         };
@@ -245,113 +182,6 @@ impl MeshSim {
             self.nonempty[f / PORTS] &= !(1 << (f % PORTS));
         } else {
             self.refresh_front(f);
-        }
-    }
-
-    /// Applies every scheduled fault whose activation cycle has arrived.
-    /// No-op (one branch) without a plan or between events.
-    fn apply_due_faults(&mut self, cycle: u64) {
-        while let Some(event) = self.ledger.next_due(cycle) {
-            let FaultEvent::KillMeshLink { from, to, .. } = event else {
-                // Routerless-only and pre-extracted events: nothing to do.
-                continue;
-            };
-            let (x, y) = self.coords[from];
-            let (tx, ty) = self.coords[to];
-            let port = match (tx as i64 - x as i64, ty as i64 - y as i64) {
-                (1, 0) => EAST,
-                (-1, 0) => WEST,
-                (0, 1) => SOUTH,
-                (0, -1) => NORTH,
-                _ => continue, // not an adjacent pair: ignore
-            };
-            if self.dead_out[from][port] {
-                continue;
-            }
-            self.dead_out[from][port] = true;
-            self.any_dead = true;
-            // A wormhole mid-transfer across the dying link is severed:
-            // the packet can never complete.
-            if let Some((_, _, pid)) = self.routers[from].out_lock[port].take() {
-                self.ledger.condemn(pid);
-            }
-        }
-    }
-
-    /// Removes fault casualties from the fabric: flits of condemned
-    /// packets anywhere in the input buffers, head flits left with no live
-    /// productive port (condemning their packets), and output locks held
-    /// by condemned packets. Runs only while faults are active.
-    fn purge_faulted(&mut self) {
-        if !self.any_dead && !self.ledger.any_condemned() {
-            return;
-        }
-        // Drop condemned flits wherever they sit, keeping the rest in
-        // order.
-        if self.ledger.any_condemned() {
-            let cap = self.buffer_capacity;
-            for f in 0..self.fifos.len() {
-                let Fifo { head, len, .. } = self.fifos[f];
-                let ring = &mut self.slots[f * cap..(f + 1) * cap];
-                let mut kept = 0;
-                for i in 0..len {
-                    let entry = ring[(head + i) % cap];
-                    if entry.is_some_and(|(flit, _)| !self.ledger.is_condemned(flit.packet.id)) {
-                        ring[(head + kept) % cap] = entry;
-                        kept += 1;
-                    }
-                }
-                self.fifos[f].len = kept;
-                if kept == 0 {
-                    self.nonempty[f / PORTS] &= !(1 << (f % PORTS));
-                }
-                self.ledger.discard_flits((len - kept) as u64);
-            }
-        }
-        // Heads stuck with no live productive port block their whole input
-        // queue: condemn and drop them.
-        if self.any_dead {
-            for f in 0..self.fifos.len() {
-                while self.fifos[f].len > 0 {
-                    let (flit, _) = self.front(f);
-                    let id = flit.packet.id;
-                    if self.ledger.is_condemned(id) {
-                        self.pop(f);
-                        self.ledger.discard_flits(1);
-                    } else if flit.is_head()
-                        && Self::route(
-                            &self.coords,
-                            Some(&self.dead_out),
-                            f / PORTS,
-                            flit.packet.dst,
-                        )
-                        .is_none()
-                    {
-                        self.pop(f);
-                        self.ledger.lose_flit(id);
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        // Condemned packets release their wormhole reservations.
-        if self.ledger.any_condemned() {
-            for router in &mut self.routers {
-                for lock in &mut router.out_lock {
-                    if lock.is_some_and(|(_, _, pid)| self.ledger.is_condemned(pid)) {
-                        *lock = None;
-                    }
-                }
-            }
-        }
-        // Filtering a FIFO moves its front without re-routing it, and a
-        // new dead link re-routes fronts that did not move: refresh every
-        // front under the current dead-link mask.
-        for f in 0..self.fifos.len() {
-            if self.fifos[f].len > 0 {
-                self.refresh_front(f);
-            }
         }
     }
 
@@ -398,10 +228,6 @@ impl Network for MeshSim {
     }
 
     fn tick(&mut self, cycle: u64) {
-        // Phase 0: activate scheduled faults and clear their casualties
-        // (both no-ops without a plan).
-        self.apply_due_faults(cycle);
-        self.purge_faulted();
         self.ticks += 1;
 
         // Routers arbitrate in id order. A forwarded flit lands in its
@@ -423,7 +249,7 @@ impl Network for MeshSim {
             for (out, &requesters) in want[..PORTS].iter().enumerate() {
                 // Which input may use this output?
                 let inp = match self.routers[r].out_lock[out] {
-                    Some((inp, _, _)) => inp,
+                    Some((inp, _)) => inp,
                     None => {
                         let candidates = requesters & !served;
                         if candidates == 0 {
@@ -474,7 +300,7 @@ impl Network for MeshSim {
                 // Maintain the wormhole lock.
                 let router = &mut self.routers[r];
                 match &mut router.out_lock[out] {
-                    Some((_, left, _)) => {
+                    Some((_, left)) => {
                         *left -= 1;
                         if *left == 0 {
                             router.out_lock[out] = None;
@@ -483,8 +309,7 @@ impl Network for MeshSim {
                     None => {
                         router.rr[out] = (inp + 1) % PORTS;
                         if flit.packet.flits > 1 {
-                            router.out_lock[out] =
-                                Some((inp, flit.packet.flits - 1, flit.packet.id));
+                            router.out_lock[out] = Some((inp, flit.packet.flits - 1));
                         }
                     }
                 }
@@ -494,27 +319,6 @@ impl Network for MeshSim {
         // Injection: one flit per node per cycle into the local input, if
         // there is buffer space.
         for node in 0..self.grid.len() {
-            if self.ledger.is_faulted() {
-                if self.ledger.is_stalled(node, cycle) {
-                    continue;
-                }
-                // Queued packets whose route died (or that were condemned
-                // mid-injection) never enter the fabric.
-                while let Some(&p) = self.queues[node].front() {
-                    if self.ledger.is_condemned(p.id) {
-                        self.queues[node].pop_front();
-                        self.inject_progress[node] = 0;
-                    } else if self.inject_progress[node] == 0
-                        && self.any_dead
-                        && Self::route(&self.coords, Some(&self.dead_out), p.src, p.dst).is_none()
-                    {
-                        self.queues[node].pop_front();
-                        self.ledger.condemn(p.id);
-                    } else {
-                        break;
-                    }
-                }
-            }
             let Some(&packet) = self.queues[node].front() else {
                 continue;
             };
@@ -657,119 +461,6 @@ mod tests {
             "accepted {} must sit below offered 0.9",
             m.accepted_throughput()
         );
-    }
-
-    #[test]
-    fn dead_link_reroutes_via_y_first() {
-        // 3x3 mesh, 0 → 2 (pure X route through node 1). Kill link 0→1
-        // before injection: masked XY must go south first and still
-        // deliver (productive moves only).
-        let g = Grid::square(3).unwrap();
-        let mut plan = FaultPlan::new();
-        plan.kill_mesh_link(0, g.node_at(0, 0), g.node_at(1, 0));
-        let mut sim = MeshSim::with_faults(g, 1, 8, plan);
-        sim.offer(packet(1, g.node_at(0, 0), g.node_at(2, 0), 2));
-        let d = run_until_delivered(&mut sim, 200);
-        // Pure-X destination with the X link dead and no Y-productive
-        // direction (dy == 0): the packet cannot leave and is dropped.
-        assert!(d.is_empty());
-        assert_eq!(sim.dropped_by_fault(), 1);
-        assert_eq!(sim.in_flight(), 0);
-
-        // A diagonal destination has a live Y fallback and must arrive.
-        let mut plan = FaultPlan::new();
-        plan.kill_mesh_link(0, g.node_at(0, 0), g.node_at(1, 0));
-        let mut sim = MeshSim::with_faults(g, 1, 8, plan);
-        sim.offer(packet(2, g.node_at(0, 0), g.node_at(2, 2), 2));
-        let d = run_until_delivered(&mut sim, 200);
-        assert_eq!(d.len(), 1, "Y-first detour must deliver");
-        assert_eq!(sim.dropped_by_fault(), 0);
-    }
-
-    #[test]
-    fn mid_wormhole_link_kill_severs_packet() {
-        // A long packet streams 0→2 on a 3x1-ish path; kill the link it is
-        // crossing mid-stream. The packet must be condemned exactly once
-        // and the fabric must drain (no stuck lock).
-        let g = Grid::square(3).unwrap();
-        let from = g.node_at(1, 0);
-        let to = g.node_at(2, 0);
-        let mut plan = FaultPlan::new();
-        plan.kill_mesh_link(6, from, to);
-        let mut sim = MeshSim::with_faults(g, 1, 8, plan);
-        sim.offer(packet(1, g.node_at(0, 0), g.node_at(2, 0), 8));
-        for cycle in 0..100 {
-            sim.tick(cycle);
-            sim.take_deliveries();
-        }
-        assert_eq!(sim.dropped_by_fault(), 1);
-        assert_eq!(sim.in_flight(), 0, "severed wormhole must not wedge");
-        assert!(sim.dropped_fault_flits() > 0);
-        // The fabric still works for an unaffected pair.
-        sim.offer(Packet {
-            created: 100,
-            ..packet(2, g.node_at(0, 1), g.node_at(2, 2), 2)
-        });
-        let mut arrived = false;
-        for cycle in 100..200 {
-            sim.tick(cycle);
-            if !sim.take_deliveries().is_empty() {
-                arrived = true;
-                break;
-            }
-        }
-        assert!(arrived);
-    }
-
-    #[test]
-    fn mesh_stall_window_delays_injection() {
-        let g = Grid::square(3).unwrap();
-        let src = g.node_at(0, 0);
-        let mut plan = FaultPlan::new();
-        plan.stall_injection(src, 0, 10);
-        let mut sim = MeshSim::with_faults(g, 1, 8, plan);
-        sim.offer(packet(1, src, g.node_at(1, 0), 1));
-        let d = run_until_delivered(&mut sim, 100);
-        assert_eq!(d.len(), 1);
-        assert!(
-            d[0].delivered >= 10,
-            "stalled source delivered at {}",
-            d[0].delivered
-        );
-        // The same packet without a stall is much earlier.
-        let mut free = MeshSim::new(g, 1, 8);
-        free.offer(packet(1, src, g.node_at(1, 0), 1));
-        let d_free = run_until_delivered(&mut free, 100);
-        assert!(d_free[0].delivered < 10);
-    }
-
-    #[test]
-    fn mesh_fault_conservation_under_load() {
-        // Kill two links mid-run under uniform traffic; every offered
-        // packet must be delivered, in flight, or dropped_by_fault.
-        let g = Grid::square(4).unwrap();
-        let mut plan = FaultPlan::new();
-        plan.kill_mesh_link(300, g.node_at(1, 1), g.node_at(2, 1));
-        plan.kill_mesh_link(450, g.node_at(2, 2), g.node_at(2, 1));
-        let mut sim = MeshSim::with_faults(g, 1, 8, plan);
-        let cfg = SimConfig::mesh();
-        let mut gen = crate::traffic::TrafficGen::new(g, Pattern::UniformRandom, 0.2, 11);
-        let mut offered = 0usize;
-        let mut delivered = 0usize;
-        for cycle in 0..900 {
-            for p in crate::runner::PacketSource::generate(&mut gen, cycle, &cfg, false) {
-                offered += 1;
-                sim.offer(p);
-            }
-            sim.tick(cycle);
-            delivered += sim.take_deliveries().len();
-            assert_eq!(
-                offered,
-                delivered + sim.in_flight() + sim.dropped_by_fault() as usize,
-                "conservation at cycle {cycle}"
-            );
-        }
-        assert!(delivered > 0);
     }
 
     #[test]

@@ -47,9 +47,6 @@ struct Lane {
     /// bucket, which recurs exactly one full circle later. Buckets retain
     /// capacity, so steady-state pushes never allocate.
     calendar: Vec<Vec<usize>>,
-    /// Whether a fault has cut at least one link of this lane (a
-    /// deflection here would circle through the cut, so it drops instead).
-    cut: bool,
 }
 
 impl Lane {
@@ -98,7 +95,7 @@ pub struct RouterlessSim {
     ejected_at: Vec<usize>,
     /// The topology, retained by [`RouterlessSim::with_faults`] so the
     /// routing table can be re-derived over the survivors after each
-    /// structural fault.
+    /// loop kill.
     topo: Option<Box<Topology>>,
     /// Faults applied so far, in topology-layer form.
     applied: FaultSet,
@@ -147,7 +144,6 @@ impl RouterlessSim {
                     // construction, not just after warm-up. (Built with a
                     // map: `vec![v; n]` clones drop capacity.)
                     calendar: (0..len).map(|_| Vec::with_capacity(len)).collect(),
-                    cut: false,
                 }
             })
             .collect();
@@ -167,13 +163,11 @@ impl RouterlessSim {
         }
     }
 
-    /// Builds a simulator that replays `plan` as it runs: structural
-    /// events (loop/link kills) drop the affected in-flight flits, account
-    /// the lost packets in [`RouterlessSim::dropped_by_fault`], and
-    /// re-derive the routing table over the surviving loops
-    /// ([`RoutingTable::rebuild_excluding`]); stall windows pause a node's
-    /// injection. An empty plan behaves bit-identically to
-    /// [`RouterlessSim::new`].
+    /// Builds a simulator that replays `plan` as it runs: each loop kill
+    /// drops the loop's in-flight flits, accounts the lost packets in
+    /// [`RouterlessSim::dropped_by_fault`], and re-derives the routing
+    /// table over the surviving loops ([`RoutingTable::rebuild_excluding`]).
+    /// An empty plan behaves bit-identically to [`RouterlessSim::new`].
     pub fn with_faults(topo: &Topology, plan: FaultPlan) -> Self {
         let mut sim = RouterlessSim::new(topo);
         sim.ledger = Ledger::with_plan(plan);
@@ -181,120 +175,42 @@ impl RouterlessSim {
         sim
     }
 
-    /// Applies every scheduled fault whose activation cycle has arrived,
-    /// then rebuilds the routing table if the wiring changed. No-op (one
+    /// Applies every scheduled loop kill whose activation cycle has
+    /// arrived, then rebuilds the routing table if a loop died. No-op (one
     /// branch) without a plan or between events.
     fn apply_due_faults(&mut self, cycle: u64) {
-        let mut structural = false;
-        while let Some(event) = self.ledger.next_due(cycle) {
-            match event {
-                FaultEvent::KillLoop { loop_index, .. } => {
-                    if loop_index >= self.lanes.len() || self.applied.loop_failed(loop_index) {
-                        continue;
-                    }
-                    self.applied.fail_loop(loop_index);
-                    structural = true;
-                    // Drain the lane: every on-board flit is destroyed and
-                    // its packet condemned.
-                    let lane = &mut self.lanes[loop_index];
-                    for s in 0..lane.slots.len() {
-                        if lane.dst[s] == EMPTY {
-                            continue;
-                        }
-                        lane.dst[s] = EMPTY;
-                        let flit = lane.slots[s].take().expect("slot occupied per dst key");
-                        self.ledger.lose_flit(flit.packet.id);
-                    }
-                    for bucket in &mut lane.calendar {
-                        bucket.clear();
-                    }
-                    // Abort injections mid-flight onto the dead lane.
-                    for act in &mut self.active {
-                        if let Some(a) = act.filter(|a| a.lane == loop_index) {
-                            self.ledger.condemn(a.packet.id);
-                            *act = None;
-                        }
-                    }
-                }
-                FaultEvent::KillLink {
-                    loop_index, from, ..
-                } => {
-                    if loop_index >= self.lanes.len()
-                        || self.applied.loop_failed(loop_index)
-                        || self.applied.link_failed(loop_index, from)
-                    {
-                        continue;
-                    }
-                    let lane = &mut self.lanes[loop_index];
-                    let Some(pf) = lane.pos.get(from).copied().flatten() else {
-                        continue; // node not on this loop: nothing to cut
-                    };
-                    self.applied.fail_link(loop_index, from);
-                    lane.cut = true;
-                    structural = true;
-                    let len = lane.nodes.len();
-                    // Destroy flits whose remaining arc crosses the cut; a
-                    // deflected flit (remaining hops 0) needs a full circle
-                    // and always crosses.
-                    for s in 0..len {
-                        if lane.dst[s] == EMPTY {
-                            continue;
-                        }
-                        let p = (s + lane.rot) % len;
-                        let flit = lane.slots[s].expect("slot occupied per dst key");
-                        let pd = lane.pos[flit.packet.dst].expect("dst on lane");
-                        let mut rem = (pd + len - p) % len;
-                        if rem == 0 {
-                            rem = len;
-                        }
-                        if (pf + len - p) % len < rem {
-                            lane.dst[s] = EMPTY;
-                            lane.slots[s] = None;
-                            self.ledger.lose_flit(flit.packet.id);
-                        }
-                    }
-                    // Rebuild the calendar from the survivors (their
-                    // arrival rotations are unchanged; dropped entries
-                    // simply vanish).
-                    for bucket in &mut lane.calendar {
-                        bucket.clear();
-                    }
-                    for s in 0..len {
-                        if lane.dst[s] == EMPTY {
-                            continue;
-                        }
-                        let p = (s + lane.rot) % len;
-                        let flit = lane.slots[s].as_ref().expect("slot occupied per dst key");
-                        let pd = lane.pos[flit.packet.dst].expect("dst on lane");
-                        let mut rem = (pd + len - p) % len;
-                        if rem == 0 {
-                            rem = len;
-                        }
-                        let bucket = (lane.rot + rem) % len;
-                        lane.calendar[bucket].push(s);
-                    }
-                    // Abort active injections whose source→destination arc
-                    // spans the cut: their remaining flits could never get
-                    // through. (Arcs that avoid the cut keep injecting.)
-                    for (node, act) in self.active.iter_mut().enumerate() {
-                        let Some(a) = *act else { continue };
-                        if a.lane != loop_index {
-                            continue;
-                        }
-                        let ps = lane.pos[node].expect("source on lane");
-                        let pd = lane.pos[a.packet.dst].expect("dst on lane");
-                        let arc = (pd + len - ps) % len;
-                        if (pf + len - ps) % len < arc {
-                            self.ledger.condemn(a.packet.id);
-                            *act = None;
-                        }
-                    }
-                }
-                // Mesh-only and pre-extracted events: nothing structural.
-                FaultEvent::KillMeshLink { .. } | FaultEvent::StallInjection { .. } => {}
+        let mut killed = false;
+        while let Some(FaultEvent::KillLoop { loop_index, .. }) = self.ledger.next_due(cycle) {
+            if loop_index >= self.lanes.len() || self.applied.loop_failed(loop_index) {
+                continue;
             }
+            self.applied.fail_loop(loop_index);
+            killed = true;
+            // Drain the lane: every on-board flit is destroyed, and its
+            // packet condemned with any packet still injecting onto it.
+            let lane = &mut self.lanes[loop_index];
+            let mut lost = Vec::new();
+            for s in 0..lane.slots.len() {
+                if lane.dst[s] == EMPTY {
+                    continue;
+                }
+                lane.dst[s] = EMPTY;
+                let flit = lane.slots[s].take().expect("slot occupied per dst key");
+                lost.push(flit.packet.id);
+            }
+            let flits = lost.len() as u64;
+            for bucket in &mut lane.calendar {
+                bucket.clear();
+            }
+            for act in &mut self.active {
+                if let Some(a) = act.filter(|a| a.lane == loop_index) {
+                    lost.push(a.packet.id);
+                    *act = None;
+                }
+            }
+            self.ledger.condemn(flits, lost);
         }
-        if structural {
+        if killed {
             let topo = self
                 .topo
                 .as_deref()
@@ -309,7 +225,7 @@ impl RouterlessSim {
         self.ledger.dropped_packets()
     }
 
-    /// Individual flits destroyed or discarded because of injected faults.
+    /// Individual flits destroyed by injected faults.
     pub fn dropped_fault_flits(&self) -> u64 {
         self.ledger.dropped_flits()
     }
@@ -403,21 +319,7 @@ impl Network for RouterlessSim {
                     if self.ejected_at[node] >= lim {
                         // Ejection port busy: deflect around the loop. The
                         // kept entry recurs when this bucket next comes
-                        // up — one full circle later... unless the loop
-                        // has a cut link, in which case the full circle
-                        // crosses it and the flit is lost to the fault.
-                        if lane.cut {
-                            lane.calendar[rot].swap_remove(i);
-                            lane.dst[s] = EMPTY;
-                            let flit = lane.slots[s].take().expect("slot occupied per dst key");
-                            if self.ledger.lose_flit(flit.packet.id)
-                                && self.active[flit.packet.src]
-                                    .is_some_and(|a| a.packet.id == flit.packet.id)
-                            {
-                                self.active[flit.packet.src] = None;
-                            }
-                            continue;
-                        }
+                        // up — one full circle later.
                         self.deflections += 1;
                         i += 1;
                         continue;
@@ -439,9 +341,6 @@ impl Network for RouterlessSim {
         // Phase 2: injection — one flit per node, only into an empty slot,
         // so passing traffic always has priority.
         for node in 0..self.grid.len() {
-            if self.ledger.is_stalled(node, cycle) {
-                continue;
-            }
             if self.active[node].is_none() {
                 // Start the next queued packet, if routable.
                 while let Some(p) = self.queues[node].pop_front() {
@@ -778,87 +677,6 @@ mod tests {
         }
         assert!(arrived, "survivor loop must carry post-fault traffic");
         assert!(sim.applied_faults().loop_failed(0));
-    }
-
-    #[test]
-    fn kill_link_drops_only_crossing_flits() {
-        // Single CW ring on 2x2, order 0,1,3,2. Packet A: 0→1 (1 hop).
-        // Packet B: 0→2 (3 hops, crosses the link leaving node 1). Cut
-        // that link at cycle 1: A (already at node 1's slot... actually
-        // ejected at cycle 1) survives; B is dropped when the cut lands.
-        let topo = ring_2x2();
-        let mut plan = FaultPlan::new();
-        plan.kill_link(2, 0, 1);
-        let mut sim = RouterlessSim::with_faults(&topo, plan);
-        sim.offer(Packet {
-            id: 1,
-            ..single_packet(0, 1, 1)
-        });
-        sim.offer(Packet {
-            id: 2,
-            ..single_packet(2, 0, 1) // 0 is 2 hops from 2 (order 0,1,3,2): 2→0 crosses? positions: 2 is at 3, 0 at 0 → 1 hop.
-        });
-        let mut delivered = Vec::new();
-        for cycle in 0..12 {
-            sim.tick(cycle);
-            delivered.extend(sim.take_deliveries());
-        }
-        // Packet 1 (0→1, 1 hop, ejected cycle 1 before the cut applies at
-        // cycle 2) and packet 2 (2→0, 1 hop, never crossing node 1's link)
-        // both arrive.
-        assert_eq!(delivered.len(), 2);
-        assert_eq!(sim.dropped_by_fault(), 0);
-        // After the cut, 0→2 (whose arc spans node 1's outgoing link) is
-        // unroutable — counted, not hung.
-        sim.offer(Packet {
-            id: 3,
-            created: 12,
-            ..single_packet(0, 2, 1)
-        });
-        sim.tick(12);
-        assert_eq!(sim.unroutable(), 1);
-        assert_eq!(sim.in_flight(), 0);
-    }
-
-    #[test]
-    fn kill_link_severs_in_flight_crossers() {
-        // Packet 0→2 (3 hops on the CW 2x2 ring, passing node 1) injected
-        // at cycle 0; the link leaving node 1 dies at cycle 1, while the
-        // flit still has the cut ahead of it.
-        let topo = ring_2x2();
-        let mut plan = FaultPlan::new();
-        plan.kill_link(1, 0, 1);
-        let mut sim = RouterlessSim::with_faults(&topo, plan);
-        sim.offer(single_packet(0, 2, 1));
-        for cycle in 0..10 {
-            sim.tick(cycle);
-        }
-        assert!(sim.take_deliveries().is_empty());
-        assert_eq!(sim.dropped_by_fault(), 1);
-        assert_eq!(sim.dropped_fault_flits(), 1);
-        assert_eq!(sim.in_flight(), 0);
-    }
-
-    #[test]
-    fn stall_window_pauses_injection_then_resumes() {
-        let topo = ring_2x2();
-        let mut plan = FaultPlan::new();
-        plan.stall_injection(0, 0, 5);
-        let mut sim = RouterlessSim::with_faults(&topo, plan);
-        sim.offer(single_packet(0, 3, 1)); // 2 hops once injected
-        let mut delivered = None;
-        for cycle in 0..20 {
-            sim.tick(cycle);
-            if let Some(d) = sim.take_deliveries().pop() {
-                delivered = Some(d);
-                break;
-            }
-        }
-        let d = delivered.expect("stall is transient; packet must arrive");
-        // Without the stall it lands at cycle 2; stalled through cycle 4,
-        // it injects at 5 and lands at 7.
-        assert_eq!(d.delivered, 7);
-        assert_eq!(sim.dropped_by_fault(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based packet-conservation invariants: at every cycle, every
 //! packet ever offered to a fabric is delivered, still in flight, or
-//! (routerless only) counted unroutable — nothing is duplicated or lost.
+//! (routerless only) counted unroutable or lost to a loop kill — nothing
+//! is duplicated or lost unaccounted.
 
 use proptest::prelude::*;
 use rlnoc_baselines::rec_topology;
@@ -117,8 +118,7 @@ proptest! {
         let grid = Grid::square(4).unwrap();
         let topo = rec_topology(grid).unwrap();
         let num_loops = topo.loops().len();
-        let mut plan = FaultPlan::random_loop_kills(kill_at, kills, num_loops, fault_seed);
-        plan.stall_injection(0, kill_at + 10, kill_at + 60);
+        let plan = FaultPlan::random_loop_kills(kill_at, kills, num_loops, fault_seed);
         let mut net = RouterlessSim::with_faults(&topo, plan);
         let cfg = SimConfig::routerless();
         let mut gen = TrafficGen::new(grid, pattern(pattern_idx), rate, seed);
@@ -126,31 +126,5 @@ proptest! {
             n.unroutable() + n.dropped_by_fault()
         })?;
         prop_assert!(offered > 0);
-    }
-
-    /// Mesh under mid-run link kills: offered = delivered + in-flight +
-    /// dropped_by_fault, every cycle, including mid-wormhole severing.
-    #[test]
-    fn mesh_conserves_packets_under_faults(
-        pattern_idx in 0usize..6,
-        rate in 0.05f64..0.6,
-        seed in 0u64..1_000,
-        delay in 0u64..3,
-        kill_at in 20u64..200,
-        link_idx in 0usize..4,
-    ) {
-        let grid = Grid::square(4).unwrap();
-        let mut plan = FaultPlan::new();
-        // Kill one interior link (both directions) picked by link_idx, so
-        // some pairs reroute and some packets sever mid-wormhole.
-        let (ax, ay, bx, by) = [(1, 1, 2, 1), (1, 1, 1, 2), (2, 2, 2, 1), (0, 1, 1, 1)][link_idx];
-        let a = grid.node_at(ax, ay);
-        let b = grid.node_at(bx, by);
-        plan.kill_mesh_link(kill_at, a, b);
-        plan.kill_mesh_link(kill_at, b, a);
-        let mut net = MeshSim::with_faults(grid, delay, 8, plan);
-        let cfg = SimConfig::mesh();
-        let mut gen = TrafficGen::new(grid, pattern(pattern_idx), rate, seed);
-        check_conservation(&mut net, &mut gen, &cfg, 400, |n| n.dropped_by_fault())?;
     }
 }

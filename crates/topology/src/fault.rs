@@ -1,39 +1,27 @@
-//! Fault modelling for routerless topologies: which loops and directed
-//! links have failed, and what connectivity survives them.
+//! Fault modelling for routerless topologies: which loops have failed,
+//! and what connectivity survives them.
 //!
 //! The paper's §6.7 argues DRL designs tolerate failures better than REC
 //! because more distinct loops serve each pair (3.79 vs 2.77 on 8x8). A
-//! [`FaultSet`] makes that claim executable: it names failed loops and
-//! failed directed links, and
+//! [`FaultSet`] makes that claim executable: it names failed loops, and
 //! [`RoutingTable::rebuild_excluding`](crate::RoutingTable::rebuild_excluding)
-//! re-derives per-destination routes over the surviving wiring only,
+//! re-derives per-destination routes over the surviving loops only,
 //! summarising what remains in a [`ReachabilityReport`] so callers can
 //! degrade gracefully instead of panicking on partial connectivity.
 
 use crate::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// A set of failed loops and failed directed links.
+/// A set of failed loops. A failed loop is disabled whole (e.g. a defect
+/// in the shared loop control logic): no flit may use any part of it.
 ///
-/// Two failure granularities, matching how routerless wiring actually
-/// breaks:
-///
-/// - a **loop failure** disables a whole loop (e.g. a defect in the
-///   shared loop control logic) — no flit may use any part of it;
-/// - a **link failure** cuts one directed link of one loop, identified by
-///   the node the link *leaves*. The rest of the loop keeps carrying
-///   traffic whose source→destination arc does not cross the cut.
-///
-/// Sets are kept sorted and deduplicated, so equality and serialization
+/// The set is kept sorted and deduplicated, so equality and serialization
 /// are canonical.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSet {
     /// Failed loop indices (into [`Topology::loops`](crate::Topology::loops)),
     /// sorted, deduplicated.
     failed_loops: Vec<usize>,
-    /// Failed directed links as `(loop_index, from_node)`, sorted,
-    /// deduplicated.
-    failed_links: Vec<(usize, NodeId)>,
 }
 
 impl FaultSet {
@@ -44,7 +32,7 @@ impl FaultSet {
 
     /// Whether no fault is recorded.
     pub fn is_empty(&self) -> bool {
-        self.failed_loops.is_empty() && self.failed_links.is_empty()
+        self.failed_loops.is_empty()
     }
 
     /// Marks a whole loop as failed. Idempotent.
@@ -55,39 +43,9 @@ impl FaultSet {
         self
     }
 
-    /// Marks the directed link of loop `loop_index` leaving `from` as
-    /// failed. Idempotent.
-    pub fn fail_link(&mut self, loop_index: usize, from: NodeId) -> &mut Self {
-        let key = (loop_index, from);
-        if let Err(at) = self.failed_links.binary_search(&key) {
-            self.failed_links.insert(at, key);
-        }
-        self
-    }
-
     /// Whether the whole loop has failed.
     pub fn loop_failed(&self, loop_index: usize) -> bool {
         self.failed_loops.binary_search(&loop_index).is_ok()
-    }
-
-    /// Whether the directed link of `loop_index` leaving `from` has
-    /// failed (false for links of loops that failed wholesale — query
-    /// [`FaultSet::loop_failed`] for those).
-    pub fn link_failed(&self, loop_index: usize, from: NodeId) -> bool {
-        self.failed_links.binary_search(&(loop_index, from)).is_ok()
-    }
-
-    /// Whether any individual link of `loop_index` has failed.
-    pub fn loop_has_link_faults(&self, loop_index: usize) -> bool {
-        self.failed_links
-            .binary_search_by(|&(l, _)| l.cmp(&loop_index).then(std::cmp::Ordering::Greater))
-            .err()
-            .map(|at| {
-                self.failed_links
-                    .get(at)
-                    .is_some_and(|&(l, _)| l == loop_index)
-            })
-            .unwrap_or(false)
     }
 
     /// Failed loop indices, ascending.
@@ -95,14 +53,9 @@ impl FaultSet {
         &self.failed_loops
     }
 
-    /// Failed `(loop_index, from_node)` links, ascending.
-    pub fn failed_links(&self) -> &[(usize, NodeId)] {
-        &self.failed_links
-    }
-
     /// Total number of recorded faults.
     pub fn len(&self) -> usize {
-        self.failed_loops.len() + self.failed_links.len()
+        self.failed_loops.len()
     }
 
     /// Selects `k` distinct loops out of `num_loops` to fail, chosen
@@ -174,18 +127,12 @@ mod tests {
     fn fault_set_is_canonical_and_idempotent() {
         let mut a = FaultSet::new();
         a.fail_loop(3).fail_loop(1).fail_loop(3);
-        a.fail_link(2, 7).fail_link(0, 4).fail_link(2, 7);
         let mut b = FaultSet::new();
-        b.fail_link(0, 4).fail_link(2, 7);
         b.fail_loop(1).fail_loop(3);
         assert_eq!(a, b);
         assert_eq!(a.failed_loops(), &[1, 3]);
-        assert_eq!(a.failed_links(), &[(0, 4), (2, 7)]);
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.len(), 2);
         assert!(a.loop_failed(1) && a.loop_failed(3) && !a.loop_failed(2));
-        assert!(a.link_failed(2, 7) && !a.link_failed(2, 6));
-        assert!(a.loop_has_link_faults(0) && a.loop_has_link_faults(2));
-        assert!(!a.loop_has_link_faults(1));
     }
 
     #[test]
@@ -194,7 +141,6 @@ mod tests {
         assert!(f.is_empty());
         assert_eq!(f.len(), 0);
         assert!(!f.loop_failed(0));
-        assert!(!f.link_failed(0, 0));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! - [`diversity`]: path-diversity and link-failure reliability metrics
 //!   (paper §6.7),
 //! - [`FaultSet`] + [`RoutingTable::rebuild_excluding`]: degraded-mode
-//!   routing over surviving loops after loop/link failures, reported via
+//!   routing over surviving loops after loop failures, reported via
 //!   [`ReachabilityReport`],
 //! - [`mesh`] and [`reference`](crate::reference): router-based reference
 //!   fabrics (mesh, single ring, hierarchical ring) used as comparison

@@ -75,8 +75,8 @@ impl RoutingTable {
     }
 
     /// Re-derives the table over surviving loops only, excluding every
-    /// route that uses a failed loop or crosses a failed directed link,
-    /// with the default [`RoutingPolicy::Shortest`] policy.
+    /// route that uses a failed loop, with the default
+    /// [`RoutingPolicy::Shortest`] policy.
     ///
     /// Returns the degraded table together with a [`ReachabilityReport`]
     /// summarising what connectivity remains, so callers can decide how
@@ -125,7 +125,7 @@ impl RoutingTable {
     }
 
     /// Shared construction path: enumerate candidate routes per ordered
-    /// pair (optionally dropping those a `FaultSet` invalidates), then
+    /// pair (optionally skipping the loops a `FaultSet` marks failed), then
     /// select per the policy. `Shortest` keeps only the best so far:
     /// candidates come in loop order, so replacing it only on strictly
     /// fewer hops breaks ties toward the earlier-added loop.
@@ -144,27 +144,12 @@ impl RoutingTable {
             }
             let nodes = ring.perimeter_nodes(grid);
             let len = nodes.len();
-            // Positions (in loop order) of nodes whose outgoing link on
-            // this loop is cut. A route from position pi spanning `hops`
-            // links is dead iff some cut sits within [pi, pi + hops).
-            let cut_positions: Vec<usize> = match faults {
-                Some(f) if f.loop_has_link_faults(i) => nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &node)| f.link_failed(i, node))
-                    .map(|(p, _)| p)
-                    .collect(),
-                _ => Vec::new(),
-            };
             for (pi, &a) in nodes.iter().enumerate() {
                 for (pj, &b) in nodes.iter().enumerate() {
                     if a == b {
                         continue;
                     }
                     let hops = (pj + len - pi) % len;
-                    if cut_positions.iter().any(|&pf| (pf + len - pi) % len < hops) {
-                        continue;
-                    }
                     let route = Route {
                         loop_index: i,
                         hops,
@@ -468,49 +453,6 @@ mod tests {
         assert_eq!(report.disconnected_pairs(), 16 * 15);
         assert_eq!(report.average_hops, None);
         assert!(!table.is_complete());
-    }
-
-    #[test]
-    fn failed_link_blocks_only_crossing_routes() {
-        // One CW loop on a 2x2 grid: nodes in loop order 0,1,3,2. Cut the
-        // link leaving node 1. Routes that cross it (e.g. 0->3, 1->2) die;
-        // upstream arcs (e.g. 0->1, 3->2) survive.
-        let g = Grid::square(2).unwrap();
-        let t = Topology::from_loops(
-            g,
-            [RectLoop::new(0, 0, 1, 1, Direction::Clockwise).unwrap()],
-        )
-        .unwrap();
-        let order = t.loops()[0].perimeter_nodes(&g);
-        let cut_from = order[1];
-        let mut faults = FaultSet::new();
-        faults.fail_link(0, cut_from);
-        let (table, report) = RoutingTable::rebuild_excluding(&t, &faults);
-        // Surviving pairs are exactly the arcs not spanning the cut: from
-        // position p to position q (p != q) going forward without passing
-        // position 1->2's link. Enumerate via the oracle.
-        let len = order.len();
-        let cut_pos = 1;
-        let mut expect_reachable = 0;
-        for pi in 0..len {
-            for pj in 0..len {
-                if pi == pj {
-                    continue;
-                }
-                let hops = (pj + len - pi) % len;
-                let crosses = (cut_pos + len - pi) % len < hops;
-                assert_eq!(
-                    table.route(order[pi], order[pj]).is_some(),
-                    !crosses,
-                    "pair positions ({pi},{pj})"
-                );
-                if !crosses {
-                    expect_reachable += 1;
-                }
-            }
-        }
-        assert_eq!(report.reachable_pairs, expect_reachable);
-        assert_eq!(report.total_pairs, 12);
     }
 
     #[test]

