@@ -8,8 +8,13 @@
 //! one (`SweepEngine::sweep_many` over the optimized kernel). The sweep
 //! comparison asserts bit-identical `SweepResult`s across reference vs
 //! optimized and serial vs parallel before reporting the speedup, so the
-//! number is apples-to-apples by construction. Everything is written to
-//! `BENCH_sim.json` so perf changes across commits are diffable.
+//! number is apples-to-apples by construction. Every timing is repeated
+//! (one warm-up, then at least five runs in full mode) and reported as
+//! its median with a `_spread`: the interquartile range over the median.
+//! Both kernels of a row run through the same driver, `run_synthetic`,
+//! so a driver change (such as stopping an emptied drain phase) speeds
+//! up the reference rows too. Everything is written to `BENCH_sim.json`
+//! so perf changes across commits are diffable.
 //!
 //! Usage: `bench_sim_json [--smoke] [out_path]` (default `BENCH_sim.json`;
 //! `--smoke` shrinks cycle counts for CI).
@@ -24,17 +29,31 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Mean seconds per run: one warmup, then repeat until both `min_reps`
-/// runs and `min_secs` of wall clock have accumulated.
-fn time_secs(min_reps: u32, min_secs: f64, mut f: impl FnMut()) -> f64 {
+/// Seconds per run of `f`: one warm-up, then repeat until both
+/// `min_reps` runs and `min_secs` of wall clock have accumulated.
+fn time_runs(min_reps: u32, min_secs: f64, mut f: impl FnMut()) -> Vec<f64> {
     f();
     let start = Instant::now();
-    let mut reps = 0u32;
-    while reps < min_reps || start.elapsed().as_secs_f64() < min_secs {
+    let mut runs = Vec::new();
+    while runs.len() < min_reps as usize || start.elapsed().as_secs_f64() < min_secs {
+        let run = Instant::now();
         f();
-        reps += 1;
+        runs.push(run.elapsed().as_secs_f64());
     }
-    start.elapsed().as_secs_f64() / f64::from(reps)
+    runs
+}
+
+/// The median of `values` and their spread: the interquartile range over
+/// the median.
+fn median_spread(mut values: Vec<f64>) -> (f64, f64) {
+    values.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let at = q * (values.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        values[lo] + (values[hi] - values[lo]) * (at - lo as f64)
+    };
+    let median = quantile(0.5);
+    (median, (quantile(0.75) - quantile(0.25)) / median)
 }
 
 struct Knobs {
@@ -51,7 +70,7 @@ impl Knobs {
             cfg_cycles: (500, 3_000, 2_000),
             sweep_cycles: (500, 4_000, 2_000),
             sweep_step: 0.02,
-            min_reps: 2,
+            min_reps: 5,
             min_secs: 0.25,
         }
     }
@@ -85,7 +104,8 @@ fn mesh_cfg(k: &Knobs) -> SimConfig {
     }
 }
 
-/// Simulated cycles per wall-clock second for one fabric at one load.
+/// Simulated cycles per wall-clock second for one fabric at one load:
+/// the median over the repeats, and its spread.
 fn cycles_per_sec<N: Network>(
     k: &Knobs,
     mut mk: impl FnMut() -> N,
@@ -93,13 +113,13 @@ fn cycles_per_sec<N: Network>(
     rate: f64,
     cfg: &SimConfig,
     seed: u64,
-) -> f64 {
+) -> (f64, f64) {
     let total = (cfg.warmup + cfg.measure + cfg.drain) as f64;
-    let secs = time_secs(k.min_reps, k.min_secs, || {
+    let runs = time_runs(k.min_reps, k.min_secs, || {
         let mut net = mk();
         black_box(run_synthetic(&mut net, pattern, rate, cfg, seed));
     });
-    total / secs
+    median_spread(runs.iter().map(|secs| total / secs).collect())
 }
 
 fn main() {
@@ -127,7 +147,7 @@ fn main() {
         let rec = rec_topology(grid).expect("REC");
         for (load, rl_rate, mesh_rate) in [("low", 0.05, 0.05), ("near_sat", 0.25, 0.10)] {
             let seed = 21 + n as u64;
-            let cases: [(&str, f64, f64); 2] = [
+            let cases = [
                 (
                     "routerless",
                     cycles_per_sec(
@@ -167,11 +187,11 @@ fn main() {
                     ),
                 ),
             ];
-            for (fabric, opt, reference) in cases {
+            for (fabric, (opt, opt_spread), (reference, ref_spread)) in cases {
                 kernel_speedups.push(opt / reference);
                 let _ = write!(
                     kernel_rows,
-                    "{}\n    \"{fabric}_{n}x{n}_{load}\": {{ \"optimized_cycles_per_sec\": {opt:.0}, \"reference_cycles_per_sec\": {reference:.0}, \"speedup\": {:.2} }}",
+                    "{}\n    \"{fabric}_{n}x{n}_{load}\": {{ \"optimized_cycles_per_sec\": {opt:.0}, \"optimized_spread\": {opt_spread:.3}, \"reference_cycles_per_sec\": {reference:.0}, \"reference_spread\": {ref_spread:.3}, \"speedup\": {:.2} }}",
                     if kernel_rows.is_empty() { "" } else { "," },
                     opt / reference,
                 );
@@ -216,13 +236,16 @@ fn main() {
         .collect();
     let engine = SweepEngine::available();
 
-    let start = Instant::now();
-    let baseline = run_serial(&|t| Box::new(ReferenceRouterlessSim::new(t)));
-    let serial_reference_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let results = engine.sweep_many(&jobs);
-    let engine_optimized_secs = start.elapsed().as_secs_f64();
+    let mut baseline = Vec::new();
+    let (serial_reference_secs, serial_reference_spread) =
+        median_spread(time_runs(k.min_reps, k.min_secs, || {
+            baseline = run_serial(&|t| Box::new(ReferenceRouterlessSim::new(t)));
+        }));
+    let mut results = Vec::new();
+    let (engine_optimized_secs, engine_optimized_spread) =
+        median_spread(time_runs(k.min_reps, k.min_secs, || {
+            results = engine.sweep_many(&jobs);
+        }));
 
     // Bit-identity: the optimized engine run must reproduce both the
     // reference kernel's curves and a fully serial optimized run.
@@ -248,7 +271,9 @@ fn main() {
     "patterns": {},
     "threads": {},
     "serial_reference_secs": {serial_reference_secs:.3},
+    "serial_reference_spread": {serial_reference_spread:.3},
     "engine_optimized_secs": {engine_optimized_secs:.3},
+    "engine_optimized_spread": {engine_optimized_spread:.3},
     "speedup": {sweep_speedup:.2},
     "bit_identical": true
   }}

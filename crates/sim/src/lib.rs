@@ -37,10 +37,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bits;
 mod config;
 mod error;
 mod fault;
-mod hash;
 mod ledger;
 mod mesh;
 mod packet;

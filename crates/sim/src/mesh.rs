@@ -1,8 +1,9 @@
 //! The router-based mesh fabric: input-buffered wormhole routers with XY
 //! dimension-order routing and credit-based backpressure.
 
+use crate::bits;
 use crate::ledger::Ledger;
-use crate::packet::{Flit, Packet};
+use crate::packet::Packet;
 use crate::runner::{Delivery, Network};
 use rlnoc_topology::{Grid, NodeId};
 use std::cmp::Ordering;
@@ -16,9 +17,14 @@ const WEST: usize = 3;
 const LOCAL: usize = 4;
 const PORTS: usize = 5;
 
-/// A buffered flit with the cycle it entered this router (for pipeline
-/// modelling).
-type Buffered = (Flit, u64);
+/// A buffered flit: its packet's ledger handle, whether it is the head,
+/// and the cycle it entered this router (for pipeline modelling).
+#[derive(Debug, Clone, Copy, Default)]
+struct Buffered {
+    handle: u32,
+    head: bool,
+    entered: u64,
+}
 
 /// One input FIFO: a ring of `buffer_capacity` slots in
 /// [`MeshSim::slots`]. Credits and the injection check bound every FIFO
@@ -60,28 +66,37 @@ struct Router {
 /// port from head to tail; credits bound each input FIFO at
 /// `buffer_capacity` flits.
 ///
-/// A cycle costs work in proportion to the buffered flits: routers with
-/// empty FIFOs are skipped, each head flit is routed once, when it reaches
-/// the front of its FIFO, and all input FIFOs share one flat ring-buffer
-/// array.
+/// A cycle costs work in proportion to the buffered flits and queued
+/// packets: it walks only the routers holding a flit and the nodes with a
+/// queued packet, each from a bitset in id order; each head flit is routed
+/// once, by a table lookup, when it reaches the front of its FIFO; and all
+/// input FIFOs share one flat ring-buffer array of ledger handles.
 #[derive(Debug, Clone)]
 pub struct MeshSim {
     grid: Grid,
     router_delay: u64,
     buffer_capacity: usize,
-    /// `(x, y)` of every node, so routing never divides.
+    /// `(x, y)` of every node, for hop counts.
     coords: Vec<(usize, usize)>,
+    /// XY output port at router `at` for destination `dst`, at
+    /// `route[at * grid.len() + dst]`.
+    route: Vec<u8>,
     routers: Vec<Router>,
     /// Input FIFO `node * PORTS + port`.
     fifos: Vec<Fifo>,
     /// Ring storage: FIFO `f` owns `slots[f * buffer_capacity..]`, the
     /// next `buffer_capacity` entries.
-    slots: Vec<Option<Buffered>>,
+    slots: Vec<Buffered>,
     /// Per router, bit `port` is set while that input FIFO holds a flit.
     nonempty: Vec<u8>,
+    /// Bitset of the routers whose `nonempty` is not zero.
+    busy: Vec<u64>,
     /// Ticks run so far.
     ticks: u64,
-    queues: Vec<VecDeque<Packet>>,
+    /// Handles of the packets waiting at each node, oldest first.
+    queues: Vec<VecDeque<u32>>,
+    /// Bitset of the nodes whose queue is not empty.
+    queued: Vec<u64>,
     /// Next flit index to inject for the head packet of each node queue.
     inject_progress: Vec<usize>,
     ledger: Ledger,
@@ -92,17 +107,25 @@ impl MeshSim {
     /// beyond the link) and per-input buffer capacity in flits.
     pub fn new(grid: Grid, router_delay: u64, buffer_capacity: usize) -> Self {
         let buffer_capacity = buffer_capacity.max(1);
+        let coords: Vec<(usize, usize)> = grid.coords().collect();
+        let route = coords
+            .iter()
+            .flat_map(|&at| coords.iter().map(move |&dst| Self::xy_port(at, dst) as u8))
+            .collect();
         MeshSim {
             grid,
             router_delay,
             buffer_capacity,
-            coords: grid.coords().collect(),
+            coords,
+            route,
             routers: vec![Router::default(); grid.len()],
             fifos: vec![Fifo::default(); grid.len() * PORTS],
-            slots: vec![None; grid.len() * PORTS * buffer_capacity],
+            slots: vec![Buffered::default(); grid.len() * PORTS * buffer_capacity],
             nonempty: vec![0; grid.len()],
+            busy: vec![0; bits::words(grid.len())],
             ticks: 0,
             queues: vec![VecDeque::new(); grid.len()],
+            queued: vec![0; bits::words(grid.len())],
             inject_progress: vec![0; grid.len()],
             ledger: Ledger::default(),
         }
@@ -123,9 +146,8 @@ impl MeshSim {
         MeshSim::new(grid, 0, 8)
     }
 
-    /// XY dimension-order output port at `at` for `dst`.
-    fn route(coords: &[(usize, usize)], at: NodeId, dst: NodeId) -> usize {
-        let ((x, y), (dx, dy)) = (coords[at], coords[dst]);
+    /// XY dimension-order output port at `(x, y)` for `(dx, dy)`.
+    fn xy_port((x, y): (usize, usize), (dx, dy): (usize, usize)) -> usize {
         match (x.cmp(&dx), y.cmp(&dy)) {
             (Ordering::Less, _) => EAST,
             (Ordering::Greater, _) => WEST,
@@ -137,21 +159,22 @@ impl MeshSim {
 
     /// The front flit of FIFO `f` (which must be non-empty).
     fn front(&self, f: usize) -> Buffered {
-        self.slots[f * self.buffer_capacity + self.fifos[f].head].expect("non-empty FIFO")
+        self.slots[f * self.buffer_capacity + self.fifos[f].head]
     }
 
     /// Caches when the front flit of non-empty FIFO `f` may leave and, for
     /// a head, where it goes: a flit is routed once, when it reaches the
     /// front. Its route depends only on the router and its destination.
     fn refresh_front(&mut self, f: usize) {
-        let (flit, entered) = self.front(f);
-        let request = if flit.is_head() {
-            Self::route(&self.coords, f / PORTS, flit.packet.dst)
+        let front = self.front(f);
+        let request = if front.head {
+            let dst = self.ledger.packet(front.handle).dst;
+            usize::from(self.route[(f / PORTS) * self.grid.len() + dst])
         } else {
             NO_REQUEST
         };
         let fifo = &mut self.fifos[f];
-        fifo.ready_at = entered + self.router_delay;
+        fifo.ready_at = front.entered + self.router_delay;
         fifo.request = request;
     }
 
@@ -163,9 +186,13 @@ impl MeshSim {
             tail -= cap;
         }
         fifo.len += 1;
-        self.slots[f * cap + tail] = Some(entry);
+        self.slots[f * cap + tail] = entry;
         if fifo.len == 1 {
-            self.nonempty[f / PORTS] |= 1 << (f % PORTS);
+            let r = f / PORTS;
+            if self.nonempty[r] == 0 {
+                bits::insert(&mut self.busy, r);
+            }
+            self.nonempty[r] |= 1 << (f % PORTS);
             self.refresh_front(f);
         }
     }
@@ -179,7 +206,11 @@ impl MeshSim {
         fifo.len -= 1;
         fifo.popped = self.ticks;
         if fifo.len == 0 {
-            self.nonempty[f / PORTS] &= !(1 << (f % PORTS));
+            let r = f / PORTS;
+            self.nonempty[r] &= !(1 << (f % PORTS));
+            if self.nonempty[r] == 0 {
+                bits::remove(&mut self.busy, r);
+            }
         } else {
             self.refresh_front(f);
         }
@@ -215,6 +246,121 @@ impl MeshSim {
         }
         (ready, want)
     }
+
+    /// Router `r`'s switch allocation and traversal for one cycle.
+    fn arbitrate(&mut self, r: NodeId, cycle: u64) {
+        let (ready, want) = self.requests(r, cycle);
+        if ready == 0 {
+            return;
+        }
+        let mut served = 0u8;
+        for (out, &requesters) in want[..PORTS].iter().enumerate() {
+            // Which input may use this output?
+            let inp = match self.routers[r].out_lock[out] {
+                Some((inp, _)) => inp,
+                None => {
+                    let candidates = requesters & !served;
+                    if candidates == 0 {
+                        continue;
+                    }
+                    // First candidate at or after the round-robin
+                    // pointer, wrapping around.
+                    let from_rr = candidates >> self.routers[r].rr[out] << self.routers[r].rr[out];
+                    let pick = if from_rr != 0 { from_rr } else { candidates };
+                    pick.trailing_zeros() as usize
+                }
+            };
+            // A locked input may be empty, already served, or still in
+            // the pipeline (the delay applies to body flits too).
+            if (served | !ready) & (1 << inp) != 0 {
+                continue;
+            }
+            let f = r * PORTS + inp;
+            let flit = self.front(f);
+            let next = if out == LOCAL {
+                None
+            } else {
+                // Credit check against the neighbour's input FIFO.
+                let nb = match out {
+                    NORTH => r - self.grid.width(),
+                    EAST => r + 1,
+                    SOUTH => r + self.grid.width(),
+                    _ => r - 1,
+                };
+                let g = nb * PORTS + Self::arrival_port(out);
+                let downstream = self.fifos[g];
+                let credits_used = downstream.len + usize::from(downstream.popped == self.ticks);
+                if credits_used >= self.buffer_capacity {
+                    continue;
+                }
+                Some(g)
+            };
+            served |= 1 << inp;
+            // Maintain the wormhole lock. This reads the packet before the
+            // flit moves, because ejecting its last flit frees the handle.
+            let router = &mut self.routers[r];
+            match &mut router.out_lock[out] {
+                Some((_, left)) => {
+                    *left -= 1;
+                    if *left == 0 {
+                        router.out_lock[out] = None;
+                    }
+                }
+                None => {
+                    router.rr[out] = (inp + 1) % PORTS;
+                    let flits = self.ledger.packet(flit.handle).flits;
+                    if flits > 1 {
+                        router.out_lock[out] = Some((inp, flits - 1));
+                    }
+                }
+            }
+            self.pop(f);
+            match next {
+                Some(g) => self.push(
+                    g,
+                    Buffered {
+                        entered: cycle + 1,
+                        ..flit
+                    },
+                ),
+                None => {
+                    let coords = &self.coords;
+                    self.ledger.eject(flit.handle, cycle, |p| {
+                        let ((sx, sy), (dx, dy)) = (coords[p.src], coords[p.dst]);
+                        (sx.abs_diff(dx) + sy.abs_diff(dy)) as u64
+                    });
+                }
+            }
+        }
+    }
+
+    /// Injects the next flit of `node`'s oldest queued packet into its
+    /// local input, if there is buffer space.
+    fn inject(&mut self, node: NodeId, cycle: u64) {
+        let f = node * PORTS + LOCAL;
+        if self.fifos[f].len >= self.buffer_capacity {
+            return;
+        }
+        let handle = *self.queues[node].front().expect("queued node has a packet");
+        let idx = self.inject_progress[node];
+        self.push(
+            f,
+            Buffered {
+                handle,
+                head: idx == 0,
+                entered: cycle + 1,
+            },
+        );
+        if idx + 1 == self.ledger.packet(handle).flits {
+            self.queues[node].pop_front();
+            self.inject_progress[node] = 0;
+            if self.queues[node].is_empty() {
+                bits::remove(&mut self.queued, node);
+            }
+        } else {
+            self.inject_progress[node] = idx + 1;
+        }
+    }
 }
 
 impl Network for MeshSim {
@@ -223,8 +369,9 @@ impl Network for MeshSim {
     }
 
     fn offer(&mut self, packet: Packet) {
-        self.queues[packet.src].push_back(packet);
-        self.ledger.offer();
+        let handle = self.ledger.offer(packet);
+        self.queues[packet.src].push_back(handle);
+        bits::insert(&mut self.queued, packet.src);
     }
 
     fn tick(&mut self, cycle: u64) {
@@ -235,104 +382,25 @@ impl Network for MeshSim {
         // than the next cycle, so it moves at most one hop per cycle; and
         // a slot freed this cycle keeps its credit until the next (see
         // `Fifo::popped`), so credits match a commit-at-end-of-cycle
-        // model exactly.
-        let width = self.grid.width();
-        for r in 0..self.routers.len() {
-            if self.nonempty[r] == 0 {
-                continue;
-            }
-            let (ready, want) = self.requests(r, cycle);
-            if ready == 0 {
-                continue;
-            }
-            let mut served = 0u8;
-            for (out, &requesters) in want[..PORTS].iter().enumerate() {
-                // Which input may use this output?
-                let inp = match self.routers[r].out_lock[out] {
-                    Some((inp, _)) => inp,
-                    None => {
-                        let candidates = requesters & !served;
-                        if candidates == 0 {
-                            continue;
-                        }
-                        // First candidate at or after the round-robin
-                        // pointer, wrapping around.
-                        let from_rr =
-                            candidates >> self.routers[r].rr[out] << self.routers[r].rr[out];
-                        let pick = if from_rr != 0 { from_rr } else { candidates };
-                        pick.trailing_zeros() as usize
-                    }
-                };
-                // A locked input may be empty, already served, or still in
-                // the pipeline (the delay applies to body flits too).
-                if (served | !ready) & (1 << inp) != 0 {
-                    continue;
-                }
-                let f = r * PORTS + inp;
-                let (flit, _) = self.front(f);
-                if out == LOCAL {
-                    self.pop(f);
-                    let coords = &self.coords;
-                    self.ledger.eject(flit, cycle, || {
-                        let ((sx, sy), (dx, dy)) =
-                            (coords[flit.packet.src], coords[flit.packet.dst]);
-                        (sx.abs_diff(dx) + sy.abs_diff(dy)) as u64
-                    });
-                } else {
-                    // Credit check against the neighbour's input FIFO.
-                    let nb = match out {
-                        NORTH => r - width,
-                        EAST => r + 1,
-                        SOUTH => r + width,
-                        _ => r - 1,
-                    };
-                    let g = nb * PORTS + Self::arrival_port(out);
-                    let downstream = self.fifos[g];
-                    let credits_used =
-                        downstream.len + usize::from(downstream.popped == self.ticks);
-                    if credits_used >= self.buffer_capacity {
-                        continue;
-                    }
-                    self.pop(f);
-                    self.push(g, (flit, cycle + 1));
-                }
-                served |= 1 << inp;
-                // Maintain the wormhole lock.
-                let router = &mut self.routers[r];
-                match &mut router.out_lock[out] {
-                    Some((_, left)) => {
-                        *left -= 1;
-                        if *left == 0 {
-                            router.out_lock[out] = None;
-                        }
-                    }
-                    None => {
-                        router.rr[out] = (inp + 1) % PORTS;
-                        if flit.packet.flits > 1 {
-                            router.out_lock[out] = Some((inp, flit.packet.flits - 1));
-                        }
-                    }
-                }
+        // model exactly. A router that receives its first flit during the
+        // walk has nothing ready this cycle, so whether the walk reaches
+        // it changes nothing.
+        for w in 0..self.busy.len() {
+            let mut word = self.busy[w];
+            while word != 0 {
+                let r = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.arbitrate(r, cycle);
             }
         }
 
-        // Injection: one flit per node per cycle into the local input, if
-        // there is buffer space.
-        for node in 0..self.grid.len() {
-            let Some(&packet) = self.queues[node].front() else {
-                continue;
-            };
-            let f = node * PORTS + LOCAL;
-            if self.fifos[f].len >= self.buffer_capacity {
-                continue;
-            }
-            let idx = self.inject_progress[node];
-            self.push(f, (Flit { packet, index: idx }, cycle + 1));
-            if idx + 1 == packet.flits {
-                self.queues[node].pop_front();
-                self.inject_progress[node] = 0;
-            } else {
-                self.inject_progress[node] = idx + 1;
+        // Injection: one flit per node per cycle into the local input.
+        for w in 0..self.queued.len() {
+            let mut word = self.queued[w];
+            while word != 0 {
+                let node = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.inject(node, cycle);
             }
         }
     }

@@ -1,69 +1,115 @@
 //! The routerless fabric: one dedicated ring of wires per loop,
 //! single-cycle hops, source routing, priority to passing traffic.
 //!
-//! The cycle kernel is allocation-free in steady state: each lane keeps a
-//! persistent flit array that never moves — advancing the ring is a
-//! rotation of the *frame* (one counter increment per lane per cycle),
-//! not of the data. A flit injected into a physical slot stays in that
-//! slot until ejection; the node a slot currently fronts is derived from
-//! the lane's rotation offset. Rings never block, so every flit's arrival
-//! rotation is known at injection and recorded in a per-lane calendar —
-//! the ejection pass visits only the slots due this cycle (O(ejections),
-//! not O(slots)), and a flit passing through costs nothing at all.
+//! The cycle kernel is allocation-free in steady state, and a cycle costs
+//! work in proportion to its traffic, not to the fabric's size. Each lane
+//! keeps a persistent array of slots that never moves: advancing the ring
+//! rotates the *frame*, not the data, and a lane's rotation is the tick
+//! count modulo its length, so advancing every lane costs nothing. A flit
+//! injected into a physical slot stays in that slot until ejection; the
+//! node a slot currently fronts follows from the rotation. Rings never
+//! block, so every flit's arrival is known at injection: the flit is
+//! booked in its lane's calendar (flat arrays, one bucket per rotation),
+//! and the lane is marked due at its arrival tick in a ring of lane
+//! bitsets. The ejection pass visits only the lanes due this tick, in
+//! lane-index order, and in each only the slots due; a flit passing
+//! through costs nothing at all. Injection visits only the nodes with a
+//! queued packet or an injection in progress.
 
+use crate::bits;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::ledger::Ledger;
-use crate::packet::{Flit, Packet};
+use crate::packet::Packet;
 use crate::runner::{Delivery, Network};
 use rlnoc_topology::{FaultSet, Grid, NodeId, RoutingTable, Topology};
 use std::collections::VecDeque;
 
-/// Sentinel for an unoccupied slot in [`Lane::dst`].
+/// Sentinel for an unoccupied slot in [`Lane::slots`].
 const EMPTY: u32 = u32::MAX;
 
 /// One loop's wiring: node order and the flit occupying each slot.
 ///
 /// The flit in physical slot `s` is currently *at* node
-/// `nodes[(s + rot) % len]`; [`RouterlessSim::tick`] advances every flit
-/// one position by incrementing `rot` — no per-cycle allocation, no data
-/// movement.
+/// `nodes[(s + rot) % len]`, where `rot` is the tick count modulo `len`:
+/// ticking advances every flit one position with no data movement.
 #[derive(Debug, Clone)]
 struct Lane {
     nodes: Vec<NodeId>,
     /// Position of each node on this lane (`None` if off-lane), indexed by
     /// node id.
     pos: Vec<Option<usize>>,
-    /// Destination node of the flit in each physical slot ([`EMPTY`] when
-    /// unoccupied) — the emptiness key for the injection pass.
-    dst: Vec<u32>,
-    /// Flit payload per physical slot, valid where `dst[s] != EMPTY`.
-    slots: Vec<Option<Flit>>,
-    /// Frame rotation: how many hops this lane has advanced, modulo its
-    /// length.
-    rot: usize,
-    /// Ejection calendar: `calendar[r]` holds the slots whose flit fronts
-    /// its destination when `rot == r`. Rings never block, so arrival
-    /// times are known at injection; a deflected entry stays in its
-    /// bucket, which recurs exactly one full circle later. Buckets retain
-    /// capacity, so steady-state pushes never allocate.
-    calendar: Vec<Vec<usize>>,
+    /// Ledger handle of the flit in each physical slot ([`EMPTY`] when
+    /// unoccupied).
+    slots: Vec<u32>,
+    /// Ejection calendar, `len` buckets of `len` entries: bucket `r`,
+    /// `calendar[r * len..][..booked[r]]`, holds the slots whose flit
+    /// fronts its destination when the rotation is `r`. A deflected entry
+    /// stays in its bucket, which recurs exactly one full circle later. A
+    /// slot holds one flit, so no bucket outgrows its `len` entries.
+    calendar: Vec<u32>,
+    /// Entries booked in each calendar bucket.
+    booked: Vec<usize>,
 }
 
 impl Lane {
-    /// Physical slot currently fronting node position `p`.
-    fn slot_of(&self, p: usize) -> usize {
+    /// Physical slot fronting node position `p` at rotation `rot`.
+    fn slot_of(&self, p: usize, rot: usize) -> usize {
         let len = self.nodes.len();
-        (p + len - self.rot) % len
+        (p + len - rot) % len
+    }
+
+    /// This lane's rotation after `ticks` ticks.
+    fn rot(&self, ticks: u64) -> usize {
+        (ticks % self.nodes.len() as u64) as usize
     }
 }
 
-/// An injection in progress: flits of `packet` still being placed onto
-/// `lane`.
+/// The lanes with an ejection due at each of the next ticks: a ring of
+/// lane bitsets, indexed by tick modulo a length that exceeds every
+/// lane's, so a booking never lands on the tick being served.
+#[derive(Debug, Clone)]
+struct DueLanes {
+    /// Words per bitset.
+    words: usize,
+    /// Bitsets in the ring.
+    span: u64,
+    ring: Vec<u64>,
+}
+
+impl DueLanes {
+    fn new(lanes: &[Lane]) -> Self {
+        let words = bits::words(lanes.len());
+        let span = lanes.iter().map(|l| l.nodes.len()).max().unwrap_or(0) + 1;
+        DueLanes {
+            words,
+            span: span as u64,
+            ring: vec![0; span * words],
+        }
+    }
+
+    /// Marks `lane` due at tick `at`.
+    fn mark(&mut self, at: u64, lane: usize) {
+        let base = (at % self.span) as usize * self.words;
+        bits::insert(&mut self.ring[base..base + self.words], lane);
+    }
+
+    /// Takes word `w` of the bitset of lanes due at tick `at`.
+    fn take(&mut self, at: u64, w: usize) -> u64 {
+        std::mem::take(&mut self.ring[(at % self.span) as usize * self.words + w])
+    }
+}
+
+/// An injection in progress: the flits of packet `handle` still to be
+/// placed onto `lane` at lane position `pos`. Each reaches the packet's
+/// destination `hops` advances after it is placed.
 #[derive(Debug, Clone, Copy)]
 struct ActiveInjection {
-    packet: Packet,
+    handle: u32,
     lane: usize,
-    next_flit: usize,
+    pos: usize,
+    /// In `1..=len`: a self-addressed packet rides one full circle.
+    hops: usize,
+    flits_left: usize,
 }
 
 /// Cycle-accurate simulator for a routerless NoC [`Topology`].
@@ -80,8 +126,15 @@ pub struct RouterlessSim {
     grid: Grid,
     routing: RoutingTable,
     lanes: Vec<Lane>,
-    queues: Vec<VecDeque<Packet>>,
+    /// Ticks run so far; each lane's rotation derives from it.
+    ticks: u64,
+    due: DueLanes,
+    /// Handles of the packets waiting at each node, oldest first.
+    queues: Vec<VecDeque<u32>>,
     active: Vec<Option<ActiveInjection>>,
+    /// Bitset of the nodes with a queued packet or an injection in
+    /// progress (possibly stale after a loop kill aborts one).
+    pending: Vec<u64>,
     ledger: Ledger,
     unroutable: u64,
     /// Max flits a node may eject per cycle across all loops; `None`
@@ -90,9 +143,9 @@ pub struct RouterlessSim {
     /// Flits that circled past their destination because the ejection
     /// ports were busy (only possible with an ejection limit).
     deflections: u64,
-    /// Per-node ejections this cycle (persistent scratch, zeroed each
-    /// tick only while an ejection limit is set).
-    ejected_at: Vec<usize>,
+    /// Per node, the last tick it ejected in and its ejections in that
+    /// tick (read only while an ejection limit is set).
+    ejected_at: Vec<(u64, usize)>,
     /// The topology, retained by [`RouterlessSim::with_faults`] so the
     /// routing table can be re-derived over the survivors after each
     /// loop kill.
@@ -122,7 +175,7 @@ impl RouterlessSim {
             grid.len(),
             "routing table size mismatch"
         );
-        let lanes = topo
+        let lanes: Vec<Lane> = topo
             .loops()
             .iter()
             .map(|l| {
@@ -135,29 +188,26 @@ impl RouterlessSim {
                 Lane {
                     nodes,
                     pos,
-                    dst: vec![EMPTY; len],
-                    slots: vec![None; len],
-                    rot: 0,
-                    // A lane holds at most one pending arrival per slot,
-                    // so `len` bounds any single bucket — pre-reserving it
-                    // makes steady-state pushes allocation-free by
-                    // construction, not just after warm-up. (Built with a
-                    // map: `vec![v; n]` clones drop capacity.)
-                    calendar: (0..len).map(|_| Vec::with_capacity(len)).collect(),
+                    slots: vec![EMPTY; len],
+                    calendar: vec![0; len * len],
+                    booked: vec![0; len],
                 }
             })
             .collect();
         RouterlessSim {
             grid,
             routing,
+            due: DueLanes::new(&lanes),
             lanes,
+            ticks: 0,
             queues: vec![VecDeque::new(); grid.len()],
             active: vec![None; grid.len()],
+            pending: vec![0; bits::words(grid.len())],
             ledger: Ledger::default(),
             unroutable: 0,
             ejection_limit: None,
             deflections: 0,
-            ejected_at: vec![0; grid.len()],
+            ejected_at: vec![(0, 0); grid.len()],
             topo: None,
             applied: FaultSet::new(),
         }
@@ -188,23 +238,19 @@ impl RouterlessSim {
             killed = true;
             // Drain the lane: every on-board flit is destroyed, and its
             // packet condemned with any packet still injecting onto it.
+            // The lane may stay marked due; its empty buckets eject nothing.
             let lane = &mut self.lanes[loop_index];
-            let mut lost = Vec::new();
-            for s in 0..lane.slots.len() {
-                if lane.dst[s] == EMPTY {
-                    continue;
-                }
-                lane.dst[s] = EMPTY;
-                let flit = lane.slots[s].take().expect("slot occupied per dst key");
-                lost.push(flit.packet.id);
-            }
+            let mut lost: Vec<u32> = lane
+                .slots
+                .iter_mut()
+                .filter(|h| **h != EMPTY)
+                .map(|h| std::mem::replace(h, EMPTY))
+                .collect();
             let flits = lost.len() as u64;
-            for bucket in &mut lane.calendar {
-                bucket.clear();
-            }
+            lane.booked.fill(0);
             for act in &mut self.active {
                 if let Some(a) = act.filter(|a| a.lane == loop_index) {
-                    lost.push(a.packet.id);
+                    lost.push(a.handle);
                     *act = None;
                 }
             }
@@ -264,10 +310,112 @@ impl RouterlessSim {
         let mut scheduled = 0;
         let mut capacity = 0;
         for lane in &self.lanes {
-            scheduled += lane.calendar.iter().map(Vec::len).sum::<usize>();
+            scheduled += lane.booked.iter().sum::<usize>();
             capacity += lane.slots.len();
         }
         (scheduled, capacity)
+    }
+
+    /// Ejects the flits of lane `l` that front their destination this
+    /// tick, subject to the per-node ejection limit.
+    fn eject_due(&mut self, l: usize, cycle: u64) {
+        let ticks = self.ticks;
+        let lane = &mut self.lanes[l];
+        let len = lane.nodes.len();
+        let rot = lane.rot(ticks);
+        let bucket = rot * len;
+        let mut i = 0;
+        while i < lane.booked[rot] {
+            let s = lane.calendar[bucket + i] as usize;
+            let mut p = s + rot;
+            if p >= len {
+                p -= len;
+            }
+            let node = lane.nodes[p];
+            if let Some(lim) = self.ejection_limit {
+                let (at, count) = &mut self.ejected_at[node];
+                if *at != ticks {
+                    *at = ticks;
+                    *count = 0;
+                }
+                if *count >= lim {
+                    // Ejection port busy: deflect around the loop. The
+                    // kept entry recurs when this bucket next comes up —
+                    // one full circle later.
+                    self.deflections += 1;
+                    i += 1;
+                    continue;
+                }
+                *count += 1;
+            }
+            lane.booked[rot] -= 1;
+            lane.calendar[bucket + i] = lane.calendar[bucket + lane.booked[rot]];
+            let handle = std::mem::replace(&mut lane.slots[s], EMPTY);
+            // The packet rode this lane from its source, so its hop count
+            // is the source's distance along the lane.
+            self.ledger.eject(handle, cycle, |packet| {
+                let ps = lane.pos[packet.src].expect("source on lane");
+                ((p + len - ps) % len) as u64
+            });
+        }
+        if lane.booked[rot] > 0 {
+            self.due.mark(ticks + len as u64, l);
+        }
+    }
+
+    /// Places the next flit of `node`'s packet, starting its oldest
+    /// routable queued packet if none is injecting: one flit per node,
+    /// only into an empty slot, so passing traffic always has priority.
+    fn inject(&mut self, node: NodeId) {
+        if self.active[node].is_none() {
+            while let Some(handle) = self.queues[node].pop_front() {
+                let packet = *self.ledger.packet(handle);
+                let Some(route) = self.routing.route(packet.src, packet.dst) else {
+                    self.unroutable += 1;
+                    self.ledger.unroutable(handle);
+                    continue;
+                };
+                let lane = &self.lanes[route.loop_index];
+                let len = lane.nodes.len();
+                let pos =
+                    lane.pos[node].expect("routing table only picks loops through the source");
+                let dst = lane.pos[packet.dst]
+                    .expect("routing table only picks loops through the destination");
+                self.active[node] = Some(ActiveInjection {
+                    handle,
+                    lane: route.loop_index,
+                    pos,
+                    hops: (dst + len - pos - 1) % len + 1,
+                    flits_left: packet.flits,
+                });
+                break;
+            }
+        }
+        let Some(mut act) = self.active[node] else {
+            bits::remove(&mut self.pending, node);
+            return;
+        };
+        let lane = &mut self.lanes[act.lane];
+        let len = lane.nodes.len();
+        let rot = lane.rot(self.ticks);
+        let s = lane.slot_of(act.pos, rot);
+        if lane.slots[s] != EMPTY {
+            return;
+        }
+        lane.slots[s] = act.handle;
+        let bucket = (rot + act.hops) % len;
+        lane.calendar[bucket * len + lane.booked[bucket]] = s as u32;
+        lane.booked[bucket] += 1;
+        self.due.mark(self.ticks + act.hops as u64, act.lane);
+        act.flits_left -= 1;
+        if act.flits_left > 0 {
+            self.active[node] = Some(act);
+        } else {
+            self.active[node] = None;
+            if self.queues[node].is_empty() {
+                bits::remove(&mut self.pending, node);
+            }
+        }
     }
 }
 
@@ -277,8 +425,9 @@ impl Network for RouterlessSim {
     }
 
     fn offer(&mut self, packet: Packet) {
-        self.queues[packet.src].push_back(packet);
-        self.ledger.offer();
+        let handle = self.ledger.offer(packet);
+        self.queues[packet.src].push_back(handle);
+        bits::insert(&mut self.pending, packet.src);
     }
 
     fn tick(&mut self, cycle: u64) {
@@ -286,108 +435,27 @@ impl Network for RouterlessSim {
         // without a plan).
         self.apply_due_faults(cycle);
 
-        // Phase 1: advance every lane one hop (a frame rotation — flits
-        // stay in their physical slots), ejecting flits that arrive at
-        // their destination (subject to the per-node ejection limit).
-        let limit = self.ejection_limit;
-        if limit.is_some() {
-            self.ejected_at.fill(0);
-        }
-        for lane in &mut self.lanes {
-            let len = lane.nodes.len();
-            if len == 0 {
-                continue;
-            }
-            lane.rot += 1;
-            if lane.rot == len {
-                lane.rot = 0;
-            }
-            // Only the calendar bucket for this rotation can eject: it
-            // holds exactly the slots whose flit now fronts its
-            // destination, so the pass is O(ejections), not O(slots).
-            let rot = lane.rot;
-            let mut i = 0;
-            while i < lane.calendar[rot].len() {
-                let s = lane.calendar[rot][i];
-                let mut p = s + rot;
-                if p >= len {
-                    p -= len;
-                }
-                let node = lane.nodes[p];
-                debug_assert_eq!(lane.dst[s], node as u32, "calendar out of sync");
-                if let Some(lim) = limit {
-                    if self.ejected_at[node] >= lim {
-                        // Ejection port busy: deflect around the loop. The
-                        // kept entry recurs when this bucket next comes
-                        // up — one full circle later.
-                        self.deflections += 1;
-                        i += 1;
-                        continue;
-                    }
-                    self.ejected_at[node] += 1;
-                }
-                lane.calendar[rot].swap_remove(i);
-                lane.dst[s] = EMPTY;
-                let flit = lane.slots[s].take().expect("slot occupied per dst key");
-                // The packet rode this lane from its source, so its hop
-                // count is the source's distance along the lane.
-                self.ledger.eject(flit, cycle, || {
-                    let ps = lane.pos[flit.packet.src].expect("source on lane");
-                    ((p + len - ps) % len) as u64
-                });
+        // Phase 1: every lane advances one hop (its rotation follows the
+        // tick count), and the lanes due this tick eject the flits that
+        // front their destination, in lane-index order: under an ejection
+        // limit, lower lanes take a node's ports first.
+        self.ticks += 1;
+        for w in 0..self.due.words {
+            let mut word = self.due.take(self.ticks, w);
+            while word != 0 {
+                let l = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.eject_due(l, cycle);
             }
         }
 
-        // Phase 2: injection — one flit per node, only into an empty slot,
-        // so passing traffic always has priority.
-        for node in 0..self.grid.len() {
-            if self.active[node].is_none() {
-                // Start the next queued packet, if routable.
-                while let Some(p) = self.queues[node].pop_front() {
-                    match self.routing.route(p.src, p.dst) {
-                        Some(route) => {
-                            self.active[node] = Some(ActiveInjection {
-                                packet: p,
-                                lane: route.loop_index,
-                                next_flit: 0,
-                            });
-                            break;
-                        }
-                        None => {
-                            self.unroutable += 1;
-                            self.ledger.unroutable();
-                        }
-                    }
-                }
-            }
-            let Some(mut act) = self.active[node] else {
-                continue;
-            };
-            let lane = &mut self.lanes[act.lane];
-            let pos = lane.pos[node].expect("routing table only picks loops through the source");
-            let s = lane.slot_of(pos);
-            if lane.dst[s] == EMPTY {
-                let len = lane.nodes.len();
-                lane.dst[s] = act.packet.dst as u32;
-                lane.slots[s] = Some(Flit {
-                    packet: act.packet,
-                    index: act.next_flit,
-                });
-                // Schedule the ejection: the flit fronts its destination
-                // after `hops` advances (`hops == 0`, a self-addressed
-                // packet, means one full circle — bucket `rot` recurs in
-                // exactly `len` cycles).
-                let hops = lane.pos[act.packet.dst]
-                    .map(|d| (d + len - pos) % len)
-                    .expect("routing table only picks loops through the destination");
-                let bucket = (lane.rot + hops) % len;
-                lane.calendar[bucket].push(s);
-                act.next_flit += 1;
-                self.active[node] = if act.next_flit == act.packet.flits {
-                    None
-                } else {
-                    Some(act)
-                };
+        // Phase 2: injection, in node order.
+        for w in 0..self.pending.len() {
+            let mut word = self.pending[w];
+            while word != 0 {
+                let node = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.inject(node);
             }
         }
     }
@@ -398,6 +466,10 @@ impl Network for RouterlessSim {
 
     fn in_flight(&self) -> usize {
         self.ledger.in_flight()
+    }
+
+    fn settled(&self) -> bool {
+        self.ledger.settled()
     }
 
     fn telemetry_sample(&self, rec: &mut rlnoc_telemetry::Recorder) {
@@ -615,6 +687,49 @@ mod tests {
             free.take_deliveries();
         }
         assert_eq!(free.deflections(), 0);
+    }
+
+    #[test]
+    fn deflected_body_flit_completes_its_packet_after_the_tail() {
+        // Both 2x2 rings. Packet 1 (3 flits, node 1 → 0) rides the CCW
+        // ring (loop 1, one hop) and arrives at cycles 1, 2 and 3. Packet
+        // 2 (1 flit, node 2 → 0) rides the CW ring (loop 0, one hop) and
+        // arrives at cycle 2, where loop 0 takes node 0's only ejection
+        // port first. Packet 1's body flit deflects, its tail ejects at
+        // cycle 3, and the body circles back at cycle 6.
+        let g = Grid::square(2).unwrap();
+        let topo = Topology::from_loops(
+            g,
+            [
+                RectLoop::new(0, 0, 1, 1, Direction::Clockwise).unwrap(),
+                RectLoop::new(0, 0, 1, 1, Direction::Counterclockwise).unwrap(),
+            ],
+        )
+        .unwrap();
+        let mut sim = RouterlessSim::new(&topo);
+        sim.set_ejection_limit(Some(1));
+        sim.offer(Packet {
+            id: 1,
+            ..single_packet(1, 0, 3)
+        });
+        let mut delivered = Vec::new();
+        for cycle in 0..12 {
+            if cycle == 1 {
+                sim.offer(Packet {
+                    id: 2,
+                    ..single_packet(2, 0, 1)
+                });
+            }
+            sim.tick(cycle);
+            delivered.extend(sim.take_deliveries());
+        }
+        let summary: Vec<(u64, u64, u64)> = delivered
+            .iter()
+            .map(|d| (d.packet.id, d.delivered, d.hops))
+            .collect();
+        assert_eq!(summary, [(2, 2, 1), (1, 6, 1)]);
+        assert_eq!(sim.deflections(), 1);
+        assert_eq!(sim.in_flight(), 0);
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! counting-allocator audit in `tests/alloc_free.rs`). The allocating
 //! [`Network::take_deliveries`] / [`PacketSource::generate`] conveniences
 //! are provided trait methods kept for tests and one-shot callers.
+//!
+//! The driver also stops early: once generation has ended and
+//! [`Network::settled`] holds (nothing in flight and no fault left to
+//! apply), the rest of the drain window could change nothing, so
+//! [`run_with_source_traced`] stops ticking there. Its `sim.cycles`
+//! counter still reports the full warm-up + measure + drain.
 
 use crate::config::SimConfig;
 use crate::packet::Packet;
@@ -53,6 +59,15 @@ pub trait Network {
     /// Packets currently queued or in flight (for drain accounting).
     fn in_flight(&self) -> usize;
 
+    /// Whether ticking on, with no packet offered, would change nothing
+    /// the driver observes: nothing is in flight and no scheduled event is
+    /// left. [`run_with_source_traced`] stops its drain phase once this
+    /// holds. The default is `in_flight() == 0`; a fabric with scheduled
+    /// faults overrides it.
+    fn settled(&self) -> bool {
+        self.in_flight() == 0
+    }
+
     /// Records fabric-specific end-of-run telemetry (cumulative drop
     /// counters, occupancy gauges, ...) into `rec`. Counters published
     /// here are lifetime totals, so call it once per run — the traced
@@ -81,6 +96,9 @@ impl<N: Network + ?Sized> Network for Box<N> {
     }
     fn in_flight(&self) -> usize {
         (**self).in_flight()
+    }
+    fn settled(&self) -> bool {
+        (**self).settled()
     }
     fn telemetry_sample(&self, rec: &mut rlnoc_telemetry::Recorder) {
         (**self).telemetry_sample(rec)
@@ -138,7 +156,8 @@ pub fn run_with_source<N: Network>(
 /// The per-cycle loop reuses two caller-local buffers (new packets and
 /// drained deliveries) and the sink-based trait methods, so it allocates
 /// nothing per cycle in steady state; the counters are plain locals,
-/// published once at the end only when `rec` is live.
+/// published once at the end only when `rec` is live. The drain phase
+/// ends as soon as the fabric is [`Network::settled`].
 ///
 /// Telemetry is observation-only: the returned [`Metrics`] are the same
 /// whether `rec` is live or disabled (asserted by the golden-trace tests).
@@ -165,8 +184,13 @@ pub fn run_with_source_traced<N: Network>(
     let mut delivered_flits = 0u64;
     for cycle in 0..total {
         // Generation stops after the measurement window so the drain phase
-        // can empty the network.
-        if cycle < cfg.warmup + cfg.measure {
+        // can empty the network; once it has, the remaining cycles would
+        // change nothing.
+        if cycle >= cfg.warmup + cfg.measure {
+            if net.settled() {
+                break;
+            }
+        } else {
             let measured = cycle >= cfg.warmup;
             fresh.clear();
             source.generate_into(cycle, cfg, measured, &mut fresh);

@@ -52,10 +52,10 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Drives `net` exactly like `run_with_source`'s per-cycle loop. Warm-up
 /// runs at `condition_rate` — *above* the measured rate — so every
-/// internal buffer (node queues, assembly map, delivery vectors, the
-/// driver's scratch buffers) reaches a capacity high-water mark that
-/// dominates anything the measured phase can demand. Then the allocations
-/// over `measured` cycles at `rate` are returned.
+/// internal buffer (node queues, the ledger's packet slab and free list,
+/// delivery vectors, the driver's scratch buffers) reaches a capacity
+/// high-water mark that dominates anything the measured phase can demand.
+/// Then the allocations over `measured` cycles at `rate` are returned.
 #[allow(clippy::too_many_arguments)]
 fn steady_state_allocs<N: Network>(
     net: &mut N,
