@@ -747,6 +747,56 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "20 cycles of the 8x8 net; run in release")]
+    fn explorer_outcomes_are_pinned_8x8() {
+        // Golden outcomes of the `learn-8x8` benchmark's setting (8x8 at
+        // cap 14, 8 steps, ε = 0.3, matmul 2) over 20 cycles. Its coordinate
+        // softmaxes saturate, so the heads' GEMMs see the logit gradients
+        // that `policy_head_grad` flushes when subnormal.
+        let env = RouterlessEnv::new(Grid::square(8).unwrap(), 14);
+        let mut config = ExplorerConfig::fast();
+        config.max_steps = 8;
+        config.epsilon = 0.3;
+        let previous = rlnoc_nn::kernels::matmul_threads();
+        rlnoc_nn::kernels::set_matmul_threads(2);
+        let mut ex = Explorer::new(env, config, 7);
+        let report = ex.run_cycles(20);
+        rlnoc_nn::kernels::set_matmul_threads(previous);
+        let got: Vec<_> = report
+            .designs
+            .iter()
+            .map(|d| (d.cycle, d.steps, d.successful, d.final_return.to_bits()))
+            .collect();
+        let history = history_digest(&report.train_history);
+        let state = learner_digest(ex.agent_mut());
+        let want = vec![
+            (0, 40, true, 0xbffa_a69a_69a6_9a6c),
+            (1, 36, true, 0xbffb_aaaa_aaaa_aaac),
+            (2, 39, true, 0xbffc_36db_6db6_db70),
+            (3, 37, true, 0xbffb_c71c_71c7_1c74),
+            (4, 58, false, 0xbfef_e79e_79e7_9e80),
+            (5, 57, false, 0xbff4_4104_1041_0410),
+            (6, 58, false, 0xbff2_5965_9659_6598),
+            (7, 38, true, 0xbffa_8820_8208_2084),
+            (8, 59, false, 0xbff4_d75d_75d7_5d78),
+            (9, 54, false, 0xbff0_c71c_71c7_1c74),
+            (10, 54, false, 0xbff2_b0c3_0c30_c30c),
+            (11, 56, false, 0xbff3_1c71_c71c_71c8),
+            (12, 57, false, 0xbff3_0000_0000_0000),
+            (13, 55, false, 0xbff5_6fbe_fbef_befc),
+            (14, 56, false, 0xbff5_79e7_9e79_e7a0),
+            (15, 55, false, 0xbff2_1a69_a69a_69a8),
+            (16, 55, false, 0xbff3_34d3_4d34_d350),
+            (17, 56, false, 0xbff0_9e79_e79e_79e8),
+            (18, 37, true, 0xbffd_228a_28a2_8a28),
+            (19, 39, true, 0xbff8_fdf7_df7d_f7e0),
+        ];
+        assert_eq!(got, want, "per-cycle outcomes");
+        assert_eq!(history, 0xaa08_59d9_10df_e145, "train_history digest");
+        assert_eq!(state, 0x6bea_e7ee_5078_540b, "params + Adam state digest");
+    }
+
+    #[test]
     fn nan_grad_stops_before_the_update_commits() {
         // A NaN gradient at cycle 1 stops the serial driver with the
         // parallel drivers' typed message, and the agent keeps exactly the
