@@ -273,22 +273,52 @@ fn main() {
     let forward_speedup = forward_8x8_naive_est / forward_8x8;
 
     // --- The learner's own shapes ---------------------------------------
-    // The small network's residual-conv GEMM at 4x4 (`8×72×256`) and 8x8
-    // (`8×72×4096`), and one training pass of the small network on a
-    // 45-state batch: these are the calls the learner makes hundreds of
-    // times per episode, far below the large shapes above.
+    // The 8x8 small network's `Linear` heads: the coordinate head
+    // (`Linear(8192, 32)`) on one state; the direction head
+    // (`Linear(8192, 1)`) forward, weight gradient and input gradient on a
+    // 45-state batch; the coordinate head's input and weight gradients.
+    // Each row names its transposes (`n` plain, `t` transposed, for `A`
+    // then `B`) and is the median of `REPEATS` timings, with their spread
+    // (interquartile range over median). Then one training pass of the
+    // small network on a 45-state batch: these are the calls the learner
+    // makes hundreds of times per episode, far below the large shapes above.
+    const REPEATS: usize = 5;
     let mut gemm_rows = String::new();
-    for (gm, gk, gn) in [(8usize, 72usize, 256usize), (8, 72, 4096)] {
+    for (trans_a, trans_b, gm, gk, gn) in [
+        (false, false, 1usize, 8192usize, 32usize),
+        (false, false, 45, 8192, 1),
+        (true, false, 8192, 45, 1),
+        (false, true, 45, 1, 8192),
+        (false, true, 45, 32, 8192),
+        (true, false, 8192, 45, 32),
+    ] {
         let a = wave(gm * gk, 0.37);
         let b = wave(gk * gn, 0.23);
         let mut c = vec![0.0f32; gm * gn];
-        let secs = time_secs(|| {
-            rlnoc_nn::kernels::gemm(false, false, gm, gk, gn, &a, &b, black_box(&mut c));
-        });
+        let mut runs: Vec<f64> = (0..REPEATS)
+            .map(|_| {
+                time_secs(|| {
+                    rlnoc_nn::kernels::gemm(
+                        trans_a,
+                        trans_b,
+                        gm,
+                        gk,
+                        gn,
+                        &a,
+                        &b,
+                        black_box(&mut c),
+                    );
+                }) * 1e6
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        let (median, iqr) = (runs[REPEATS / 2], runs[3 * REPEATS / 4] - runs[REPEATS / 4]);
+        let ops = [trans_a, trans_b].map(|t| if t { 't' } else { 'n' });
+        let name = format!("gemm_{}{}_{gm}x{gk}x{gn}", ops[0], ops[1]);
         let _ = write!(
             gemm_rows,
-            "\n    \"gemm_{gm}x{gk}x{gn}_us\": {:.2},",
-            secs * 1e6
+            "\n    \"{name}_us\": {median:.2},\n    \"{name}_spread\": {:.3},",
+            iqr / median
         );
     }
     // Each conv pass on its own at the 8x8 learner's residual (`8→8`) and

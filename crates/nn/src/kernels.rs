@@ -13,6 +13,26 @@
 //!   contiguous micro-rows,
 //! - run an `MR × NR` register-tiled micro-kernel over the packed panels.
 //!
+//! Four shapes skip the packing, chosen by `(m, k, n)` and the transposes
+//! alone. They are the `Linear` heads' GEMMs on one state, and those of the
+//! direction head's single output:
+//!
+//! - one row of `C` (`m = 1`, `B` not transposed): the row times `B`,
+//!   vectorized over `C`'s columns, reading `B` once instead of packing
+//!   all of it for one micro-row of `MR`;
+//! - one column with `A` transposed (`n = 1`): the same kernel on `Cᵀ`;
+//! - `k = 1`: an outer product, one row of `C` at a time, with that kernel;
+//! - one column with `A` not transposed: per-row dot products,
+//!   `DOT_ROWS` rows side by side, where the micro-kernel would run on
+//!   `NR − 1` zero-padded columns.
+//!
+//! Every other shape takes the packed path. Each of the four keeps every
+//! element's order: `KC` blocks, `p` ascending, each block summed from
+//! `0.0` as a `mul` then an `add`, the first block copied and later blocks
+//! added; and each product keeps its `A`-element × `B`-element order. So
+//! they are bit-identical to the packed path, NaN payloads aside: Rust
+//! leaves a NaN result's sign and payload unspecified.
+//!
 //! The packed panels live in per-thread scratch (`PACK_SCRATCH`) that is
 //! reused across calls, so a warm call on a thread allocates nothing. A call
 //! takes the scratch out of the thread-local and puts it back when done. It
@@ -61,9 +81,11 @@
 //! lane type change, never the order of any element's operations, so every
 //! target produces the same bits. Products and sums are always a `mul`
 //! then an `add`, never a fused multiply-add, which rounds once instead of
-//! twice and would change results. The weight gradient and [`gemm`] stay
-//! on plain arrays: the weight gradient's tile is `NR = 8` output channels
-//! wide, and the small learner net has only 8, half a 512-bit register.
+//! twice and would change results. The weight gradient and [`gemm`]'s
+//! packed path stay on plain arrays: the weight gradient's tile is `NR = 8`
+//! output channels wide, and the small learner net has only 8, half a
+//! 512-bit register. The row-times-matrix path runs on the same lane
+//! vectors as the convolutions, by the same rule.
 //!
 //! There is no `a == 0.0` fast path anywhere in this module: `0 × NaN` and
 //! `0 × ∞` must produce `NaN`, exactly as IEEE-754 specifies. The naive
@@ -197,19 +219,123 @@ pub fn gemm(
     }
     let timer = crate::instrument::start();
 
-    match row_band(m, k, n) {
-        None => gemm_band(trans_a, trans_b, m, k, n, a, b, c, 0),
-        // Band boundaries only decide *which thread* computes a row, never
-        // *how* it is computed, so the split cannot perturb results.
-        Some(band_rows) => {
-            let bands = c.chunks_mut(band_rows * n).enumerate();
-            crate::pool::for_each(true, bands, |(i, band)| {
-                let rows = band.len() / n;
-                gemm_band(trans_a, trans_b, rows, k, n, a, b, band, i * band_rows);
-            });
+    // With `k == 1` either layout of `A` is the same contiguous column, and
+    // either layout of `B` the same contiguous row.
+    let (trans_a, trans_b) = if k == 1 {
+        (true, false)
+    } else {
+        (trans_a, trans_b)
+    };
+    if m == 1 && !trans_b {
+        // `C = a · B`, with `a` either layout of `A`'s one row.
+        vec_mat::<true>(a, b, n, c);
+    } else if n == 1 && trans_a {
+        // `Cᵀ = bᵀ · Aᵀ`, where `Aᵀ` is `A` as stored, `[k, m]`.
+        vec_mat::<false>(b, a, m, c);
+    } else if k == 1 {
+        for (ai, row) in a.iter().zip(c.chunks_exact_mut(n)) {
+            vec_mat::<true>(std::slice::from_ref(ai), b, n, row);
+        }
+    } else if n == 1 {
+        row_dots(a, b, k, c);
+    } else {
+        match row_band(m, k, n) {
+            None => gemm_band(trans_a, trans_b, m, k, n, a, b, c, 0),
+            // Band boundaries only decide *which thread* computes a row,
+            // never *how* it is computed, so the split cannot perturb
+            // results.
+            Some(band_rows) => {
+                let bands = c.chunks_mut(band_rows * n).enumerate();
+                crate::pool::for_each(true, bands, |(i, band)| {
+                    let rows = band.len() / n;
+                    gemm_band(trans_a, trans_b, rows, k, n, a, b, band, i * band_rows);
+                });
+            }
         }
     }
     crate::instrument::record_since("nn.gemm_us", timer);
+}
+
+/// A row times a matrix, without packing: `out[j] = Σ_p x[p] · mat[p·ld + j]`
+/// over `p < x.len()`, the products taken as `x[p] × mat[…]` when
+/// `X_FIRST` and as `mat[…] × x[p]` otherwise, so that each keeps
+/// [`gemm`]'s `A`-element × `B`-element order. Each element sees the
+/// micro-kernel's operations: `KC` blocks of `p`, each summed from `0.0`
+/// in `p` order, combined as `c = acc` then `c += acc`. The loop runs over
+/// `out` in vectors of the widest type that fits it, reading each row
+/// segment of `mat` once; a last vector that overlaps the one before
+/// recomputes the same values.
+fn vec_mat<const X_FIRST: bool>(x: &[f32], mat: &[f32], ld: usize, out: &mut [f32]) {
+    let run = match out.len() {
+        len if len >= 4 * Lane::LANES => vec_mat_tiles::<[Lane; 4], X_FIRST>,
+        len if len >= Lane::LANES => vec_mat_tiles::<Lane, X_FIRST>,
+        len if len >= 8 => vec_mat_tiles::<simd::Lane8, X_FIRST>,
+        _ => vec_mat_tiles::<[f32; 1], X_FIRST>,
+    };
+    run(x, mat, ld, out);
+}
+
+/// [`vec_mat`] in vectors `V` (`out.len() ≥ V::LANES`).
+#[inline(always)]
+fn vec_mat_tiles<V: Vector, const X_FIRST: bool>(
+    x: &[f32],
+    mat: &[f32],
+    ld: usize,
+    out: &mut [f32],
+) {
+    let len = out.len();
+    let mut done = 0;
+    while done < len {
+        let j0 = done.min(len - V::LANES);
+        let mut tile = V::splat(0.0);
+        for (block, xs) in x.chunks(KC).enumerate() {
+            let pc = block * KC;
+            let mut acc = V::splat(0.0);
+            for (p, &xp) in xs.iter().enumerate() {
+                let (xv, row) = (V::splat(xp), V::load(&mat[(pc + p) * ld + j0..]));
+                let (mut product, other) = if X_FIRST { (xv, row) } else { (row, xv) };
+                product.mul(&other);
+                acc.add(&product);
+            }
+            if block == 0 {
+                tile = acc;
+            } else {
+                tile.add(&acc);
+            }
+        }
+        tile.store(&mut out[j0..]);
+        done = j0 + V::LANES;
+    }
+}
+
+/// Rows of `A` that [`row_dots`] takes side by side.
+const DOT_ROWS: usize = 8;
+
+/// `C = A · b` for one column: `c[i] = Σ_p a[i·k + p] · b[p]` with `A`
+/// stored `[m, k]`, each element in the micro-kernel's order (`KC` blocks,
+/// each summed from `0.0` in `p` order, combined as `c = acc` then
+/// `c += acc`). `DOT_ROWS` rows run side by side as independent chains;
+/// rows past a ragged group's end alias its last row, and their sums are
+/// never written.
+fn row_dots(a: &[f32], b: &[f32], k: usize, c: &mut [f32]) {
+    for (group, c) in c.chunks_mut(DOT_ROWS).enumerate() {
+        let (i0, rows) = (group * DOT_ROWS, c.len());
+        let a_rows: [&[f32]; DOT_ROWS] =
+            std::array::from_fn(|r| &a[(i0 + r.min(rows - 1)) * k..][..k]);
+        let mut tile = [0.0f32; DOT_ROWS];
+        for (block, bs) in b.chunks(KC).enumerate() {
+            let pc = block * KC;
+            let a_block: [&[f32]; DOT_ROWS] = std::array::from_fn(|r| &a_rows[r][pc..][..bs.len()]);
+            let mut acc = [0.0f32; DOT_ROWS];
+            for (p, &bp) in bs.iter().enumerate() {
+                for r in 0..DOT_ROWS {
+                    acc[r] += a_block[r][p] * bp;
+                }
+            }
+            fold_block(&mut tile, &acc, block == 0);
+        }
+        c.copy_from_slice(&tile[..rows]);
+    }
 }
 
 /// Computes rows `[row0, row0 + rows)` of `C` into `c_band` (whose row 0 is
@@ -1010,6 +1136,88 @@ mod tests {
         })
         .join()
         .expect("stale scratch check");
+    }
+
+    /// Operands for [`shape_paths_match_the_packed_kernel`]: uniform values
+    /// with one kind of edge value mixed in.
+    fn edge_operand(rng: &mut StdRng, len: usize, edges: &str) -> Vec<f32> {
+        let subnormal = |rng: &mut StdRng| {
+            let bits = rng.gen_range(1..0x0080_0000u32) | (rng.gen_range(0..2u32) << 31);
+            f32::from_bits(bits)
+        };
+        (0..len)
+            .map(|_| match (edges, rng.gen_range(0..256)) {
+                // Against positive values, every product is -0.0, and every
+                // sum must come out +0.0, as `0.0 + (-0.0)` does.
+                ("zeros", _) => -0.0,
+                ("positive", _) => rng.gen_range(0.5..2.0f32),
+                ("non-finite", 0) => f32::NAN,
+                ("non-finite", 1) => f32::INFINITY,
+                ("non-finite", 2) => f32::NEG_INFINITY,
+                ("subnormal", 0..=63) => subnormal(rng),
+                // Products of these with uniform values fall below 2⁻¹²⁶.
+                ("subnormal", 64..=95) => rng.gen_range(-1e-30..1e-30f32),
+                _ => rng.gen_range(-2.0..2.0f32),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shape_paths_match_the_packed_kernel() {
+        // Every shape `gemm` serves without packing (m = 1, n = 1, k = 1),
+        // with `k` crossing two `KC` blocks, against `gemm_band` called
+        // directly, bit for bit: every element keeps the micro-kernel's
+        // order of operations, operand order included. A NaN compares as
+        // any NaN: Rust leaves a NaN result's sign and payload unspecified,
+        // and LLVM may commute a `mul` or an `add` of either kernel, so
+        // which of two NaN operands' payloads survives is not the kernel's
+        // to keep.
+        const K: usize = 2 * KC + 3;
+        let shapes = [
+            (1, K, 1),
+            (1, K, 5),
+            (1, K, 20),
+            (1, K, 70),
+            (5, K, 1),
+            (19, K, 1),
+            (70, K, 1),
+            (1, 1, 1),
+            (19, 1, 1),
+            (1, 1, 19),
+            (5, 1, 70),
+            (70, 1, 5),
+        ];
+        let bits = |v: &[f32]| {
+            let canonical = |x: f32| if x.is_nan() { f32::NAN } else { x };
+            v.iter()
+                .map(|&x| canonical(x).to_bits())
+                .collect::<Vec<_>>()
+        };
+        let mut rng = StdRng::seed_from_u64(103);
+        for edges in ["none", "zeros", "non-finite", "subnormal"] {
+            for (m, k, n) in shapes {
+                // Edge values in `A`, then in `B`.
+                let other = if edges == "zeros" { "positive" } else { "none" };
+                for (a_edges, b_edges) in [(edges, other), (other, edges)] {
+                    let a = edge_operand(&mut rng, m * k, a_edges);
+                    let b = edge_operand(&mut rng, k * n, b_edges);
+                    for (trans_a, trans_b) in
+                        [(false, false), (true, false), (false, true), (true, true)]
+                    {
+                        let mut want = vec![f32::NAN; m * n];
+                        gemm_band(trans_a, trans_b, m, k, n, &a, &b, &mut want, 0);
+                        let mut got = vec![f32::NAN; m * n];
+                        gemm(trans_a, trans_b, m, k, n, &a, &b, &mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{m}x{k}x{n} (trans_a={trans_a}, trans_b={trans_b}), \
+                             edge values {a_edges} in A, {b_edges} in B"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

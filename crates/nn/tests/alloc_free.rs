@@ -62,9 +62,20 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 /// `(m, k, n)` of the learner's GEMMs at 4x4 with the small network: the
 /// stem conv (`8×9×256`), the residual convs (`8×72×256`), the head convs
 /// (`2×72×256`) and the policy head's `Linear` on a 45-state batch
-/// (`45×512×16`).
-const LEARNER_SHAPES: &[(usize, usize, usize)] =
-    &[(8, 9, 256), (8, 72, 256), (2, 72, 256), (45, 512, 16)];
+/// (`45×512×16`); and the shapes `gemm` serves without packing: the policy
+/// head on one state (`1×512×16`), the direction head's `Linear(512, 1)`
+/// on a batch and on one state (`45×512×1`, `1×512×1`), and an outer
+/// product (`9×1×512`).
+const LEARNER_SHAPES: &[(usize, usize, usize)] = &[
+    (8, 9, 256),
+    (8, 72, 256),
+    (2, 72, 256),
+    (45, 512, 16),
+    (1, 512, 16),
+    (45, 512, 1),
+    (1, 512, 1),
+    (9, 1, 512),
+];
 
 #[test]
 fn warm_serial_gemm_allocates_nothing() {
