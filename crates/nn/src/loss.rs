@@ -43,6 +43,12 @@ pub fn log_softmax_at(logits: &[f32], index: usize) -> f32 {
 /// and `grad[i] = A · (softmax(logits)[i] − 1[i == chosen])`, i.e. the
 /// gradient of the loss with respect to the raw logits.
 ///
+/// A subnormal `grad[i]` (`A · p` of a saturated softmax, below `2⁻¹²⁶`)
+/// is flushed to `0.0`. Every SIMD multiply that reads a subnormal operand
+/// pays a microcode assist on x86, in the heads' GEMMs and in every layer
+/// the gradient reaches after them, while the entry lies below half an ulp
+/// of any sum of magnitude `2⁻¹⁰²` or more, and so vanishes in it.
+///
 /// # Panics
 ///
 /// Panics if `chosen` is out of range.
@@ -54,6 +60,7 @@ pub fn policy_head_grad(logits: &[f32], chosen: usize, advantage: f32) -> (f32, 
         .iter()
         .enumerate()
         .map(|(i, &p)| advantage * (p - f32::from(u8::from(i == chosen))))
+        .map(|g: f32| if g.is_subnormal() { 0.0 } else { g })
         .collect();
     (loss, grad)
 }
@@ -156,6 +163,26 @@ mod tests {
         // Negative advantage flips the direction.
         let (_, grad) = policy_head_grad(&[0.0, 0.0], 0, -1.0);
         assert!(grad[0] > 0.0);
+    }
+
+    #[test]
+    fn saturated_rows_flush_subnormal_gradients() {
+        // 0.5 · exp(-100) ≈ 1.9e-44 is subnormal; 0.5 · exp(-5) is not.
+        let logits = [0.0, -100.0, -100.0, -5.0];
+        let (loss, grad) = policy_head_grad(&logits, 0, 0.5);
+        let unflushed: Vec<f32> = softmax(&logits)
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| 0.5 * (p - f32::from(u8::from(i == 0))))
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert!(unflushed[1..3].iter().all(|g| g.is_subnormal()));
+        assert!(unflushed[0].is_normal() && unflushed[3].is_normal());
+        assert_eq!(bits(&grad), bits(&[unflushed[0], 0.0, 0.0, unflushed[3]]));
+        assert_eq!(
+            loss.to_bits(),
+            (-0.5 * log_softmax_at(&logits, 0)).to_bits()
+        );
     }
 
     #[test]
